@@ -44,6 +44,7 @@ from .excision import (
     BoundaryCertificate,
     CertificateSearchError,
     DescentCertificate,
+    InverseInvariantError,
     InverseResult,
     IsomorphismReport,
     Mismatch,

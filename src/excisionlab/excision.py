@@ -5,9 +5,12 @@ Certificates reify the homotopies of the underlying arguments: a descent
 certificate records the exact identity  input − output = b(G) + e ⊗ b(input),
 a boundary certificate records a degree-(n+1) witness η whose boundary equals
 a claimed-homologous difference, and an inverse result bundles the unit
-schedule with a boundary certificate for  ρ(output) ≡ input.  Verification
-re-expands every identity from scratch, so a tampered certificate is caught
-by exact residual arithmetic.
+schedule with a boundary certificate for  ρ(output) ≡ input.  For a strict
+cycle that witness is the concatenated homotopy of the n descent steps the
+closed formula summarises, so the paper's inverse does no linear algebra;
+only classes with no strict representative are inverted, and certified, by
+an exact linear solve.  Verification re-expands every identity from scratch,
+so a tampered certificate is caught by exact residual arithmetic.
 """
 
 from __future__ import annotations
@@ -47,6 +50,19 @@ class UnitActionError(ValueError):
 
 class ScheduleMismatchError(ValueError):
     """The unit schedule does not cover the slots of the given chain."""
+
+
+class InverseInvariantError(RuntimeError):
+    """An invariant of the inverse construction failed.
+
+    Under the validated unit schedule these identities are theorems, so this
+    signals a defect in the library, never bad input; the offending chain is
+    attached for inspection.
+    """
+
+    def __init__(self, message, chain=None):
+        self.chain = chain
+        super().__init__(message)
 
 
 class CertificateSearchError(RuntimeError):
@@ -404,7 +420,11 @@ def _invert_by_solve(chain):
     total_rows = len(rows_rel)
     if n >= 1:
         down_matrix, down_cols, _ = boundary_matrix(context, Variant("hc", "I"), n)
-        assert down_cols == cols_ideal
+        if down_cols != cols_ideal:
+            raise InverseInvariantError(
+                "the ideal's cyclic basis differs between its own boundary "
+                "matrix and basis_tuples"
+            )
         for (r, c), v in down_matrix.entries.items():
             entries[(total_rows + r, c)] = v
         total_rows += down_matrix.rows
@@ -437,6 +457,30 @@ def _invert_by_solve(chain):
     return psi, eta
 
 
+def _descent_witness(chain, schedule, output):
+    """Witness η with b(η) = output − chain for a strict cycle, read off the
+    descent steps with e_n, …, e_1 that the closed formula summarises."""
+    if chain.degree == 0:
+        return Chain(1, chain.context)
+    steps = []
+    current = chain
+    for unit in reversed(schedule.units):
+        try:
+            step = descent_step(current, unit)
+        except UnitActionError as exc:
+            raise InverseInvariantError(
+                f"a validated unit schedule failed a descent step: {exc}", current
+            ) from exc
+        steps.append(step)
+        current = step.output
+    if current != output:
+        raise InverseInvariantError(
+            "the closed formula differs from the chained descent steps",
+            output - current,
+        )
+    return -concatenate_descents(steps).witness
+
+
 def inverse_excision(chain, schedule):
     """Map a top-filtration relative cyclic cycle into the ideal's complex,
     with a boundary certificate for  ρ(output) ≡ input.
@@ -444,10 +488,14 @@ def inverse_excision(chain, schedule):
     The input must have every initial slot in the ideal (no rotation happens
     here: plain Hochschild-style inputs must arrive already in the top
     filtration step) and must be a cycle of the relative cyclic complex.
-    Strict cycles go through the closed formula; cycles that only close up
-    modulo the rotation action carry no formula guarantee and are inverted
-    by `_invert_by_solve`.  Either way the result ships the same kind of
-    independently checkable certificate.
+    Strict cycles go through the closed formula, and are certified by the
+    homotopy that proves it: the n descent steps with e_n, …, e_1 must end
+    at the formula's output, and the witness is minus the sum of their
+    homotopies e_i ⊗ φ_i, so this path does no linear algebra.  Cycles that
+    only close up modulo the rotation action carry no formula guarantee and
+    are inverted by the exact linear solve of `_invert_by_solve`.  Either
+    way the result ships the same kind of independently checkable
+    certificate; a failed internal identity raises InverseInvariantError.
     """
     context = chain.context
     n = chain.degree
@@ -464,17 +512,15 @@ def inverse_excision(chain, schedule):
     if strict:
         output = closed_formula(chain, schedule)
         if not is_ideal_chain(output):
-            raise AssertionError("closed formula escaped the ideal's tensor space")
-        difference = output - chain
-        if difference.is_zero():
-            witness = Chain(n + 1, context)
-        else:
-            witness = find_boundary_witness(difference, "relative")
+            raise InverseInvariantError(
+                "closed formula escaped the ideal's tensor space", output
+            )
+        witness = _descent_witness(chain, schedule, output)
     else:
         output, witness = _invert_by_solve(chain)
-    if n >= 1:
-        assert canonicalize_cyclic(boundary_b(output)).is_zero(), (
-            "inverse image is not a cyclic cycle over the ideal"
+    if n >= 1 and not canonicalize_cyclic(boundary_b(output)).is_zero():
+        raise InverseInvariantError(
+            "inverse image is not a cyclic cycle over the ideal", output
         )
     certificate = BoundaryCertificate(
         lhs=Chain(n, context, dict(output.terms)),

@@ -40,6 +40,8 @@ class ParseError(ValueError):
 
 
 def _vector_from_list(values, dimension, location):
+    if not isinstance(values, list):
+        raise ParseError("expected a list of coordinates", location)
     if len(values) != dimension:
         raise ParseError(
             f"expected {dimension} coordinates, got {len(values)}", location
@@ -199,8 +201,10 @@ def chain_from_doc(doc, context):
         degree = int(doc["degree"])
     except (KeyError, TypeError, ValueError):
         raise ParseError("missing or malformed degree", "degree") from None
-    chain = Chain(degree, context)
     dimension = context.dimension
+    # split coordinates per slot text: a document repeats few distinct slots
+    slot_memo = {}
+    terms = {}
     for t, record in enumerate(doc.get("terms", [])):
         where = f"terms[{t}]"
         try:
@@ -212,14 +216,22 @@ def chain_from_doc(doc, context):
             raise ParseError(
                 f"expected {degree + 1} slots", f"{where}.slots"
             )
-        split_slots = [
-            context.to_split(
-                _vector_from_list(slot, dimension, f"{where}.slots[{q}]")
-            )
-            for q, slot in enumerate(slots)
-        ]
         term = {(): coeff}
-        for vec in split_slots:
+        for q, slot in enumerate(slots):
+            # only lists of strings are hashable and can be memoised; any
+            # other slot is parsed afresh so it fails with its own path
+            text = (
+                tuple(slot)
+                if isinstance(slot, list) and all(isinstance(x, str) for x in slot)
+                else None
+            )
+            vec = slot_memo.get(text) if text is not None else None
+            if vec is None:
+                vec = context.to_split(
+                    _vector_from_list(slot, dimension, f"{where}.slots[{q}]")
+                )
+                if text is not None:
+                    slot_memo[text] = vec
             new = {}
             for prefix, c in term.items():
                 for i, v in vec.entries.items():
@@ -230,8 +242,13 @@ def chain_from_doc(doc, context):
                     else:
                         new.pop(key, None)
             term = new
-        chain = chain + Chain(degree, context, term)
-    return chain
+        for key, c in term.items():
+            nv = terms.get(key, 0) + c
+            if nv:
+                terms[key] = nv
+            else:
+                terms.pop(key, None)
+    return Chain(degree, context, terms)
 
 
 def load_chain(path, context):

@@ -17,6 +17,8 @@ from excisionlab.excision import (
     BoundaryCertificate,
     CertificateSearchError,
     DescentCertificate,
+    InverseInvariantError,
+    InverseResult,
     Mismatch,
     UnitActionError,
     closed_formula,
@@ -232,24 +234,66 @@ def test_closed_formula_checks_schedule_length(t2):
 
 # ------------------------------------------- closed formula vs iteration
 
-def test_closed_formula_equals_iterated_descent(corpus):
+def test_closed_formula_equals_iterated_descent(corpus, monkeypatch):
+    """The closed formula equals n chained descent steps, and the strict
+    inverse is certified by their homotopies without any linear algebra."""
+    import excisionlab.excision as excision_module
     from excisionlab.units import build_unit_schedule
 
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the strict inverse ran linear algebra")
+
+    for name in ("boundary_matrix", "solve", "find_boundary_witness"):
+        monkeypatch.setattr(excision_module, name, forbidden)
+    tested = 0
     for demo in corpus:
         split = demo.split
         for degree in range(1, 4):
             for cycle in filtered_cycle_basis(split, degree, degree):
-                schedule = build_unit_schedule(
-                    sorted(cycle.terms), split, degree
-                )
-                direct = closed_formula(cycle, schedule)
+                schedule = build_unit_schedule(sorted(cycle.terms), split, degree)
+                result = inverse_excision(cycle, schedule)
+                homotopies = Chain(degree + 1, split)
                 current = cycle
-                for step in range(degree):
-                    cert = descent_step(
-                        current, schedule.units[degree - 1 - step]
-                    )
-                    current = cert.output
-                assert current == direct
+                for unit in reversed(schedule.units):
+                    step = descent_step(current, unit)
+                    homotopies = homotopies + step.homotopy
+                    current = step.output
+                assert closed_formula(cycle, schedule) == current
+                assert result.output == current
+                witness = result.verification.witness
+                assert witness == -homotopies
+                assert verify_certificate(result) is None
+                # change one coefficient on a tuple whose boundary survives
+                # the rotation quotient; where every witness tuple is a
+                # cyclic cycle (E11⊗E11⊗E11 at degree 1), any coefficient
+                # still certifies the claim
+                key = next(
+                    (t for t in sorted(witness.terms)
+                     if not canonicalize_cyclic(
+                         boundary_b(pure_tensor(split, t))
+                     ).is_zero()),
+                    None,
+                )
+                if key is None:
+                    continue
+                tampered_terms = dict(witness.terms)
+                tampered_terms[key] += 1
+                inner = result.verification
+                tampered = InverseResult(
+                    input=result.input,
+                    schedule=result.schedule,
+                    output=result.output,
+                    verification=BoundaryCertificate(
+                        lhs=inner.lhs,
+                        rhs=inner.rhs,
+                        witness=Chain(degree + 1, split, tampered_terms),
+                        op=inner.op,
+                        space=inner.space,
+                    ),
+                )
+                assert isinstance(verify_certificate(tampered), Mismatch)
+                tested += 1
+    assert tested > 0
 
 
 # -------------------------------------------------------- full pipeline
@@ -277,6 +321,25 @@ def test_inverse_excision_class_already_in_the_ideal(t2):
             lhs=result.output, rhs=cls.chain, witness=witness, op="hc", space="I"
         )
         assert verify_certificate(cert) is None
+
+
+@pytest.mark.parametrize("fault", ["leaves the ideal", "differs from descent"])
+def test_inverse_invariant_failures_raise_a_typed_error(t2, monkeypatch, fault):
+    import excisionlab.excision as excision_module
+
+    phi = pure_tensor(t2.split, (0, 2))
+    schedule = UnitSchedule((SparseVector.from_list([1, 0, 0]),))
+    formula = excision_module.closed_formula
+    if fault == "leaves the ideal":
+        def broken(chain, schedule):
+            return chain  # E22 sits outside the corner ideal
+    else:
+        def broken(chain, schedule):
+            return formula(chain, schedule) + pure_tensor(t2.split, (0, 0))
+    monkeypatch.setattr(excision_module, "closed_formula", broken)
+    with pytest.raises(InverseInvariantError) as info:
+        inverse_excision(phi, schedule)
+    assert info.value.chain is not None and not info.value.chain.is_zero()
 
 
 def test_inverse_excision_requires_top_filtration(t2):

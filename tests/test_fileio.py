@@ -3,7 +3,12 @@ import json
 import pytest
 
 from excisionlab.chains import canonicalize_cyclic, pure_tensor
-from excisionlab.excision import descent_step, inverse_excision_class
+from excisionlab.excision import (
+    descent_step,
+    inverse_excision,
+    inverse_excision_class,
+    verify_certificate,
+)
 from excisionlab.fileio import (
     ParseError,
     RunReport,
@@ -22,6 +27,8 @@ from excisionlab.fileio import (
 )
 from excisionlab.linalg import SparseVector
 from excisionlab.units import build_unit_schedule
+
+from support import filtered_cycle_basis
 
 
 def test_algebra_round_trip(t2, tmp_path):
@@ -106,6 +113,56 @@ def test_chain_slot_count_enforced(t2):
     doc = {"degree": 2, "terms": [{"coeff": "1", "slots": [["1", "0", "0"]]}]}
     with pytest.raises(ParseError):
         chain_from_doc(doc, t2.split)
+
+
+@pytest.mark.parametrize(
+    "slot, location",
+    [
+        (["1", ["0"], "0"], "terms[1].slots[1][1]"),
+        (["1", 0, "0"], "terms[1].slots[1][1]"),
+        ("100", "terms[1].slots[1]"),
+    ],
+)
+def test_chain_malformed_slot_names_its_path(t2, slot, location):
+    # the first term puts well-formed slots in the parse memo
+    doc = {"degree": 1, "terms": [
+        {"coeff": "1", "slots": [["1", "0", "0"], ["0", "0", "1"]]},
+        {"coeff": "1", "slots": [["1", "0", "0"], slot]},
+    ]}
+    with pytest.raises(ParseError) as info:
+        chain_from_doc(doc, t2.split)
+    assert info.value.location == location
+
+
+def test_chain_repeated_and_cancelling_terms(t2):
+    chain = pure_tensor(t2.split, (0, 2)).scaled(3) - pure_tensor(t2.split, (1, 1))
+    terms = chain_to_doc(chain)["terms"]
+    # (E11+E22) ⊗ E22 expands to E11⊗E22 + E22⊗E22; the next two terms
+    # cancel it again
+    cancelling = [
+        {"coeff": "2", "slots": [["1", "0", "1"], ["0", "0", "1"]]},
+        {"coeff": "-2", "slots": [["1", "0", "0"], ["0", "0", "1"]]},
+        {"coeff": "-2", "slots": [["0", "0", "1"], ["0", "0", "1"]]},
+    ]
+    doubled = {"degree": 1, "terms": terms + cancelling + terms}
+    assert chain_from_doc(doubled, t2.split) == chain.scaled(2)
+    negated = chain_to_doc(-chain)["terms"]
+    zero = {"degree": 1, "terms": terms + negated}
+    assert chain_from_doc(zero, t2.split).is_zero()
+
+
+def test_strict_inverse_certificate_round_trips_and_verifies(matrix2):
+    split = matrix2.split
+    cycle = next(c for c in filtered_cycle_basis(split, 3, 3) if len(c.terms) > 1)
+    result = inverse_excision(cycle, build_unit_schedule(sorted(cycle.terms), split, 3))
+    doc = json.loads(json.dumps(certificate_to_doc(result, split)))
+    restored, restored_split = certificate_from_doc(doc)
+    assert restored_split == split
+    assert restored.input == result.input
+    assert restored.output == result.output
+    assert restored.schedule == result.schedule
+    assert restored.verification == result.verification
+    assert verify_certificate(restored) is None
 
 
 def test_schedule_round_trip(t2):

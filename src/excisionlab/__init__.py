@@ -22,6 +22,7 @@ from .algebra import (
 )
 from .chains import (
     Chain,
+    ComplexInvariantError,
     CyclicChain,
     DegreeLimitError,
     HomologyReport,
@@ -90,6 +91,7 @@ from .linalg import (
 from .units import (
     NoLocalUnit,
     NoLocalUnitError,
+    UnitInvariantError,
     UnitRequest,
     UnitSchedule,
     build_unit_schedule,

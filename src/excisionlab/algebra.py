@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from .linalg import (
     ONE,
     IncrementalSpan,
-    NotInSpan,
     SparseMatrix,
     SparseVector,
     in_span,
@@ -198,6 +197,9 @@ class SplitBasis:
         # column-major storage of the inverse, for fast parent->split conversion
         self._backward_cols = [backward.column(j) for j in range(self.dimension)]
         self._mult_cache = {}
+        # basis tuples and boundary matrices, memoised by `chains`; they
+        # live as long as this split
+        self.chain_cache = {}
 
     def is_ideal_index(self, i):
         return i < self.ideal_count
@@ -229,12 +231,6 @@ class SplitBasis:
         out = SparseVector(self.dimension)
         for j, cj in vec.entries.items():
             out = out + self.mult_split(i, j).scaled(cj)
-        return out
-
-    def mult_vec_basis(self, vec, j):
-        out = SparseVector(self.dimension)
-        for i, ci in vec.entries.items():
-            out = out + self.mult_split(i, j).scaled(ci)
         return out
 
     def mult_vec(self, u, v):
@@ -374,6 +370,3 @@ def element_in_ideal(ideal, vector):
     """Expansion of `vector` over the ideal basis, or NotInSpan."""
     return in_span(vector, ideal.basis_vectors)
 
-
-def is_in_ideal(ideal, vector):
-    return not isinstance(element_in_ideal(ideal, vector), NotInSpan)

@@ -40,6 +40,12 @@ class DegreeLimitError(RuntimeError):
     """Requested degree exceeds the configured resource cap."""
 
 
+class ComplexInvariantError(RuntimeError):
+    """A chain complex contradicts its own bookkeeping: a boundary leaves
+    the chain space, bases of adjacent matrices disagree, or rank-nullity
+    fails.  Any of these is a bug, never a property of the input."""
+
+
 def resolve_max_degree(explicit=None):
     if explicit is not None:
         return int(explicit)
@@ -368,55 +374,116 @@ class Variant:
             raise ValueError(f"unknown space {self.space!r}")
 
 
+def _necklaces(letters, length):
+    """Canonical necklaces over range(letters) in lexicographic order, each
+    with its period (Fredricksen–Kessler–Maiorana, in Duval's form).
+
+    Every prenecklace is visited once, in lexicographic order; it is a
+    necklace exactly when the length of its Lyndon prefix `w` divides
+    `length`, and then it is `w` repeated and has period len(w).
+    """
+    if letters == 0:
+        return
+    word = [-1]
+    while word:
+        word[-1] += 1
+        period = len(word)
+        if length % period == 0:
+            yield tuple(word * (length // period)), period
+        while len(word) < length:
+            word.append(word[-period])
+        while word and word[-1] == letters - 1:
+            word.pop()
+
+
 def basis_tuples(context, variant, degree):
-    """Deterministic (lexicographic) basis of the requested chain group."""
-    dim = context.dimension
+    """Deterministic (lexicographic) basis of the requested chain group.
+
+    Memoised on the split basis `context` and shared by every caller:
+    do not mutate the returned list.
+    """
+    key = ("basis", variant, degree)
+    cached = context.chain_cache.get(key)
+    if cached is not None:
+        return cached
     ideal_count = context.ideal_count
-    if variant.space == "I":
-        alphabet = range(ideal_count)
-    else:
-        alphabet = range(dim)
-    tuples = iter_product(alphabet, repeat=degree + 1)
-    if variant.space == "relative":
-        tuples = (
-            t for t in tuples if any(i < ideal_count for i in t)
-        )
+    letters = ideal_count if variant.space == "I" else context.dimension
+    relative = variant.space == "relative"
     if variant.op == "hc":
-        tuples = (t for t in tuples if is_canonical_tuple(t))
-    return list(tuples)
+        # The canonical tuples are the necklaces.  A necklace equals its
+        # rotations by multiples of its period p, with sign (-1)^(degree·p),
+        # so its class dies over Q exactly when degree and p are odd (then
+        # p < degree + 1, which is even).  A necklace starts with its least
+        # letter, so the relative ones come first.
+        tuples = []
+        for word, period in _necklaces(letters, degree + 1):
+            if relative and word[0] >= ideal_count:
+                break
+            if degree % 2 and period % 2:
+                continue
+            tuples.append(word)
+    else:
+        tuples = list(iter_product(range(letters), repeat=degree + 1))
+        if relative:
+            tuples = [t for t in tuples if any(i < ideal_count for i in t)]
+    context.chain_cache[key] = tuples
+    return tuples
 
 
-def _column_terms(context, variant, tup):
-    wrap = variant.op != "bar"
-    terms = tuple_boundary_terms(context, tup, wrap=wrap)
-    if variant.op != "hc":
-        return terms
-    out = {}
-    for t, c in terms.items():
-        rotated = canonical_rotation(t)
-        if rotated is None:
-            continue
-        best, sign = rotated
-        _accumulate(out, best, sign * c)
-    return out
+def _rotation_index(rows):
+    """Every rotation of every canonical row tuple -> (row, sign) such that
+    the rotation is congruent to sign · (row tuple) modulo im(1 - t)."""
+    index = {}
+    for r, tup in enumerate(rows):
+        n = len(tup) - 1
+        for k in range(n + 1):
+            # rotating back by n + 1 - k costs (-1)^(n(n+1-k)) = (-1)^(nk)
+            sign = ONE if (n * k) % 2 == 0 else -ONE
+            index.setdefault(_rotation(tup, k), (r, sign))
+    return index
 
 
 def boundary_matrix(context, variant, degree):
     """The differential from degree to degree-1 as a sparse matrix.
 
     Returns (matrix, column tuples, row tuples); columns and rows are the
-    deterministic bases produced by `basis_tuples`.
+    deterministic bases produced by `basis_tuples`.  The triple is memoised
+    on the split basis `context` and shared by every caller: do not mutate
+    the matrix or the lists.
     """
     if degree < 1:
         raise ValueError("the boundary matrix needs degree >= 1")
+    key = ("boundary", variant, degree)
+    cached = context.chain_cache.get(key)
+    if cached is not None:
+        return cached
     cols = basis_tuples(context, variant, degree)
     rows = basis_tuples(context, variant, degree - 1)
-    row_index = {t: r for r, t in enumerate(rows)}
+    cyclic = variant.op == "hc"
+    if cyclic:
+        row_index = _rotation_index(rows)
+    else:
+        row_index = {t: (r, ONE) for r, t in enumerate(rows)}
+    wrap = variant.op != "bar"
     entries = {}
     for c, tup in enumerate(cols):
-        for t, v in _column_terms(context, variant, tup).items():
-            entries[(row_index[t], c)] = v
-    return SparseMatrix(len(rows), len(cols), entries), cols, rows
+        out = {}
+        for t, v in tuple_boundary_terms(context, tup, wrap=wrap).items():
+            hit = row_index.get(t)
+            if hit is None:
+                if cyclic and canonical_rotation(t) is None:
+                    continue  # a sign-obstructed class, zero over Q
+                raise ComplexInvariantError(
+                    f"boundary term {t} of {tup} lies outside the "
+                    f"{variant.op}/{variant.space} chain space"
+                )
+            r, sign = hit
+            _accumulate(out, r, sign * v)
+        for r, v in out.items():
+            entries[(r, c)] = v
+    result = SparseMatrix(len(rows), len(cols), entries), cols, rows
+    context.chain_cache[key] = result
+    return result
 
 
 @dataclass
@@ -466,10 +533,18 @@ def homology(context, variant, degree, max_degree=None):
         cycles = [SparseVector.unit(n_cols, i) for i in range(n_cols)]
     else:
         matrix, cols, _ = boundary_matrix(context, variant, degree)
-        assert cols == tuples
+        if cols != tuples:
+            raise ComplexInvariantError(
+                f"the degree-{degree} basis differs from the columns of its "
+                "boundary matrix"
+            )
         cycles = kernel_basis(matrix)
     up_matrix, _, up_rows = boundary_matrix(context, variant, degree + 1)
-    assert up_rows == tuples
+    if up_rows != tuples:
+        raise ComplexInvariantError(
+            f"the degree-{degree} basis differs from the rows of the "
+            f"degree-{degree + 1} boundary matrix"
+        )
     boundaries = image_basis(up_matrix)
     span = IncrementalSpan(n_cols)
     for v in boundaries:
@@ -481,7 +556,11 @@ def homology(context, variant, degree, max_degree=None):
                 _vector_to_chain(context, variant, degree, tuples, v)
             )
     dimension = len(cycles) - len(boundaries)
-    assert dimension == len(representatives)
+    if dimension != len(representatives):
+        raise ComplexInvariantError(
+            f"{len(cycles)} cycles and {len(boundaries)} boundaries leave "
+            f"{len(representatives)} representatives, not {dimension}"
+        )
     return HomologyReport(
         variant=variant,
         degree=degree,

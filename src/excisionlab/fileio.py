@@ -411,12 +411,15 @@ class DemoExtension:
     notes: str
 
     def __post_init__(self):
-        assert validate_algebra(self.algebra) is None
-        assert validate_ideal(self.ideal) is None
+        if validate_algebra(self.algebra) is not None:
+            raise ValueError(f"demo {self.name!r}: the product is not associative")
+        if validate_ideal(self.ideal) is not None:
+            raise ValueError(f"demo {self.name!r}: the ideal is not two-sided")
         unit = find_local_left_unit(
             UnitRequest(self.ideal, self.ideal.basis_vectors)
         )
-        assert isinstance(unit, SparseVector), "demo ideal lacks a local left unit"
+        if not isinstance(unit, SparseVector):
+            raise ValueError(f"demo {self.name!r}: the ideal lacks a local left unit")
 
 
 def _matrix_unit_product(pairs, dim, index):

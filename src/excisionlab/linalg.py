@@ -232,42 +232,52 @@ def _row_dicts(matrix):
 def _eliminate(rows, cols):
     """In-place Gauss-Jordan on row dicts; returns pivot column list.
 
-    Row order is fixed and the pivot is always the first nonzero column, so
-    the result is a deterministic function of the input.
+    A column -> rows index means the pivot search and the sweep touch only
+    the rows holding the pivot column.  Of those, the first row not yet used
+    as a pivot becomes the pivot.  The reduced row echelon form is unique,
+    so the result does not depend on that choice: on return, rows[r] is the
+    reduced row of pivot r and the remaining rows are empty.
     """
+    holders = {}  # column -> indices of the rows with a nonzero entry there
+    for i, row in enumerate(rows):
+        for j in row:
+            holders.setdefault(j, set()).add(i)
     pivots = []
-    piv_r = 0
+    pivot_rows = []
+    used = set()
     nrows = len(rows)
     for col in range(cols):
-        sel = None
-        for i in range(piv_r, nrows):
-            if rows[i].get(col):
-                sel = i
-                break
+        sel = min((i for i in holders.get(col, ()) if i not in used), default=None)
         if sel is None:
             continue
-        rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
-        pivot_row = rows[piv_r]
+        pivot_row = rows[sel]
         pv = pivot_row[col]
         if pv != 1:
-            for j in list(pivot_row):
+            for j in pivot_row:
                 pivot_row[j] /= pv
-        for i in range(nrows):
-            if i == piv_r:
+        for i in holders.pop(col):
+            if i == sel:
                 continue
-            factor = rows[i].get(col)
-            if factor:
-                target = rows[i]
-                for j, pvj in pivot_row.items():
-                    nv = target.get(j, ZERO) - factor * pvj
-                    if nv:
-                        target[j] = nv
-                    else:
-                        target.pop(j, None)
+            target = rows[i]
+            factor = target[col]
+            for j, pvj in pivot_row.items():
+                nv = target.get(j, ZERO) - factor * pvj
+                if nv:
+                    if j not in target:
+                        holders[j].add(i)
+                    target[j] = nv
+                elif j != col:
+                    del target[j]
+                    holders[j].discard(i)
+            del target[col]
         pivots.append(col)
-        piv_r += 1
-        if piv_r == nrows:
+        pivot_rows.append(sel)
+        used.add(sel)
+        if len(pivots) == nrows:
             break
+    rows[:] = [rows[i] for i in pivot_rows] + [
+        row for i, row in enumerate(rows) if i not in used
+    ]
     return pivots
 
 
@@ -307,14 +317,15 @@ def solve(matrix, rhs):
 
 def kernel_basis(matrix):
     """Deterministic basis of the null space, one vector per free column."""
-    reduced, pivots = rref(matrix)
+    rows = _row_dicts(matrix)
+    pivots = _eliminate(rows, matrix.cols)
     pivot_set = set(pivots)
     free = [c for c in range(matrix.cols) if c not in pivot_set]
     basis = []
     for f in free:
         v = {f: ONE}
         for r, c in enumerate(pivots):
-            coeff = reduced.entries.get((r, f))
+            coeff = rows[r].get(f)
             if coeff:
                 v[c] = -coeff
         basis.append(SparseVector(matrix.cols, v))
@@ -323,8 +334,14 @@ def kernel_basis(matrix):
 
 def image_basis(matrix):
     """Columns of the original matrix at the rref pivot positions."""
-    _, pivots = rref(matrix)
-    return [matrix.column(c) for c in pivots]
+    pivots = _eliminate(_row_dicts(matrix), matrix.cols)
+    slot = {c: k for k, c in enumerate(pivots)}
+    columns = [{} for _ in pivots]
+    for (r, c), v in matrix.entries.items():
+        k = slot.get(c)
+        if k is not None:
+            columns[k][r] = v
+    return [SparseVector(matrix.rows, column) for column in columns]
 
 
 def in_span(vector, basis):

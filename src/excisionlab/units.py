@@ -37,6 +37,12 @@ class NoLocalUnit:
     detail: str
 
 
+class UnitInvariantError(RuntimeError):
+    """The exact solver contradicted itself: a solved unit fails to fix a
+    target, or an unsolvable system has only solvable prefixes.  A bug,
+    never a property of the input."""
+
+
 class NoLocalUnitError(RuntimeError):
     """Raised when schedule construction hits a NoLocalUnit mid-pipeline."""
 
@@ -94,8 +100,9 @@ def find_local_left_unit(request):
     for k, coeff in result.entries.items():
         unit = unit + ideal.basis_vectors[k].scaled(coeff)
     # post-verification: the unit really fixes every target, exactly
-    for s in targets:
-        assert ideal.parent.mul(unit, s) == s
+    for idx, s in enumerate(targets):
+        if ideal.parent.mul(unit, s) != s:
+            raise UnitInvariantError(f"the solved unit does not fix target {idx}")
     return unit
 
 
@@ -106,7 +113,7 @@ def _first_failing_target(ideal, targets):
         matrix, rhs = _unit_system(ideal, targets[:end])
         if isinstance(solve(matrix, rhs), Unsolvable):
             return targets[end - 1]
-    raise AssertionError("full system unsolvable but every prefix solvable")
+    raise UnitInvariantError("full system unsolvable but every prefix solvable")
 
 
 @dataclass(frozen=True)

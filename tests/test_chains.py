@@ -1,26 +1,36 @@
+import json
 import random
 from fractions import Fraction
+from itertools import product as iter_product
 
 import pytest
 
-from excisionlab.algebra import Algebra, Ideal, make_split_basis
+from excisionlab.algebra import Algebra, Ideal, SplitBasis, make_split_basis
 from excisionlab.chains import (
     Chain,
+    ComplexInvariantError,
     DegreeLimitError,
     Variant,
     bar_boundary,
+    basis_tuples,
     boundary_b,
+    boundary_matrix,
+    canonical_rotation,
     canonicalize_cyclic,
     cyclic_filtration_level,
     cyclic_t,
     filtration_level,
     homology,
+    is_canonical_tuple,
     pure_tensor,
     relative_membership,
     tensor_prepend,
 )
-from excisionlab.linalg import IncrementalSpan, SparseVector
+from excisionlab.excision import _invert_by_solve, isomorphism_witness
+from excisionlab.fileio import certificate_to_doc
+from excisionlab.linalg import IncrementalSpan, SparseVector, solve
 
+from dense_oracle import _dense_boundary
 from support import random_chain
 
 
@@ -238,3 +248,111 @@ def test_sign_killed_tuples_vanish_in_coinvariants(t2):
     # and in even degree nothing is killed by signs
     c3 = pure_tensor(t2.split, (0, 0, 0))
     assert not canonicalize_cyclic(c3).is_zero()
+
+
+def _zero_product_split(letters, ideal_count):
+    algebra = Algebra(letters, [f"x{i}" for i in range(letters)], {})
+    ideal = Ideal(algebra, [algebra.basis_vector(i) for i in range(ideal_count)])
+    return make_split_basis(ideal)
+
+
+def test_necklace_bases_equal_the_rotation_filter():
+    for letters in range(1, 5):
+        for length in range(1, 8):
+            degree = length - 1
+            words = list(iter_product(range(letters), repeat=length))
+            canonical = [t for t in words if is_canonical_tuple(t)]
+            for ideal_count in range(letters + 1):
+                split = _zero_product_split(letters, ideal_count)
+                expected = {
+                    "A": canonical,
+                    "I": [t for t in canonical if max(t) < ideal_count],
+                    "relative": [t for t in canonical if min(t) < ideal_count],
+                }
+                for space, tuples in expected.items():
+                    got = basis_tuples(split, Variant("hc", space), degree)
+                    assert got == tuples, (letters, length, ideal_count, space)
+
+
+def test_necklace_bases_drop_sign_obstructed_words():
+    split = _zero_product_split(2, 2)
+    hc = Variant("hc", "A")
+    # odd degree and odd period below the length: the class is zero over Q
+    for word in [(0, 0), (1, 1), (0, 0, 0, 0), (0, 0, 1, 0, 0, 1), (0, 1, 1, 0, 1, 1)]:
+        assert canonical_rotation(word) is None
+        assert word not in basis_tuples(split, hc, len(word) - 1)
+    # an even period, or an even degree, keeps the class
+    for word in [(0, 1), (0, 1, 0, 1), (0, 0, 0), (0, 0, 0, 0, 0)]:
+        assert is_canonical_tuple(word)
+        assert word in basis_tuples(split, hc, len(word) - 1)
+
+
+def test_boundary_matrices_match_the_dense_oracle(corpus):
+    for demo in corpus:
+        split = demo.split
+        mult = lambda i, j, split=split: split.mult_split(i, j).entries
+        for op in ("hh", "hc", "bar"):
+            for space in ("A", "I", "relative"):
+                for degree in range(1, 5):
+                    matrix, cols, rows = boundary_matrix(split, Variant(op, space), degree)
+                    dense, ncols = _dense_boundary(
+                        mult, split.dimension, split.ideal_count, space, op, degree
+                    )
+                    assert (matrix.rows, matrix.cols) == (len(dense), ncols)
+                    assert matrix.entries == {
+                        (r, c): v
+                        for r, row in enumerate(dense)
+                        for c, v in enumerate(row)
+                        if v
+                    }, (demo.name, op, space, degree)
+
+
+def test_boundary_leaving_the_space_raises_a_typed_error(t2):
+    # span{E11} is not an ideal: b(E11 ⊗ E12) = E12 has no ideal slot
+    fake = SplitBasis(t2.ideal, t2.split.ordered_basis, 1)
+    for op in ("hh", "hc", "bar"):
+        with pytest.raises(ComplexInvariantError):
+            boundary_matrix(fake, Variant(op, "relative"), 1)
+
+
+def _fresh_split(demo):
+    return SplitBasis(demo.ideal, demo.split.ordered_basis, demo.split.ideal_count)
+
+
+def test_repeated_isomorphism_witness_is_identical(t2, direct_sum):
+    for demo, degree in ((t2, 2), (direct_sum, 2)):
+        split = _fresh_split(demo)
+        first = isomorphism_witness(split, degree)
+        second = isomorphism_witness(split, degree)
+        assert first == second
+        assert [json.dumps(certificate_to_doc(c, split)) for c in first.all_certificates()] == [
+            json.dumps(certificate_to_doc(c, split)) for c in second.all_certificates()
+        ]
+
+
+def test_cached_complexes_are_not_mutated(t2):
+    split = _fresh_split(t2)
+    degree = 2
+    relative = Variant("hc", "relative")
+    cached = [
+        boundary_matrix(split, Variant("hc", "I"), degree),
+        boundary_matrix(split, Variant("hc", "I"), degree + 1),
+        boundary_matrix(split, relative, degree),
+        boundary_matrix(split, relative, degree + 1),
+    ]
+    snapshots = [(dict(m.entries), list(cols), list(rows)) for m, cols, rows in cached]
+    report = homology(split, relative, degree)
+    homology(split, Variant("hc", "I"), degree)
+    for matrix, _, rows in cached:
+        solve(matrix, SparseVector(matrix.rows, {0: 1}))
+    for rep in report.representatives:
+        _invert_by_solve(rep.chain)
+    for (matrix, cols, rows), (entries, cols0, rows0) in zip(cached, snapshots):
+        assert matrix.entries == entries
+        assert (cols, rows) == (cols0, rows0)
+    assert report.representatives
+    for key, (matrix, cols, rows) in zip(
+        [("I", degree), ("I", degree + 1), ("relative", degree), ("relative", degree + 1)],
+        cached,
+    ):
+        assert boundary_matrix(split, Variant("hc", key[0]), key[1])[0] is matrix

@@ -9,7 +9,9 @@ from excisionlab.excision import (
     inverse_excision_class,
     verify_certificate,
 )
+from excisionlab.algebra import Algebra, Ideal, make_split_basis
 from excisionlab.fileio import (
+    DemoExtension,
     ParseError,
     RunReport,
     algebra_from_doc,
@@ -242,3 +244,23 @@ def test_json_decode_errors_carry_position(tmp_path):
     path.write_text('{"field": "rational",')
     with pytest.raises(json.JSONDecodeError):
         load_algebra(path)
+
+
+def test_demo_extension_rejects_broken_hypotheses(t2):
+    def extension(algebra, ideal):
+        return DemoExtension("broken", algebra, ideal, make_split_basis(ideal), "")
+
+    # x·x = y, y·x = x, x·y = 0: (x·x)·x = x but x·(x·x) = x·y = 0
+    loose = Algebra(2, ["x", "y"], {
+        (0, 0): SparseVector(2, {1: 1}),
+        (1, 0): SparseVector(2, {0: 1}),
+    })
+    with pytest.raises(ValueError, match="not associative"):
+        extension(loose, Ideal(loose, [loose.basis_vector(0)]))
+    # span{E12, E22} is an ideal, but nothing in it fixes E12 from the left
+    one_sided = Ideal(t2.algebra, [t2.algebra.basis_vector(1), t2.algebra.basis_vector(2)])
+    with pytest.raises(ValueError, match="local left unit"):
+        extension(t2.algebra, one_sided)
+    corner = Ideal(t2.algebra, [t2.algebra.basis_vector(0)])
+    with pytest.raises(ValueError, match="not two-sided"):
+        extension(t2.algebra, corner)

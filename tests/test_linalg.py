@@ -174,3 +174,140 @@ def test_incremental_span_membership():
     assert not span.contains(SparseVector.from_list([1, 0, 0]))
     assert span.add(SparseVector.from_list([0, 0, 5]))
     assert len(span) == 2
+
+
+# Reference elimination: plain dense Gauss-Jordan over Fractions, sharing
+# nothing with excisionlab.linalg.  The reduced row echelon form is unique,
+# so any correct elimination must agree with it exactly.
+
+
+def _dense(matrix):
+    return [[matrix.entries.get((r, c), Fraction(0)) for c in range(matrix.cols)]
+            for r in range(matrix.rows)]
+
+
+def _reference_rref(dense, ncols):
+    rows = [list(row) for row in dense]
+    pivots = []
+    top = 0
+    for c in range(ncols):
+        sel = next((i for i in range(top, len(rows)) if rows[i][c]), None)
+        if sel is None:
+            continue
+        rows[top], rows[sel] = rows[sel], rows[top]
+        pv = rows[top][c]
+        rows[top] = [x / pv for x in rows[top]]
+        for i in range(len(rows)):
+            if i != top and rows[i][c]:
+                factor = rows[i][c]
+                rows[i] = [x - factor * y for x, y in zip(rows[i], rows[top])]
+        pivots.append(c)
+        top += 1
+    return rows, pivots
+
+
+def _reference_solve(dense, ncols, rhs):
+    aug = [row + [rhs[r]] for r, row in enumerate(dense)]
+    rows, pivots = _reference_rref(aug, ncols + 1)
+    if pivots and pivots[-1] == ncols:
+        return Unsolvable(row=len(pivots) - 1)
+    return {c: rows[r][ncols] for r, c in enumerate(pivots) if rows[r][ncols]}
+
+
+def _reference_kernel(dense, ncols):
+    rows, pivots = _reference_rref(dense, ncols)
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        v = {f: Fraction(1)}
+        for r, c in enumerate(pivots):
+            if rows[r][f]:
+                v[c] = -rows[r][f]
+        basis.append(v)
+    return basis
+
+
+def _awkward_matrix(rng):
+    """Sparse rational matrix with planted zero columns, zero rows and
+    duplicate (scaled) rows, so that many are rank-deficient."""
+    nrows, ncols = rng.randint(1, 9), rng.randint(1, 9)
+    dense = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for r in range(nrows):
+        for c in range(ncols):
+            if rng.random() < 0.3:
+                dense[r][c] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    if ncols > 1 and rng.random() < 0.5:
+        zero_col = rng.randrange(ncols)
+        for row in dense:
+            row[zero_col] = Fraction(0)
+    if nrows > 1 and rng.random() < 0.5:
+        a, b = rng.sample(range(nrows), 2)
+        scale = Fraction(rng.choice([-2, -1, 1, 3]), rng.randint(1, 3))
+        dense[b] = [scale * x for x in dense[a]]
+    if nrows > 1 and rng.random() < 0.3:
+        dense[rng.randrange(nrows)] = [Fraction(0)] * ncols
+    entries = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
+    return SparseMatrix(nrows, ncols, entries)
+
+
+def _far_pivot_matrix():
+    """Column 0 is nonzero only in the last of eight rows, so the first
+    pivot row must come up from the bottom."""
+    entries = {(7, 0): Fraction(3), (7, 2): Fraction(1, 2)}
+    for r in range(7):
+        entries[(r, 1 + r % 3)] = Fraction(r + 1)
+        entries[(r, 4)] = Fraction(-1, r + 1)
+    return SparseMatrix(8, 5, entries)
+
+
+def test_elimination_matches_dense_reference():
+    rng = random.Random(31415)
+    matrices = [_far_pivot_matrix()] + [_awkward_matrix(rng) for _ in range(240)]
+    seen = {"deficient": 0, "inconsistent": 0, "consistent": 0}
+    for m in matrices:
+        dense = _dense(m)
+        ref_rows, ref_pivots = _reference_rref(dense, m.cols)
+        reduced, pivots = rref(m)
+        assert pivots == ref_pivots
+        assert reduced.entries == {
+            (r, c): v for r, row in enumerate(ref_rows) for c, v in enumerate(row) if v
+        }
+        if len(pivots) < min(m.rows, m.cols):
+            seen["deficient"] += 1
+
+        kernel = kernel_basis(m)
+        assert [v.entries for v in kernel] == _reference_kernel(dense, m.cols)
+        assert all(v.dimension == m.cols for v in kernel)
+        image = image_basis(m)
+        assert [v.entries for v in image] == [
+            {r: dense[r][c] for r in range(m.rows) if dense[r][c]} for c in ref_pivots
+        ]
+
+        x0 = SparseVector(m.cols, {c: rng.randint(-2, 2) for c in range(m.cols)})
+        consistent = m.matvec(x0)
+        planted = SparseVector(
+            m.rows, {r: Fraction(rng.randint(-3, 3), 2) for r in range(m.rows)}
+        )
+        for rhs in (consistent, planted):
+            expected = _reference_solve(dense, m.cols, rhs.to_list())
+            result = solve(m, rhs)
+            if isinstance(expected, Unsolvable):
+                seen["inconsistent"] += 1
+                assert result == expected
+            else:
+                seen["consistent"] += 1
+                assert isinstance(result, SparseVector)
+                assert result.entries == expected
+    assert seen["deficient"] >= 50
+    assert seen["inconsistent"] >= 50
+    assert seen["consistent"] >= 200
+
+
+def test_far_pivot_is_swapped_up():
+    m = _far_pivot_matrix()
+    assert [r for (r, c) in m.entries if c == 0] == [7]
+    reduced, pivots = rref(m)
+    assert pivots[0] == 0
+    assert reduced.entries[(0, 0)] == 1
+    assert [r for (r, c) in reduced.entries if c == 0] == [0]

@@ -3,10 +3,12 @@ from itertools import combinations
 import pytest
 
 from excisionlab.algebra import Ideal
-from excisionlab.linalg import SparseVector
+from excisionlab import units
+from excisionlab.linalg import SparseVector, Unsolvable
 from excisionlab.units import (
     NoLocalUnit,
     NoLocalUnitError,
+    UnitInvariantError,
     UnitRequest,
     UnitSchedule,
     build_unit_schedule,
@@ -136,3 +138,18 @@ def test_right_units_reduce_to_left_units_of_the_opposite(t2):
     restored = Ideal(opposite_algebra(flipped), t2.ideal.basis_vectors)
     unit = find_local_left_unit(UnitRequest(restored, restored.basis_vectors))
     assert unit == SparseVector.from_list([1, 0, 0])
+
+
+def test_solver_contradictions_raise_a_typed_error(t2, monkeypatch):
+    request = UnitRequest(t2.ideal, t2.ideal.basis_vectors)
+    # a "solution" e = E12 that fixes no target is caught by re-verification
+    monkeypatch.setattr(units, "solve", lambda m, rhs: SparseVector(m.cols, {1: 1}))
+    with pytest.raises(UnitInvariantError):
+        find_local_left_unit(request)
+    # an unsolvable full system whose every prefix is solvable
+    answers = iter([Unsolvable(row=0)])
+    monkeypatch.setattr(
+        units, "solve", lambda m, rhs: next(answers, SparseVector(m.cols))
+    )
+    with pytest.raises(UnitInvariantError):
+        find_local_left_unit(request)

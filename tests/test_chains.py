@@ -333,26 +333,18 @@ def test_repeated_isomorphism_witness_is_identical(t2, direct_sum):
 def test_cached_complexes_are_not_mutated(t2):
     split = _fresh_split(t2)
     degree = 2
-    relative = Variant("hc", "relative")
-    cached = [
-        boundary_matrix(split, Variant("hc", "I"), degree),
-        boundary_matrix(split, Variant("hc", "I"), degree + 1),
-        boundary_matrix(split, relative, degree),
-        boundary_matrix(split, relative, degree + 1),
-    ]
+    keys = [(Variant("hc", space), n) for space in ("I", "relative")
+            for n in (degree, degree + 1)]
+    cached = [boundary_matrix(split, variant, n) for variant, n in keys]
     snapshots = [(dict(m.entries), list(cols), list(rows)) for m, cols, rows in cached]
-    report = homology(split, relative, degree)
+    report = homology(split, Variant("hc", "relative"), degree)
     homology(split, Variant("hc", "I"), degree)
-    for matrix, _, rows in cached:
+    for matrix, _, _ in cached:
         solve(matrix, SparseVector(matrix.rows, {0: 1}))
+    assert report.representatives
     for rep in report.representatives:
         _invert_by_solve(rep.chain)
-    for (matrix, cols, rows), (entries, cols0, rows0) in zip(cached, snapshots):
-        assert matrix.entries == entries
-        assert (cols, rows) == (cols0, rows0)
-    assert report.representatives
-    for key, (matrix, cols, rows) in zip(
-        [("I", degree), ("I", degree + 1), ("relative", degree), ("relative", degree + 1)],
-        cached,
-    ):
-        assert boundary_matrix(split, Variant("hc", key[0]), key[1])[0] is matrix
+    for (variant, n), triple, (entries, cols, rows) in zip(keys, cached, snapshots):
+        assert boundary_matrix(split, variant, n) is triple
+        assert triple[0].entries == entries
+        assert (triple[1], triple[2]) == (cols, rows)

@@ -124,13 +124,22 @@ def cmd_descend(args):
 def cmd_verify(args):
     certificate, _ = load_certificate(args.certificate)
     mismatch = verify_certificate(certificate)
-    if mismatch is None:
+    residual = mismatch.residual if isinstance(mismatch, Mismatch) else None
+    if args.format == "structured":
+        doc = {
+            "command": "verify",
+            "status": "ok" if mismatch is None else "mismatch",
+            "reason": None if mismatch is None else mismatch.reason,
+            "residual": None if residual is None else chain_to_doc(residual),
+        }
+        print(json.dumps(doc, indent=1))
+    elif mismatch is None:
         print("ok")
-        return EXIT_OK
-    print(f"MISMATCH: {mismatch.reason}")
-    if isinstance(mismatch, Mismatch) and mismatch.residual is not None:
-        print(f"residual: {render_chain(mismatch.residual)}")
-    return EXIT_MISMATCH
+    else:
+        print(f"MISMATCH: {mismatch.reason}")
+        if residual is not None:
+            print(f"residual: {render_chain(residual)}")
+    return EXIT_OK if mismatch is None else EXIT_MISMATCH
 
 
 def cmd_local_unit(args):
@@ -140,11 +149,24 @@ def cmd_local_unit(args):
     targets = targets_from_doc(doc, split.dimension)
     result = find_local_left_unit(UnitRequest(ideal, targets))
     if isinstance(result, NoLocalUnit):
-        print("no local left unit exists for the given targets")
-        print(f"witness target: {_vector_text(result.witness_target)}")
-        print(f"detail: {result.detail}")
+        if args.format == "structured":
+            doc = {
+                "command": "local-unit",
+                "status": "no-local-unit",
+                "witness_target": _vector_doc(result.witness_target),
+                "detail": result.detail,
+            }
+            print(json.dumps(doc, indent=1))
+        else:
+            print("no local left unit exists for the given targets")
+            print(f"witness target: {_vector_text(result.witness_target)}")
+            print(f"detail: {result.detail}")
         return EXIT_NO_LOCAL_UNIT
-    print(f"unit: {_vector_text(result)}")
+    if args.format == "structured":
+        doc = {"command": "local-unit", "status": "ok", "unit": _vector_doc(result)}
+        print(json.dumps(doc, indent=1))
+    else:
+        print(f"unit: {_vector_text(result)}")
     return EXIT_OK
 
 
@@ -172,8 +194,12 @@ def cmd_demo(args):
     return _emit(report, args.format)
 
 
+def _vector_doc(vector):
+    return [format_scalar(v) for v in vector.to_list()]
+
+
 def _vector_text(vector):
-    return "[" + ", ".join(format_scalar(v) for v in vector.to_list()) + "]"
+    return "[" + ", ".join(_vector_doc(vector)) + "]"
 
 
 def build_parser():

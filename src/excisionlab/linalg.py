@@ -4,6 +4,14 @@ Scalars are `fractions.Fraction`, so nothing is ever rounded, and every
 routine here is a pure function of its inputs: the same input produces a
 bit-identical output.  Underdetermined solves are resolved deterministically
 by setting every free variable to zero.
+
+Elimination is fraction-free: rows are kept as primitive integer rows (no
+common factor, no denominators), and a value goes back to `Fraction` only
+once, when a reduced entry is read out as the quotient of an integer entry
+by its row's pivot entry.  The reduced row echelon form of a matrix is
+unique, so pivots, kernels, solutions and images are exactly those of
+Gauss-Jordan elimination over `Fraction`; only the cost differs, because
+every `Fraction` operation normalises its result by a gcd.
 """
 
 from __future__ import annotations
@@ -11,6 +19,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 Scalar = Fraction
 
@@ -138,7 +147,8 @@ class SparseMatrix:
                 r, c = int(r), int(c)
                 if not (0 <= r < self.rows and 0 <= c < self.cols):
                     raise ValueError(f"entry ({r}, {c}) out of range")
-                value = Fraction(value)
+                if type(value) is not Fraction:
+                    value = Fraction(value)
                 if value:
                     clean[(r, c)] = value
         self.entries = clean
@@ -229,19 +239,57 @@ def _row_dicts(matrix):
     return rows
 
 
+def _primitive(row):
+    """A primitive integer row on the line of a rational row dict: scaled by
+    the lcm of its denominators, then divided by the gcd of its entries.
+    Elimination depends only on the line of each row, so a row of one entry
+    becomes {j: 1}; that and the short path for integer rows matter for the
+    small local-unit systems solved for every class."""
+    if len(row) == 1:
+        [j] = row
+        return {j: 1}
+    den = lcm(*[v.denominator for v in row.values()])
+    if den == 1:
+        ints = {j: v.numerator for j, v in row.items()}
+    else:
+        ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
+    _divide_content(ints)
+    return ints
+
+
+def _divide_content(row):
+    """Divide an integer row dict in place by the gcd of its entries."""
+    g = gcd(*row.values())
+    if g > 1:
+        for j in row:
+            row[j] //= g
+
+
 def _eliminate(rows, cols):
-    """In-place Gauss-Jordan on row dicts; returns pivot column list.
+    """In-place fraction-free Gauss-Jordan on row dicts; returns pivot column list.
+
+    On entry each row is replaced by its primitive integer row
+    (`_primitive`), and every row operation keeps it primitive: a pivot row
+    is made to have a positive pivot entry `a`, and column `col` is cleared
+    from a target row with entry `b` there by
+    `target = (a/g)·target − (b/g)·pivot_row` with `g = gcd(a, b)`, after
+    which the target is divided by the gcd of its entries.  Only integers
+    are multiplied, so no operation pays for a `Fraction` normalisation.
 
     A column -> rows index means the pivot search and the sweep touch only
     the rows holding the pivot column.  Of those, the first row not yet used
-    as a pivot becomes the pivot.  The reduced row echelon form is unique,
-    so the result does not depend on that choice: on return, rows[r] is the
-    reduced row of pivot r and the remaining rows are empty.
+    as a pivot becomes the pivot.  On return, rows[r] is a positive integer
+    multiple of row r of the reduced row echelon form, so that row is
+    `Fraction(v, rows[r][pivots[r]])` entrywise, and the remaining rows are
+    empty.  The reduced row echelon form is unique, so neither the pivot
+    choice nor the integer scaling changes the pivots or the reduced rows.
     """
     holders = {}  # column -> indices of the rows with a nonzero entry there
     for i, row in enumerate(rows):
-        for j in row:
-            holders.setdefault(j, set()).add(i)
+        if row:
+            rows[i] = row = _primitive(row)
+            for j in row:
+                holders.setdefault(j, set()).add(i)
     pivots = []
     pivot_rows = []
     used = set()
@@ -251,25 +299,35 @@ def _eliminate(rows, cols):
         if sel is None:
             continue
         pivot_row = rows[sel]
-        pv = pivot_row[col]
-        if pv != 1:
+        a = pivot_row[col]
+        if a < 0:
+            a = -a
             for j in pivot_row:
-                pivot_row[j] /= pv
+                pivot_row[j] = -pivot_row[j]
+        pivot_items = [(j, v) for j, v in pivot_row.items() if j != col]
         for i in holders.pop(col):
             if i == sel:
                 continue
             target = rows[i]
-            factor = target[col]
-            for j, pvj in pivot_row.items():
-                nv = target.get(j, ZERO) - factor * pvj
-                if nv:
-                    if j not in target:
-                        holders[j].add(i)
-                    target[j] = nv
-                elif j != col:
-                    del target[j]
-                    holders[j].discard(i)
-            del target[col]
+            b = target.pop(col)
+            g = gcd(a, b)
+            scale, factor = a // g, b // g
+            if scale != 1:
+                for j in target:
+                    target[j] *= scale
+            for j, pvj in pivot_items:
+                old = target.get(j)
+                if old is None:
+                    target[j] = -factor * pvj
+                    holders[j].add(i)
+                else:
+                    nv = old - factor * pvj
+                    if nv:
+                        target[j] = nv
+                    else:
+                        del target[j]
+                        holders[j].discard(i)
+            _divide_content(target)
         pivots.append(col)
         pivot_rows.append(sel)
         used.add(sel)
@@ -285,12 +343,17 @@ def rref(matrix):
     """Reduced row echelon form and its pivot columns."""
     rows = _row_dicts(matrix)
     pivots = _eliminate(rows, matrix.cols)
-    entries = {(i, j): v for i, row in enumerate(rows) for j, v in row.items()}
+    entries = {}
+    for i, c in enumerate(pivots):
+        row = rows[i]
+        pv = row[c]
+        for j, v in row.items():
+            entries[(i, j)] = Fraction(v, pv)
     return SparseMatrix(matrix.rows, matrix.cols, entries), pivots
 
 
 def rank(matrix):
-    return len(rref(matrix)[1])
+    return len(_eliminate(_row_dicts(matrix), matrix.cols))
 
 
 def solve(matrix, rhs):
@@ -311,7 +374,7 @@ def solve(matrix, rhs):
     for r, c in enumerate(pivots):
         v = rows[r].get(aug)
         if v:
-            x[c] = v
+            x[c] = Fraction(v, rows[r][c])
     return SparseVector(matrix.cols, x)
 
 
@@ -327,7 +390,7 @@ def kernel_basis(matrix):
         for r, c in enumerate(pivots):
             coeff = rows[r].get(f)
             if coeff:
-                v[c] = -coeff
+                v[c] = Fraction(-coeff, rows[r][c])
         basis.append(SparseVector(matrix.cols, v))
     return basis
 
@@ -372,9 +435,10 @@ def invert(matrix):
         raise ValueError("matrix is singular")
     entries = {}
     for r, row in enumerate(rows):
+        pv = row[r]
         for j, v in row.items():
             if j >= n:
-                entries[(r, j - n)] = v
+                entries[(r, j - n)] = Fraction(v, pv)
     return SparseMatrix(n, n, entries)
 
 
@@ -383,27 +447,40 @@ class IncrementalSpan:
 
     `add` returns True exactly when the vector enlarges the span; `contains`
     is exact membership.  Used to pick homology representatives and to filter
-    cycles modulo boundaries.
+    cycles modulo boundaries.  Rows are stored as primitive integer rows
+    with a positive leading entry and reduced fraction-free, as in
+    `_eliminate`; a vector is in the span exactly when it reduces to zero,
+    whatever nonzero multiple of each row is stored, so the answers are
+    those of reduction over `Fraction`.
     """
 
     def __init__(self, dimension):
         self.dimension = dimension
-        self._rows = {}  # leading column -> normalized row dict
+        self._rows = {}  # leading column -> primitive integer row dict
 
     def _reduce(self, vector):
-        row = dict(vector.entries)
+        row = _primitive(vector.entries)
         while row:
             lead = min(row)
             pivot = self._rows.get(lead)
             if pivot is None:
                 return row
-            factor = row[lead]
+            a = pivot[lead]
+            b = row.pop(lead)
+            g = gcd(a, b)
+            scale, factor = a // g, b // g
+            if scale != 1:
+                for j in row:
+                    row[j] *= scale
             for j, pv in pivot.items():
-                nv = row.get(j, ZERO) - factor * pv
+                if j == lead:
+                    continue
+                nv = row.get(j, 0) - factor * pv
                 if nv:
                     row[j] = nv
                 else:
-                    row.pop(j, None)
+                    del row[j]
+            _divide_content(row)
         return row
 
     def add(self, vector):
@@ -413,9 +490,8 @@ class IncrementalSpan:
         if not row:
             return False
         lead = min(row)
-        pv = row[lead]
-        if pv != 1:
-            row = {j: v / pv for j, v in row.items()}
+        if row[lead] < 0:
+            row = {j: -v for j, v in row.items()}
         self._rows[lead] = row
         return True
 

@@ -57,7 +57,11 @@ def test_excise_inverse_and_verify(t2_files, capsys):
     assert code == EXIT_OK
     assert "ok" in capsys.readouterr().out
     assert main(["verify", "--certificate", cert]) == EXIT_OK
-    capsys.readouterr()
+    assert capsys.readouterr().out == "ok\n"
+    assert main(["verify", "--certificate", cert, "--format", "structured"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "verify", "status": "ok", "reason": None, "residual": None,
+    }
 
     doc = json.loads(open(cert).read())
     key = doc["certificate"]["witness"]["terms"]
@@ -71,7 +75,16 @@ def test_excise_inverse_and_verify(t2_files, capsys):
     tampered = str(tmp_path / "tampered.json")
     open(tampered, "w").write(json.dumps(doc))
     assert main(["verify", "--certificate", tampered]) == EXIT_MISMATCH
-    assert "MISMATCH" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert text.startswith("MISMATCH: ")
+    code = main(["verify", "--certificate", tampered, "--format", "structured"])
+    assert code == EXIT_MISMATCH
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "verify"
+    assert report["status"] == "mismatch"
+    assert text.startswith(f"MISMATCH: {report['reason']}\n")
+    assert report["residual"]["terms"]
+    assert "\nresidual: " in text
 
 
 def test_degree_mismatch_is_an_error(t2_files, capsys):
@@ -105,7 +118,13 @@ def test_local_unit_command(t2_files, capsys):
     )
     code = main(["local-unit", "--algebra", algebra, "--targets", targets])
     assert code == EXIT_OK
-    assert "unit: [1, 0, 0]" in capsys.readouterr().out
+    assert capsys.readouterr().out == "unit: [1, 0, 0]\n"
+    code = main(["local-unit", "--algebra", algebra, "--targets", targets,
+                 "--format", "structured"])
+    assert code == EXIT_OK
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "local-unit", "status": "ok", "unit": ["1", "0", "0"],
+    }
 
 
 def test_local_unit_reports_failure(tmp_path, capsys):
@@ -123,7 +142,15 @@ def test_local_unit_reports_failure(tmp_path, capsys):
     assert code == EXIT_NO_LOCAL_UNIT
     out = capsys.readouterr().out
     assert "no local left unit" in out
-    assert "witness" in out
+    assert "witness target: [0, 1, 0]" in out
+    code = main(["local-unit", "--algebra", algebra_path, "--targets", targets,
+                 "--format", "structured"])
+    assert code == EXIT_NO_LOCAL_UNIT
+    report = json.loads(capsys.readouterr().out)
+    assert report["command"] == "local-unit"
+    assert report["status"] == "no-local-unit"
+    assert report["witness_target"] == ["0", "1", "0"]
+    assert f"detail: {report['detail']}\n" in out
 
 
 def test_demo_command(capsys):

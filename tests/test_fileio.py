@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -7,6 +8,7 @@ from excisionlab.excision import (
     descent_step,
     inverse_excision,
     inverse_excision_class,
+    isomorphism_witness,
     verify_certificate,
 )
 from excisionlab.algebra import Algebra, Ideal, make_split_basis
@@ -264,3 +266,23 @@ def test_demo_extension_rejects_broken_hypotheses(t2):
     corner = Ideal(t2.algebra, [t2.algebra.basis_vector(0)])
     with pytest.raises(ValueError, match="not two-sided"):
         extension(t2.algebra, corner)
+
+
+# sha256 over the `certificate_to_doc` JSON, witnesses included, of every
+# certificate `isomorphism_witness` returns on the corpus at degrees 0-3.
+# The library's answers are meant to be bit-identical across optimisations;
+# a new digest is a change of output and must be explained as one.
+CERTIFICATE_DOCS_SHA256 = "e9e75c90cf3cf4c1dbcfa3a1641b5e7c4131660de3e97348ff3a5b79f018f541"
+
+
+def test_certificate_documents_are_pinned(corpus):
+    digest = hashlib.sha256()
+    count = 0
+    for demo in corpus:
+        for degree in range(4):
+            for cert in isomorphism_witness(demo.split, degree).all_certificates():
+                doc = certificate_to_doc(cert, demo.split)
+                digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+                count += 1
+    assert count == 18
+    assert digest.hexdigest() == CERTIFICATE_DOCS_SHA256

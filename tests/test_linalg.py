@@ -251,6 +251,47 @@ def _awkward_matrix(rng):
     return SparseMatrix(nrows, ncols, entries)
 
 
+def _large_matrix(rng):
+    """Sparse matrix of large-magnitude rationals (numerators up to 1e12,
+    denominators up to 1e6) with a planted scaled duplicate row, so that
+    the integer scaling and the gcd reductions of the elimination are
+    exercised far from small entries."""
+    nrows, ncols = rng.randint(2, 7), rng.randint(1, 7)
+    dense = [[Fraction(0)] * ncols for _ in range(nrows)]
+    for r in range(nrows):
+        for c in range(ncols):
+            if rng.random() < 0.5:
+                dense[r][c] = Fraction(
+                    rng.randint(-10**12, 10**12), rng.randint(1, 10**6)
+                )
+    a, b = rng.sample(range(nrows), 2)
+    scale = Fraction(rng.randint(-10**9, 10**9) or 1, rng.randint(1, 10**6))
+    dense[b] = [scale * x for x in dense[a]]
+    entries = {(r, c): v for r, row in enumerate(dense) for c, v in enumerate(row) if v}
+    return SparseMatrix(nrows, ncols, entries)
+
+
+def _square_matrix(rng):
+    """Square matrix, nonsingular more often than not, for `invert`."""
+    n = rng.randint(1, 6)
+    big = rng.random() < 0.5
+    entries = {}
+    for r in range(n):
+        for c in range(n):
+            if r == c or rng.random() < 0.4:
+                if big:
+                    value = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+                else:
+                    value = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                if value:
+                    entries[(r, c)] = value
+    return SparseMatrix(n, n, entries)
+
+
+def _all_fractions(values):
+    return all(type(v) is Fraction for v in values)
+
+
 def _far_pivot_matrix():
     """Column 0 is nonzero only in the last of eight rows, so the first
     pivot row must come up from the bottom."""
@@ -263,8 +304,14 @@ def _far_pivot_matrix():
 
 def test_elimination_matches_dense_reference():
     rng = random.Random(31415)
-    matrices = [_far_pivot_matrix()] + [_awkward_matrix(rng) for _ in range(240)]
-    seen = {"deficient": 0, "inconsistent": 0, "consistent": 0}
+    matrices = (
+        [_far_pivot_matrix()]
+        + [_awkward_matrix(rng) for _ in range(240)]
+        + [_large_matrix(rng) for _ in range(40)]
+        + [_square_matrix(rng) for _ in range(60)]
+    )
+    seen = {"deficient": 0, "inconsistent": 0, "consistent": 0,
+            "inverted": 0, "singular": 0}
     for m in matrices:
         dense = _dense(m)
         ref_rows, ref_pivots = _reference_rref(dense, m.cols)
@@ -273,16 +320,39 @@ def test_elimination_matches_dense_reference():
         assert reduced.entries == {
             (r, c): v for r, row in enumerate(ref_rows) for c, v in enumerate(row) if v
         }
+        assert _all_fractions(reduced.entries.values())
         if len(pivots) < min(m.rows, m.cols):
             seen["deficient"] += 1
+        assert rank(m) == len(ref_pivots)
 
         kernel = kernel_basis(m)
         assert [v.entries for v in kernel] == _reference_kernel(dense, m.cols)
         assert all(v.dimension == m.cols for v in kernel)
+        assert all(_all_fractions(v.entries.values()) for v in kernel)
         image = image_basis(m)
         assert [v.entries for v in image] == [
             {r: dense[r][c] for r in range(m.rows) if dense[r][c]} for c in ref_pivots
         ]
+        assert all(_all_fractions(v.entries.values()) for v in image)
+
+        if m.rows == m.cols:
+            n = m.rows
+            identity = [[Fraction(int(r == c)) for c in range(n)] for r in range(n)]
+            aug_rows, aug_pivots = _reference_rref(
+                [row + identity[r] for r, row in enumerate(dense)], 2 * n
+            )
+            if aug_pivots[:n] == list(range(n)):
+                seen["inverted"] += 1
+                inverse = invert(m)
+                assert inverse.entries == {
+                    (r, c): aug_rows[r][n + c]
+                    for r in range(n) for c in range(n) if aug_rows[r][n + c]
+                }
+                assert _all_fractions(inverse.entries.values())
+            else:
+                seen["singular"] += 1
+                with pytest.raises(ValueError):
+                    invert(m)
 
         x0 = SparseVector(m.cols, {c: rng.randint(-2, 2) for c in range(m.cols)})
         consistent = m.matvec(x0)
@@ -299,9 +369,46 @@ def test_elimination_matches_dense_reference():
                 seen["consistent"] += 1
                 assert isinstance(result, SparseVector)
                 assert result.entries == expected
+                assert _all_fractions(result.entries.values())
     assert seen["deficient"] >= 50
     assert seen["inconsistent"] >= 50
     assert seen["consistent"] >= 200
+    assert seen["inverted"] >= 30
+    assert seen["singular"] >= 10
+
+
+def test_incremental_span_matches_reference_rank():
+    rng = random.Random(2718)
+    for _ in range(60):
+        dim = rng.randint(1, 8)
+        big = rng.random() < 0.5
+        span = IncrementalSpan(dim)
+        added = []
+        for _ in range(rng.randint(1, 12)):
+            pick = rng.random()
+            if pick < 0.15:
+                vector = SparseVector(dim)
+            elif pick < 0.4 and added:
+                scale = Fraction(rng.choice([-7, -1, 2, 10**9]), rng.randint(1, 10**6))
+                vector = rng.choice(added).scaled(scale)
+            else:
+                entries = {}
+                for c in range(dim):
+                    if rng.random() < 0.4:
+                        if big:
+                            entries[c] = Fraction(
+                                rng.randint(-10**12, 10**12), rng.randint(1, 10**6)
+                            )
+                        else:
+                            entries[c] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                vector = SparseVector(dim, entries)
+            before = len(_reference_rref([v.to_list() for v in added], dim)[1])
+            after = len(_reference_rref([v.to_list() for v in added + [vector]], dim)[1])
+            assert span.contains(vector) == (after == before)
+            assert span.add(vector) == (after > before)
+            added.append(vector)
+            assert len(span) == after
+            assert span.contains(vector)
 
 
 def test_far_pivot_is_swapped_up():

@@ -251,6 +251,10 @@ def _awkward_matrix(rng):
     return SparseMatrix(nrows, ncols, entries)
 
 
+def _big_rational(rng):
+    return Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+
+
 def _large_matrix(rng):
     """Sparse matrix of large-magnitude rationals (numerators up to 1e12,
     denominators up to 1e6) with a planted scaled duplicate row, so that
@@ -261,9 +265,7 @@ def _large_matrix(rng):
     for r in range(nrows):
         for c in range(ncols):
             if rng.random() < 0.5:
-                dense[r][c] = Fraction(
-                    rng.randint(-10**12, 10**12), rng.randint(1, 10**6)
-                )
+                dense[r][c] = _big_rational(rng)
     a, b = rng.sample(range(nrows), 2)
     scale = Fraction(rng.randint(-10**9, 10**9) or 1, rng.randint(1, 10**6))
     dense[b] = [scale * x for x in dense[a]]
@@ -280,7 +282,7 @@ def _square_matrix(rng):
         for c in range(n):
             if r == c or rng.random() < 0.4:
                 if big:
-                    value = Fraction(rng.randint(-10**12, 10**12), rng.randint(1, 10**6))
+                    value = _big_rational(rng)
                 else:
                     value = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                 if value:
@@ -396,9 +398,7 @@ def test_incremental_span_matches_reference_rank():
                 for c in range(dim):
                     if rng.random() < 0.4:
                         if big:
-                            entries[c] = Fraction(
-                                rng.randint(-10**12, 10**12), rng.randint(1, 10**6)
-                            )
+                            entries[c] = _big_rational(rng)
                         else:
                             entries[c] = Fraction(rng.randint(-3, 3), rng.randint(1, 2))
                 vector = SparseVector(dim, entries)

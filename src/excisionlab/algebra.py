@@ -197,8 +197,8 @@ class SplitBasis:
         # column-major storage of the inverse, for fast parent->split conversion
         self._backward_cols = [backward.column(j) for j in range(self.dimension)]
         self._mult_cache = {}
-        # basis tuples and boundary matrices, memoised by `chains`; they
-        # live as long as this split
+        # basis tuples, boundary matrices and the product table, memoised
+        # by `chains`; they live as long as this split
         self.chain_cache = {}
 
     def is_ideal_index(self, i):

@@ -13,6 +13,14 @@ coefficients.  Sign conventions:
 Coinvariants under t are represented by the lexicographically smallest signed
 rotation of each tuple; a tuple equal to one of its own rotations with sign -1
 represents the zero class and is dropped (we are over Q).
+
+Boundary coefficients are assembled in integers.  Each split basis keeps one
+product table, (i, j) -> ((k, c), ...), whose constants are `int` when they
+are integral and `Fraction` otherwise; the signs are the ints ±1.  So on an
+integer algebra every term of `tuple_boundary_terms` is an `int`, and
+`boundary_matrix` sums each column in `int` and turns each entry into a
+`Fraction` once, when `SparseMatrix` stores it.  Exact integer sums equal
+exact `Fraction` sums, so nothing is rounded.
 """
 
 from __future__ import annotations
@@ -151,11 +159,33 @@ def pure_tensor(context, indices, coeff=ONE):
 
 
 def _accumulate(store, tup, coeff):
-    nc = store.get(tup, ZERO) + coeff
+    nc = store.get(tup, 0) + coeff
     if nc:
         store[tup] = nc
     else:
         store.pop(tup, None)
+
+
+def _product_table(context):
+    """Every product of split basis elements as (i, j) -> ((k, c), ...).
+
+    `c` is an `int` when the structure constant is integral and stays a
+    `Fraction` otherwise, so integer algebras are expanded in `int`
+    arithmetic.  Memoised on the split basis `context`.
+    """
+    table = context.chain_cache.get("products")
+    if table is None:
+        dim = context.dimension
+        table = {
+            (i, j): tuple(
+                (k, c.numerator if c.denominator == 1 else c)
+                for k, c in context.mult_split(i, j).entries.items()
+            )
+            for i in range(dim)
+            for j in range(dim)
+        }
+        context.chain_cache["products"] = table
+    return table
 
 
 def tuple_boundary_terms(context, tup, wrap=True):
@@ -163,44 +193,42 @@ def tuple_boundary_terms(context, tup, wrap=True):
 
     With wrap=True this is b, without it b'.  Products expand through the
     split-basis structure constants, so output tuples stay on the standard
-    tensor basis.
+    tensor basis.  The signs are the ints ±1 and the constants come from
+    the product table, so each coefficient is an exact `int` when the
+    constants are integers and a `Fraction` otherwise.
     """
+    table = _product_table(context)
     n = len(tup) - 1
     out = {}
-    sign = ONE
+    sign = 1
     for i in range(n):
-        prod = context.mult_split(tup[i], tup[i + 1])
-        for k, ck in prod.entries.items():
-            _accumulate(out, tup[:i] + (k,) + tup[i + 2 :], sign * ck)
+        head, tail = tup[:i], tup[i + 2 :]
+        for k, c in table[tup[i], tup[i + 1]]:
+            _accumulate(out, head + (k,) + tail, sign * c)
         sign = -sign
     if wrap:
         # sign is now (-1)^n
-        prod = context.mult_split(tup[n], tup[0])
-        for k, ck in prod.entries.items():
-            _accumulate(out, (k,) + tup[1:n], sign * ck)
+        middle = tup[1:n]
+        for k, c in table[tup[n], tup[0]]:
+            _accumulate(out, (k,) + middle, sign * c)
     return out
 
 
-def boundary_b(chain):
-    """Hochschild differential; defined for degree >= 1."""
+def boundary_b(chain, wrap=True):
+    """Hochschild differential b, or with wrap=False the bar differential b'
+    (no wrap-around term); defined for degree >= 1."""
     if chain.degree < 1:
         raise ValueError("the differential needs degree >= 1")
     out = {}
     for tup, coeff in chain.terms.items():
-        for t, c in tuple_boundary_terms(chain.context, tup, wrap=True).items():
+        for t, c in tuple_boundary_terms(chain.context, tup, wrap).items():
             _accumulate(out, t, coeff * c)
     return Chain(chain.degree - 1, chain.context, out)
 
 
 def bar_boundary(chain):
     """Bar differential b' (no wrap-around term); defined for degree >= 1."""
-    if chain.degree < 1:
-        raise ValueError("the differential needs degree >= 1")
-    out = {}
-    for tup, coeff in chain.terms.items():
-        for t, c in tuple_boundary_terms(chain.context, tup, wrap=False).items():
-            _accumulate(out, t, coeff * c)
-    return Chain(chain.degree - 1, chain.context, out)
+    return boundary_b(chain, wrap=False)
 
 
 def cyclic_t(chain):
@@ -438,7 +466,7 @@ def _rotation_index(rows):
         n = len(tup) - 1
         for k in range(n + 1):
             # rotating back by n + 1 - k costs (-1)^(n(n+1-k)) = (-1)^(nk)
-            sign = ONE if (n * k) % 2 == 0 else -ONE
+            sign = 1 if (n * k) % 2 == 0 else -1
             index.setdefault(_rotation(tup, k), (r, sign))
     return index
 
@@ -447,7 +475,11 @@ def boundary_matrix(context, variant, degree):
     """The differential from degree to degree-1 as a sparse matrix.
 
     Returns (matrix, column tuples, row tuples); columns and rows are the
-    deterministic bases produced by `basis_tuples`.  The triple is memoised
+    deterministic bases produced by `basis_tuples`.  Each column is the
+    `tuple_boundary_terms` of its tuple, folded onto the rows through an
+    index whose signs are the ints ±1 (every rotation of a row tuple, for
+    `hc`), summed by row in `int` where the constants allow it; each entry
+    becomes a `Fraction` once, in `SparseMatrix`.  The triple is memoised
     on the split basis `context` and shared by every caller: do not mutate
     the matrix or the lists.
     """
@@ -463,7 +495,7 @@ def boundary_matrix(context, variant, degree):
     if cyclic:
         row_index = _rotation_index(rows)
     else:
-        row_index = {t: (r, ONE) for r, t in enumerate(rows)}
+        row_index = {t: (r, 1) for r, t in enumerate(rows)}
     wrap = variant.op != "bar"
     entries = {}
     for c, tup in enumerate(cols):

@@ -63,7 +63,8 @@ class SparseVector:
                     raise ValueError(
                         f"index {index} out of range for dimension {self.dimension}"
                     )
-                value = Fraction(value)
+                if type(value) is not Fraction:
+                    value = Fraction(value)
                 if value:
                     clean[index] = value
         self.entries = clean

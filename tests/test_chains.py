@@ -25,6 +25,7 @@ from excisionlab.chains import (
     pure_tensor,
     relative_membership,
     tensor_prepend,
+    tuple_boundary_terms,
 )
 from excisionlab.excision import _invert_by_solve, isomorphism_witness
 from excisionlab.fileio import certificate_to_doc
@@ -287,13 +288,28 @@ def test_necklace_bases_drop_sign_obstructed_words():
         assert word in basis_tuples(split, hc, len(word) - 1)
 
 
-def test_boundary_matrices_match_the_dense_oracle(corpus):
-    for demo in corpus:
-        split = demo.split
+def _halved_ideal_split(demo):
+    """`demo` with its ideal basis scaled by 1/2: an idempotent e of the ideal
+    becomes e/2 with (e/2)(e/2) = (1/2)(e/2), so some constants are 1/2."""
+    count = demo.split.ideal_count
+    basis = [v.scaled(Fraction(1, 2)) if i < count else v
+             for i, v in enumerate(demo.split.ordered_basis)]
+    return SplitBasis(demo.ideal, basis, count)
+
+
+def test_boundary_matrices_match_the_dense_oracle(corpus, t2):
+    halved = _halved_ideal_split(t2)
+    assert any(c.denominator != 1
+               for i in range(halved.dimension) for j in range(halved.dimension)
+               for c in halved.mult_split(i, j).entries.values())
+    cases = [(demo.name, demo.split, 4) for demo in corpus]
+    cases.append(("t2-corner, ideal basis halved", halved, 3))
+    non_integral = set()
+    for name, split, top in cases:
         mult = lambda i, j, split=split: split.mult_split(i, j).entries
         for op in ("hh", "hc", "bar"):
             for space in ("A", "I", "relative"):
-                for degree in range(1, 5):
+                for degree in range(1, top + 1):
                     matrix, cols, rows = boundary_matrix(split, Variant(op, space), degree)
                     dense, ncols = _dense_boundary(
                         mult, split.dimension, split.ideal_count, space, op, degree
@@ -304,7 +320,23 @@ def test_boundary_matrices_match_the_dense_oracle(corpus):
                         for r, row in enumerate(dense)
                         for c, v in enumerate(row)
                         if v
-                    }, (demo.name, op, space, degree)
+                    }, (name, op, space, degree)
+                    assert all(type(v) is Fraction for v in matrix.entries.values())
+                    if any(v.denominator != 1 for v in matrix.entries.values()):
+                        non_integral.add(name)
+    assert non_integral == {"t2-corner, ideal basis halved"}
+
+
+def test_boundary_terms_are_exact_ints_or_fractions(corpus, t2):
+    halved = _halved_ideal_split(t2)
+    for split in [demo.split for demo in corpus] + [halved]:
+        for tup in iter_product(range(split.dimension), repeat=3):
+            for wrap in (True, False):
+                terms = tuple_boundary_terms(split, tup, wrap)
+                for v in terms.values():
+                    assert v and (type(v) is int or (
+                        split is halved and type(v) is Fraction and v.denominator != 1))
+    assert tuple_boundary_terms(halved, (0, 0, 2)) == {(0, 2): Fraction(1, 2)}
 
 
 def test_boundary_leaving_the_space_raises_a_typed_error(t2):

@@ -37,6 +37,13 @@ def test_sparse_vector_drops_zeros_and_checks_range():
     assert v.entries == {0: Fraction(1)}
     with pytest.raises(ValueError):
         SparseVector(2, {2: 1})
+    with pytest.raises(ValueError):
+        SparseVector(2, {-1: Fraction(1, 2)})
+    half = Fraction(1, 2)
+    v = SparseVector(4, {0: half, 1: "-2/3", 2: 5, 3: Fraction(0)})
+    assert v.entries == {0: half, 1: Fraction(-2, 3), 2: Fraction(5)}
+    assert all(type(x) is Fraction for x in v.entries.values())
+    assert v.entries[0] is half
 
 
 def test_rref_identity():

@@ -15,6 +15,8 @@ from .linalg import (
     IncrementalSpan,
     SparseMatrix,
     SparseVector,
+    _accumulate,
+    _combination,
     in_span,
     invert,
 )
@@ -55,13 +57,16 @@ class Algebra:
 
     def mul(self, u, v):
         """Bilinear product of two coordinate vectors."""
-        out = SparseVector(self.dimension)
-        for i, ci in u.entries.items():
-            for j, cj in v.entries.items():
-                prod = self.structure_constants.get((i, j))
-                if prod is not None:
-                    out = out + prod.scaled(ci * cj)
-        return out
+        constants = self.structure_constants
+        return _combination(
+            self.dimension,
+            [
+                (ci * cj, constants[i, j])
+                for i, ci in u.entries.items()
+                for j, cj in v.entries.items()
+                if (i, j) in constants
+            ],
+        )
 
     def zero(self):
         return SparseVector(self.dimension)
@@ -175,13 +180,38 @@ def validate_ideal(ideal):
     return None
 
 
+class _ProductTable(dict):
+    """(i, j) -> ((k, c), ...): the split coordinates of f_i·f_j for split
+    basis elements f_i, f_j, each pair computed on first use.
+
+    `c` is an `int` when the structure constant is integral and stays a
+    `Fraction` otherwise, so integer algebras are expanded in `int`
+    arithmetic.  A present pair is a plain dict lookup.
+    """
+
+    def __init__(self, split):
+        super().__init__()
+        self.split = split
+
+    def __missing__(self, key):
+        i, j = key
+        split = self.split
+        basis = split.ordered_basis
+        product = split.to_split(split.parent.mul(basis[i], basis[j]))
+        row = self[key] = tuple(
+            (k, c.numerator if c.denominator == 1 else c)
+            for k, c in product.entries.items()
+        )
+        return row
+
+
 class SplitBasis:
     """Ordered basis of the parent algebra with the ideal basis first.
 
     The first `ideal_count` vectors span the ideal; the remaining ones lift a
     basis of the quotient.  Provides the coordinate change between parent and
-    split coordinates and caches products of split basis elements, which is
-    what all chain computations consume.
+    split coordinates and `product_table`, the one table of products of split
+    basis elements that every chain computation reads.
     """
 
     def __init__(self, ideal, ordered_basis, ideal_count):
@@ -196,9 +226,9 @@ class SplitBasis:
         backward = invert(forward)
         # column-major storage of the inverse, for fast parent->split conversion
         self._backward_cols = [backward.column(j) for j in range(self.dimension)]
-        self._mult_cache = {}
-        # basis tuples, boundary matrices and the product table, memoised
-        # by `chains`; they live as long as this split
+        self.product_table = _ProductTable(self)
+        # basis tuples and boundary matrices, memoised by `chains`; they live
+        # as long as this split
         self.chain_cache = {}
 
     def is_ideal_index(self, i):
@@ -206,38 +236,31 @@ class SplitBasis:
 
     def to_split(self, vector):
         """Parent coordinates -> coordinates over the ordered basis."""
-        out = SparseVector(self.dimension)
-        for j, v in vector.entries.items():
-            out = out + self._backward_cols[j].scaled(v)
-        return out
+        columns = self._backward_cols
+        return _combination(
+            self.dimension, [(v, columns[j]) for j, v in vector.entries.items()]
+        )
 
     def from_split(self, vector):
-        out = SparseVector(self.dimension)
-        for j, v in vector.entries.items():
-            out = out + self.ordered_basis[j].scaled(v)
-        return out
+        basis = self.ordered_basis
+        return _combination(
+            self.dimension, [(v, basis[j]) for j, v in vector.entries.items()]
+        )
 
     def mult_split(self, i, j):
         """Product of split basis elements i and j, in split coordinates."""
-        cached = self._mult_cache.get((i, j))
-        if cached is None:
-            parent_product = self.parent.mul(self.ordered_basis[i], self.ordered_basis[j])
-            cached = self.to_split(parent_product)
-            self._mult_cache[(i, j)] = cached
-        return cached
-
-    def mult_basis_vec(self, i, vec):
-        """Product (split basis element i) * (split-coordinate vector)."""
-        out = SparseVector(self.dimension)
-        for j, cj in vec.entries.items():
-            out = out + self.mult_split(i, j).scaled(cj)
-        return out
+        return SparseVector(self.dimension, dict(self.product_table[i, j]))
 
     def mult_vec(self, u, v):
-        out = SparseVector(self.dimension)
+        """Product of two split-coordinate vectors, in split coordinates."""
+        table = self.product_table
+        out = {}
         for i, ci in u.entries.items():
-            out = out + self.mult_basis_vec(i, v).scaled(ci)
-        return out
+            for j, cj in v.entries.items():
+                c = ci * cj
+                for k, ck in table[i, j]:
+                    _accumulate(out, k, c * ck)
+        return SparseVector(self.dimension, out)
 
     def split_label(self, i):
         """Human-readable name of split position i."""

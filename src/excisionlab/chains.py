@@ -14,13 +14,15 @@ Coinvariants under t are represented by the lexicographically smallest signed
 rotation of each tuple; a tuple equal to one of its own rotations with sign -1
 represents the zero class and is dropped (we are over Q).
 
-Boundary coefficients are assembled in integers.  Each split basis keeps one
-product table, (i, j) -> ((k, c), ...), whose constants are `int` when they
-are integral and `Fraction` otherwise; the signs are the ints ±1.  So on an
-integer algebra every term of `tuple_boundary_terms` is an `int`, and
-`boundary_matrix` sums each column in `int` and turns each entry into a
-`Fraction` once, when `SparseMatrix` stores it.  Exact integer sums equal
-exact `Fraction` sums, so nothing is rounded.
+Every product of basis elements is read from the split basis's one product
+table, `SplitBasis.product_table`: (i, j) -> ((k, c), ...), whose constants
+are `int` when they are integral and `Fraction` otherwise.  The differential,
+the descent and the closed formula of `excision`, and `SplitBasis.mult_vec`
+all walk it, and every sum goes through `linalg._accumulate`.  The signs are
+the ints ±1, so on an integer algebra every term of `tuple_boundary_terms` is
+an `int`, and `boundary_matrix` sums each column in `int` and turns each entry
+into a `Fraction` once, when `SparseMatrix` stores it.  Exact integer sums
+equal exact `Fraction` sums, so nothing is rounded.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ from itertools import product as iter_product
 
 from .linalg import (
     ONE,
-    ZERO,
     IncrementalSpan,
     SparseMatrix,
     SparseVector,
+    _accumulate,
     image_basis,
     kernel_basis,
 )
@@ -120,11 +122,7 @@ class Chain:
         self._require_same_context(other)
         out = dict(self.terms)
         for t, c in other.terms.items():
-            nc = out.get(t, ZERO) + c
-            if nc:
-                out[t] = nc
-            else:
-                out.pop(t, None)
+            _accumulate(out, t, c)
         return Chain(self.degree, self.context, out)
 
     def __sub__(self, other):
@@ -158,46 +156,16 @@ def pure_tensor(context, indices, coeff=ONE):
     return Chain(len(indices) - 1, context, {tuple(indices): coeff})
 
 
-def _accumulate(store, tup, coeff):
-    nc = store.get(tup, 0) + coeff
-    if nc:
-        store[tup] = nc
-    else:
-        store.pop(tup, None)
-
-
-def _product_table(context):
-    """Every product of split basis elements as (i, j) -> ((k, c), ...).
-
-    `c` is an `int` when the structure constant is integral and stays a
-    `Fraction` otherwise, so integer algebras are expanded in `int`
-    arithmetic.  Memoised on the split basis `context`.
-    """
-    table = context.chain_cache.get("products")
-    if table is None:
-        dim = context.dimension
-        table = {
-            (i, j): tuple(
-                (k, c.numerator if c.denominator == 1 else c)
-                for k, c in context.mult_split(i, j).entries.items()
-            )
-            for i in range(dim)
-            for j in range(dim)
-        }
-        context.chain_cache["products"] = table
-    return table
-
-
 def tuple_boundary_terms(context, tup, wrap=True):
     """Differential of a single basis tuple as a {tuple: coeff} dict.
 
     With wrap=True this is b, without it b'.  Products expand through the
     split-basis structure constants, so output tuples stay on the standard
     tensor basis.  The signs are the ints ±1 and the constants come from
-    the product table, so each coefficient is an exact `int` when the
-    constants are integers and a `Fraction` otherwise.
+    the split's product table, so each coefficient is an exact `int` when
+    the constants are integers and a `Fraction` otherwise.
     """
-    table = _product_table(context)
+    table = context.product_table
     n = len(tup) - 1
     out = {}
     sign = 1
@@ -314,6 +282,16 @@ def canonicalize_cyclic(chain):
         best, sign = rotated
         _accumulate(out, best, sign * coeff)
     return CyclicChain(Chain(chain.degree, chain.context, out))
+
+
+def _expand_tensor(store, slots, coeff):
+    """Accumulate coeff · (slots[0] ⊗ slots[1] ⊗ ...) into `store`, keyed by
+    index tuples; `slots` are split-coordinate vectors."""
+    for combo in iter_product(*[sorted(v.entries.items()) for v in slots]):
+        c = coeff
+        for _, v in combo:
+            c *= v
+        _accumulate(store, tuple(i for i, _ in combo), c)
 
 
 def tensor_prepend(vector, chain):

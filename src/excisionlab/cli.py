@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .chains import DegreeLimitError, Variant, boundary_b, homology
+from .chains import CyclicChain, DegreeLimitError, Variant, boundary_b, homology
 from .excision import (
     CertificateSearchError,
     Mismatch,
@@ -63,7 +63,7 @@ def cmd_homology(args):
     report.details["chain_space_dimension"] = result.space_dimension
     for idx, rep in enumerate(result.representatives):
         if args.format == "structured":
-            chain = rep.chain if hasattr(rep, "chain") else rep
+            chain = rep.chain if isinstance(rep, CyclicChain) else rep
             report.details[f"representative[{idx}]"] = chain_to_doc(chain)
         else:
             report.details[f"representative[{idx}]"] = render_chain(rep)

@@ -2,7 +2,8 @@
 machine-checkable certificates for every homology equality produced.
 
 Certificates reify the homotopies of the underlying arguments: a descent
-certificate records the exact identity  input − output = b(G) + e ⊗ b(input),
+certificate records the exact identity  input − output = b(G) + e ⊗ b(input)
+with G = e ⊗ input and e a left unit on the initial slots,
 a boundary certificate records a degree-(n+1) witness η whose boundary equals
 a claimed-homologous difference, and an inverse result bundles the unit
 schedule with a boundary certificate for  ρ(output) ≡ input.  For a strict
@@ -16,13 +17,13 @@ so a tampered certificate is caught by exact residual arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product as iter_product
 
 from .chains import (
     Chain,
     CyclicChain,
     Variant,
+    _expand_tensor,
     basis_tuples,
     boundary_b,
     boundary_matrix,
@@ -32,7 +33,7 @@ from .chains import (
     relative_membership,
     tensor_prepend,
 )
-from .linalg import ONE, SparseMatrix, SparseVector, Unsolvable, solve
+from .linalg import ONE, SparseMatrix, SparseVector, Unsolvable, _accumulate, solve
 from .units import build_unit_schedule
 
 
@@ -163,30 +164,20 @@ def rotate_to_ideal_initial(chain_or_class):
                 f"tuple {tup} has no ideal slot; the chain is not relative"
             )
         k = (n + 1 - position) % (n + 1)
-        sign = ONE if (n * k) % 2 == 0 else -ONE
+        sign = 1 if (n * k) % 2 == 0 else -1
         rotated = tup[-k:] + tup[:-k] if k else tup
-        new = out.get(rotated, Fraction(0)) + sign * coeff
-        if new:
-            out[rotated] = new
-        else:
-            out.pop(rotated, None)
+        _accumulate(out, rotated, sign * coeff)
     return Chain(n, context, out)
 
 
 def _initial_heads_by_tail(chain):
     """Group slot-0 content by the remaining slots, as split-coordinate
     vectors.  This is the exact shape of the left-unit hypothesis."""
-    context = chain.context
     heads = {}
     for tup, coeff in chain.terms.items():
-        tail = tup[1:]
-        vec = heads.get(tail)
-        if vec is None:
-            vec = SparseVector(context.dimension)
-        heads[tail] = vec + SparseVector(
-            context.dimension, {tup[0]: coeff}
-        )
-    return heads
+        _accumulate(heads.setdefault(tup[1:], {}), tup[0], coeff)
+    dim = chain.context.dimension
+    return {tail: SparseVector(dim, head) for tail, head in heads.items()}
 
 
 def _check_left_unit(chain, unit_split):
@@ -209,30 +200,21 @@ def descent_output(chain, unit_split):
     if n < 1:
         raise ValueError("descent needs degree >= 1")
     context = chain.context
-    sign = ONE if (n + 1) % 2 == 0 else -ONE
+    table = context.product_table
+    unit_terms = list(unit_split.entries.items())
     out = {}
     for tup, coeff in chain.terms.items():
-        last = tup[-1]
-        body = tup[:-1]
+        c = coeff if (n + 1) % 2 == 0 else -coeff
+        last, middle, body = tup[-1], tup[1:-1], tup[:-1]
         # e ⊗ (fn · f0) ⊗ f1 ... f(n-1)
-        wrapped = context.mult_split(last, tup[0])
-        for ei, ce in unit_split.entries.items():
-            for k, ck in wrapped.entries.items():
-                key = (ei, k) + tup[1:-1]
-                new = out.get(key, Fraction(0)) + sign * coeff * ce * ck
-                if new:
-                    out[key] = new
-                else:
-                    out.pop(key, None)
+        wrapped = table[last, tup[0]]
+        for ei, ce in unit_terms:
+            for k, ck in wrapped:
+                _accumulate(out, (ei, k) + middle, c * ce * ck)
         # − (fn · e) ⊗ f0 ... f(n-1)
-        tail_unit = context.mult_basis_vec(last, unit_split)
-        for k, ck in tail_unit.entries.items():
-            key = (k,) + body
-            new = out.get(key, Fraction(0)) - sign * coeff * ck
-            if new:
-                out[key] = new
-            else:
-                out.pop(key, None)
+        for ei, ce in unit_terms:
+            for k, ck in table[last, ei]:
+                _accumulate(out, (k,) + body, -c * ce * ck)
     return Chain(n, context, out)
 
 
@@ -284,46 +266,28 @@ def closed_formula(chain, schedule):
     if n == 0:
         return Chain(0, context, dict(chain.terms))
     units = [context.to_split(u) for u in schedule.units]
+    dim = context.dimension
+    basis = [SparseVector.unit(dim, k) for k in range(dim)]
+    mult = context.mult_vec
     out = {}
     for tup, coeff in chain.terms.items():
         for signs in iter_product((1, -1), repeat=n):
-            sign = ONE
-            for s in signs:
-                if s < 0:
-                    sign = -sign
             slots = []
             pending = None  # split-coordinate vector carried into the next slot
             for i in range(1, n + 1):
                 e = units[i - 1]
-                f = tup[i]
+                f = basis[tup[i]]
                 if signs[i - 1] > 0:
-                    slots.append(e if pending is None else context.mult_vec(pending, e))
-                    pending = SparseVector(context.dimension, {f: ONE})
+                    slots.append(e if pending is None else mult(pending, e))
+                    pending = f
                 else:
-                    fe = context.mult_basis_vec(f, e)
-                    slots.append(fe if pending is None else context.mult_vec(pending, fe))
+                    fe = mult(f, e)
+                    slots.append(fe if pending is None else mult(pending, fe))
                     pending = None
-            f0 = SparseVector(context.dimension, {tup[0]: ONE})
-            slots.append(f0 if pending is None else context.mult_vec(pending, f0))
-            _expand_tensor(out, slots, sign * coeff)
+            f0 = basis[tup[0]]
+            slots.append(f0 if pending is None else mult(pending, f0))
+            _expand_tensor(out, slots, coeff if signs.count(-1) % 2 == 0 else -coeff)
     return Chain(n, context, out)
-
-
-def _expand_tensor(store, slots, coeff):
-    """Accumulate the tensor product of sparse vectors into `store`."""
-    supports = [sorted(v.entries.items()) for v in slots]
-    if any(not s for s in supports):
-        return
-    for combo in iter_product(*supports):
-        tup = tuple(i for i, _ in combo)
-        c = coeff
-        for _, v in combo:
-            c *= v
-        new = store.get(tup, Fraction(0)) + c
-        if new:
-            store[tup] = new
-        else:
-            store.pop(tup, None)
 
 
 def _validate_schedule(chain, schedule):
@@ -592,13 +556,27 @@ def verify_certificate(certificate):
     """Re-evaluate every claimed identity from scratch.
 
     Returns None when the certificate is sound, otherwise a Mismatch carrying
-    the exact residual chain.  The verification path re-expands boundaries
-    and canonical forms directly on chains; it never reuses the linear solve
+    the exact residual chain where the failed claim is an identity of chains.
+    A descent certificate must also have homotopy e ⊗ input with e a left
+    unit on every initial slot, and an inverse result must replay its unit
+    schedule: each recorded equation and the descending conditions on the
+    input's slots.  The verification path re-expands boundaries and
+    canonical forms directly on chains; it never reuses the linear solve
     that produced the witness.
     """
     if isinstance(certificate, DescentCertificate):
         context = certificate.input.context
         unit_split = context.to_split(certificate.unit)
+        # a forged output can meet the identity for any e and homotopy, so
+        # the homotopy must be e ⊗ input and e must fix the initial slots
+        expected = tensor_prepend(unit_split, certificate.input)
+        if certificate.homotopy != expected:
+            return Mismatch("homotopy is not unit ⊗ input",
+                            certificate.homotopy - expected)
+        try:
+            _check_left_unit(certificate.input, unit_split)
+        except UnitActionError as exc:
+            return Mismatch(str(exc))
         residual = (certificate.input - certificate.output) - (
             boundary_b(certificate.homotopy)
             + (
@@ -632,6 +610,12 @@ def verify_certificate(certificate):
             return Mismatch("boundary identity fails", residual)
         return None
     if isinstance(certificate, InverseResult):
+        if not certificate.schedule.verify(certificate.input.context.parent):
+            return Mismatch("a unit fails an equation recorded in its schedule")
+        try:
+            _validate_schedule(certificate.input, certificate.schedule)
+        except ScheduleMismatchError as exc:
+            return Mismatch(f"unit schedule does not fit the input: {exc}")
         output = certificate.output
         if not is_ideal_chain(output):
             return Mismatch("output escapes the ideal's tensor space", output)

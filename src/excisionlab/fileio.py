@@ -19,14 +19,14 @@ from .algebra import (
     validate_algebra,
     validate_ideal,
 )
-from .chains import Chain, canonicalize_cyclic
+from .chains import Chain, CyclicChain, _expand_tensor, canonicalize_cyclic
 from .excision import (
     BoundaryCertificate,
     DescentCertificate,
     InverseResult,
     verify_certificate,
 )
-from .linalg import SparseVector, format_scalar, parse_scalar
+from .linalg import SparseVector, _accumulate, format_scalar, parse_scalar
 from .units import UnitRequest, UnitSchedule, find_local_left_unit
 
 
@@ -124,8 +124,7 @@ def algebra_from_doc(doc, validate=True):
                 value = parse_scalar(item.get("coeff"))
             except ValueError as exc:
                 raise ParseError(str(exc), f"{spot}.coeff") from None
-            if value:
-                entries[k] = entries.get(k, 0) + value
+            _accumulate(entries, k, value)
         vec = SparseVector(dimension, entries)
         if not vec.is_zero():
             if (i, j) in constants:
@@ -216,7 +215,7 @@ def chain_from_doc(doc, context):
             raise ParseError(
                 f"expected {degree + 1} slots", f"{where}.slots"
             )
-        term = {(): coeff}
+        vectors = []
         for q, slot in enumerate(slots):
             # only lists of strings are hashable and can be memoised; any
             # other slot is parsed afresh so it fails with its own path
@@ -232,22 +231,8 @@ def chain_from_doc(doc, context):
                 )
                 if text is not None:
                     slot_memo[text] = vec
-            new = {}
-            for prefix, c in term.items():
-                for i, v in vec.entries.items():
-                    key = prefix + (i,)
-                    nv = new.get(key, 0) + c * v
-                    if nv:
-                        new[key] = nv
-                    else:
-                        new.pop(key, None)
-            term = new
-        for key, c in term.items():
-            nv = terms.get(key, 0) + c
-            if nv:
-                terms[key] = nv
-            else:
-                terms.pop(key, None)
+            vectors.append(vec)
+        _expand_tensor(terms, vectors, coeff)
     return Chain(degree, context, terms)
 
 
@@ -468,64 +453,51 @@ def _matrix_plus_line():
     return algebra, ideal
 
 
-def demo_corpus():
-    """The shipped extensions, each satisfying the local-left-unit hypotheses."""
-    corpus = []
-    algebra, ideal = _upper_triangular_2x2()
-    corpus.append(
-        DemoExtension(
-            name="t2-corner",
-            algebra=algebra,
-            ideal=ideal,
-            split=make_split_basis(ideal),
-            notes=(
-                "Upper-triangular 2x2 matrices with the corner ideal "
-                "span{E11, E12}.  E11 is a left unit for the whole ideal "
-                "(E11·E11 = E11, E11·E12 = E12) but no right unit exists "
-                "(x·E12 = 0 for every x in the ideal), so the one-sidedness "
-                "of the hypothesis is genuinely exercised."
-            ),
-        )
-    )
-    algebra, ideal = _full_matrix_2x2()
-    corpus.append(
-        DemoExtension(
-            name="matrix2",
-            algebra=algebra,
-            ideal=ideal,
-            split=make_split_basis(ideal),
-            notes=(
-                "Full 2x2 matrices with the whole algebra as the ideal; the "
-                "identity E11+E22 is a two-sided unit, the quotient is zero "
-                "and the relative theory collapses onto the absolute one."
-            ),
-        )
-    )
-    algebra, ideal = _matrix_plus_line()
-    corpus.append(
-        DemoExtension(
-            name="direct-sum",
-            algebra=algebra,
-            ideal=ideal,
-            split=make_split_basis(ideal),
-            notes=(
-                "2x2 matrices direct-sum a line with an idempotent generator; "
-                "the matrix block is the ideal and its identity E11+E22 is a "
-                "left (indeed two-sided) unit for it."
-            ),
-        )
-    )
-    return corpus
+# name -> (builder of (algebra, ideal), notes), in corpus order
+_DEMOS = {
+    "t2-corner": (
+        _upper_triangular_2x2,
+        "Upper-triangular 2x2 matrices with the corner ideal "
+        "span{E11, E12}.  E11 is a left unit for the whole ideal "
+        "(E11·E11 = E11, E11·E12 = E12) but no right unit exists "
+        "(x·E12 = 0 for every x in the ideal), so the one-sidedness "
+        "of the hypothesis is genuinely exercised.",
+    ),
+    "matrix2": (
+        _full_matrix_2x2,
+        "Full 2x2 matrices with the whole algebra as the ideal; the "
+        "identity E11+E22 is a two-sided unit, the quotient is zero "
+        "and the relative theory collapses onto the absolute one.",
+    ),
+    "direct-sum": (
+        _matrix_plus_line,
+        "2x2 matrices direct-sum a line with an idempotent generator; "
+        "the matrix block is the ideal and its identity E11+E22 is a "
+        "left (indeed two-sided) unit for it.",
+    ),
+}
+
+DEMO_NAMES = tuple(_DEMOS)
 
 
 def demo_by_name(name):
-    for demo in demo_corpus():
-        if demo.name == name:
-            return demo
-    raise KeyError(f"unknown demo {name!r}")
+    """Build and validate one shipped extension; KeyError for unknown names."""
+    if name not in _DEMOS:
+        raise KeyError(f"unknown demo {name!r}")
+    build, notes = _DEMOS[name]
+    algebra, ideal = build()
+    return DemoExtension(
+        name=name,
+        algebra=algebra,
+        ideal=ideal,
+        split=make_split_basis(ideal),
+        notes=notes,
+    )
 
 
-DEMO_NAMES = ("t2-corner", "matrix2", "direct-sum")
+def demo_corpus():
+    """The shipped extensions, each satisfying the local-left-unit hypotheses."""
+    return [demo_by_name(name) for name in DEMO_NAMES]
 
 
 @dataclass
@@ -589,7 +561,7 @@ class RunReport:
 
 def render_chain(chain):
     """Human-readable exact form of a chain over its split labels."""
-    target = chain.chain if hasattr(chain, "chain") else chain
+    target = chain.chain if isinstance(chain, CyclicChain) else chain
     if not target.terms:
         return "0"
     bits = []

@@ -45,6 +45,29 @@ def format_scalar(value):
     return str(Fraction(value))
 
 
+def _accumulate(store, key, value):
+    """Add `value` into `store[key]`, dropping the key when the sum is zero.
+
+    The one sparse-sum step of the library: vectors, chains and tensor
+    expansions all accumulate through it, so a stored value is never zero.
+    """
+    total = store.get(key, 0) + value
+    if total:
+        store[key] = total
+    else:
+        store.pop(key, None)
+
+
+def _combination(dimension, terms):
+    """The vector sum of `coeff · vector` over the (coeff, vector) pairs of
+    `terms`, accumulated in one dict and built once."""
+    out = {}
+    for coeff, vector in terms:
+        for i, v in vector.entries.items():
+            _accumulate(out, i, coeff * v)
+    return SparseVector(dimension, out)
+
+
 class SparseVector:
     """Sparse vector over Q; only nonzero entries are stored.
 
@@ -106,11 +129,7 @@ class SparseVector:
             raise ValueError("dimension mismatch")
         out = dict(self.entries)
         for i, v in other.entries.items():
-            nv = out.get(i, ZERO) + v
-            if nv:
-                out[i] = nv
-            else:
-                out.pop(i, None)
+            _accumulate(out, i, v)
         return SparseVector(self.dimension, out)
 
     def __sub__(self, other):
@@ -194,11 +213,7 @@ class SparseMatrix:
         for (r, c), v in self.entries.items():
             x = vec.entries.get(c)
             if x:
-                nv = out.get(r, ZERO) + v * x
-                if nv:
-                    out[r] = nv
-                else:
-                    out.pop(r, None)
+                _accumulate(out, r, v * x)
         return SparseVector(self.rows, out)
 
     def to_dense(self):

@@ -12,7 +12,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .algebra import element_in_ideal
-from .linalg import NotInSpan, SparseMatrix, SparseVector, Unsolvable, solve
+from .linalg import (
+    NotInSpan,
+    SparseMatrix,
+    SparseVector,
+    Unsolvable,
+    _combination,
+    solve,
+)
 
 
 @dataclass(frozen=True)
@@ -96,9 +103,10 @@ def find_local_left_unit(request):
             targets=tuple(targets),
             detail=f"inconsistent at echelon row {result.row}",
         )
-    unit = ideal.parent.zero()
-    for k, coeff in result.entries.items():
-        unit = unit + ideal.basis_vectors[k].scaled(coeff)
+    basis = ideal.basis_vectors
+    unit = _combination(
+        ideal.parent.dimension, [(c, basis[k]) for k, c in result.entries.items()]
+    )
     # post-verification: the unit really fixes every target, exactly
     for idx, s in enumerate(targets):
         if ideal.parent.mul(unit, s) != s:

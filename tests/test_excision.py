@@ -12,6 +12,7 @@ from excisionlab.chains import (
     homology,
     is_ideal_chain,
     pure_tensor,
+    tensor_prepend,
 )
 from excisionlab.excision import (
     BoundaryCertificate,
@@ -422,16 +423,32 @@ def test_verify_rejects_tampered_boundary_witness(t2):
 
 
 def test_verify_rejects_tampered_descent(t2):
-    phi = pure_tensor(t2.split, (0, 2))
-    cert = descent_step(phi, SparseVector.from_list([1, 0, 0]))
-    tampered = DescentCertificate(
-        input=cert.input,
-        output=cert.output + pure_tensor(t2.split, (1, 1)),
-        homotopy=cert.homotopy,
-        unit=cert.unit,
-    )
-    outcome = verify_certificate(tampered)
-    assert isinstance(outcome, Mismatch)
+    split = t2.split
+    e11 = SparseVector.from_list([1, 0, 0])
+    e12 = SparseVector.from_list([0, 1, 0])
+    phi = pure_tensor(split, (0, 2))
+    cert = descent_step(phi, e11)
+    assert verify_certificate(cert) is None
+    square = pure_tensor(split, (0, 0))  # E11⊗E11, a strict cycle
+    # b∘b = 0, so adding a boundary to the homotopy keeps the identity
+    extra = boundary_b(pure_tensor(split, (0, 1, 2, 2)))
+    assert not extra.is_zero()
+    h12 = tensor_prepend(e12, phi)  # split = parent coordinates on t2-corner
+    forged = {
+        "changed output": DescentCertificate(
+            cert.input, cert.output + pure_tensor(split, (1, 1)),
+            cert.homotopy, cert.unit),
+        "input = output, homotopy 0": DescentCertificate(
+            square, square, Chain(2, split), e11),
+        "changed homotopy": DescentCertificate(
+            cert.input, cert.output, cert.homotopy + extra, cert.unit),
+        # the homotopy E12 ⊗ phi, and the output that makes the identity hold
+        "E12 as the unit": DescentCertificate(
+            phi, phi - boundary_b(h12) - tensor_prepend(e12, boundary_b(phi)),
+            h12, e12),
+    }
+    for name, tampered in forged.items():
+        assert isinstance(verify_certificate(tampered), Mismatch), name
 
 
 def test_verify_rejects_witness_outside_the_space(t2):

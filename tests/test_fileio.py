@@ -7,6 +7,7 @@ from excisionlab.chains import canonicalize_cyclic, pure_tensor
 from excisionlab.excision import (
     descent_step,
     inverse_excision,
+    Mismatch,
     inverse_excision_class,
     isomorphism_witness,
     verify_certificate,
@@ -169,6 +170,27 @@ def test_strict_inverse_certificate_round_trips_and_verifies(matrix2):
     assert verify_certificate(restored) is None
 
 
+def test_verify_replays_the_unit_schedule(t2):
+    phi = pure_tensor(t2.split, (0, 2))
+    [result] = inverse_excision_class([canonicalize_cyclic(phi)])
+    saved = json.dumps(certificate_to_doc(result, t2.split))
+    restored, _ = certificate_from_doc(json.loads(saved))
+    assert verify_certificate(restored) is None
+    e12 = ["0", "1", "0"]
+    forged = {
+        # e_1 = E12 fails its recorded equation E12·E11 = E11
+        "E12 as the unit": {"units": [e12]},
+        # no recorded equation, but E12 does not fix the initial slot E11
+        "E12 with no targets": {"units": [e12], "targets": [[]]},
+        "no units": {"units": [], "targets": []},
+    }
+    for name, schedule in forged.items():
+        doc = json.loads(saved)
+        doc["schedule"].update(schedule)
+        certificate, _ = certificate_from_doc(doc)
+        assert isinstance(verify_certificate(certificate), Mismatch), name
+
+
 def test_schedule_round_trip(t2):
     schedule = build_unit_schedule([(0, 2), (1, 2)], t2.split, 1)
     doc = schedule_to_doc(schedule)
@@ -286,3 +308,29 @@ def test_certificate_documents_are_pinned(corpus):
                 count += 1
     assert count == 18
     assert digest.hexdigest() == CERTIFICATE_DOCS_SHA256
+
+
+# sha256 of the strict-path documents below, taken before the product table
+# and the accumulate primitive were shared by every chain computation.
+STRICT_CERTIFICATE_DOCS_SHA256 = "7795fbb9298dd857e464b43c69dddc45da28891e2aa5654e39445a436a864f80"
+
+
+def test_strict_certificate_documents_are_pinned(corpus):
+    """The closed formula, the descent output and `mult_vec` run only on
+    strict cycles, which the end-to-end pin above never reaches."""
+    digest = hashlib.sha256()
+    count = 0
+    for demo in corpus:
+        split = demo.split
+        for degree in range(1, 4):
+            for cycle in filtered_cycle_basis(split, degree, degree):
+                schedule = build_unit_schedule(sorted(cycle.terms), split, degree)
+                for cert in (
+                    inverse_excision(cycle, schedule),
+                    descent_step(cycle, schedule.units[-1]),
+                ):
+                    doc = certificate_to_doc(cert, split)
+                    digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+                    count += 1
+    assert count == 1690
+    assert digest.hexdigest() == STRICT_CERTIFICATE_DOCS_SHA256

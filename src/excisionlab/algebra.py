@@ -227,8 +227,8 @@ class SplitBasis:
         # column-major storage of the inverse, for fast parent->split conversion
         self._backward_cols = [backward.column(j) for j in range(self.dimension)]
         self.product_table = _ProductTable(self)
-        # basis tuples and boundary matrices, memoised by `chains`; they live
-        # as long as this split
+        # basis tuples, boundary matrices and their echelon records, memoised
+        # by `chains` and `excision`; they live as long as this split
         self.chain_cache = {}
 
     def is_ideal_index(self, i):

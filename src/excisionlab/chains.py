@@ -29,16 +29,16 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from functools import wraps
 from fractions import Fraction
 from itertools import product as iter_product
 
 from .linalg import (
     ONE,
-    IncrementalSpan,
     SparseMatrix,
-    SparseVector,
     _accumulate,
-    image_basis,
+    _eliminate,
+    echelon,
     kernel_basis,
 )
 
@@ -52,8 +52,8 @@ class DegreeLimitError(RuntimeError):
 
 class ComplexInvariantError(RuntimeError):
     """A chain complex contradicts its own bookkeeping: a boundary leaves
-    the chain space, bases of adjacent matrices disagree, or rank-nullity
-    fails.  Any of these is a bug, never a property of the input."""
+    the chain space, bases of adjacent matrices disagree, or ∂∂ is not
+    zero.  Any of these is a bug, never a property of the input."""
 
 
 def resolve_max_degree(explicit=None):
@@ -63,6 +63,18 @@ def resolve_max_degree(explicit=None):
     if env is not None:
         return int(env)
     return DEFAULT_MAX_DEGREE
+
+
+def _memoised(build):
+    """Memoise `build(context, *args)` in `context.chain_cache` under (name,
+    *args), for as long as the split lives; callers must not mutate it."""
+    @wraps(build)
+    def memo(context, *args):
+        key = (build.__name__, *args)
+        if key not in context.chain_cache:
+            context.chain_cache[key] = build(context, *args)
+        return context.chain_cache[key]
+    return memo
 
 
 class Chain:
@@ -91,7 +103,8 @@ class Chain:
                 for index in tup:
                     if not 0 <= index < dim:
                         raise ValueError(f"slot index {index} out of range")
-                coeff = Fraction(coeff)
+                if type(coeff) is not Fraction:
+                    coeff = Fraction(coeff)
                 if coeff:
                     clean[tuple(tup)] = coeff
         self.terms = clean
@@ -402,16 +415,10 @@ def _necklaces(letters, length):
             word.pop()
 
 
+@_memoised
 def basis_tuples(context, variant, degree):
-    """Deterministic (lexicographic) basis of the requested chain group.
-
-    Memoised on the split basis `context` and shared by every caller:
-    do not mutate the returned list.
-    """
-    key = ("basis", variant, degree)
-    cached = context.chain_cache.get(key)
-    if cached is not None:
-        return cached
+    """Deterministic (lexicographic) basis of the requested chain group,
+    memoised: do not mutate the returned list."""
     ideal_count = context.ideal_count
     letters = ideal_count if variant.space == "I" else context.dimension
     relative = variant.space == "relative"
@@ -432,7 +439,6 @@ def basis_tuples(context, variant, degree):
         tuples = list(iter_product(range(letters), repeat=degree + 1))
         if relative:
             tuples = [t for t in tuples if any(i < ideal_count for i in t)]
-    context.chain_cache[key] = tuples
     return tuples
 
 
@@ -449,6 +455,7 @@ def _rotation_index(rows):
     return index
 
 
+@_memoised
 def boundary_matrix(context, variant, degree):
     """The differential from degree to degree-1 as a sparse matrix.
 
@@ -463,10 +470,6 @@ def boundary_matrix(context, variant, degree):
     """
     if degree < 1:
         raise ValueError("the boundary matrix needs degree >= 1")
-    key = ("boundary", variant, degree)
-    cached = context.chain_cache.get(key)
-    if cached is not None:
-        return cached
     cols = basis_tuples(context, variant, degree)
     rows = basis_tuples(context, variant, degree - 1)
     cyclic = variant.op == "hc"
@@ -491,9 +494,7 @@ def boundary_matrix(context, variant, degree):
             _accumulate(out, r, sign * v)
         for r, v in out.items():
             entries[(r, c)] = v
-    result = SparseMatrix(len(rows), len(cols), entries), cols, rows
-    context.chain_cache[key] = result
-    return result
+    return SparseMatrix(len(rows), len(cols), entries), cols, rows
 
 
 @dataclass
@@ -513,20 +514,63 @@ class HomologyReport:
         )
 
 
-def _vector_to_chain(context, variant, degree, tuples, vector):
-    chain = Chain(
-        degree, context, {tuples[i]: v for i, v in vector.entries.items()}
-    )
-    if variant.op == "hc":
-        return CyclicChain(chain)
-    return chain
+@_memoised
+def boundary_echelon(context, variant, degree):
+    """The `linalg.Echelon` record of `boundary_matrix(context, variant,
+    degree)`, eliminated once and memoised next to the matrix: every rank,
+    kernel and solve against that differential reads it."""
+    return echelon(boundary_matrix(context, variant, degree)[0])
+
+
+@_memoised
+def _homology_basis(context, variant, degree):
+    """The kernel vectors ({column: value}) of ∂_degree that represent its
+    homology, once ∂_degree ∘ ∂_(degree+1) = 0 is checked (in `int` where
+    the entries are integral).  The kernel vector v_f is 1 at free column f
+    and 0 at the other free columns; it is kept unless some boundary,
+    projected onto the free columns, has its last nonzero entry at f, and
+    those last entries are the pivots of the projected boundary columns
+    eliminated in reversed column order."""
+    up = boundary_matrix(context, variant, degree + 1)[0]
+    free = list(range(up.rows))
+    if degree > 0:
+        record = boundary_echelon(context, variant, degree)
+        free = record.free_columns()
+        down_cols = {}
+        for (r, k), v in record.entries.items():
+            down_cols.setdefault(k, []).append(
+                (r, v.numerator if v.denominator == 1 else v))
+        product = {}
+        for (k, c), v in up.entries.items():
+            v = v.numerator if v.denominator == 1 else v
+            for r, d in down_cols.get(k, ()):
+                _accumulate(product, (r, c), v * d)
+        if product:
+            raise ComplexInvariantError(
+                f"∂{degree}∘∂{degree + 1} is not zero on the "
+                f"{variant.op}/{variant.space} complex"
+            )
+    last = len(free) - 1
+    position = {f: last - k for k, f in enumerate(free)}
+    rows = [{} for _ in range(up.cols)]
+    for (r, c), v in up.entries.items():
+        k = position.get(r)
+        if k is not None:
+            rows[c][k] = v
+    boundary = {free[last - k] for k in _eliminate(rows, len(free))[0]}
+    chosen = [f for f in free if f not in boundary]
+    if degree == 0:
+        return [{f: ONE} for f in chosen]
+    return [v.entries for v in kernel_basis(record, chosen)]
 
 
 def homology(context, variant, degree, max_degree=None):
     """Homology of the requested complex in one degree.
 
-    Representatives are chosen deterministically: kernel basis vectors are
-    kept, in order, whenever they are independent modulo the boundary image.
+    Representatives are chosen deterministically: the kernel basis vectors
+    of ∂_degree, in order, that are independent modulo the boundaries and
+    the vectors kept before them (`_homology_basis`, memoised).  A complex
+    with ∂∂ ≠ 0 raises ComplexInvariantError.
     """
     cap = resolve_max_degree(max_degree)
     if degree < 0:
@@ -538,43 +582,27 @@ def homology(context, variant, degree, max_degree=None):
             f"{MAX_DEGREE_ENV} if you really want this"
         )
     tuples = basis_tuples(context, variant, degree)
-    n_cols = len(tuples)
-    if degree == 0:
-        cycles = [SparseVector.unit(n_cols, i) for i in range(n_cols)]
-    else:
-        matrix, cols, _ = boundary_matrix(context, variant, degree)
+    if degree > 0:
+        _, cols, _ = boundary_matrix(context, variant, degree)
         if cols != tuples:
             raise ComplexInvariantError(
                 f"the degree-{degree} basis differs from the columns of its "
                 "boundary matrix"
             )
-        cycles = kernel_basis(matrix)
-    up_matrix, _, up_rows = boundary_matrix(context, variant, degree + 1)
+    _, _, up_rows = boundary_matrix(context, variant, degree + 1)
     if up_rows != tuples:
         raise ComplexInvariantError(
             f"the degree-{degree} basis differs from the rows of the "
             f"degree-{degree + 1} boundary matrix"
         )
-    boundaries = image_basis(up_matrix)
-    span = IncrementalSpan(n_cols)
-    for v in boundaries:
-        span.add(v)
     representatives = []
-    for v in cycles:
-        if span.add(v):
-            representatives.append(
-                _vector_to_chain(context, variant, degree, tuples, v)
-            )
-    dimension = len(cycles) - len(boundaries)
-    if dimension != len(representatives):
-        raise ComplexInvariantError(
-            f"{len(cycles)} cycles and {len(boundaries)} boundaries leave "
-            f"{len(representatives)} representatives, not {dimension}"
-        )
+    for cycle in _homology_basis(context, variant, degree):
+        chain = Chain(degree, context, {tuples[i]: v for i, v in cycle.items()})
+        representatives.append(CyclicChain(chain) if variant.op == "hc" else chain)
     return HomologyReport(
         variant=variant,
         degree=degree,
-        dimension=dimension,
-        space_dimension=n_cols,
+        dimension=len(representatives),
+        space_dimension=len(tuples),
         representatives=representatives,
     )

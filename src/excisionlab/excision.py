@@ -24,8 +24,10 @@ from .chains import (
     CyclicChain,
     Variant,
     _expand_tensor,
+    _memoised,
     basis_tuples,
     boundary_b,
+    boundary_echelon,
     boundary_matrix,
     canonicalize_cyclic,
     homology,
@@ -33,7 +35,9 @@ from .chains import (
     relative_membership,
     tensor_prepend,
 )
-from .linalg import ONE, SparseMatrix, SparseVector, Unsolvable, _accumulate, solve
+from .linalg import (
+    ONE, SparseMatrix, SparseVector, Unsolvable, _accumulate, echelon, solve,
+)
 from .units import build_unit_schedule
 
 
@@ -343,7 +347,7 @@ def find_boundary_witness(target, space):
             )
         rhs_entries[row_index[tup]] = coeff
     rhs = SparseVector(len(rows), rhs_entries)
-    result = solve(matrix, rhs)
+    result = solve(boundary_echelon(context, variant, n + 1), rhs)
     if isinstance(result, Unsolvable):
         raise CertificateSearchError(
             f"no degree-{n + 1} witness exists in the {space} cyclic space: "
@@ -358,18 +362,10 @@ def find_boundary_witness(target, space):
     return Chain(n + 1, context, terms)
 
 
-def _invert_by_solve(chain):
-    """Inverse image of a merely-cyclic cycle by one exact linear solve.
-
-    Classes whose lifts are not strict cycles (possible from degree 2 on:
-    the boundary only vanishes modulo the rotation action) are outside the
-    closed formula's hypothesis, and the formula provably lands in the wrong
-    class there.  Instead we solve directly for a cyclic cycle ψ over the
-    ideal and a relative witness η with  ρ(ψ) − b(η) ≡ chain, which exists
-    exactly because the excision map is onto in homology.  Returns (ψ, η).
-    """
-    context = chain.context
-    n = chain.degree
+@_memoised
+def _inverse_system(context, n):
+    """(system, echelon record, ideal columns, relative columns, relative
+    row index) of `_invert_by_solve`, built once per split and degree."""
     cols_ideal = basis_tuples(context, Variant("hc", "I"), n)
     up_matrix, cols_up, rows_rel = boundary_matrix(
         context, Variant("hc", "relative"), n + 1
@@ -392,12 +388,28 @@ def _invert_by_solve(chain):
         for (r, c), v in down_matrix.entries.items():
             entries[(total_rows + r, c)] = v
         total_rows += down_matrix.rows
-    rhs_entries = {}
-    for tup, coeff in canonicalize_cyclic(chain).chain.terms.items():
-        rhs_entries[rel_index[tup]] = coeff
     system = SparseMatrix(total_rows, offset + up_matrix.cols, entries)
-    rhs = SparseVector(total_rows, rhs_entries)
-    solution = solve(system, rhs)
+    return system, echelon(system), cols_ideal, cols_up, rel_index
+
+
+def _invert_by_solve(chain):
+    """Inverse image of a merely-cyclic cycle by one exact linear solve.
+
+    Classes whose lifts are not strict cycles (possible from degree 2 on:
+    the boundary only vanishes modulo the rotation action) are outside the
+    closed formula's hypothesis, and the formula provably lands in the wrong
+    class there.  Instead we solve directly for a cyclic cycle ψ over the
+    ideal and a relative witness η with  ρ(ψ) − b(η) ≡ chain, which exists
+    exactly because the excision map is onto in homology.  The system is
+    eliminated once per split and degree (`_inverse_system`); each class
+    only replays that record on its right-hand side.  Returns (ψ, η).
+    """
+    context = chain.context
+    n = chain.degree
+    system, record, cols_ideal, cols_up, rel_index = _inverse_system(context, n)
+    terms = canonicalize_cyclic(chain).chain.terms
+    rhs = SparseVector(system.rows, {rel_index[t]: c for t, c in terms.items()})
+    solution = solve(record, rhs)
     if isinstance(solution, Unsolvable):
         raise CertificateSearchError(
             f"no inverse image exists for the degree-{n} class: the "
@@ -408,6 +420,7 @@ def _invert_by_solve(chain):
             rhs,
             cols_ideal + cols_up,
         )
+    offset = len(cols_ideal)
     psi = Chain(
         n,
         context,

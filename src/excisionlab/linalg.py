@@ -5,18 +5,21 @@ routine here is a pure function of its inputs: the same input produces a
 bit-identical output.  Underdetermined solves are resolved deterministically
 by setting every free variable to zero.
 
+A matrix is eliminated once, by `echelon`, into an `Echelon` record that
+`rank`, `rref`, `kernel_basis`, `image_basis` and `solve` read; a solve
+replays the record's integer log of row operations on its right-hand side.
 Elimination is fraction-free: rows are kept as primitive integer rows (no
 common factor, no denominators), and a value goes back to `Fraction` only
-once, when a reduced entry is read out as the quotient of an integer entry
-by its row's pivot entry.  The reduced row echelon form of a matrix is
-unique, so pivots, kernels, solutions and images are exactly those of
-Gauss-Jordan elimination over `Fraction`; only the cost differs, because
-every `Fraction` operation normalises its result by a gcd.
+when a reduced entry is read out as the quotient of an integer entry by its
+row's pivot entry.  The reduced row echelon form is unique, so pivots,
+kernels, solutions and images are exactly those of Gauss-Jordan over
+`Fraction`; only the cost differs.
 """
 
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -248,41 +251,55 @@ class NotInSpan:
     row: int
 
 
-def _row_dicts(matrix):
-    rows = [dict() for _ in range(matrix.rows)]
-    for (r, c), v in matrix.entries.items():
-        rows[r][c] = v
-    return rows
-
-
 def _primitive(row):
-    """A primitive integer row on the line of a rational row dict: scaled by
-    the lcm of its denominators, then divided by the gcd of its entries.
+    """(ints, p, q): the primitive integer row `ints` on the line of a
+    rational row dict, equal to the row times p/q.  The row is scaled by the
+    lcm of its denominators, then divided by the gcd of its entries.
     Elimination depends only on the line of each row, so a row of one entry
     becomes {j: 1}; that and the short path for integer rows matter for the
     small local-unit systems solved for every class."""
     if len(row) == 1:
-        [j] = row
-        return {j: 1}
+        [(j, v)] = row.items()
+        return {j: 1}, v.denominator, v.numerator
     den = lcm(*[v.denominator for v in row.values()])
     if den == 1:
         ints = {j: v.numerator for j, v in row.items()}
     else:
         ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-    _divide_content(ints)
-    return ints
+    return ints, den, _divide_content(ints)
 
 
 def _divide_content(row):
-    """Divide an integer row dict in place by the gcd of its entries."""
+    """Divide an integer row dict in place by the gcd of its entries and
+    return that gcd (1 for an empty row)."""
     g = gcd(*row.values())
     if g > 1:
         for j in row:
             row[j] //= g
+    return g or 1
+
+
+class Echelon(namedtuple(
+        "Echelon", "rows cols entries pivots reduced order scales steps")):
+    """One elimination, read in place of the matrix by `rank`, `rref`,
+    `kernel_basis`, `image_basis` and `solve`: the matrix's shape and
+    (shared) `entries`; per pivot column, a positive integer multiple of its
+    row of the reduced row echelon form (`reduced`) and the matrix row it
+    came from (`order`); and the row operations, in integers: (row, p, q) in
+    `scales` where a row became p/q times itself, and per pivot (row, sign
+    flipped, [(target, a, b, g), ...]) in `steps` for each
+    `target = (a·target − b·pivot row) / g`."""
+
+    __slots__ = ()
+
+    def free_columns(self):
+        pivots = set(self.pivots)
+        return [c for c in range(self.cols) if c not in pivots]
 
 
 def _eliminate(rows, cols):
-    """In-place fraction-free Gauss-Jordan on row dicts; returns pivot column list.
+    """In-place fraction-free Gauss-Jordan on row dicts; returns the fields
+    `pivots`, `reduced`, `order`, `scales` and `steps` of `Echelon`.
 
     On entry each row is replaced by its primitive integer row
     (`_primitive`), and every row operation keeps it primitive: a pivot row
@@ -294,20 +311,25 @@ def _eliminate(rows, cols):
 
     A column -> rows index means the pivot search and the sweep touch only
     the rows holding the pivot column.  Of those, the first row not yet used
-    as a pivot becomes the pivot.  On return, rows[r] is a positive integer
-    multiple of row r of the reduced row echelon form, so that row is
-    `Fraction(v, rows[r][pivots[r]])` entrywise, and the remaining rows are
-    empty.  The reduced row echelon form is unique, so neither the pivot
-    choice nor the integer scaling changes the pivots or the reduced rows.
+    as a pivot becomes the pivot.  On return, the pivot rows are positive
+    integer multiples of the rows of the reduced row echelon form and every
+    other row is empty.  The reduced row echelon form is unique, so neither
+    the pivot choice nor the integer scaling changes the pivots or the
+    reduced rows.
     """
     holders = {}  # column -> indices of the rows with a nonzero entry there
+    scales = []
     for i, row in enumerate(rows):
         if row:
-            rows[i] = row = _primitive(row)
+            row, p, q = _primitive(row)
+            rows[i] = row
+            if p != q:
+                scales.append((i, p, q))
             for j in row:
                 holders.setdefault(j, set()).add(i)
     pivots = []
     pivot_rows = []
+    steps = []
     used = set()
     nrows = len(rows)
     for col in range(cols):
@@ -316,11 +338,13 @@ def _eliminate(rows, cols):
             continue
         pivot_row = rows[sel]
         a = pivot_row[col]
-        if a < 0:
+        flip = a < 0
+        if flip:
             a = -a
             for j in pivot_row:
                 pivot_row[j] = -pivot_row[j]
         pivot_items = [(j, v) for j, v in pivot_row.items() if j != col]
+        ops = []
         for i in holders.pop(col):
             if i == sel:
                 continue
@@ -343,84 +367,106 @@ def _eliminate(rows, cols):
                     else:
                         del target[j]
                         holders[j].discard(i)
-            _divide_content(target)
+            ops.append((i, scale, factor, _divide_content(target)))
         pivots.append(col)
         pivot_rows.append(sel)
+        steps.append((sel, flip, ops))
         used.add(sel)
         if len(pivots) == nrows:
             break
-    rows[:] = [rows[i] for i in pivot_rows] + [
-        row for i, row in enumerate(rows) if i not in used
-    ]
-    return pivots
+    return pivots, [rows[i] for i in pivot_rows], pivot_rows, scales, steps
 
 
-def rref(matrix):
+def echelon(matrix):
+    """Eliminate `matrix` once and return its `Echelon` record."""
+    rows = [{} for _ in range(matrix.rows)]
+    for (r, c), v in matrix.entries.items():
+        rows[r][c] = v
+    return Echelon(matrix.rows, matrix.cols, matrix.entries,
+                   *_eliminate(rows, matrix.cols))
+
+
+def _record(system):
+    """The echelon record of `system`, a matrix or already a record."""
+    return system if type(system) is Echelon else echelon(system)
+
+
+def rref(system):
     """Reduced row echelon form and its pivot columns."""
-    rows = _row_dicts(matrix)
-    pivots = _eliminate(rows, matrix.cols)
+    record = _record(system)
     entries = {}
-    for i, c in enumerate(pivots):
-        row = rows[i]
+    for i, (row, c) in enumerate(zip(record.reduced, record.pivots)):
         pv = row[c]
         for j, v in row.items():
             entries[(i, j)] = Fraction(v, pv)
-    return SparseMatrix(matrix.rows, matrix.cols, entries), pivots
+    return SparseMatrix(record.rows, record.cols, entries), list(record.pivots)
 
 
-def rank(matrix):
-    return len(_eliminate(_row_dicts(matrix), matrix.cols))
+def rank(system):
+    return len(_record(system).pivots)
 
 
-def solve(matrix, rhs):
+def solve(system, rhs):
     """One exact solution of matrix @ x = rhs, or an Unsolvable witness.
 
     Free variables are set to zero, so the answer is unique and reproducible.
+    The logged row operations are replayed on `rhs` in `Fraction`s, skipping
+    zeros; any non-pivot row left nonzero makes row `rank` read 0 = nonzero.
     """
-    if rhs.dimension != matrix.rows:
+    record = _record(system)
+    if rhs.dimension != record.rows:
         raise ValueError("rhs dimension must equal the matrix row count")
-    rows = _row_dicts(matrix)
-    aug = matrix.cols
-    for r, v in rhs.entries.items():
-        rows[r][aug] = v
-    pivots = _eliminate(rows, aug + 1)
-    if pivots and pivots[-1] == aug:
-        return Unsolvable(row=len(pivots) - 1)
-    x = {}
-    for r, c in enumerate(pivots):
-        v = rows[r].get(aug)
+    x = dict(rhs.entries)
+    for i, p, q in record.scales:
+        v = x.get(i)
         if v:
-            x[c] = Fraction(v, rows[r][c])
-    return SparseVector(matrix.cols, x)
+            x[i] = Fraction(v.numerator * p, v.denominator * q)
+    for sel, flip, ops in record.steps:
+        pv = x.get(sel, 0)
+        if pv and flip:
+            x[sel] = pv = -pv
+        for i, a, b, g in ops:
+            v = x.pop(i, 0)
+            if v or pv:
+                v = a * v - b * pv
+                if v:
+                    x[i] = v / g if g != 1 else v
+    solution = {}
+    for row, c, i in zip(record.reduced, record.pivots, record.order):
+        v = x.pop(i, None)
+        if v:
+            solution[c] = Fraction(v.numerator, v.denominator * row[c])
+    if x:
+        return Unsolvable(row=len(record.pivots))
+    return SparseVector(record.cols, solution)
 
 
-def kernel_basis(matrix):
-    """Deterministic basis of the null space, one vector per free column."""
-    rows = _row_dicts(matrix)
-    pivots = _eliminate(rows, matrix.cols)
-    pivot_set = set(pivots)
-    free = [c for c in range(matrix.cols) if c not in pivot_set]
-    basis = []
-    for f in free:
-        v = {f: ONE}
-        for r, c in enumerate(pivots):
-            coeff = rows[r].get(f)
-            if coeff:
-                v[c] = Fraction(-coeff, rows[r][c])
-        basis.append(SparseVector(matrix.cols, v))
-    return basis
+def kernel_basis(system, free=None):
+    """Deterministic basis of the null space, one vector per free column
+    (only those in `free` if given): 1 there, 0 at every other free column."""
+    record = _record(system)
+    if free is None:
+        free = record.free_columns()
+    vectors = {f: {f: ONE} for f in free}
+    for row, c in zip(record.reduced, record.pivots):
+        pv = row[c]
+        for j, v in row.items():
+            vector = vectors.get(j)
+            if vector is not None:
+                vector[c] = Fraction(-v, pv)
+    return [SparseVector(record.cols, vectors[f]) for f in free]
 
 
-def image_basis(matrix):
+def image_basis(system):
     """Columns of the original matrix at the rref pivot positions."""
-    pivots = _eliminate(_row_dicts(matrix), matrix.cols)
-    slot = {c: k for k, c in enumerate(pivots)}
-    columns = [{} for _ in pivots]
-    for (r, c), v in matrix.entries.items():
+    record = _record(system)
+    slot = {c: k for k, c in enumerate(record.pivots)}
+    columns = [{} for _ in record.pivots]
+    for (r, c), v in record.entries.items():
         k = slot.get(c)
         if k is not None:
             columns[k][r] = v
-    return [SparseVector(matrix.rows, column) for column in columns]
+    return [SparseVector(record.rows, column) for column in columns]
 
 
 def in_span(vector, basis):
@@ -439,23 +485,15 @@ def in_span(vector, basis):
 
 
 def invert(matrix):
-    """Exact inverse of a nonsingular square matrix."""
+    """Exact inverse of a nonsingular square matrix, one solve per column."""
     if matrix.rows != matrix.cols:
         raise ValueError("only square matrices can be inverted")
     n = matrix.rows
-    rows = _row_dicts(matrix)
-    for r in range(n):
-        rows[r][n + r] = ONE
-    pivots = _eliminate(rows, 2 * n)
-    if pivots[:n] != list(range(n)):
+    record = echelon(matrix)
+    if len(record.pivots) < n:
         raise ValueError("matrix is singular")
-    entries = {}
-    for r, row in enumerate(rows):
-        pv = row[r]
-        for j, v in row.items():
-            if j >= n:
-                entries[(r, j - n)] = Fraction(v, pv)
-    return SparseMatrix(n, n, entries)
+    columns = [solve(record, SparseVector.unit(n, c)) for c in range(n)]
+    return SparseMatrix.from_columns(columns, rows=n)
 
 
 class IncrementalSpan:
@@ -475,7 +513,7 @@ class IncrementalSpan:
         self._rows = {}  # leading column -> primitive integer row dict
 
     def _reduce(self, vector):
-        row = _primitive(vector.entries)
+        row = _primitive(vector.entries)[0]
         while row:
             lead = min(row)
             pivot = self._rows.get(lead)

@@ -3,7 +3,9 @@ sparse engine: its own tuple differential, its own canonical-rotation logic,
 dense row storage, and fraction-free integer elimination for ranks.
 
 Only the split-basis multiplication table is shared with the library; that
-table is the ground truth both paths must agree on.
+table is the ground truth both paths must agree on.  The exception is
+`incremental_span_homology`, the library's former choice of homology
+representatives, kept as the reference for the projection that replaced it.
 """
 
 from fractions import Fraction
@@ -158,3 +160,33 @@ def homology_dimension(split, op, space, degree):
     dense_up, _ = _dense_boundary(mult, dim, ideal_count, space, op, degree + 1)
     rank_up = int_rank(_int_rows(dense_up))
     return n_basis - rank_down - rank_up
+
+
+def incremental_span_homology(split, variant, degree):
+    """(dimension, representatives as {tuple: value} dicts) by growing an
+    `IncrementalSpan`: the boundaries (`image_basis` of ∂_(degree+1)) go in
+    first, then each kernel basis vector of ∂_degree in order, and a kernel
+    vector is a representative when it enlarges the span.  It runs on the
+    library's matrices and elimination, each checked against a dense
+    reference elsewhere, and shares nothing with `chains.homology` itself.
+    """
+    from excisionlab.chains import basis_tuples, boundary_matrix
+    from excisionlab.linalg import (
+        IncrementalSpan, SparseVector, image_basis, kernel_basis,
+    )
+
+    tuples = basis_tuples(split, variant, degree)
+    if degree == 0:
+        cycles = [SparseVector.unit(len(tuples), i) for i in range(len(tuples))]
+    else:
+        cycles = kernel_basis(boundary_matrix(split, variant, degree)[0])
+    boundaries = image_basis(boundary_matrix(split, variant, degree + 1)[0])
+    span = IncrementalSpan(len(tuples))
+    for vector in boundaries:
+        span.add(vector)
+    representatives = [
+        {tuples[i]: v for i, v in vector.entries.items()}
+        for vector in cycles
+        if span.add(vector)
+    ]
+    return len(cycles) - len(boundaries), representatives

@@ -6,7 +6,7 @@ from itertools import product as iter_product
 
 from excisionlab.algebra import Algebra, Ideal, make_split_basis
 from excisionlab.chains import Chain, tuple_boundary_terms
-from excisionlab.linalg import SparseMatrix, SparseVector, kernel_basis
+from excisionlab.linalg import SparseMatrix, SparseVector, invert, kernel_basis
 
 WORD_CAP = 3  # longest product the inverse formula ever forms
 
@@ -131,3 +131,41 @@ def filtered_cycle_basis(split, degree, p):
             Chain(degree, split, {columns[i]: v for i, v in vec.entries.items()})
         )
     return cycles
+
+
+def upper_triangular_split():
+    """Upper-triangular 3x3 matrices over the matrix units E11, E12, E13,
+    E22, E23, E33, split by the first-row ideal span{E11, E12, E13}."""
+    units = [(1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3)]
+    index = {u: i for i, u in enumerate(units)}
+    constants = {
+        (i, j): SparseVector(6, {index[(a, d)]: 1})
+        for i, (a, b) in enumerate(units)
+        for j, (c, d) in enumerate(units)
+        if b == c
+    }
+    algebra = Algebra(6, [f"E{a}{b}" for a, b in units], constants)
+    return make_split_basis(Ideal(algebra, [algebra.basis_vector(i) for i in range(3)]))
+
+
+def rebased_split(demo, offset):
+    """`demo` in the algebra basis given by the columns of P = 1 + (ones
+    `offset` above the diagonal), with ideal basis vector j replaced by the
+    sum of vectors j and j + 1.  The homology is that of `demo`, but the
+    products gain terms and the boundary matrices fuse into larger blocks."""
+    old, dim = demo.algebra, demo.algebra.dimension
+    columns = [
+        SparseVector(dim, {k: 1, **({k - offset: 1} if k >= offset else {})})
+        for k in range(dim)
+    ]
+    back = invert(SparseMatrix.from_columns(columns, rows=dim))
+    constants = {}
+    for i in range(dim):
+        for j in range(dim):
+            product = back.matvec(old.mul(columns[i], columns[j]))
+            if not product.is_zero():
+                constants[(i, j)] = product
+    algebra = Algebra(dim, [f"f{k}" for k in range(dim)], constants)
+    ideal = [back.matvec(v) for v in demo.ideal.basis_vectors]
+    mixed = [v + ideal[j + 1] if j + 1 < len(ideal) else v for j, v in enumerate(ideal)]
+    return make_split_basis(Ideal(algebra, mixed))

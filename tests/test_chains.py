@@ -1,3 +1,4 @@
+import copy
 import json
 import random
 from fractions import Fraction
@@ -6,7 +7,10 @@ from itertools import product as iter_product
 import pytest
 
 from excisionlab.algebra import Algebra, Ideal, SplitBasis, make_split_basis
+from excisionlab import chains, linalg, units
 from excisionlab.chains import (
+    VARIANT_OPS,
+    VARIANT_SPACES,
     Chain,
     ComplexInvariantError,
     DegreeLimitError,
@@ -14,6 +18,7 @@ from excisionlab.chains import (
     bar_boundary,
     basis_tuples,
     boundary_b,
+    boundary_echelon,
     boundary_matrix,
     canonical_rotation,
     canonicalize_cyclic,
@@ -27,12 +32,12 @@ from excisionlab.chains import (
     tensor_prepend,
     tuple_boundary_terms,
 )
-from excisionlab.excision import _invert_by_solve, isomorphism_witness
+from excisionlab.excision import _invert_by_solve, _inverse_system, isomorphism_witness
 from excisionlab.fileio import certificate_to_doc
-from excisionlab.linalg import IncrementalSpan, SparseVector, solve
+from excisionlab.linalg import IncrementalSpan, SparseVector, Unsolvable, solve
 
-from dense_oracle import _dense_boundary
-from support import random_chain
+from dense_oracle import _dense_boundary, incremental_span_homology
+from support import random_chain, rebased_split, upper_triangular_split
 
 
 def test_boundary_degree_one_formula(t2):
@@ -376,3 +381,119 @@ def test_cached_complexes_are_not_mutated(t2):
         assert boundary_matrix(split, variant, n) is triple
         assert triple[0].entries == entries
         assert (triple[1], triple[2]) == (cols, rows)
+    # two replays against one record give equal answers and leave it as it was
+    for variant, n in keys:
+        record = boundary_echelon(split, variant, n)
+        snapshot = copy.deepcopy(record)
+        matrix = boundary_matrix(split, variant, n)[0]
+        consistent = matrix.matvec(SparseVector(matrix.cols, {0: 2, matrix.cols - 1: -1}))
+        planted = SparseVector(matrix.rows, {r: Fraction(r + 1, 3) for r in range(matrix.rows)})
+        for rhs in (consistent, planted):
+            first, second = solve(record, rhs), solve(record, rhs)
+            assert first == second
+            assert first == solve(matrix, rhs)
+        assert isinstance(solve(record, planted), Unsolvable)
+        assert boundary_echelon(split, variant, n) is record
+        assert record == snapshot
+
+
+def test_chain_keeps_fraction_coefficients_and_checks_slots(t2):
+    half = Fraction(1, 2)
+    chain = Chain(1, t2.split, {(0, 1): half, (1, 0): 3, (0, 0): "2/3", (1, 1): 0})
+    assert chain.terms[(0, 1)] is half
+    assert chain.terms == {(0, 1): half, (1, 0): Fraction(3), (0, 0): Fraction(2, 3)}
+    assert all(type(v) is Fraction for v in chain.terms.values())
+    with pytest.raises(ValueError, match="out of range"):
+        Chain(1, t2.split, {(0, t2.split.dimension): half})
+    with pytest.raises(ValueError, match="out of range"):
+        Chain(1, t2.split, {(-1, 0): 1})
+    with pytest.raises(ValueError, match="slots"):
+        Chain(1, t2.split, {(0,): half})
+
+
+def _homology_splits(corpus):
+    splits = [(demo.name, demo.split, 3) for demo in corpus]
+    splits.append(("ut3", upper_triangular_split(), 2))
+    for demo in corpus:
+        for offset in (1, 2):
+            splits.append((f"{demo.name} rebased {offset}", rebased_split(demo, offset), 3))
+    return splits
+
+
+def test_homology_matches_the_incremental_span_reference(corpus):
+    cases = 0
+    for name, split, top in _homology_splits(corpus):
+        for op in VARIANT_OPS:
+            for space in VARIANT_SPACES:
+                variant = Variant(op, space)
+                for degree in range(top + 1):
+                    report = homology(split, variant, degree)
+                    dimension, representatives = incremental_span_homology(
+                        split, variant, degree)
+                    assert report.dimension == dimension == len(representatives)
+                    chains_found = [getattr(r, "chain", r) for r in report.representatives]
+                    assert [c.terms for c in chains_found] == representatives, (
+                        name, op, space, degree)
+                    cases += 1
+    assert cases == 351
+
+
+@pytest.mark.parametrize("op, space, degree", [("hh", "A", 1), ("hc", "relative", 2)])
+def test_homology_rejects_a_complex_whose_square_is_not_zero(t2, op, space, degree):
+    split = _fresh_split(t2)
+    variant = Variant(op, space)
+    down = boundary_matrix(split, variant, degree)[0]
+    up = boundary_matrix(split, variant, degree + 1)[0]
+    used = {k for (_, k) in down.entries}
+    # moving up[r, c] by 1 moves column c of ∂∂ by column r of ∂, not zero
+    r, c = next((r, c) for (r, c) in up.entries if r in used)
+    up.entries[(r, c)] += 1
+    with pytest.raises(ComplexInvariantError, match="not zero"):
+        homology(split, variant, degree)
+
+
+def _count_eliminations(monkeypatch):
+    """Count `linalg._eliminate` calls outside the unit search, by shape.
+    Local units are solved afresh on every call, so their small systems are
+    counted apart from the chain complexes and the inverse systems."""
+    counts = {"complex": [], "unit": 0}
+    inside_unit_search = []
+    original = linalg._eliminate
+    find_unit = units.find_local_left_unit
+
+    def eliminate(rows, cols):
+        if inside_unit_search:
+            counts["unit"] += 1
+        else:
+            counts["complex"].append((len(rows), cols))
+        return original(rows, cols)
+
+    def unit_search(request):
+        inside_unit_search.append(True)
+        try:
+            return find_unit(request)
+        finally:
+            inside_unit_search.pop()
+
+    monkeypatch.setattr(linalg, "_eliminate", eliminate)
+    monkeypatch.setattr(chains, "_eliminate", eliminate)
+    monkeypatch.setattr(units, "find_local_left_unit", unit_search)
+    return counts
+
+
+def test_each_system_is_eliminated_once(corpus, monkeypatch):
+    degree = 2
+    for demo in corpus:
+        split = _fresh_split(demo)
+        counts = _count_eliminations(monkeypatch)
+        first = isomorphism_witness(split, degree)
+        solved = [r.input for r in first.onto] + [r.input for r, _ in first.back]
+        assert len(solved) >= 2 and counts["unit"] > 0
+        system = _inverse_system(split, degree)[0]
+        assert counts["complex"].count((system.rows, system.cols)) == 1
+        counts["complex"].clear()
+        assert isomorphism_witness(split, degree) == first
+        for chain in solved:
+            for scale in (1, -3):
+                _invert_by_solve(chain.scaled(scale))
+        assert counts["complex"] == [], demo.name

@@ -1,3 +1,4 @@
+import copy
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from excisionlab.linalg import (
     SparseMatrix,
     SparseVector,
     Unsolvable,
+    echelon,
     image_basis,
     in_span,
     invert,
@@ -311,6 +313,32 @@ def _far_pivot_matrix():
     return SparseMatrix(8, 5, entries)
 
 
+def _permuted_block_matrix(rng):
+    """Two to four small random blocks on the diagonal, then a seeded
+    permutation of the rows and one of the columns, so that the blocks are
+    scattered across the matrix."""
+    blocks = []
+    for _ in range(rng.randint(2, 4)):
+        nrows, ncols = rng.randint(1, 4), rng.randint(1, 4)
+        blocks.append([[Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        if rng.random() < 0.6 else Fraction(0)
+                        for _ in range(ncols)] for _ in range(nrows)])
+    nrows = sum(len(b) for b in blocks)
+    ncols = sum(len(b[0]) for b in blocks)
+    row_perm, col_perm = list(range(nrows)), list(range(ncols))
+    rng.shuffle(row_perm)
+    rng.shuffle(col_perm)
+    entries = {}
+    top = left = 0
+    for block in blocks:
+        for r, row in enumerate(block):
+            for c, v in enumerate(row):
+                if v:
+                    entries[(row_perm[top + r], col_perm[left + c])] = v
+        top, left = top + len(block), left + len(block[0])
+    return SparseMatrix(nrows, ncols, entries)
+
+
 def test_elimination_matches_dense_reference():
     rng = random.Random(31415)
     matrices = (
@@ -319,11 +347,18 @@ def test_elimination_matches_dense_reference():
         + [_large_matrix(rng) for _ in range(40)]
         + [_square_matrix(rng) for _ in range(60)]
     )
+    block_rng = random.Random(16180)
+    blocks = [_permuted_block_matrix(block_rng) for _ in range(60)]
+    matrices += blocks
     seen = {"deficient": 0, "inconsistent": 0, "consistent": 0,
             "inverted": 0, "singular": 0}
     for m in matrices:
         dense = _dense(m)
         ref_rows, ref_pivots = _reference_rref(dense, m.cols)
+        ref_kernel = _reference_kernel(dense, m.cols)
+        ref_image = [
+            {r: dense[r][c] for r in range(m.rows) if dense[r][c]} for c in ref_pivots
+        ]
         reduced, pivots = rref(m)
         assert pivots == ref_pivots
         assert reduced.entries == {
@@ -335,13 +370,11 @@ def test_elimination_matches_dense_reference():
         assert rank(m) == len(ref_pivots)
 
         kernel = kernel_basis(m)
-        assert [v.entries for v in kernel] == _reference_kernel(dense, m.cols)
+        assert [v.entries for v in kernel] == ref_kernel
         assert all(v.dimension == m.cols for v in kernel)
         assert all(_all_fractions(v.entries.values()) for v in kernel)
         image = image_basis(m)
-        assert [v.entries for v in image] == [
-            {r: dense[r][c] for r in range(m.rows) if dense[r][c]} for c in ref_pivots
-        ]
+        assert [v.entries for v in image] == ref_image
         assert all(_all_fractions(v.entries.values()) for v in image)
 
         if m.rows == m.cols:
@@ -363,27 +396,45 @@ def test_elimination_matches_dense_reference():
                 with pytest.raises(ValueError):
                     invert(m)
 
-        x0 = SparseVector(m.cols, {c: rng.randint(-2, 2) for c in range(m.cols)})
-        consistent = m.matvec(x0)
+        # one record answers every question, read as often as asked
+        record = echelon(m)
+        snapshot = copy.deepcopy(record)
+        assert rank(record) == len(ref_pivots)
+        assert rref(record)[0] == reduced and rref(record)[1] == ref_pivots
+        assert [v.entries for v in kernel_basis(record)] == ref_kernel
+        free = record.free_columns()
+        chosen = free[::2]
+        assert [v.entries for v in kernel_basis(record, chosen)] == [
+            ref_kernel[free.index(f)] for f in chosen]
+        assert [v.entries for v in image_basis(record)] == ref_image
+
+        solutions = []
+        for _ in range(2):
+            x0 = SparseVector(m.cols, {c: rng.randint(-2, 2) for c in range(m.cols)})
+            solutions.append(m.matvec(x0))
         planted = SparseVector(
             m.rows, {r: Fraction(rng.randint(-3, 3), 2) for r in range(m.rows)}
         )
-        for rhs in (consistent, planted):
+        for rhs in solutions + [planted, SparseVector(m.rows)]:
             expected = _reference_solve(dense, m.cols, rhs.to_list())
-            result = solve(m, rhs)
+            for result in (solve(m, rhs), solve(record, rhs)):
+                if isinstance(expected, Unsolvable):
+                    assert result == expected
+                else:
+                    assert isinstance(result, SparseVector)
+                    assert result.entries == expected
+                    assert _all_fractions(result.entries.values())
             if isinstance(expected, Unsolvable):
                 seen["inconsistent"] += 1
-                assert result == expected
             else:
                 seen["consistent"] += 1
-                assert isinstance(result, SparseVector)
-                assert result.entries == expected
-                assert _all_fractions(result.entries.values())
+        assert record == snapshot
     assert seen["deficient"] >= 50
     assert seen["inconsistent"] >= 50
     assert seen["consistent"] >= 200
     assert seen["inverted"] >= 30
     assert seen["singular"] >= 10
+    assert sum(1 for m in blocks if rank(m) < min(m.rows, m.cols)) >= 10
 
 
 def test_incremental_span_matches_reference_rank():

@@ -23,7 +23,6 @@ from .algebra import (
 from .chains import (
     Chain,
     ComplexInvariantError,
-    CyclicChain,
     DegreeLimitError,
     HomologyReport,
     Variant,
@@ -76,13 +75,11 @@ from .fileio import (
     save_chain,
 )
 from .linalg import (
-    NotInSpan,
     Scalar,
     SparseMatrix,
     SparseVector,
     Unsolvable,
     image_basis,
-    in_span,
     kernel_basis,
     parse_scalar,
     rref,

@@ -17,7 +17,6 @@ from .linalg import (
     SparseVector,
     _accumulate,
     _combination,
-    in_span,
     invert,
 )
 
@@ -67,9 +66,6 @@ class Algebra:
                 if (i, j) in constants
             ],
         )
-
-    def zero(self):
-        return SparseVector(self.dimension)
 
     def basis_vector(self, i):
         return SparseVector.unit(self.dimension, i)
@@ -387,9 +383,3 @@ def opposite_algebra(algebra):
         (j, i): vec for (i, j), vec in algebra.structure_constants.items()
     }
     return Algebra(algebra.dimension, list(algebra.basis_labels), constants)
-
-
-def element_in_ideal(ideal, vector):
-    """Expansion of `vector` over the ideal basis, or NotInSpan."""
-    return in_span(vector, ideal.basis_vectors)
-

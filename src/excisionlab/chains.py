@@ -36,6 +36,7 @@ from itertools import product as iter_product
 from .linalg import (
     ONE,
     SparseMatrix,
+    _Sparse,
     _accumulate,
     _eliminate,
     echelon,
@@ -77,11 +78,12 @@ def _memoised(build):
     return memo
 
 
-class Chain:
+class Chain(_Sparse):
     """Element of the (degree+1)-fold tensor power over a split basis.
 
     `terms` maps tuples of split-basis indices to nonzero coefficients.
     Chains are treated as immutable; all arithmetic returns new objects.
+    A cyclic class is the chain of its canonical form (`canonicalize_cyclic`).
     """
 
     __slots__ = ("degree", "context", "terms")
@@ -109,40 +111,17 @@ class Chain:
                     clean[tuple(tup)] = coeff
         self.terms = clean
 
-    def _require_same_context(self, other):
+    def _values(self):
+        return self.terms
+
+    def _like(self, terms):
+        return Chain(self.degree, self.context, terms)
+
+    def _require_same_space(self, other):
         if self.context is not other.context and self.context != other.context:
             raise ValueError("chains live over different split bases")
         if self.degree != other.degree:
             raise ValueError("chains have different degrees")
-
-    def is_zero(self):
-        return not self.terms
-
-    def items(self):
-        return sorted(self.terms.items())
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        if not factor:
-            return Chain(self.degree, self.context)
-        return Chain(
-            self.degree,
-            self.context,
-            {t: factor * c for t, c in self.terms.items()},
-        )
-
-    def __add__(self, other):
-        self._require_same_context(other)
-        out = dict(self.terms)
-        for t, c in other.terms.items():
-            _accumulate(out, t, c)
-        return Chain(self.degree, self.context, out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
 
     def __eq__(self, other):
         return (
@@ -255,38 +234,9 @@ def is_canonical_tuple(tup):
     return canonical_rotation(tup) == (tup, ONE)
 
 
-@dataclass(frozen=True)
-class CyclicChain:
-    """A chain in canonical form under signed rotation.
-
-    Two chains represent the same coinvariant class exactly when their
-    canonical forms are equal, so equality here is class equality.
-    """
-
-    chain: Chain
-
-    def __post_init__(self):
-        for tup in self.chain.terms:
-            if not is_canonical_tuple(tup):
-                raise ValueError(f"tuple {tup} is not in canonical form")
-
-    @property
-    def degree(self):
-        return self.chain.degree
-
-    @property
-    def context(self):
-        return self.chain.context
-
-    def is_zero(self):
-        return self.chain.is_zero()
-
-    def __repr__(self):
-        return f"Cyclic{self.chain!r}"
-
-
 def canonicalize_cyclic(chain):
-    """Canonical representative of the class of `chain` modulo im(1 - t)."""
+    """Canonical representative of the class of `chain` modulo im(1 - t):
+    two chains are in one class exactly when these are equal."""
     out = {}
     for tup, coeff in chain.terms.items():
         rotated = canonical_rotation(tup)
@@ -294,7 +244,7 @@ def canonicalize_cyclic(chain):
             continue
         best, sign = rotated
         _accumulate(out, best, sign * coeff)
-    return CyclicChain(Chain(chain.degree, chain.context, out))
+    return Chain(chain.degree, chain.context, out)
 
 
 def _expand_tensor(store, slots, coeff):
@@ -375,8 +325,15 @@ def cyclic_filtration_level(chain):
     return level
 
 
+# space name -> (membership test of a chain, how a chain outside fails it),
+# from the smallest space to the whole tensor power
+SPACES = {
+    "I": (is_ideal_chain, "a slot lies outside the ideal"),
+    "relative": (relative_membership, "a tuple has no ideal slot"),
+    "A": (lambda chain: True, None),
+}
 VARIANT_OPS = ("hh", "hc", "bar")
-VARIANT_SPACES = ("A", "I", "relative")
+VARIANT_SPACES = tuple(SPACES)
 
 
 @dataclass(frozen=True)
@@ -595,10 +552,10 @@ def homology(context, variant, degree, max_degree=None):
             f"the degree-{degree} basis differs from the rows of the "
             f"degree-{degree + 1} boundary matrix"
         )
-    representatives = []
-    for cycle in _homology_basis(context, variant, degree):
-        chain = Chain(degree, context, {tuples[i]: v for i, v in cycle.items()})
-        representatives.append(CyclicChain(chain) if variant.op == "hc" else chain)
+    representatives = [
+        Chain(degree, context, {tuples[i]: v for i, v in cycle.items()})
+        for cycle in _homology_basis(context, variant, degree)
+    ]
     return HomologyReport(
         variant=variant,
         degree=degree,

@@ -12,7 +12,9 @@ import argparse
 import json
 import sys
 
-from .chains import CyclicChain, DegreeLimitError, Variant, boundary_b, homology
+from .chains import (
+    DegreeLimitError, Variant, boundary_b, canonicalize_cyclic, homology,
+)
 from .excision import (
     CertificateSearchError,
     Mismatch,
@@ -27,16 +29,16 @@ from .fileio import (
     RunReport,
     certificate_to_doc,
     chain_to_doc,
-    class_from_chain,
     demo_by_name,
     load_algebra,
     load_certificate,
     load_chain,
+    load_element,
+    load_targets,
     render_chain,
     save_certificate,
-    targets_from_doc,
+    vector_to_list,
 )
-from .linalg import format_scalar
 from .units import NoLocalUnit, NoLocalUnitError, UnitRequest, find_local_left_unit
 
 EXIT_OK = 0
@@ -61,12 +63,9 @@ def cmd_homology(args):
     result = homology(split, Variant(args.variant, args.space), args.degree)
     report.details["dimension"] = result.dimension
     report.details["chain_space_dimension"] = result.space_dimension
+    show = chain_to_doc if args.format == "structured" else render_chain
     for idx, rep in enumerate(result.representatives):
-        if args.format == "structured":
-            chain = rep.chain if isinstance(rep, CyclicChain) else rep
-            report.details[f"representative[{idx}]"] = chain_to_doc(chain)
-        else:
-            report.details[f"representative[{idx}]"] = render_chain(rep)
+        report.details[f"representative[{idx}]"] = show(rep)
     return _emit(report, args.format)
 
 
@@ -78,7 +77,7 @@ def cmd_excise_inverse(args):
             f"chain has degree {chain.degree}, expected {args.degree}", "degree"
         )
     report = RunReport(command=f"excise-inverse degree {args.degree}")
-    cls = class_from_chain(chain)
+    cls = canonicalize_cyclic(chain)
     [result] = inverse_excision_class([cls])
     report.details["input"] = render_chain(cls)
     report.details["output"] = render_chain(result.output)
@@ -108,9 +107,7 @@ def cmd_descend(args):
             )
             return EXIT_NO_LOCAL_UNIT
     else:
-        with open(args.unit) as handle:
-            doc = json.load(handle)
-        [unit] = targets_from_doc({"targets": [doc["element"]]}, split.dimension)
+        unit = load_element(args.unit, split.dimension)
     report = RunReport(command="descend")
     certificate = descent_step(chain, unit)
     report.details["unit"] = _vector_text(unit)
@@ -144,16 +141,14 @@ def cmd_verify(args):
 
 def cmd_local_unit(args):
     _, ideal, split = load_algebra(args.algebra)
-    with open(args.targets) as handle:
-        doc = json.load(handle)
-    targets = targets_from_doc(doc, split.dimension)
+    targets = load_targets(args.targets, split.dimension)
     result = find_local_left_unit(UnitRequest(ideal, targets))
     if isinstance(result, NoLocalUnit):
         if args.format == "structured":
             doc = {
                 "command": "local-unit",
                 "status": "no-local-unit",
-                "witness_target": _vector_doc(result.witness_target),
+                "witness_target": vector_to_list(result.witness_target),
                 "detail": result.detail,
             }
             print(json.dumps(doc, indent=1))
@@ -163,7 +158,7 @@ def cmd_local_unit(args):
             print(f"detail: {result.detail}")
         return EXIT_NO_LOCAL_UNIT
     if args.format == "structured":
-        doc = {"command": "local-unit", "status": "ok", "unit": _vector_doc(result)}
+        doc = {"command": "local-unit", "status": "ok", "unit": vector_to_list(result)}
         print(json.dumps(doc, indent=1))
     else:
         print(f"unit: {_vector_text(result)}")
@@ -194,12 +189,8 @@ def cmd_demo(args):
     return _emit(report, args.format)
 
 
-def _vector_doc(vector):
-    return [format_scalar(v) for v in vector.to_list()]
-
-
 def _vector_text(vector):
-    return "[" + ", ".join(_vector_doc(vector)) + "]"
+    return "[" + ", ".join(vector_to_list(vector)) + "]"
 
 
 def build_parser():
@@ -269,10 +260,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except DegreeLimitError as exc:
+    # a ParseError or a JSONDecodeError is a ValueError
+    except (ValueError, OSError, KeyError, DegreeLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except NoLocalUnitError as exc:

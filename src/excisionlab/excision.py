@@ -20,11 +20,12 @@ from dataclasses import dataclass
 from itertools import product as iter_product
 
 from .chains import (
+    SPACES,
     Chain,
-    CyclicChain,
     Variant,
     _expand_tensor,
     _memoised,
+    _rotation,
     basis_tuples,
     boundary_b,
     boundary_echelon,
@@ -100,13 +101,17 @@ class DescentCertificate:
     unit: SparseVector
 
 
+# the ops a boundary certificate can claim: strict, or modulo rotation
+BOUNDARY_OPS = ("hh", "hc")
+
+
 @dataclass(frozen=True)
 class BoundaryCertificate:
     """Claim that lhs ≡ rhs, witnessed by η with b(η) = lhs − rhs.
 
     op "hh" compares strictly; op "hc" compares canonical forms modulo the
-    signed rotation.  space tags where the witness must live: "I" means all
-    slots ideal, "relative" means at least one ideal slot per tuple.
+    signed rotation.  space names where the chains must live, as in
+    `chains.SPACES`; an unknown op or space does not verify.
     """
 
     lhs: Chain
@@ -134,44 +139,52 @@ class Mismatch:
     residual: Chain | None = None
 
 
-def rho(cyclic_chain):
+def rho(chain):
     """The excision map: a chain over the ideal, read inside the ambient
     algebra.  On the standard tensor basis this is the identity on tuples."""
-    chain = cyclic_chain.chain
     if not is_ideal_chain(chain):
         raise ValueError("rho needs every slot inside the ideal")
-    return CyclicChain(Chain(chain.degree, chain.context, dict(chain.terms)))
+    return Chain(chain.degree, chain.context, dict(chain.terms))
 
 
-def rotate_to_ideal_initial(chain_or_class):
+def rotate_to_ideal_initial(chain):
     """Rotate each term so its lowest-position ideal slot sits in slot 0.
 
-    Accepts a plain chain or a canonical class; the output is a chain whose
-    initial slots all lie in the ideal and whose canonical form is unchanged.
+    The output is a chain whose initial slots all lie in the ideal and whose
+    canonical form (`canonicalize_cyclic`) is that of the input.
     """
-    chain = (
-        chain_or_class.chain
-        if isinstance(chain_or_class, CyclicChain)
-        else chain_or_class
-    )
     context = chain.context
     n = chain.degree
     out = {}
     for tup, coeff in chain.terms.items():
-        position = None
-        for q, i in enumerate(tup):
-            if context.is_ideal_index(i):
-                position = q
-                break
+        position = next(
+            (q for q, i in enumerate(tup) if context.is_ideal_index(i)), None
+        )
         if position is None:
             raise ValueError(
                 f"tuple {tup} has no ideal slot; the chain is not relative"
             )
         k = (n + 1 - position) % (n + 1)
         sign = 1 if (n * k) % 2 == 0 else -1
-        rotated = tup[-k:] + tup[:-k] if k else tup
-        _accumulate(out, rotated, sign * coeff)
+        _accumulate(out, _rotation(tup, k), sign * coeff)
     return Chain(n, context, out)
+
+
+def _require_ideal_initial(chain, schedule=None):
+    """Reject a schedule whose degree is not the chain's, when one is given
+    (ScheduleMismatchError), then a tuple whose initial slot is not ideal
+    (ValueError): the rule of the top filtration step."""
+    if schedule is not None and schedule.degree != chain.degree:
+        raise ScheduleMismatchError(
+            f"schedule has {schedule.degree} units but the chain has degree "
+            f"{chain.degree}"
+        )
+    for tup in chain.terms:
+        if not chain.context.is_ideal_index(tup[0]):
+            raise ValueError(
+                f"tuple {tup} has a non-ideal initial slot: the chain is not "
+                "in the top filtration step"
+            )
 
 
 def _initial_heads_by_tail(chain):
@@ -231,16 +244,10 @@ def descent_step(chain, unit):
     Returns a certificate whose identity holds even when the input is not a
     cycle; for cycles it reads  input − output = b(homotopy).
     """
-    context = chain.context
     if chain.degree < 1:
         raise ValueError("descent needs degree >= 1")
-    for tup in chain.terms:
-        if not context.is_ideal_index(tup[0]):
-            raise ValueError(
-                f"tuple {tup} has a non-ideal initial slot; the chain is not "
-                "in the top filtration step"
-            )
-    unit_split = context.to_split(unit)
+    _require_ideal_initial(chain)
+    unit_split = chain.context.to_split(unit)
     _check_left_unit(chain, unit_split)
     output = descent_output(chain, unit_split)
     homotopy = tensor_prepend(unit_split, chain)
@@ -260,13 +267,7 @@ def closed_formula(chain, schedule):
     """
     n = chain.degree
     context = chain.context
-    if schedule.degree != n:
-        raise ScheduleMismatchError(
-            f"schedule has {schedule.degree} units but the chain has degree {n}"
-        )
-    for tup in chain.terms:
-        if not context.is_ideal_index(tup[0]):
-            raise ValueError(f"tuple {tup} has a non-ideal initial slot")
+    _require_ideal_initial(chain, schedule)
     if n == 0:
         return Chain(0, context, dict(chain.terms))
     units = [context.to_split(u) for u in schedule.units]
@@ -337,10 +338,9 @@ def find_boundary_witness(target, space):
     n = target.degree
     variant = Variant("hc", space)
     matrix, cols, rows = boundary_matrix(context, variant, n + 1)
-    canonical = canonicalize_cyclic(target).chain
     row_index = {t: r for r, t in enumerate(rows)}
     rhs_entries = {}
-    for tup, coeff in canonical.terms.items():
+    for tup, coeff in canonicalize_cyclic(target).terms.items():
         if tup not in row_index:
             raise ValueError(
                 f"target tuple {tup} lies outside the {space} cyclic space"
@@ -407,7 +407,7 @@ def _invert_by_solve(chain):
     context = chain.context
     n = chain.degree
     system, record, cols_ideal, cols_up, rel_index = _inverse_system(context, n)
-    terms = canonicalize_cyclic(chain).chain.terms
+    terms = canonicalize_cyclic(chain).terms
     rhs = SparseVector(system.rows, {rel_index[t]: c for t, c in terms.items()})
     solution = solve(record, rhs)
     if isinstance(solution, Unsolvable):
@@ -476,14 +476,9 @@ def inverse_excision(chain, schedule):
     """
     context = chain.context
     n = chain.degree
-    for tup in chain.terms:
-        if not context.is_ideal_index(tup[0]):
-            raise ValueError(
-                f"tuple {tup} has a non-ideal initial slot: the input must "
-                "lie in the top filtration step"
-            )
-    strict = n == 0 or boundary_b(chain).is_zero()
-    if not strict and not canonicalize_cyclic(boundary_b(chain)).is_zero():
+    _require_ideal_initial(chain)
+    strict = n == 0 or (boundary := boundary_b(chain)).is_zero()
+    if not strict and not canonicalize_cyclic(boundary).is_zero():
         raise ValueError("input is not a cycle of the relative cyclic complex")
     _validate_schedule(chain, schedule)
     if strict:
@@ -524,12 +519,12 @@ def inverse_excision_class(classes):
     context = classes[0].context
     degree = classes[0].degree
     lifts = []
-    for cls in classes:
-        if not relative_membership(cls.chain):
+    for chain in classes:
+        if not relative_membership(chain):
             raise ValueError("class is not relative: a tuple has no ideal slot")
-        if cls.degree != degree or cls.context is not context and cls.context != context:
+        if chain.degree != degree or chain.context is not context and chain.context != context:
             raise ValueError("classes must share degree and split basis")
-        lifts.append(rotate_to_ideal_initial(cls))
+        lifts.append(rotate_to_ideal_initial(chain))
     all_tuples = sorted({t for lift in lifts for t in lift.terms})
     schedule = build_unit_schedule(all_tuples, context, degree)
     return [inverse_excision(lift, schedule) for lift in lifts]
@@ -545,24 +540,11 @@ def concatenate_descents(certificates):
     witness = certificates[0].homotopy
     for cert in certificates[1:]:
         witness = witness + cert.homotopy
-    chains = [first, last, witness]
-    if all(is_ideal_chain(c) for c in chains):
-        space = "I"
-    elif all(relative_membership(c) for c in chains):
-        space = "relative"
-    else:
-        space = "A"
+    space = next(name for name, (member, _) in SPACES.items()
+                 if all(member(c) for c in (first, last, witness)))
     return BoundaryCertificate(
         lhs=first, rhs=last, witness=witness, op="hh", space=space
     )
-
-
-def _space_violation(space, chain):
-    if space == "I" and not is_ideal_chain(chain):
-        return "a slot lies outside the ideal"
-    if space == "relative" and not relative_membership(chain):
-        return "a tuple has no ideal slot"
-    return None
 
 
 def verify_certificate(certificate):
@@ -578,8 +560,10 @@ def verify_certificate(certificate):
     that produced the witness.
     """
     if isinstance(certificate, DescentCertificate):
-        context = certificate.input.context
-        unit_split = context.to_split(certificate.unit)
+        n = certificate.input.degree
+        if (certificate.output.degree, certificate.homotopy.degree) != (n, n + 1):
+            return Mismatch("output or homotopy has the wrong degree")
+        unit_split = certificate.input.context.to_split(certificate.unit)
         # a forged output can meet the identity for any e and homotopy, so
         # the homotopy must be e ⊗ input and e must fix the initial slots
         expected = tensor_prepend(unit_split, certificate.input)
@@ -590,35 +574,33 @@ def verify_certificate(certificate):
             _check_left_unit(certificate.input, unit_split)
         except UnitActionError as exc:
             return Mismatch(str(exc))
-        residual = (certificate.input - certificate.output) - (
-            boundary_b(certificate.homotopy)
-            + (
-                tensor_prepend(unit_split, boundary_b(certificate.input))
-                if certificate.input.degree >= 1
-                else Chain(certificate.input.degree, context)
-            )
-        )
+        residual = (certificate.input - certificate.output
+                    - boundary_b(certificate.homotopy))
+        if n >= 1:
+            residual -= tensor_prepend(unit_split, boundary_b(certificate.input))
         if not residual.is_zero():
             return Mismatch("descent identity fails", residual)
         return None
     if isinstance(certificate, BoundaryCertificate):
+        if certificate.op not in BOUNDARY_OPS or certificate.space not in SPACES:
+            return Mismatch(f"unknown claim: op {certificate.op!r} in space "
+                            f"{certificate.space!r}")
+        member, violation = SPACES[certificate.space]
         for name, chain in (("lhs", certificate.lhs), ("rhs", certificate.rhs),
                             ("witness", certificate.witness)):
-            violation = _space_violation(certificate.space, chain)
-            if violation:
+            if not member(chain):
                 return Mismatch(f"{name} violates the {certificate.space} space: "
                                 f"{violation}", chain)
-        if certificate.witness.degree != certificate.lhs.degree + 1:
-            return Mismatch("witness degree is not one above the claim", None)
+        n = certificate.lhs.degree
+        if (certificate.rhs.degree, certificate.witness.degree) != (n, n + 1):
+            return Mismatch("rhs is not of the claim's degree, or the witness "
+                            "not one above it")
         difference = certificate.lhs - certificate.rhs
         boundary = boundary_b(certificate.witness)
         if certificate.op == "hh":
             residual = boundary - difference
         else:
-            residual = (
-                canonicalize_cyclic(boundary).chain
-                - canonicalize_cyclic(difference).chain
-            )
+            residual = canonicalize_cyclic(boundary) - canonicalize_cyclic(difference)
         if not residual.is_zero():
             return Mismatch("boundary identity fails", residual)
         return None
@@ -633,7 +615,7 @@ def verify_certificate(certificate):
         if not is_ideal_chain(output):
             return Mismatch("output escapes the ideal's tensor space", output)
         if output.degree >= 1:
-            cycle_residual = canonicalize_cyclic(boundary_b(output)).chain
+            cycle_residual = canonicalize_cyclic(boundary_b(output))
             if not cycle_residual.is_zero():
                 return Mismatch("output is not a cyclic cycle", cycle_residual)
         inner = certificate.verification
@@ -683,14 +665,14 @@ def isomorphism_witness(context, degree, max_degree=None):
     images = [rho(c) for c in ideal_report.representatives]
     results = inverse_excision_class(images)
     for cls, result in zip(ideal_report.representatives, results):
-        difference = result.output - cls.chain
+        difference = result.output - cls
         if difference.is_zero():
             witness = Chain(degree + 1, context)
         else:
             witness = find_boundary_witness(difference, "I")
         cert = BoundaryCertificate(
             lhs=result.output,
-            rhs=cls.chain,
+            rhs=cls,
             witness=witness,
             op="hc",
             space="I",

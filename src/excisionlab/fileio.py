@@ -2,8 +2,8 @@
 the built-in demo corpus, and run reports.
 
 Every vector in a document is a parent-coordinate list of rational strings
-like "2" or "-3/2"; floats are rejected at parse time.  Parse errors carry
-the offending field path; JSON syntax errors already carry line/column.
+like "2" or "-3/2"; floats are rejected at parse time.  A parse error names
+its field by the path from the root; JSON syntax errors carry line/column.
 """
 
 from __future__ import annotations
@@ -19,8 +19,9 @@ from .algebra import (
     validate_algebra,
     validate_ideal,
 )
-from .chains import Chain, CyclicChain, _expand_tensor, canonicalize_cyclic
+from .chains import SPACES, Chain, _expand_tensor
 from .excision import (
+    BOUNDARY_OPS,
     BoundaryCertificate,
     DescentCertificate,
     InverseResult,
@@ -34,31 +35,90 @@ class ParseError(ValueError):
     """Malformed document; `location` is the field path."""
 
     def __init__(self, message, location=""):
-        self.location = location
+        self.message, self.location = message, location
         prefix = f"{location}: " if location else ""
         super().__init__(prefix + message)
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string", int: "an integer"}
+
+
+def _join(where, key):
+    return f"{where}.{key}" if where else key
+
+
+def _typed(value, kind, path):
+    """`value` when it has the JSON type `kind`, else a ParseError at `path`
+    ("document" for the root itself)."""
+    if isinstance(value, kind) and not (kind is int and isinstance(value, bool)):
+        return value
+    raise ParseError(f"expected {_JSON_TYPES[kind]}", path or "document")
+
+
+def _get(doc, key, kind, where="", default=None):
+    """Field `key` of the object `doc` at path `where` within a document, of
+    JSON type `kind`; `default` when it is absent, a ParseError if it has none."""
+    if key not in doc:
+        if default is None:
+            raise ParseError("missing field", _join(where, key))
+        return default
+    return _typed(doc[key], kind, _join(where, key))
+
+
+def _each(doc, key, kind, where="", default=None):
+    """(path, element) for each element, of JSON type `kind`, of the list
+    field `key` of `doc`."""
+    path = _join(where, key)
+    return [
+        (f"{path}[{i}]", _typed(item, kind, f"{path}[{i}]"))
+        for i, item in enumerate(_get(doc, key, list, where, default))
+    ]
+
+
+def _nested(doc, key, parse, *args, default=None):
+    """`parse(sub, *args)` for the object field `key` of `doc`; the paths of
+    its ParseErrors, relative to the sub-document, gain the prefix `key.`."""
+    sub = _get(doc, key, dict, default=default)
+    try:
+        return parse(sub, *args)
+    except ParseError as exc:
+        raise ParseError(exc.message, f"{key}.{exc.location}") from None
+
+
+def _scalar(text, path):
+    try:
+        return parse_scalar(text)
+    except ValueError as exc:
+        raise ParseError(str(exc), path) from None
+
+
 def _vector_from_list(values, dimension, location):
-    if not isinstance(values, list):
-        raise ParseError("expected a list of coordinates", location)
+    _typed(values, list, location)
     if len(values) != dimension:
         raise ParseError(
             f"expected {dimension} coordinates, got {len(values)}", location
         )
     entries = {}
     for i, text in enumerate(values):
-        try:
-            value = parse_scalar(text)
-        except ValueError as exc:
-            raise ParseError(str(exc), f"{location}[{i}]") from None
+        value = _scalar(text, f"{location}[{i}]")
         if value:
             entries[i] = value
     return SparseVector(dimension, entries)
 
 
-def _vector_to_list(vector):
+def vector_to_list(vector):
     return [format_scalar(vector.get(i)) for i in range(vector.dimension)]
+
+
+def _read_json(path):
+    with open(path) as handle:
+        return json.load(handle)
+
+
+def _write_json(path, doc):
+    with open(path, "w") as handle:
+        json.dump(doc, handle, indent=1)
+        handle.write("\n")
 
 
 def algebra_to_doc(algebra, ideal=None, split=None):
@@ -80,55 +140,39 @@ def algebra_to_doc(algebra, ideal=None, split=None):
     }
     if ideal is not None:
         doc["ideal"] = {
-            "basis_vectors": [_vector_to_list(v) for v in ideal.basis_vectors]
+            "basis_vectors": [vector_to_list(v) for v in ideal.basis_vectors]
         }
     if split is not None:
         doc["complement"] = [
-            _vector_to_list(v) for v in split.ordered_basis[split.ideal_count :]
+            vector_to_list(v) for v in split.ordered_basis[split.ideal_count :]
         ]
     return doc
 
 
 def algebra_from_doc(doc, validate=True):
     """(Algebra, Ideal, SplitBasis) from a document; fully validated."""
+    _typed(doc, dict, "")
     if doc.get("field") != "rational":
         raise ParseError('the "field" entry must be "rational"', "field")
-    try:
-        dimension = int(doc["dimension"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("missing or malformed dimension", "dimension") from None
-    labels = doc.get("basis")
-    if not isinstance(labels, list) or len(labels) != dimension:
-        raise ParseError(
-            f"basis must list exactly {dimension} labels", "basis"
-        )
+    dimension = _get(doc, "dimension", int)
+    labels = _get(doc, "basis", list)
+    if len(labels) != dimension or not all(isinstance(x, str) for x in labels):
+        raise ParseError(f"basis must list exactly {dimension} labels", "basis")
     constants = {}
-    for p, record in enumerate(doc.get("products", [])):
-        where = f"products[{p}]"
-        try:
-            i, j = int(record["left"]), int(record["right"])
-        except (KeyError, TypeError, ValueError):
-            raise ParseError("left/right indices required", where) from None
+    for spot, record in _each(doc, "products", dict, default=[]):
+        i, j = _get(record, "left", int, spot), _get(record, "right", int, spot)
         if not (0 <= i < dimension and 0 <= j < dimension):
-            raise ParseError(f"product indices ({i}, {j}) out of range", where)
+            raise ParseError(f"product indices ({i}, {j}) out of range", spot)
         entries = {}
-        for r, item in enumerate(record.get("result", [])):
-            spot = f"{where}.result[{r}]"
-            try:
-                k = int(item["index"])
-            except (KeyError, TypeError, ValueError):
-                raise ParseError("result index required", spot) from None
+        for item_spot, item in _each(record, "result", dict, spot, []):
+            k = _get(item, "index", int, item_spot)
             if not 0 <= k < dimension:
-                raise ParseError(f"result index {k} out of range", spot)
-            try:
-                value = parse_scalar(item.get("coeff"))
-            except ValueError as exc:
-                raise ParseError(str(exc), f"{spot}.coeff") from None
-            _accumulate(entries, k, value)
+                raise ParseError(f"result index {k} out of range", item_spot)
+            _accumulate(entries, k, _scalar(item.get("coeff"), f"{item_spot}.coeff"))
         vec = SparseVector(dimension, entries)
         if not vec.is_zero():
             if (i, j) in constants:
-                raise ParseError(f"duplicate product record for ({i}, {j})", where)
+                raise ParseError(f"duplicate product record for ({i}, {j})", spot)
             constants[(i, j)] = vec
     algebra = Algebra(dimension, labels, constants)
     if validate:
@@ -139,16 +183,16 @@ def algebra_from_doc(doc, validate=True):
                 f"({failure.i}, {failure.j}, {failure.k})",
                 "products",
             )
-    ideal_doc = doc.get("ideal")
-    if ideal_doc is None:
-        raise ParseError("an ideal is required", "ideal")
-    vectors = [
-        _vector_from_list(v, dimension, f"ideal.basis_vectors[{q}]")
-        for q, v in enumerate(ideal_doc.get("basis_vectors", []))
-    ]
-    ideal = Ideal(algebra, vectors)
+    ideal = Ideal(algebra, [
+        _vector_from_list(v, dimension, spot)
+        for spot, v in _each(_get(doc, "ideal", dict), "basis_vectors",
+                             list, "ideal", [])
+    ])
     if validate:
-        failure = validate_ideal(ideal)
+        try:
+            failure = validate_ideal(ideal)
+        except ValueError as exc:  # dependent basis vectors
+            raise ParseError(str(exc), "ideal") from None
         if failure is not None:
             raise ParseError(
                 f"not a two-sided ideal: basis product ({failure.side}, "
@@ -159,23 +203,22 @@ def algebra_from_doc(doc, validate=True):
     hint = None
     if "complement" in doc:
         hint = [
-            _vector_from_list(v, dimension, f"complement[{q}]")
-            for q, v in enumerate(doc["complement"])
+            _vector_from_list(v, dimension, spot)
+            for spot, v in _each(doc, "complement", list)
         ]
-    split = make_split_basis(ideal, hint)
+    try:
+        split = make_split_basis(ideal, hint)
+    except ValueError as exc:  # a dependent complement (or ideal) vector
+        raise ParseError(str(exc), "ideal" if hint is None else "complement") from None
     return algebra, ideal, split
 
 
 def load_algebra(path, validate=True):
-    with open(path) as handle:
-        doc = json.load(handle)
-    return algebra_from_doc(doc, validate=validate)
+    return algebra_from_doc(_read_json(path), validate=validate)
 
 
 def save_algebra(path, algebra, ideal=None, split=None):
-    with open(path, "w") as handle:
-        json.dump(algebra_to_doc(algebra, ideal, split), handle, indent=1)
-        handle.write("\n")
+    _write_json(path, algebra_to_doc(algebra, ideal, split))
 
 
 def chain_to_doc(chain):
@@ -186,7 +229,7 @@ def chain_to_doc(chain):
             {
                 "coeff": format_scalar(coeff),
                 "slots": [
-                    _vector_to_list(context.ordered_basis[i]) for i in tup
+                    vector_to_list(context.ordered_basis[i]) for i in tup
                 ],
             }
             for tup, coeff in chain.items()
@@ -195,41 +238,32 @@ def chain_to_doc(chain):
 
 
 def chain_from_doc(doc, context):
-    """Expand a term list onto the standard tensor basis of the split."""
-    try:
-        degree = int(doc["degree"])
-    except (KeyError, TypeError, ValueError):
-        raise ParseError("missing or malformed degree", "degree") from None
+    """Expand the term list of a chain document onto the standard tensor
+    basis of the split."""
+    _typed(doc, dict, "")
+    degree = _get(doc, "degree", int)
+    if degree < 0:
+        raise ParseError("the degree must be non-negative", "degree")
     dimension = context.dimension
     # split coordinates per slot text: a document repeats few distinct slots
     slot_memo = {}
     terms = {}
-    for t, record in enumerate(doc.get("terms", [])):
-        where = f"terms[{t}]"
-        try:
-            coeff = parse_scalar(record.get("coeff"))
-        except ValueError as exc:
-            raise ParseError(str(exc), f"{where}.coeff") from None
+    for spot, record in _each(doc, "terms", dict, default=[]):
+        coeff = _scalar(record.get("coeff"), f"{spot}.coeff")
         slots = record.get("slots")
         if not isinstance(slots, list) or len(slots) != degree + 1:
-            raise ParseError(
-                f"expected {degree + 1} slots", f"{where}.slots"
-            )
+            raise ParseError(f"expected {degree + 1} slots", f"{spot}.slots")
         vectors = []
         for q, slot in enumerate(slots):
             # only lists of strings are hashable and can be memoised; any
             # other slot is parsed afresh so it fails with its own path
-            text = (
-                tuple(slot)
-                if isinstance(slot, list) and all(isinstance(x, str) for x in slot)
-                else None
-            )
-            vec = slot_memo.get(text) if text is not None else None
+            strings = isinstance(slot, list) and all(isinstance(x, str) for x in slot)
+            text = tuple(slot) if strings else None
+            vec = slot_memo.get(text)
             if vec is None:
-                vec = context.to_split(
-                    _vector_from_list(slot, dimension, f"{where}.slots[{q}]")
-                )
-                if text is not None:
+                at = f"{spot}.slots[{q}]"
+                vec = context.to_split(_vector_from_list(slot, dimension, at))
+                if strings:
                     slot_memo[text] = vec
             vectors.append(vec)
         _expand_tensor(terms, vectors, coeff)
@@ -237,40 +271,63 @@ def chain_from_doc(doc, context):
 
 
 def load_chain(path, context):
-    with open(path) as handle:
-        return chain_from_doc(json.load(handle), context)
+    return chain_from_doc(_read_json(path), context)
 
 
 def save_chain(path, chain):
-    with open(path, "w") as handle:
-        json.dump(chain_to_doc(chain), handle, indent=1)
-        handle.write("\n")
+    _write_json(path, chain_to_doc(chain))
 
 
 def schedule_to_doc(schedule):
     return {
         "degree": schedule.degree,
-        "units": [_vector_to_list(u) for u in schedule.units],
+        "units": [vector_to_list(u) for u in schedule.units],
         "targets": [
-            [_vector_to_list(s) for s in targets]
+            [vector_to_list(s) for s in targets]
             for targets in schedule.provenance
         ],
     }
 
 
 def schedule_from_doc(doc, dimension):
+    _typed(doc, dict, "")
     units = [
-        _vector_from_list(u, dimension, f"units[{q}]")
-        for q, u in enumerate(doc.get("units", []))
+        _vector_from_list(u, dimension, spot)
+        for spot, u in _each(doc, "units", list, default=[])
     ]
     provenance = [
-        [
-            _vector_from_list(s, dimension, f"targets[{q}][{r}]")
-            for r, s in enumerate(targets)
-        ]
-        for q, targets in enumerate(doc.get("targets", []))
+        [_vector_from_list(s, dimension, f"{spot}[{r}]") for r, s in enumerate(targets)]
+        for spot, targets in _each(doc, "targets", list, default=[])
     ]
+    if len(provenance) != len(units):
+        raise ParseError("one target list per unit required", "targets")
     return UnitSchedule(units, provenance)
+
+
+def _boundary_to_doc(certificate):
+    """The fields of a boundary claim, shared by boundary and inverse
+    documents; their order is part of the document bytes."""
+    return {
+        "op": certificate.op,
+        "space": certificate.space,
+        "lhs": chain_to_doc(certificate.lhs),
+        "rhs": chain_to_doc(certificate.rhs),
+        "witness": chain_to_doc(certificate.witness),
+    }
+
+
+def _boundary_from_doc(doc, split):
+    claim = {}
+    for key, known, default in (("op", BOUNDARY_OPS, "hc"),
+                                ("space", SPACES, "relative")):
+        claim[key] = _get(doc, key, str, default=default)
+        if claim[key] not in known:
+            raise ParseError(f"unknown {key} {claim[key]!r}", key)
+    return BoundaryCertificate(
+        **{key: _nested(doc, key, chain_from_doc, split)
+           for key in ("lhs", "rhs", "witness")},
+        **claim,
+    )
 
 
 def certificate_to_doc(certificate, context):
@@ -283,21 +340,16 @@ def certificate_to_doc(certificate, context):
             "input": chain_to_doc(certificate.input),
             "output": chain_to_doc(certificate.output),
             "homotopy": chain_to_doc(certificate.homotopy),
-            "unit": _vector_to_list(certificate.unit),
+            "unit": vector_to_list(certificate.unit),
         }
     if isinstance(certificate, BoundaryCertificate):
         return {
             "kind": "boundary",
             "algebra": algebra_doc,
             "degree": certificate.lhs.degree,
-            "op": certificate.op,
-            "space": certificate.space,
-            "lhs": chain_to_doc(certificate.lhs),
-            "rhs": chain_to_doc(certificate.rhs),
-            "witness": chain_to_doc(certificate.witness),
+            **_boundary_to_doc(certificate),
         }
     if isinstance(certificate, InverseResult):
-        inner = certificate.verification
         return {
             "kind": "inverse",
             "algebra": algebra_doc,
@@ -305,83 +357,56 @@ def certificate_to_doc(certificate, context):
             "input": chain_to_doc(certificate.input),
             "output": chain_to_doc(certificate.output),
             "schedule": schedule_to_doc(certificate.schedule),
-            "certificate": {
-                "op": inner.op,
-                "space": inner.space,
-                "lhs": chain_to_doc(inner.lhs),
-                "rhs": chain_to_doc(inner.rhs),
-                "witness": chain_to_doc(inner.witness),
-            },
+            "certificate": _boundary_to_doc(certificate.verification),
         }
     raise TypeError(f"not a certificate: {certificate!r}")
 
 
 def certificate_from_doc(doc):
     """(certificate object, split basis) reconstructed from a document."""
+    _typed(doc, dict, "")
     kind = doc.get("kind")
-    if "algebra" not in doc:
-        raise ParseError("certificate documents embed their algebra", "algebra")
-    _, _, split = algebra_from_doc(doc["algebra"])
+    _, _, split = _nested(doc, "algebra", algebra_from_doc)
     if kind == "descent":
-        return (
-            DescentCertificate(
-                input=chain_from_doc(doc["input"], split),
-                output=chain_from_doc(doc["output"], split),
-                homotopy=chain_from_doc(doc["homotopy"], split),
-                unit=_vector_from_list(doc["unit"], split.dimension, "unit"),
-            ),
-            split,
+        certificate = DescentCertificate(
+            **{key: _nested(doc, key, chain_from_doc, split)
+               for key in ("input", "output", "homotopy")},
+            unit=_vector_from_list(_get(doc, "unit", list), split.dimension, "unit"),
         )
-    if kind == "boundary":
-        return (
-            BoundaryCertificate(
-                lhs=chain_from_doc(doc["lhs"], split),
-                rhs=chain_from_doc(doc["rhs"], split),
-                witness=chain_from_doc(doc["witness"], split),
-                op=doc.get("op", "hc"),
-                space=doc.get("space", "relative"),
-            ),
-            split,
+    elif kind == "boundary":
+        certificate = _boundary_from_doc(doc, split)
+    elif kind == "inverse":
+        certificate = InverseResult(
+            input=_nested(doc, "input", chain_from_doc, split),
+            schedule=_nested(doc, "schedule", schedule_from_doc, split.dimension,
+                             default={}),
+            output=_nested(doc, "output", chain_from_doc, split),
+            verification=_nested(doc, "certificate", _boundary_from_doc, split),
         )
-    if kind == "inverse":
-        inner = doc.get("certificate", {})
-        verification = BoundaryCertificate(
-            lhs=chain_from_doc(inner["lhs"], split),
-            rhs=chain_from_doc(inner["rhs"], split),
-            witness=chain_from_doc(inner["witness"], split),
-            op=inner.get("op", "hc"),
-            space=inner.get("space", "relative"),
-        )
-        return (
-            InverseResult(
-                input=chain_from_doc(doc["input"], split),
-                schedule=schedule_from_doc(
-                    doc.get("schedule", {}), split.dimension
-                ),
-                output=chain_from_doc(doc["output"], split),
-                verification=verification,
-            ),
-            split,
-        )
-    raise ParseError(f"unknown certificate kind {kind!r}", "kind")
+    else:
+        raise ParseError(f"unknown certificate kind {kind!r}", "kind")
+    return certificate, split
 
 
 def load_certificate(path):
-    with open(path) as handle:
-        return certificate_from_doc(json.load(handle))
+    return certificate_from_doc(_read_json(path))
 
 
 def save_certificate(path, certificate, context):
-    with open(path, "w") as handle:
-        json.dump(certificate_to_doc(certificate, context), handle, indent=1)
-        handle.write("\n")
+    _write_json(path, certificate_to_doc(certificate, context))
 
 
-def targets_from_doc(doc, dimension):
-    return [
-        _vector_from_list(v, dimension, f"targets[{q}]")
-        for q, v in enumerate(doc.get("targets", []))
-    ]
+def load_targets(path, dimension):
+    """The vectors listed under "targets" in the JSON file at `path`."""
+    doc = _typed(_read_json(path), dict, "")
+    return [_vector_from_list(v, dimension, spot)
+            for spot, v in _each(doc, "targets", list, default=[])]
+
+
+def load_element(path, dimension):
+    """The vector stored under "element" in the JSON file at `path`."""
+    element = _get(_typed(_read_json(path), dict, ""), "element", list)
+    return _vector_from_list(element, dimension, "element")
 
 
 @dataclass
@@ -561,15 +586,10 @@ class RunReport:
 
 def render_chain(chain):
     """Human-readable exact form of a chain over its split labels."""
-    target = chain.chain if isinstance(chain, CyclicChain) else chain
-    if not target.terms:
+    if not chain.terms:
         return "0"
     bits = []
-    for tup, coeff in target.items():
-        word = "⊗".join(target.context.split_label(i) for i in tup)
+    for tup, coeff in chain.items():
+        word = "⊗".join(chain.context.split_label(i) for i in tup)
         bits.append(f"({format_scalar(coeff)})·{word}")
     return " + ".join(bits)
-
-
-def class_from_chain(chain):
-    return canonicalize_cyclic(chain)

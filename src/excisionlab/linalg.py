@@ -71,7 +71,47 @@ def _combination(dimension, terms):
     return SparseVector(dimension, out)
 
 
-class SparseVector:
+class _Sparse:
+    """The arithmetic that `SparseVector` and `chains.Chain` share.
+
+    A subclass supplies the dict of nonzero values (`_values`), a sibling in
+    the same space with other values (`_like`) and the check that two
+    operands live in one space (`_require_same_space`).
+    """
+
+    __slots__ = ()
+
+    def is_zero(self):
+        return not self._values()
+
+    def items(self):
+        """Values in ascending key order (deterministic iteration)."""
+        return sorted(self._values().items())
+
+    def scaled(self, factor):
+        factor = Fraction(factor)
+        if not factor:
+            return self._like({})
+        return self._like({k: factor * v for k, v in self._values().items()})
+
+    def _sum(self, other, negate):
+        self._require_same_space(other)
+        out = dict(self._values())
+        for k, v in other._values().items():
+            _accumulate(out, k, -v if negate else v)
+        return self._like(out)
+
+    def __add__(self, other):
+        return self._sum(other, False)
+
+    def __sub__(self, other):
+        return self._sum(other, True)
+
+    def __neg__(self):
+        return self.scaled(-1)
+
+
+class SparseVector(_Sparse):
     """Sparse vector over Q; only nonzero entries are stored.
 
     Treated as immutable: all operations return new vectors.
@@ -95,6 +135,16 @@ class SparseVector:
                     clean[index] = value
         self.entries = clean
 
+    def _values(self):
+        return self.entries
+
+    def _like(self, entries):
+        return SparseVector(self.dimension, entries)
+
+    def _require_same_space(self, other):
+        if self.dimension != other.dimension:
+            raise ValueError("dimension mismatch")
+
     @classmethod
     def from_list(cls, values):
         return cls(len(values), {i: Fraction(v) for i, v in enumerate(values)})
@@ -106,40 +156,8 @@ class SparseVector:
     def get(self, index):
         return self.entries.get(index, ZERO)
 
-    def items(self):
-        """Entries in ascending index order (deterministic iteration)."""
-        return sorted(self.entries.items())
-
-    def is_zero(self):
-        return not self.entries
-
-    def support(self):
-        return tuple(sorted(self.entries))
-
     def to_list(self):
         return [self.get(i) for i in range(self.dimension)]
-
-    def scaled(self, factor):
-        factor = Fraction(factor)
-        if not factor:
-            return SparseVector(self.dimension)
-        return SparseVector(
-            self.dimension, {i: factor * v for i, v in self.entries.items()}
-        )
-
-    def __add__(self, other):
-        if self.dimension != other.dimension:
-            raise ValueError("dimension mismatch")
-        out = dict(self.entries)
-        for i, v in other.entries.items():
-            _accumulate(out, i, v)
-        return SparseVector(self.dimension, out)
-
-    def __sub__(self, other):
-        return self + other.scaled(-1)
-
-    def __neg__(self):
-        return self.scaled(-1)
 
     def __eq__(self, other):
         return (
@@ -184,10 +202,7 @@ class SparseMatrix:
         for r, row in enumerate(rows_list):
             if len(row) != cols:
                 raise ValueError("ragged rows")
-            for c, v in enumerate(row):
-                v = Fraction(v)
-                if v:
-                    entries[(r, c)] = v
+            entries.update(((r, c), v) for c, v in enumerate(row))
         return cls(rows, cols, entries)
 
     @classmethod
@@ -243,11 +258,6 @@ class SparseMatrix:
 class Unsolvable:
     """Witness of an inconsistent system: the echelon row where 0 = nonzero."""
 
-    row: int
-
-
-@dataclass(frozen=True)
-class NotInSpan:
     row: int
 
 
@@ -469,21 +479,6 @@ def image_basis(system):
     return [SparseVector(record.rows, column) for column in columns]
 
 
-def in_span(vector, basis):
-    """Expansion coefficients of `vector` over `basis`, or NotInSpan."""
-    for b in basis:
-        if b.dimension != vector.dimension:
-            raise ValueError("dimension mismatch between vector and basis")
-    if not basis:
-        if vector.is_zero():
-            return []
-        return NotInSpan(row=0)
-    result = solve(SparseMatrix.from_columns(basis), vector)
-    if isinstance(result, Unsolvable):
-        return NotInSpan(row=result.row)
-    return [result.get(j) for j in range(len(basis))]
-
-
 def invert(matrix):
     """Exact inverse of a nonsingular square matrix, one solve per column."""
     if matrix.rows != matrix.cols:
@@ -500,12 +495,12 @@ class IncrementalSpan:
     """A growing subspace kept in echelon form.
 
     `add` returns True exactly when the vector enlarges the span; `contains`
-    is exact membership.  Used to pick homology representatives and to filter
-    cycles modulo boundaries.  Rows are stored as primitive integer rows
-    with a positive leading entry and reduced fraction-free, as in
-    `_eliminate`; a vector is in the span exactly when it reduces to zero,
-    whatever nonzero multiple of each row is stored, so the answers are
-    those of reduction over `Fraction`.
+    is exact membership.  Used to check that an ideal basis is independent
+    and its span two-sided, and to complete it to a split basis.  Rows are
+    stored as primitive integer rows with a positive leading entry and
+    reduced fraction-free, as in `_eliminate`; a vector is in the span
+    exactly when it reduces to zero, whatever nonzero multiple of each row
+    is stored, so the answers are those of reduction over `Fraction`.
     """
 
     def __init__(self, dimension):

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import element_in_ideal
 from .linalg import (
-    NotInSpan,
     SparseMatrix,
     SparseVector,
     Unsolvable,
     _combination,
+    echelon,
     solve,
 )
 
@@ -29,9 +28,8 @@ class UnitRequest:
     ideal: object
     targets: tuple
 
-    def __init__(self, ideal, targets):
-        object.__setattr__(self, "ideal", ideal)
-        object.__setattr__(self, "targets", tuple(targets))
+    def __post_init__(self):
+        object.__setattr__(self, "targets", tuple(self.targets))
 
 
 @dataclass(frozen=True)
@@ -87,12 +85,16 @@ def find_local_left_unit(request):
     """Solve e·s = s (all s in the targets) for e in the ideal.
 
     Returns the unit as a parent-coordinate vector, or a NoLocalUnit witness.
-    Targets outside the ideal's span are a caller error and raise.
+    Targets outside the ideal's span are a caller error and raise; the ideal
+    basis is eliminated once and every target solved against that record.
     """
     ideal = request.ideal
     targets = list(request.targets)
+    span = echelon(
+        SparseMatrix.from_columns(ideal.basis_vectors, rows=ideal.parent.dimension)
+    )
     for idx, s in enumerate(targets):
-        if isinstance(element_in_ideal(ideal, s), NotInSpan):
+        if isinstance(solve(span, s), Unsolvable):
             raise ValueError(f"target {idx} does not lie in the ideal")
     matrix, rhs = _unit_system(ideal, targets)
     result = solve(matrix, rhs)

@@ -1,11 +1,15 @@
 """Dense brute-force homology dimensions, kept independent of the library's
-sparse engine: its own tuple differential, its own canonical-rotation logic,
-dense row storage, and fraction-free integer elimination for ranks.
+sparse engine: its own products of split basis elements, its own tuple
+differential, its own canonical-rotation logic, dense row storage, and
+fraction-free integer elimination for ranks.
 
-Only the split-basis multiplication table is shared with the library; that
-table is the ground truth both paths must agree on.  The exception is
-`incremental_span_homology`, the library's former choice of homology
-representatives, kept as the reference for the projection that replaced it.
+Only the algebra's structure constants are shared with the library: products
+of the split basis vectors come from `Algebra.mul` on parent coordinates and
+are brought to split coordinates by a dense inverse of the basis matrix
+computed here, never from the split's product table that the library's
+differential walks.  The exception is `incremental_span_homology`, the
+library's former choice of homology representatives, kept as the reference
+for the projection that replaced it.
 """
 
 from fractions import Fraction
@@ -145,9 +149,47 @@ def int_rank(rows):
     return rank
 
 
+def _dense_inverse(rows):
+    """Inverse of a nonsingular square matrix of `Fraction`s, by Gauss-Jordan
+    on [rows | identity]."""
+    n = len(rows)
+    work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+            for i, row in enumerate(rows)]
+    for col in range(n):
+        pivot = next(i for i in range(col, n) if work[i][col])
+        work[col], work[pivot] = work[pivot], work[col]
+        scale = work[col][col]
+        work[col] = [v / scale for v in work[col]]
+        for i in range(n):
+            if i != col and work[i][col]:
+                factor = work[i][col]
+                work[i] = [v - factor * p for v, p in zip(work[i], work[col])]
+    return [row[n:] for row in work]
+
+
+def split_products(split):
+    """mult(i, j) -> {k: c}: the split coordinates of f_i·f_j for the split
+    basis vectors f_i, multiplied by `Algebra.mul` in parent coordinates and
+    changed to split coordinates by a dense inverse computed here."""
+    dim = split.dimension
+    basis = [vector.to_list() for vector in split.ordered_basis]
+    inverse = _dense_inverse([[basis[c][r] for c in range(dim)] for r in range(dim)])
+    memo = {}
+
+    def mult(i, j):
+        if (i, j) not in memo:
+            product = split.parent.mul(split.ordered_basis[i], split.ordered_basis[j])
+            values = product.to_list()
+            coords = [sum(inverse[k][r] * values[r] for r in range(dim)) for k in range(dim)]
+            memo[i, j] = {k: c for k, c in enumerate(coords) if c}
+        return memo[i, j]
+
+    return mult
+
+
 def homology_dimension(split, op, space, degree):
     """dim H_degree of the requested complex, by dense recomputation."""
-    mult = lambda i, j: split.mult_split(i, j).entries
+    mult = split_products(split)
     dim = split.dimension
     ideal_count = split.ideal_count
     cyclic = op == "hc"

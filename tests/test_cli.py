@@ -163,3 +163,19 @@ def test_demo_command(capsys):
 def test_missing_file_is_an_error(capsys):
     assert main(["homology", "--algebra", "/nonexistent.json", "--degree", "0"]) == EXIT_ERROR
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("unit, location", [
+    ([], "document"),
+    ({}, "element"),
+    ({"element": "1"}, "element"),
+    ({"element": ["1", "0"]}, "element"),
+    ({"element": ["1", 0, "0"]}, "element[1]"),
+])
+def test_malformed_unit_file_names_its_path(t2_files, capsys, unit, location):
+    _, algebra, chain, tmp_path = t2_files
+    path = tmp_path / "unit.json"
+    path.write_text(json.dumps(unit))
+    code = main(["descend", "--algebra", algebra, "--chain", chain, "--unit", str(path)])
+    assert code == EXIT_ERROR
+    assert capsys.readouterr().err.startswith(f"error: {location}: ")

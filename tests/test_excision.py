@@ -45,7 +45,7 @@ from support import WordAlgebra, filtered_cycle_basis
 def test_rho_is_inclusion_on_tuples(t2):
     cls = canonicalize_cyclic(pure_tensor(t2.split, (0, 1)))
     image = rho(cls)
-    assert image.chain.terms == cls.chain.terms
+    assert image.terms == cls.terms
 
 
 def test_rho_rejects_non_ideal_slots(t2):
@@ -59,7 +59,7 @@ def test_rho_is_linear(t2):
     b = canonicalize_cyclic(pure_tensor(t2.split, (0, 0, 1)).scaled(0))
     assert rho(b).is_zero()
     two = canonicalize_cyclic(pure_tensor(t2.split, (0, 1)).scaled(2))
-    assert rho(two).chain == rho(a).chain.scaled(2)
+    assert rho(two) == rho(a).scaled(2)
 
 
 # ----------------------------------------------- rotate_to_ideal_initial
@@ -83,7 +83,7 @@ def test_rotation_preserves_the_class(corpus):
         for degree in range(1, 4):
             chain = random_chain(demo.split, degree, rng, force_ideal_slot=True)
             rotated = rotate_to_ideal_initial(chain)
-            assert canonicalize_cyclic(rotated).chain == canonicalize_cyclic(chain).chain
+            assert canonicalize_cyclic(rotated) == canonicalize_cyclic(chain)
             for tup in rotated.terms:
                 assert demo.split.is_ideal_index(tup[0])
 
@@ -315,11 +315,11 @@ def test_inverse_excision_class_already_in_the_ideal(t2):
     [result] = inverse_excision_class([cls])
     assert verify_certificate(result) is None
     # the output stays in the class of the input
-    difference = result.output - cls.chain
+    difference = result.output - cls
     witness = find_boundary_witness(difference, "I") if not difference.is_zero() else None
     if witness is not None:
         cert = BoundaryCertificate(
-            lhs=result.output, rhs=cls.chain, witness=witness, op="hc", space="I"
+            lhs=result.output, rhs=cls, witness=witness, op="hc", space="I"
         )
         assert verify_certificate(cert) is None
 
@@ -379,13 +379,13 @@ def test_round_trip_through_rho(corpus):
             results = inverse_excision_class(images)
             for cls, result in zip(report.representatives, results):
                 assert verify_certificate(result) is None
-                difference = result.output - cls.chain
+                difference = result.output - cls
                 if difference.is_zero():
                     continue
                 witness = find_boundary_witness(difference, "I")
                 cert = BoundaryCertificate(
                     lhs=result.output,
-                    rhs=cls.chain,
+                    rhs=cls,
                     witness=witness,
                     op="hc",
                     space="I",

@@ -6,13 +6,11 @@ import pytest
 
 from excisionlab.linalg import (
     IncrementalSpan,
-    NotInSpan,
     SparseMatrix,
     SparseVector,
     Unsolvable,
     echelon,
     image_basis,
-    in_span,
     invert,
     kernel_basis,
     parse_scalar,
@@ -100,22 +98,6 @@ def test_kernel_of_identity_is_empty():
 
 def test_image_of_zero_matrix_is_empty():
     assert image_basis(SparseMatrix(3, 2)) == []
-
-
-def test_in_span_standard_basis():
-    v = SparseVector.from_list([1, 1])
-    basis = [SparseVector.from_list([1, 0]), SparseVector.from_list([0, 1])]
-    assert in_span(v, basis) == [1, 1]
-
-
-def test_in_span_failure():
-    v = SparseVector.from_list([0, 1])
-    assert isinstance(in_span(v, [SparseVector.from_list([1, 0])]), NotInSpan)
-
-
-def test_in_span_empty_basis():
-    assert in_span(SparseVector(2), []) == []
-    assert isinstance(in_span(SparseVector.from_list([1, 0]), []), NotInSpan)
 
 
 def _random_matrix(rng, rows, cols, density=0.4):

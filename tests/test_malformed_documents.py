@@ -1,0 +1,215 @@
+"""Malformed certificate documents: every field of every certificate kind,
+of the wrong JSON type or missing, is a ParseError that names its path from
+the document root, and a chain swapped for another still gets a verdict.
+The random-subtree counterpart is in `test_fuzz_documents.py`.
+"""
+
+import copy
+import json
+from functools import cache
+
+import pytest
+
+from excisionlab.chains import canonicalize_cyclic, pure_tensor
+from excisionlab.cli import EXIT_ERROR, main
+from excisionlab.excision import (
+    BoundaryCertificate,
+    Mismatch,
+    descent_step,
+    inverse_excision_class,
+    verify_certificate,
+)
+from excisionlab.fileio import (
+    ParseError,
+    certificate_from_doc,
+    certificate_to_doc,
+    demo_by_name,
+)
+from excisionlab.linalg import SparseVector
+
+# one value of each JSON type; a field gets every one not of its own type
+SAMPLES = {"null": None, "bool": True, "int": 7, "str": "x", "list": [], "object": {}}
+REMOVED = object()
+
+
+@cache
+def documents():
+    """{kind: document} for one certificate of each kind on t2-corner."""
+    t2 = demo_by_name("t2-corner")
+    phi = pure_tensor(t2.split, (0, 2))
+    [inverse] = inverse_excision_class([canonicalize_cyclic(phi)])
+    certificates = {
+        "descent": descent_step(phi, SparseVector.from_list([1, 0, 0])),
+        "boundary": inverse.verification,
+        "inverse": inverse,
+    }
+    return {
+        kind: json.loads(json.dumps(certificate_to_doc(cert, t2.split)))
+        for kind, cert in certificates.items()
+    }
+
+
+def _chain_fields(doc, key):
+    """(path, type, required) of the fields of the chain document `key`."""
+    fields = [(key, dict, True), (key + ("degree",), int, True),
+              (key + ("terms",), list, False)]
+    if doc_at(doc, key)["terms"]:
+        term = key + ("terms", 0)
+        fields += [(term, dict, None), (term + ("coeff",), str, True),
+                   (term + ("slots",), list, True),
+                   (term + ("slots", 0), list, None),
+                   (term + ("slots", 0, 0), str, None)]
+    return fields
+
+
+def fields(kind):
+    """(path, JSON type, required) for each typed field of a document of
+    `kind`; `required` is None for list elements, which cannot be removed."""
+    doc = documents()[kind]
+    product = ("algebra", "products", 0)
+    found = [
+        ((), dict, None),
+        (("algebra",), dict, True),
+        (("algebra", "field"), str, True),
+        (("algebra", "dimension"), int, True),
+        (("algebra", "basis"), list, True),
+        (("algebra", "products"), list, False),
+        (product, dict, None),
+        (product + ("left",), int, True),
+        (product + ("right",), int, True),
+        (product + ("result",), list, False),
+        (product + ("result", 0), dict, None),
+        (product + ("result", 0, "index"), int, True),
+        (product + ("result", 0, "coeff"), str, True),
+        (("algebra", "ideal"), dict, True),
+        (("algebra", "ideal", "basis_vectors"), list, False),
+        (("algebra", "ideal", "basis_vectors", 0), list, None),
+        (("algebra", "complement"), list, False),
+        (("algebra", "complement", 0), list, None),
+    ]
+    if kind == "descent":
+        for key in ("input", "output", "homotopy"):
+            found += _chain_fields(doc, (key,))
+        found += [(("unit",), list, True), (("unit", 0), str, None)]
+    if kind == "inverse":
+        for key in ("input", "output"):
+            found += _chain_fields(doc, (key,))
+        found += [
+            (("schedule",), dict, False),
+            (("schedule", "units"), list, False),
+            (("schedule", "units", 0), list, None),
+            (("schedule", "targets"), list, False),
+            (("schedule", "targets", 0), list, None),
+            (("schedule", "targets", 0, 0), list, None),
+            (("certificate",), dict, True),
+        ]
+    claim = {"boundary": (), "inverse": ("certificate",)}.get(kind)
+    if claim is not None:
+        for key in ("lhs", "rhs", "witness"):
+            found += _chain_fields(doc, claim + (key,))
+        found += [(claim + ("op",), str, False), (claim + ("space",), str, False)]
+    return found
+
+
+def doc_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def path_text(path):
+    text = ""
+    for key in path:
+        text += f"[{key}]" if isinstance(key, int) else f".{key}" if text else key
+    return text or "document"
+
+
+def mutations():
+    for kind in ("descent", "boundary", "inverse"):
+        for path, kind_type, required in fields(kind):
+            for name, value in SAMPLES.items():
+                wrong = not isinstance(value, kind_type) or (
+                    kind_type is int and isinstance(value, bool))
+                if wrong:
+                    yield pytest.param(kind, path, value, id=f"{kind}:{path_text(path)}={name}")
+            if required:
+                yield pytest.param(kind, path, REMOVED, id=f"{kind}:{path_text(path)} removed")
+
+
+def mutate(kind, path, value):
+    """A copy of the `kind` document with the field at `path` set to `value`
+    (or deleted, for REMOVED)."""
+    doc = copy.deepcopy(documents()[kind])
+    if not path:
+        return value
+    parent = doc_at(doc, path[:-1])
+    if value is REMOVED:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+@pytest.mark.parametrize("kind, path, value", list(mutations()))
+def test_malformed_field_names_its_path(kind, path, value, tmp_path, capsys):
+    doc = mutate(kind, path, value)
+    target = tmp_path / "certificate.json"
+    target.write_text(json.dumps(doc))
+    assert main(["verify", "--certificate", str(target)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path_text(path)}: "), captured.err
+
+
+def test_the_unmangled_documents_verify():
+    for doc in documents().values():
+        certificate, _ = certificate_from_doc(copy.deepcopy(doc))
+        assert verify_certificate(certificate) is None
+
+
+@pytest.mark.parametrize("key", ["op", "space"])
+def test_unknown_claims_are_refused(key):
+    boundary = copy.deepcopy(documents()["boundary"])
+    boundary[key] = "xx"
+    with pytest.raises(ParseError) as info:
+        certificate_from_doc(boundary)
+    assert info.value.location == key
+    inverse = copy.deepcopy(documents()["inverse"])
+    inverse["certificate"][key] = "xx"
+    with pytest.raises(ParseError) as info:
+        certificate_from_doc(inverse)
+    assert info.value.location == f"certificate.{key}"
+    # a claim built in code is not recognised either
+    sound, _ = certificate_from_doc(documents()["boundary"])
+    forged = BoundaryCertificate(**{**vars(sound), key: "xx"})
+    mismatch = verify_certificate(forged)
+    assert isinstance(mismatch, Mismatch)
+    assert "unknown claim" in mismatch.reason
+
+
+def subtree_paths(doc, path=()):
+    yield path
+    children = ()
+    if isinstance(doc, (dict, list)):
+        children = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, child in children:
+        yield from subtree_paths(child, path + (key,))
+
+
+def test_every_chain_swapped_for_every_other_gets_a_verdict():
+    """A chain of another degree or space in place of each chain field: the
+    verifier must answer with a Mismatch, never by raising."""
+    docs = documents()
+    chains = [
+        (kind, path) for kind, doc in docs.items() for path in subtree_paths(doc)
+        if path and path[-1] in ("input", "output", "homotopy", "lhs", "rhs", "witness")
+    ]
+    verdicts = set()
+    for kind, path in chains:
+        for donor_kind, donor in chains:
+            doc = mutate(kind, path, copy.deepcopy(doc_at(docs[donor_kind], donor)))
+            certificate, _ = certificate_from_doc(doc)
+            verdict = verify_certificate(certificate)
+            assert verdict is None or isinstance(verdict, Mismatch)
+            verdicts.add(verdict is None)
+    assert verdicts == {True, False}

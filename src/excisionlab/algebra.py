@@ -15,8 +15,8 @@ from .linalg import (
     IncrementalSpan,
     SparseMatrix,
     SparseVector,
-    _accumulate,
     _combination,
+    _integral_items,
     invert,
 )
 
@@ -194,10 +194,7 @@ class _ProductTable(dict):
         split = self.split
         basis = split.ordered_basis
         product = split.to_split(split.parent.mul(basis[i], basis[j]))
-        row = self[key] = tuple(
-            (k, c.numerator if c.denominator == 1 else c)
-            for k, c in product.entries.items()
-        )
+        row = self[key] = tuple(_integral_items(product.entries))
         return row
 
 
@@ -242,21 +239,6 @@ class SplitBasis:
         return _combination(
             self.dimension, [(v, basis[j]) for j, v in vector.entries.items()]
         )
-
-    def mult_split(self, i, j):
-        """Product of split basis elements i and j, in split coordinates."""
-        return SparseVector(self.dimension, dict(self.product_table[i, j]))
-
-    def mult_vec(self, u, v):
-        """Product of two split-coordinate vectors, in split coordinates."""
-        table = self.product_table
-        out = {}
-        for i, ci in u.entries.items():
-            for j, cj in v.entries.items():
-                c = ci * cj
-                for k, ck in table[i, j]:
-                    _accumulate(out, k, c * ck)
-        return SparseVector(self.dimension, out)
 
     def split_label(self, i):
         """Human-readable name of split position i."""
@@ -356,10 +338,8 @@ def quotient(split):
     constants = {}
     for a in range(qdim):
         for b in range(qdim):
-            prod = split.mult_split(shift + a, shift + b)
-            tail = {
-                i - shift: v for i, v in prod.entries.items() if i >= shift
-            }
+            product = split.product_table[shift + a, shift + b]
+            tail = {i - shift: v for i, v in product if i >= shift}
             if tail:
                 constants[(a, b)] = SparseVector(qdim, tail)
     derived = Algebra(qdim, labels, constants)

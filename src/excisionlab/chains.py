@@ -16,13 +16,15 @@ represents the zero class and is dropped (we are over Q).
 
 Every product of basis elements is read from the split basis's one product
 table, `SplitBasis.product_table`: (i, j) -> ((k, c), ...), whose constants
-are `int` when they are integral and `Fraction` otherwise.  The differential,
-the descent and the closed formula of `excision`, and `SplitBasis.mult_vec`
-all walk it, and every sum goes through `linalg._accumulate`.  The signs are
-the ints ±1, so on an integer algebra every term of `tuple_boundary_terms` is
-an `int`, and `boundary_matrix` sums each column in `int` and turns each entry
-into a `Fraction` once, when `SparseMatrix` stores it.  Exact integer sums
-equal exact `Fraction` sums, so nothing is rounded.
+are `int` when they are integral and `Fraction` otherwise.  The differential
+and the descent and closed formula of `excision` all walk it, and every sum
+goes through `linalg._accumulate`.  The signs are the ints ±1, so on an
+integer algebra every term of `tuple_boundary_terms` is an `int`, and
+`boundary_matrix` sums each column in `int` and turns each entry into a
+`Fraction` once, when `SparseMatrix` stores it.  `tensor_prepend` and
+`excision` likewise read units and chain coefficients through
+`linalg._integral_items`, and `Chain` stores each result as a `Fraction`.
+Exact integer sums equal exact `Fraction` sums, so nothing is rounded.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .linalg import (
     _Sparse,
     _accumulate,
     _eliminate,
+    _integral_items,
     echelon,
     kernel_basis,
 )
@@ -247,24 +250,15 @@ def canonicalize_cyclic(chain):
     return Chain(chain.degree, chain.context, out)
 
 
-def _expand_tensor(store, slots, coeff):
-    """Accumulate coeff · (slots[0] ⊗ slots[1] ⊗ ...) into `store`, keyed by
-    index tuples; `slots` are split-coordinate vectors."""
-    for combo in iter_product(*[sorted(v.entries.items()) for v in slots]):
-        c = coeff
-        for _, v in combo:
-            c *= v
-        _accumulate(store, tuple(i for i, _ in combo), c)
-
-
 def tensor_prepend(vector, chain):
     """The chain  vector ⊗ chain  in degree one higher.
 
     `vector` is in split coordinates.
     """
+    entries = _integral_items(vector.entries)
     out = {}
-    for tup, coeff in chain.terms.items():
-        for i, ci in vector.entries.items():
+    for tup, coeff in _integral_items(chain.terms):
+        for i, ci in entries:
             _accumulate(out, (i,) + tup, coeff * ci)
     return Chain(chain.degree + 1, chain.context, out)
 
@@ -494,12 +488,10 @@ def _homology_basis(context, variant, degree):
         record = boundary_echelon(context, variant, degree)
         free = record.free_columns()
         down_cols = {}
-        for (r, k), v in record.entries.items():
-            down_cols.setdefault(k, []).append(
-                (r, v.numerator if v.denominator == 1 else v))
+        for (r, k), v in _integral_items(record.entries):
+            down_cols.setdefault(k, []).append((r, v))
         product = {}
-        for (k, c), v in up.entries.items():
-            v = v.numerator if v.denominator == 1 else v
+        for (k, c), v in _integral_items(up.entries):
             for r, d in down_cols.get(k, ()):
                 _accumulate(product, (r, c), v * d)
         if product:

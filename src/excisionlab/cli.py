@@ -21,6 +21,7 @@ from .excision import (
     descent_step,
     inverse_excision_class,
     isomorphism_witness,
+    require_top_filtration,
     verify_certificate,
 )
 from .fileio import (
@@ -95,6 +96,8 @@ def cmd_excise_inverse(args):
 def cmd_descend(args):
     _, ideal, split = load_algebra(args.algebra)
     chain = load_chain(args.chain, split)
+    # name a tuple with a non-ideal initial slot before looking for a unit
+    require_top_filtration(chain)
     if args.unit == "auto":
         heads = sorted({tup[0] for tup in chain.terms})
         targets = [split.ordered_basis[i] for i in heads]

@@ -17,13 +17,11 @@ so a tampered certificate is caught by exact residual arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iter_product
 
 from .chains import (
     SPACES,
     Chain,
     Variant,
-    _expand_tensor,
     _memoised,
     _rotation,
     basis_tuples,
@@ -37,7 +35,8 @@ from .chains import (
     tensor_prepend,
 )
 from .linalg import (
-    ONE, SparseMatrix, SparseVector, Unsolvable, _accumulate, echelon, solve,
+    ONE, SparseMatrix, SparseVector, Unsolvable, _accumulate, _integral_items,
+    echelon, solve,
 )
 from .units import build_unit_schedule
 
@@ -170,7 +169,7 @@ def rotate_to_ideal_initial(chain):
     return Chain(n, context, out)
 
 
-def _require_ideal_initial(chain, schedule=None):
+def require_top_filtration(chain, schedule=None):
     """Reject a schedule whose degree is not the chain's, when one is given
     (ScheduleMismatchError), then a tuple whose initial slot is not ideal
     (ValueError): the rule of the top filtration step."""
@@ -187,21 +186,22 @@ def _require_ideal_initial(chain, schedule=None):
             )
 
 
-def _initial_heads_by_tail(chain):
-    """Group slot-0 content by the remaining slots, as split-coordinate
-    vectors.  This is the exact shape of the left-unit hypothesis."""
-    heads = {}
-    for tup, coeff in chain.terms.items():
-        _accumulate(heads.setdefault(tup[1:], {}), tup[0], coeff)
-    dim = chain.context.dimension
-    return {tail: SparseVector(dim, head) for tail, head in heads.items()}
-
-
 def _check_left_unit(chain, unit_split):
-    context = chain.context
-    for tail, head in sorted(_initial_heads_by_tail(chain).items()):
-        if context.mult_vec(unit_split, head) != head:
-            raise UnitActionError(tail, head)
+    """Check e·f0 = f0 for the initial content f0 of each tail, the exact
+    shape of the left-unit hypothesis, or raise UnitActionError."""
+    table = chain.context.product_table
+    unit = _integral_items(unit_split.entries)
+    heads = {}
+    for tup, coeff in _integral_items(chain.terms):
+        _accumulate(heads.setdefault(tup[1:], {}), tup[0], coeff)
+    for tail, head in sorted(heads.items()):
+        product = {}
+        for j, cj in head.items():
+            for i, ci in unit:
+                for k, ck in table[i, j]:
+                    _accumulate(product, k, ci * cj * ck)
+        if product != head:
+            raise UnitActionError(tail, SparseVector(chain.context.dimension, head))
 
 
 def descent_output(chain, unit_split):
@@ -218,18 +218,17 @@ def descent_output(chain, unit_split):
         raise ValueError("descent needs degree >= 1")
     context = chain.context
     table = context.product_table
-    unit_terms = list(unit_split.entries.items())
+    unit_terms = _integral_items(unit_split.entries)
     out = {}
-    for tup, coeff in chain.terms.items():
+    for tup, coeff in _integral_items(chain.terms):
         c = coeff if (n + 1) % 2 == 0 else -coeff
         last, middle, body = tup[-1], tup[1:-1], tup[:-1]
-        # e ⊗ (fn · f0) ⊗ f1 ... f(n-1)
         wrapped = table[last, tup[0]]
         for ei, ce in unit_terms:
+            # e ⊗ (fn · f0) ⊗ f1 ... f(n-1)
             for k, ck in wrapped:
                 _accumulate(out, (ei, k) + middle, c * ce * ck)
-        # − (fn · e) ⊗ f0 ... f(n-1)
-        for ei, ce in unit_terms:
+            # − (fn · e) ⊗ f0 ... f(n-1)
             for k, ck in table[last, ei]:
                 _accumulate(out, (k,) + body, -c * ce * ck)
     return Chain(n, context, out)
@@ -246,7 +245,7 @@ def descent_step(chain, unit):
     """
     if chain.degree < 1:
         raise ValueError("descent needs degree >= 1")
-    _require_ideal_initial(chain)
+    require_top_filtration(chain)
     unit_split = chain.context.to_split(unit)
     _check_left_unit(chain, unit_split)
     output = descent_output(chain, unit_split)
@@ -264,34 +263,48 @@ def closed_formula(chain, schedule):
     block i contributes  e_i ⊗ f_i…  for +  and  f_i·e_i ⊗  for −, with the
     trailing factor multiplying into the next block, and f0 terminates the
     word.  Degree 0 is the empty word: the chain itself.
+
+    Slot i depends only on s_(i−1) (is f_(i−1) pending?) and s_i, so the
+    words are summed by a fold over the slots with two partial sums, prefix
+    -> coefficient, `pending` and `free`: O(n) table products per tensor,
+    in `int` where integral.  It shares no code with `descent_output`,
+    against which `inverse_excision` checks it.
     """
     n = chain.degree
     context = chain.context
-    _require_ideal_initial(chain, schedule)
+    require_top_filtration(chain, schedule)
     if n == 0:
         return Chain(0, context, dict(chain.terms))
-    units = [context.to_split(u) for u in schedule.units]
-    dim = context.dimension
-    basis = [SparseVector.unit(dim, k) for k in range(dim)]
-    mult = context.mult_vec
+    table = context.product_table
+    units = [_integral_items(context.to_split(u).entries) for u in schedule.units]
+
+    def times(f, vector):  # f·vector for the split basis index f
+        out = {}
+        for k, c in vector:
+            for m, cm in table[f, k]:
+                _accumulate(out, m, c * cm)
+        return out.items()
+
+    def emit(target, states, slot, sign=1):
+        for prefix, c in states.items():
+            for k, ck in slot:
+                _accumulate(target, prefix + (k,), sign * c * ck)
+
     out = {}
-    for tup, coeff in chain.terms.items():
-        for signs in iter_product((1, -1), repeat=n):
-            slots = []
-            pending = None  # split-coordinate vector carried into the next slot
-            for i in range(1, n + 1):
-                e = units[i - 1]
-                f = basis[tup[i]]
-                if signs[i - 1] > 0:
-                    slots.append(e if pending is None else mult(pending, e))
-                    pending = f
-                else:
-                    fe = mult(f, e)
-                    slots.append(fe if pending is None else mult(pending, fe))
-                    pending = None
-            f0 = basis[tup[0]]
-            slots.append(f0 if pending is None else mult(pending, f0))
-            _expand_tensor(out, slots, coeff if signs.count(-1) % 2 == 0 else -coeff)
+    for tup, coeff in _integral_items(chain.terms):
+        free, pending = {(): coeff}, {}
+        for i in range(1, n + 1):
+            e = units[i - 1]
+            fe = times(tup[i], e)
+            next_free, next_pending = {}, {}
+            emit(next_pending, free, e)
+            emit(next_free, free, fe, -1)
+            if pending:
+                emit(next_pending, pending, times(tup[i - 1], e))
+                emit(next_free, pending, times(tup[i - 1], fe), -1)
+            free, pending = next_free, next_pending
+        emit(out, free, [(tup[0], 1)])
+        emit(out, pending, table[tup[n], tup[0]])
     return Chain(n, context, out)
 
 
@@ -476,7 +489,7 @@ def inverse_excision(chain, schedule):
     """
     context = chain.context
     n = chain.degree
-    _require_ideal_initial(chain)
+    require_top_filtration(chain)
     strict = n == 0 or (boundary := boundary_b(chain)).is_zero()
     if not strict and not canonicalize_cyclic(boundary).is_zero():
         raise ValueError("input is not a cycle of the relative cyclic complex")

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import product as iter_product
 
 from .algebra import (
     Algebra,
@@ -19,7 +20,7 @@ from .algebra import (
     validate_algebra,
     validate_ideal,
 )
-from .chains import SPACES, Chain, _expand_tensor
+from .chains import SPACES, Chain
 from .excision import (
     BOUNDARY_OPS,
     BoundaryCertificate,
@@ -149,7 +150,7 @@ def algebra_to_doc(algebra, ideal=None, split=None):
     return doc
 
 
-def algebra_from_doc(doc, validate=True):
+def algebra_from_doc(doc):
     """(Algebra, Ideal, SplitBasis) from a document; fully validated."""
     _typed(doc, dict, "")
     if doc.get("field") != "rational":
@@ -175,31 +176,29 @@ def algebra_from_doc(doc, validate=True):
                 raise ParseError(f"duplicate product record for ({i}, {j})", spot)
             constants[(i, j)] = vec
     algebra = Algebra(dimension, labels, constants)
-    if validate:
-        failure = validate_algebra(algebra)
-        if failure is not None:
-            raise ParseError(
-                f"structure constants are not associative at triple "
-                f"({failure.i}, {failure.j}, {failure.k})",
-                "products",
-            )
+    failure = validate_algebra(algebra)
+    if failure is not None:
+        raise ParseError(
+            f"structure constants are not associative at triple "
+            f"({failure.i}, {failure.j}, {failure.k})",
+            "products",
+        )
     ideal = Ideal(algebra, [
         _vector_from_list(v, dimension, spot)
         for spot, v in _each(_get(doc, "ideal", dict), "basis_vectors",
                              list, "ideal", [])
     ])
-    if validate:
-        try:
-            failure = validate_ideal(ideal)
-        except ValueError as exc:  # dependent basis vectors
-            raise ParseError(str(exc), "ideal") from None
-        if failure is not None:
-            raise ParseError(
-                f"not a two-sided ideal: basis product ({failure.side}, "
-                f"algebra index {failure.algebra_index}, ideal index "
-                f"{failure.ideal_index}) escapes the span",
-                "ideal",
-            )
+    try:
+        failure = validate_ideal(ideal)
+    except ValueError as exc:  # dependent basis vectors
+        raise ParseError(str(exc), "ideal") from None
+    if failure is not None:
+        raise ParseError(
+            f"not a two-sided ideal: basis product ({failure.side}, "
+            f"algebra index {failure.algebra_index}, ideal index "
+            f"{failure.ideal_index}) escapes the span",
+            "ideal",
+        )
     hint = None
     if "complement" in doc:
         hint = [
@@ -213,8 +212,8 @@ def algebra_from_doc(doc, validate=True):
     return algebra, ideal, split
 
 
-def load_algebra(path, validate=True):
-    return algebra_from_doc(_read_json(path), validate=validate)
+def load_algebra(path):
+    return algebra_from_doc(_read_json(path))
 
 
 def save_algebra(path, algebra, ideal=None, split=None):
@@ -266,7 +265,12 @@ def chain_from_doc(doc, context):
                 if strings:
                     slot_memo[text] = vec
             vectors.append(vec)
-        _expand_tensor(terms, vectors, coeff)
+        # coeff · (vectors[0] ⊗ vectors[1] ⊗ ...) on the tensor basis
+        for combo in iter_product(*[sorted(v.entries.items()) for v in vectors]):
+            c = coeff
+            for _, v in combo:
+                c *= v
+            _accumulate(terms, tuple(i for i, _ in combo), c)
     return Chain(degree, context, terms)
 
 

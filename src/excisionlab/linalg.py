@@ -61,6 +61,13 @@ def _accumulate(store, key, value):
         store.pop(key, None)
 
 
+def _integral_items(values):
+    """The (key, value) pairs of a dict of exact scalars, each value an `int`
+    where it is integral and a `Fraction` otherwise.  Sums and products of
+    these equal the `Fraction` ones exactly; `int` ones cost far less."""
+    return [(k, v.numerator if v.denominator == 1 else v) for k, v in values.items()]
+
+
 def _combination(dimension, terms):
     """The vector sum of `coeff · vector` over the (coeff, vector) pairs of
     `terms`, accumulated in one dict and built once."""

@@ -7,9 +7,11 @@ Only the algebra's structure constants are shared with the library: products
 of the split basis vectors come from `Algebra.mul` on parent coordinates and
 are brought to split coordinates by a dense inverse of the basis matrix
 computed here, never from the split's product table that the library's
-differential walks.  The exception is `incremental_span_homology`, the
-library's former choice of homology representatives, kept as the reference
-for the projection that replaced it.
+differential walks.  `sign_word_closed_formula` expands the paper's
+inverse formula word by word with the same products, as the reference for
+the library's fold over the slots.  The exception is
+`incremental_span_homology`, the library's former choice of homology
+representatives, kept as the reference for the projection that replaced it.
 """
 
 from fractions import Fraction
@@ -167,24 +169,89 @@ def _dense_inverse(rows):
     return [row[n:] for row in work]
 
 
-def split_products(split):
-    """mult(i, j) -> {k: c}: the split coordinates of f_i·f_j for the split
-    basis vectors f_i, multiplied by `Algebra.mul` in parent coordinates and
-    changed to split coordinates by a dense inverse computed here."""
+def _split_coordinates(split):
+    """vector -> {k: c}: parent coordinates to the split coordinates, by a
+    dense inverse of the basis matrix computed here, memoised per vector."""
     dim = split.dimension
     basis = [vector.to_list() for vector in split.ordered_basis]
     inverse = _dense_inverse([[basis[c][r] for c in range(dim)] for r in range(dim)])
     memo = {}
 
+    def convert(vector):
+        key = tuple((r, v.numerator, v.denominator) for r, v in vector.entries.items())
+        if key not in memo:
+            values = vector.to_list()
+            coords = [sum(inverse[k][r] * values[r] for r in range(dim)) for k in range(dim)]
+            memo[key] = {k: c for k, c in enumerate(coords) if c}
+        return memo[key]
+
+    return convert
+
+
+def split_products(split):
+    """mult(i, j) -> {k: c}: the split coordinates of f_i·f_j for the split
+    basis vectors f_i, multiplied by `Algebra.mul` in parent coordinates and
+    changed to split coordinates by `_split_coordinates`."""
+    convert = _split_coordinates(split)
+    memo = {}
+
     def mult(i, j):
         if (i, j) not in memo:
-            product = split.parent.mul(split.ordered_basis[i], split.ordered_basis[j])
-            values = product.to_list()
-            coords = [sum(inverse[k][r] * values[r] for r in range(dim)) for k in range(dim)]
-            memo[i, j] = {k: c for k, c in enumerate(coords) if c}
+            basis = split.ordered_basis
+            memo[i, j] = convert(split.parent.mul(basis[i], basis[j]))
         return memo[i, j]
 
     return mult
+
+
+def sign_word_closed_formula(split, schedule):
+    """chain -> {tuple: coeff}: the closed inverse formula expanded word by
+    word, as the paper writes it.  For each pure tensor f0 ⊗ … ⊗ fn and
+    each sign word s in {+,−}^n the slots are multiplied out with
+    `Algebra.mul` on parent coordinates: slot i is e_i for + and f_i·e_i
+    for −, times f_(i−1) from the left when s_(i−1) is +, and f0 (times f_n
+    when s_n is +) closes the word, with sign (−1)^(number of −).  Each
+    slot goes to split coordinates by `_split_coordinates` and the tensor
+    is expanded.  The expansion of each basis tuple is memoised, and the
+    formula is linear in the chain."""
+    mul = split.parent.mul
+    convert = _split_coordinates(split)
+    units = list(schedule.units)
+    expansions = {}
+
+    def expand(tup):
+        n = len(tup) - 1
+        f = [split.ordered_basis[i] for i in tup]
+        out = {}
+        for signs in iter_product((1, -1), repeat=n):
+            slots, pending = [], None
+            for i in range(1, n + 1):
+                if signs[i - 1] > 0:
+                    slot, next_pending = units[i - 1], f[i]
+                else:
+                    slot, next_pending = mul(f[i], units[i - 1]), None
+                slots.append(slot if pending is None else mul(pending, slot))
+                pending = next_pending
+            slots.append(f[0] if pending is None else mul(pending, f[0]))
+            sign = 1 if signs.count(-1) % 2 == 0 else -1
+            for combo in iter_product(*[convert(slot).items() for slot in slots]):
+                c = sign
+                for _, v in combo:
+                    c *= v
+                key = tuple(k for k, _ in combo)
+                out[key] = out.get(key, 0) + c
+        return out
+
+    def evaluate(chain):
+        out = {}
+        for tup, coeff in chain.terms.items():
+            if tup not in expansions:
+                expansions[tup] = expand(tup)
+            for key, c in expansions[tup].items():
+                out[key] = out.get(key, 0) + coeff * c
+        return {k: Fraction(v) for k, v in out.items() if v}
+
+    return evaluate
 
 
 def homology_dimension(split, op, space, degree):

@@ -179,3 +179,16 @@ def test_malformed_unit_file_names_its_path(t2_files, capsys, unit, location):
     code = main(["descend", "--algebra", algebra, "--chain", chain, "--unit", str(path)])
     assert code == EXIT_ERROR
     assert capsys.readouterr().err.startswith(f"error: {location}: ")
+
+
+def test_descend_names_a_non_ideal_initial_slot_before_any_unit_search(t2_files, capsys):
+    demo, algebra, _, tmp_path = t2_files
+    chain = str(tmp_path / "outside.json")
+    save_chain(chain, pure_tensor(demo.split, (2, 0)))  # E22⊗E11
+    for unit in ([], ["--unit", "auto"]):
+        code = main(["descend", "--algebra", algebra, "--chain", chain, *unit])
+        assert code == EXIT_ERROR
+        assert capsys.readouterr().err == (
+            "error: tuple (2, 0) has a non-ideal initial slot: the chain is "
+            "not in the top filtration step\n"
+        )

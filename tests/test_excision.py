@@ -34,9 +34,13 @@ from excisionlab.excision import (
     rotate_to_ideal_initial,
     verify_certificate,
 )
+from excisionlab.algebra import Ideal, make_split_basis
 from excisionlab.linalg import SparseVector
-from excisionlab.units import UnitRequest, UnitSchedule, find_local_left_unit
+from excisionlab.units import (
+    UnitRequest, UnitSchedule, build_unit_schedule, find_local_left_unit,
+)
 
+from dense_oracle import sign_word_closed_formula
 from support import WordAlgebra, filtered_cycle_basis
 
 
@@ -233,23 +237,76 @@ def test_closed_formula_checks_schedule_length(t2):
         closed_formula(phi, UnitSchedule(()))
 
 
+def _doubled_split(split):
+    """`split` with its first ideal basis vector doubled: products of the
+    other basis vectors that land on it, and the units, get non-integral
+    split coordinates."""
+    ideal = split.ideal.basis_vectors
+    return make_split_basis(
+        Ideal(split.parent, [ideal[0].scaled(2), *ideal[1:]]),
+        split.ordered_basis[split.ideal_count:],
+    )
+
+
+@pytest.mark.parametrize("name, doubled", [
+    ("t2-corner", False), ("matrix2", False), ("direct-sum", False),
+    ("matrix2", True),
+])
+def test_closed_formula_matches_the_sign_word_oracle(corpus, monkeypatch, name, doubled):
+    """The fold over the slots equals the word-by-word expansion, built on
+    `Algebra.mul`, on every strict top-filtration cycle at degrees 1-4, and
+    it runs no descent step: the two stay independent computations."""
+    import excisionlab.excision as excision_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the closed formula ran a descent step")
+
+    for descent in ("descent_output", "descent_step"):
+        monkeypatch.setattr(excision_module, descent, forbidden)
+    split = next(d for d in corpus if d.name == name).split
+    if doubled:
+        split = _doubled_split(split)
+    for degree in range(1, 5):
+        cycles = filtered_cycle_basis(split, degree, degree)
+        # the formula is multilinear algebra in the units: any schedule
+        # of the right degree serves, so one covers all the cycles
+        tuples = sorted({t for cycle in cycles for t in cycle.terms})
+        schedule = build_unit_schedule(tuples, split, degree)
+        oracle = sign_word_closed_formula(split, schedule)
+        for cycle in cycles:
+            assert closed_formula(cycle, schedule).terms == oracle(cycle)
+        assert cycles
+    rows = [c for row in split.product_table.values() for _, c in row]
+    units = [c for u in schedule.units for c in split.to_split(u).entries.values()]
+    assert any(type(c) is Fraction for c in rows) == doubled
+    assert any(c.denominator > 1 for c in units) == doubled
+
+
 # ------------------------------------------- closed formula vs iteration
 
 def test_closed_formula_equals_iterated_descent(corpus, monkeypatch):
     """The closed formula equals n chained descent steps, and the strict
-    inverse is certified by their homotopies without any linear algebra."""
+    inverse is certified by their homotopies without any linear algebra.
+    The comparison is a real cross-check: a formula off by one ideal tuple
+    fails it, and so does a certificate whose output is off by that tuple."""
     import excisionlab.excision as excision_module
-    from excisionlab.units import build_unit_schedule
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the strict inverse ran linear algebra")
 
     for name in ("boundary_matrix", "solve", "find_boundary_witness"):
         monkeypatch.setattr(excision_module, name, forbidden)
+    formula = excision_module.closed_formula
+
+    def off_by_one(chain, schedule):
+        return formula(chain, schedule) + pure_tensor(
+            chain.context, (0,) * chain.degree + (1,))
+
     tested = 0
     for demo in corpus:
         split = demo.split
         for degree in range(1, 4):
+            extra = pure_tensor(split, (0,) * degree + (1,))
             for cycle in filtered_cycle_basis(split, degree, degree):
                 schedule = build_unit_schedule(sorted(cycle.terms), split, degree)
                 result = inverse_excision(cycle, schedule)
@@ -264,6 +321,22 @@ def test_closed_formula_equals_iterated_descent(corpus, monkeypatch):
                 witness = result.verification.witness
                 assert witness == -homotopies
                 assert verify_certificate(result) is None
+                with monkeypatch.context() as patch:
+                    patch.setattr(excision_module, "closed_formula", off_by_one)
+                    with pytest.raises(InverseInvariantError,
+                                       match="differs from the chained descent"):
+                        inverse_excision(cycle, schedule)
+                inner = result.verification
+                shifted = InverseResult(
+                    input=cycle,
+                    schedule=schedule,
+                    output=result.output + extra,
+                    verification=BoundaryCertificate(
+                        lhs=inner.lhs + extra, rhs=inner.rhs, witness=witness,
+                        op=inner.op, space=inner.space,
+                    ),
+                )
+                assert isinstance(verify_certificate(shifted), Mismatch)
                 # change one coefficient on a tuple whose boundary survives
                 # the rotation quotient; where every witness tuple is a
                 # cyclic cycle (E11⊗E11⊗E11 at degree 1), any coefficient

@@ -316,8 +316,8 @@ STRICT_CERTIFICATE_DOCS_SHA256 = "7795fbb9298dd857e464b43c69dddc45da28891e2aa565
 
 
 def test_strict_certificate_documents_are_pinned(corpus):
-    """The closed formula, the descent output and `mult_vec` run only on
-    strict cycles, which the end-to-end pin above never reaches."""
+    """The closed formula and the descent output run only on strict cycles,
+    which the end-to-end pin above never reaches."""
     digest = hashlib.sha256()
     count = 0
     for demo in corpus:

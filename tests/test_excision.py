@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from excisionlab.algebra import Ideal, make_split_basis
 from excisionlab.chains import (
     Chain,
     Variant,
@@ -34,7 +35,6 @@ from excisionlab.excision import (
     rotate_to_ideal_initial,
     verify_certificate,
 )
-from excisionlab.algebra import Ideal, make_split_basis
 from excisionlab.linalg import SparseVector
 from excisionlab.units import (
     UnitRequest, UnitSchedule, build_unit_schedule, find_local_left_unit,

@@ -4,6 +4,9 @@ An algebra here need not be commutative and need not have a unit.  Ideals are
 two-sided; a split basis lists an ideal basis first and a complement lifting
 a basis of the quotient, and every chain-level computation downstream runs in
 the coordinates of that ordered basis.
+
+Products and the associativity check read an integer structure table, so they
+run in `int` arithmetic wherever the constants are integral.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from .linalg import (
     IncrementalSpan,
     SparseMatrix,
     SparseVector,
+    _accumulate,
     _combination,
     _integral_items,
     invert,
@@ -25,18 +29,21 @@ class Algebra:
     """Algebra presented extensionally: a basis and all pairwise products.
 
     `structure_constants` maps (i, j) to the coordinates of e_i * e_j; absent
-    pairs multiply to zero.  Associativity is not checked at construction,
-    call `validate_algebra` for that.
+    pairs multiply to zero.  `structure_table` holds the same constants as
+    (i, j) -> ((k, c), ...), `c` an `int` where it is integral.
+    Associativity is not checked at construction, call `validate_algebra`
+    for that.
     """
 
-    __slots__ = ("dimension", "basis_labels", "structure_constants")
+    __slots__ = ("dimension", "basis_labels", "structure_constants",
+                 "structure_table")
 
     def __init__(self, dimension, basis_labels, structure_constants):
         self.dimension = int(dimension)
         if len(basis_labels) != self.dimension:
             raise ValueError("one label per basis element required")
         self.basis_labels = list(basis_labels)
-        clean = {}
+        clean, table = {}, {}
         for (i, j), vec in structure_constants.items():
             i, j = int(i), int(j)
             if not (0 <= i < self.dimension and 0 <= j < self.dimension):
@@ -45,7 +52,9 @@ class Algebra:
                 raise ValueError(f"product ({i}, {j}) has wrong dimension")
             if not vec.is_zero():
                 clean[(i, j)] = vec
+                table[(i, j)] = tuple(_integral_items(vec.entries))
         self.structure_constants = clean
+        self.structure_table = table
 
     def mul_basis(self, i, j):
         """Product of basis elements i and j, as coordinates."""
@@ -56,16 +65,14 @@ class Algebra:
 
     def mul(self, u, v):
         """Bilinear product of two coordinate vectors."""
-        constants = self.structure_constants
-        return _combination(
-            self.dimension,
-            [
-                (ci * cj, constants[i, j])
-                for i, ci in u.entries.items()
-                for j, cj in v.entries.items()
-                if (i, j) in constants
-            ],
-        )
+        table = self.structure_table
+        right = _integral_items(v.entries)
+        out = {}
+        for i, ci in _integral_items(u.entries):
+            for j, cj in right:
+                for k, c in table.get((i, j), ()):
+                    _accumulate(out, k, ci * cj * c)
+        return SparseVector(self.dimension, out)
 
     def basis_vector(self, i):
         return SparseVector.unit(self.dimension, i)
@@ -103,14 +110,22 @@ def validate_algebra(algebra):
     otherwise the first failing triple in lexicographic order.
     """
     d = algebra.dimension
+    table = algebra.structure_table
     for i in range(d):
         for j in range(d):
-            ij = algebra.mul_basis(i, j)
+            ij = table.get((i, j), ())
             for k in range(d):
-                left = algebra.mul(ij, algebra.basis_vector(k))
-                right = algebra.mul(algebra.basis_vector(i), algebra.mul_basis(j, k))
+                left, right = {}, {}
+                for m, c in ij:
+                    for n, c2 in table.get((m, k), ()):
+                        _accumulate(left, n, c * c2)
+                for m, c in table.get((j, k), ()):
+                    for n, c2 in table.get((i, m), ()):
+                        _accumulate(right, n, c * c2)
                 if left != right:
-                    return AssociativityFailure(i, j, k, left, right)
+                    return AssociativityFailure(
+                        i, j, k, SparseVector(d, left), SparseVector(d, right)
+                    )
     return None
 
 

@@ -2,13 +2,14 @@
 
 All outputs are exact-rational structured text (`--format structured` emits
 JSON).  The exit code is 0 only when every certificate produced by the run
-verifies; hypothesis failures and verification mismatches use distinct
-nonzero codes so scripts can tell them apart.
+verifies; usage errors, hypothesis failures and verification mismatches
+use distinct nonzero codes so scripts can tell them apart.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -196,8 +197,18 @@ def _vector_text(vector):
     return "[" + ", ".join(vector_to_list(vector)) + "]"
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit EXIT_ERROR: argparse's own 2 is EXIT_MISMATCH."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_ERROR, f"{self.prog}: error: {message}\n")
+
+
+@functools.cache
 def build_parser():
-    parser = argparse.ArgumentParser(
+    """The one parser of the process; `parse_args` keeps no state in it."""
+    parser = _Parser(
         prog="excisionlab",
         description=(
             "Exact cyclic/Hochschild homology of finite-dimensional algebras "
@@ -259,8 +270,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     # a ParseError or a JSONDecodeError is a ValueError

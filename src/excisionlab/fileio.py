@@ -28,7 +28,9 @@ from .excision import (
     InverseResult,
     verify_certificate,
 )
-from .linalg import SparseVector, _accumulate, format_scalar, parse_scalar
+from .linalg import (
+    SparseVector, _accumulate, _integral_items, format_scalar, parse_scalar,
+)
 from .units import UnitRequest, UnitSchedule, find_local_left_unit
 
 
@@ -164,17 +166,16 @@ def algebra_from_doc(doc):
         i, j = _get(record, "left", int, spot), _get(record, "right", int, spot)
         if not (0 <= i < dimension and 0 <= j < dimension):
             raise ParseError(f"product indices ({i}, {j}) out of range", spot)
+        if (i, j) in constants:
+            raise ParseError(f"duplicate product record for ({i}, {j})", spot)
         entries = {}
         for item_spot, item in _each(record, "result", dict, spot, []):
             k = _get(item, "index", int, item_spot)
             if not 0 <= k < dimension:
                 raise ParseError(f"result index {k} out of range", item_spot)
             _accumulate(entries, k, _scalar(item.get("coeff"), f"{item_spot}.coeff"))
-        vec = SparseVector(dimension, entries)
-        if not vec.is_zero():
-            if (i, j) in constants:
-                raise ParseError(f"duplicate product record for ({i}, {j})", spot)
-            constants[(i, j)] = vec
+        constants[(i, j)] = SparseVector(dimension, entries)
+    # `Algebra` drops the pairs whose product is zero
     algebra = Algebra(dimension, labels, constants)
     failure = validate_algebra(algebra)
     if failure is not None:
@@ -244,29 +245,33 @@ def chain_from_doc(doc, context):
     if degree < 0:
         raise ParseError("the degree must be non-negative", "degree")
     dimension = context.dimension
-    # split coordinates per slot text: a document repeats few distinct slots
+    # the sorted split coordinates per slot text, read as `int` where
+    # integral: a document repeats few distinct slots
     slot_memo = {}
     terms = {}
     for spot, record in _each(doc, "terms", dict, default=[]):
         coeff = _scalar(record.get("coeff"), f"{spot}.coeff")
+        if coeff.denominator == 1:
+            coeff = coeff.numerator
         slots = record.get("slots")
         if not isinstance(slots, list) or len(slots) != degree + 1:
             raise ParseError(f"expected {degree + 1} slots", f"{spot}.slots")
-        vectors = []
+        factors = []
         for q, slot in enumerate(slots):
             # only lists of strings are hashable and can be memoised; any
             # other slot is parsed afresh so it fails with its own path
             strings = isinstance(slot, list) and all(isinstance(x, str) for x in slot)
             text = tuple(slot) if strings else None
-            vec = slot_memo.get(text)
-            if vec is None:
+            items = slot_memo.get(text)
+            if items is None:
                 at = f"{spot}.slots[{q}]"
                 vec = context.to_split(_vector_from_list(slot, dimension, at))
+                items = sorted(_integral_items(vec.entries))
                 if strings:
-                    slot_memo[text] = vec
-            vectors.append(vec)
-        # coeff · (vectors[0] ⊗ vectors[1] ⊗ ...) on the tensor basis
-        for combo in iter_product(*[sorted(v.entries.items()) for v in vectors]):
+                    slot_memo[text] = items
+            factors.append(items)
+        # coeff · (factors[0] ⊗ factors[1] ⊗ ...) on the tensor basis
+        for combo in iter_product(*factors):
             c = coeff
             for _, v in combo:
                 c *= v

@@ -29,19 +29,21 @@ Scalar = Fraction
 ZERO = Fraction(0)
 ONE = Fraction(1)
 
-_SCALAR_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def parse_scalar(text):
-    """Parse an exact rational literal "p" or "p/q" with q > 0.
+    """Parse an exact rational literal "p" or "p/q" in ASCII digits, q > 0.
 
-    Anything else (floats, scientific notation, negative denominators) is
-    rejected, so a file containing "1.5" fails loudly instead of being
-    silently coerced.
+    Anything else (floats, scientific notation, negative denominators, spaces,
+    newlines, "_" separators, other digits) is rejected, so a file containing
+    "1.5" fails loudly instead of being silently coerced.
     """
-    if not isinstance(text, str) or _SCALAR_RE.match(text) is None:
+    match = _SCALAR_RE.fullmatch(text) if isinstance(text, str) else None
+    if match is None:
         raise ValueError(f"not an exact rational literal: {text!r}")
-    return Fraction(text)
+    p, q = match.groups()
+    return Fraction(int(p), int(q)) if q else Fraction(int(p))
 
 
 def format_scalar(value):

@@ -1,3 +1,6 @@
+import random
+from fractions import Fraction
+
 import pytest
 
 from excisionlab.algebra import (
@@ -12,6 +15,8 @@ from excisionlab.algebra import (
     validate_ideal,
 )
 from excisionlab.linalg import SparseVector
+
+from support import rebased_split
 
 
 def _one_dim_idempotent():
@@ -144,3 +149,91 @@ def test_opposite_of_commutative_is_itself():
 def test_opposite_preserves_associativity(corpus):
     for demo in corpus:
         assert validate_algebra(opposite_algebra(demo.algebra)) is None
+
+
+def _halved(demo):
+    """`demo`'s algebra in the basis e_0/2, e_1, ..., so that constants 1/2
+    and 2 appear."""
+    old = demo.algebra
+    scale = [Fraction(1, 2)] + [Fraction(1)] * (old.dimension - 1)
+    constants = {
+        (i, j): SparseVector(old.dimension, {
+            k: scale[i] * scale[j] * c / scale[k] for k, c in vec.entries.items()
+        })
+        for (i, j), vec in old.structure_constants.items()
+    }
+    return Algebra(old.dimension, old.basis_labels, constants)
+
+
+def integer_path_algebras(corpus):
+    """Corpus algebras, their rebased forms and one with non-integral
+    constants, by name."""
+    found = {demo.name: demo.algebra for demo in corpus}
+    for demo in corpus:
+        for offset in (1, 2):
+            found[f"{demo.name}+{offset}"] = rebased_split(demo, offset).parent
+    matrix2 = next(d for d in corpus if d.name == "matrix2")
+    found["matrix2/2"] = _halved(matrix2)
+    return found
+
+
+def _bilinear(algebra, u, v):
+    """u·v expanded term by term in `Fraction` arithmetic."""
+    out = [Fraction(0)] * algebra.dimension
+    for (i, j), vec in algebra.structure_constants.items():
+        for k, c in vec.entries.items():
+            out[k] += u.get(i) * v.get(j) * c
+    return SparseVector.from_list(out)
+
+
+def test_mul_equals_the_bilinear_fraction_expansion(corpus):
+    rng = random.Random(5)
+    algebras = integer_path_algebras(corpus)
+    assert any(type(c) is Fraction
+               for row in algebras["matrix2/2"].structure_table.values()
+               for _, c in row)
+    for algebra in algebras.values():
+        d = algebra.dimension
+        vectors = [algebra.basis_vector(i) for i in range(d)] + [
+            SparseVector(d, {i: Fraction(rng.randint(-4, 4), rng.choice([1, 1, 3]))
+                             for i in range(d)})
+            for _ in range(6)
+        ]
+        for u in vectors:
+            for v in vectors:
+                product = algebra.mul(u, v)
+                assert product == _bilinear(algebra, u, v)
+                assert all(type(c) is Fraction for c in product.entries.values())
+
+
+def _first_failure(algebra):
+    """(i, j, k, (e_i e_j) e_k, e_i (e_j e_k)) for the first non-associative
+    triple, by brute force."""
+    d = algebra.dimension
+    e = [algebra.basis_vector(i) for i in range(d)]
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                left = _bilinear(algebra, _bilinear(algebra, e[i], e[j]), e[k])
+                right = _bilinear(algebra, e[i], _bilinear(algebra, e[j], e[k]))
+                if left != right:
+                    return i, j, k, left, right
+    return None
+
+
+def test_validate_algebra_finds_the_brute_force_triple(corpus):
+    rng = random.Random(7)
+    for name, algebra in integer_path_algebras(corpus).items():
+        assert validate_algebra(algebra) is None, name
+        d = algebra.dimension
+        for _ in range(3):
+            constants = dict(algebra.structure_constants)
+            pair = rng.choice(sorted(constants))
+            bump = SparseVector(d, {rng.randrange(d): rng.choice([1, Fraction(-1, 2)])})
+            constants[pair] = constants[pair] + bump
+            perturbed = Algebra(d, algebra.basis_labels, constants)
+            expected = _first_failure(perturbed)
+            assert expected is not None, (name, pair, bump)
+            failure = validate_algebra(perturbed)
+            assert (failure.i, failure.j, failure.k, failure.left_product,
+                    failure.right_product) == expected, name

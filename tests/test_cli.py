@@ -8,6 +8,7 @@ from excisionlab.cli import (
     EXIT_MISMATCH,
     EXIT_NO_LOCAL_UNIT,
     EXIT_OK,
+    build_parser,
     main,
 )
 from excisionlab.fileio import demo_by_name, save_algebra, save_chain
@@ -85,6 +86,35 @@ def test_excise_inverse_and_verify(t2_files, capsys):
     assert text.startswith(f"MISMATCH: {report['reason']}\n")
     assert report["residual"]["terms"]
     assert "\nresidual: " in text
+
+
+def test_one_parser_serves_successive_calls(t2_files, capsys):
+    """The parser is built once per process; a structured call leaves no
+    format behind for the next one."""
+    _, algebra, chain, tmp_path = t2_files
+    cert = str(tmp_path / "cert.json")
+    main(["excise-inverse", "--algebra", algebra, "--chain", chain,
+          "--degree", "1", "--emit-certificate", cert])
+    capsys.readouterr()
+    assert build_parser() is build_parser()
+    assert main(["verify", "--certificate", cert, "--format", "structured"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["status"] == "ok"
+    assert main(["verify", "--certificate", cert]) == EXIT_OK
+    assert capsys.readouterr().out == "ok\n"
+
+
+def test_a_usage_error_exits_with_the_error_code(capsys):
+    # argparse's own code, 2, would read as a failed verification
+    with pytest.raises(SystemExit) as info:
+        main(["verify"])
+    assert info.value.code == EXIT_ERROR != EXIT_MISMATCH
+    err = capsys.readouterr().err
+    assert err.startswith("usage: excisionlab verify")
+    assert "error: the following arguments are required: --certificate" in err
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--help"])
+    assert info.value.code == EXIT_OK
+    assert capsys.readouterr().out.startswith("usage: excisionlab verify")
 
 
 def test_degree_mismatch_is_an_error(t2_files, capsys):

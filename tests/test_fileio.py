@@ -97,6 +97,31 @@ def test_non_associative_document_rejected():
     assert "associative" in str(info.value)
 
 
+@pytest.mark.parametrize("first, second", [
+    (["1"], []),
+    ([], ["1"]),
+    (["1", "-1"], ["1"]),
+    (["1"], ["1"]),
+])
+def test_a_second_record_for_a_product_is_rejected(first, second):
+    """Also when one of the two results is zero, or sums to zero."""
+    def record(coeffs):
+        result = [{"index": 0, "coeff": c} for c in coeffs]
+        return {"left": 0, "right": 0, "result": result}
+
+    doc = {
+        "field": "rational",
+        "dimension": 1,
+        "basis": ["e"],
+        "products": [record(first), record(second)],
+        "ideal": {"basis_vectors": []},
+    }
+    with pytest.raises(ParseError) as info:
+        algebra_from_doc(doc)
+    assert info.value.location == "products[1]"
+    assert info.value.message == "duplicate product record for (0, 0)"
+
+
 def test_chain_round_trip(t2):
     chain = pure_tensor(t2.split, (0, 2)).scaled(3) - pure_tensor(t2.split, (1, 1))
     doc = chain_to_doc(chain)

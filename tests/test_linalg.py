@@ -26,7 +26,12 @@ def test_parse_scalar_accepts_exact_rationals():
     assert parse_scalar("0") == 0
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1e3", "3/0", "3/-2", " 1", "", None, "1/2/3"])
+@pytest.mark.parametrize("bad", [
+    "1.5", "1e3", "3/0", "3/-2", " 1", "", None, "1/2/3",
+    # `$` matches before a final newline, `\d` any Unicode digit, and `int`
+    # takes spaces and "_" separators: the literal must be plain ASCII
+    "5\n", "1/2\n", "5 ", "\u0663", "1/\u0663", "1_0", "1/1_0",
+])
 def test_parse_scalar_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)

@@ -161,6 +161,22 @@ def test_malformed_field_names_its_path(kind, path, value, tmp_path, capsys):
     assert captured.err.startswith(f"error: {path_text(path)}: "), captured.err
 
 
+def coeff_fields():
+    for kind in ("descent", "boundary", "inverse"):
+        for path, _, _ in fields(kind):
+            if path[-1:] == ("coeff",):
+                yield pytest.param(kind, path, id=f"{kind}:{path_text(path)}")
+
+
+@pytest.mark.parametrize("kind, path", list(coeff_fields()))
+def test_a_coefficient_with_a_trailing_newline_names_its_path(kind, path):
+    doc = mutate(kind, path, doc_at(documents()[kind], path) + "\n")
+    with pytest.raises(ParseError) as info:
+        certificate_from_doc(doc)
+    assert info.value.location == path_text(path)
+    assert "not an exact rational literal" in info.value.message
+
+
 def test_the_unmangled_documents_verify():
     for doc in documents().values():
         certificate, _ = certificate_from_doc(copy.deepcopy(doc))

@@ -8,10 +8,12 @@ a boundary certificate records a degree-(n+1) witness η whose boundary equals
 a claimed-homologous difference, and an inverse result bundles the unit
 schedule with a boundary certificate for  ρ(output) ≡ input.  For a strict
 cycle that witness is the concatenated homotopy of the n descent steps the
-closed formula summarises, so the paper's inverse does no linear algebra;
-only classes with no strict representative are inverted, and certified, by
-an exact linear solve.  Verification re-expands every identity from scratch,
-so a tampered certificate is caught by exact residual arithmetic.
+closed formula summarises, so the paper's inverse does no linear algebra.
+A non-strict class whose every slot is ideal is its own inverse image, since
+the excision map is the inclusion there; only the remaining classes, with a
+complement slot, are inverted, and certified, by an exact linear solve.
+Verification re-expands every identity from scratch, so a tampered
+certificate is caught by exact residual arithmetic.
 """
 
 from __future__ import annotations
@@ -448,11 +450,12 @@ def _invert_by_solve(chain):
 
 
 def _descent_witness(chain, schedule, output):
-    """Witness η with b(η) = output − chain for a strict cycle, read off the
-    descent steps with e_n, …, e_1 that the closed formula summarises."""
+    """Witness η with b(η) = output − chain for a strict cycle: minus the
+    sum of the homotopies of the descent steps with e_n, …, e_1 that the
+    closed formula summarises, accumulated in one pass."""
     if chain.degree == 0:
         return Chain(1, chain.context)
-    steps = []
+    witness = {}
     current = chain
     for unit in reversed(schedule.units):
         try:
@@ -461,14 +464,15 @@ def _descent_witness(chain, schedule, output):
             raise InverseInvariantError(
                 f"a validated unit schedule failed a descent step: {exc}", current
             ) from exc
-        steps.append(step)
+        for tup, coeff in _integral_items(step.homotopy.terms):
+            _accumulate(witness, tup, -coeff)
         current = step.output
     if current != output:
         raise InverseInvariantError(
             "the closed formula differs from the chained descent steps",
             output - current,
         )
-    return -concatenate_descents(steps).witness
+    return Chain(chain.degree + 1, chain.context, witness)
 
 
 def inverse_excision(chain, schedule):
@@ -478,14 +482,19 @@ def inverse_excision(chain, schedule):
     The input must have every initial slot in the ideal (no rotation happens
     here: plain Hochschild-style inputs must arrive already in the top
     filtration step) and must be a cycle of the relative cyclic complex.
-    Strict cycles go through the closed formula, and are certified by the
-    homotopy that proves it: the n descent steps with e_n, …, e_1 must end
-    at the formula's output, and the witness is minus the sum of their
-    homotopies e_i ⊗ φ_i, so this path does no linear algebra.  Cycles that
-    only close up modulo the rotation action carry no formula guarantee and
-    are inverted by the exact linear solve of `_invert_by_solve`.  Either
-    way the result ships the same kind of independently checkable
-    certificate; a failed internal identity raises InverseInvariantError.
+    It takes one of three paths:
+      - strict cycles go through the closed formula, and are certified by
+        the homotopy that proves it: the n descent steps with e_n, …, e_1
+        must end at the formula's output, and the witness is minus the sum
+        of their homotopies e_i ⊗ φ_i, so this path does no linear algebra;
+      - other cycles whose every slot is ideal are their own preimage, since
+        ρ is the inclusion: the output is the canonical form of the input
+        and the witness is 0, exactly what the solve would return;
+      - cycles with a complement slot that only close up modulo the
+        rotation action carry no formula guarantee and are inverted by the
+        exact linear solve of `_invert_by_solve`.
+    Every path ships the same kind of independently checkable certificate;
+    a failed internal identity raises InverseInvariantError.
     """
     context = chain.context
     n = chain.degree
@@ -501,6 +510,10 @@ def inverse_excision(chain, schedule):
                 "closed formula escaped the ideal's tensor space", output
             )
         witness = _descent_witness(chain, schedule, output)
+    elif is_ideal_chain(chain):
+        # ρ is the inclusion here, so the class is its own preimage; the
+        # solve would return exactly this, its ideal columns being pivots
+        output, witness = canonicalize_cyclic(chain), Chain(n + 1, context)
     else:
         output, witness = _invert_by_solve(chain)
     if n >= 1 and not canonicalize_cyclic(boundary_b(output)).is_zero():

@@ -169,3 +169,22 @@ def rebased_split(demo, offset):
     ideal = [back.matvec(v) for v in demo.ideal.basis_vectors]
     mixed = [v + ideal[j + 1] if j + 1 < len(ideal) else v for j, v in enumerate(ideal)]
     return make_split_basis(Ideal(algebra, mixed))
+
+
+def dual_number_split():
+    """Upper-triangular 2x2 matrices over the dual numbers Q[x]/(x²), on the
+    basis E11, E11x, E12, E12x, E22, E22x, split by the first-row ideal
+    span{E11, E11x, E12, E12x}.  E11 is a left unit of the ideal, which has
+    no right unit; unlike the shipped corpus, HH_n(I) is nonzero at n = 1–3,
+    so the closed formula meets nonzero classes here."""
+    units = [(a, b, p) for a, b in ((1, 1), (1, 2), (2, 2)) for p in (0, 1)]
+    index = {u: i for i, u in enumerate(units)}
+    constants = {
+        (i, j): SparseVector(6, {index[(a, d, p + q)]: 1})
+        for i, (a, b, p) in enumerate(units)
+        for j, (c, d, q) in enumerate(units)
+        if b == c and p + q < 2
+    }
+    labels = [f"E{a}{b}" + ("x" if p else "") for a, b, p in units]
+    algebra = Algebra(6, labels, constants)
+    return make_split_basis(Ideal(algebra, [algebra.basis_vector(i) for i in range(4)]))

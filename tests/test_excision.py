@@ -7,8 +7,10 @@ from excisionlab.algebra import Ideal, make_split_basis
 from excisionlab.chains import (
     Chain,
     Variant,
+    basis_tuples,
     boundary_b,
     canonicalize_cyclic,
+    cyclic_t,
     filtration_level,
     homology,
     is_ideal_chain,
@@ -23,6 +25,7 @@ from excisionlab.excision import (
     InverseResult,
     Mismatch,
     UnitActionError,
+    _invert_by_solve,
     closed_formula,
     concatenate_descents,
     descent_output,
@@ -41,7 +44,9 @@ from excisionlab.units import (
 )
 
 from dense_oracle import sign_word_closed_formula
-from support import WordAlgebra, filtered_cycle_basis
+from support import (
+    WordAlgebra, dual_number_split, filtered_cycle_basis, upper_triangular_split,
+)
 
 
 # ---------------------------------------------------------------- rho
@@ -464,6 +469,107 @@ def test_round_trip_through_rho(corpus):
                     space="I",
                 )
                 assert verify_certificate(cert) is None
+
+
+def _witness_cases(corpus):
+    """(split, degree): the corpus at degrees 0–4, and the upper-triangular
+    3x3 algebra with the first-row ideal at degrees 0–3."""
+    for demo in corpus:
+        for degree in range(5):
+            yield demo.split, degree
+    ut3 = upper_triangular_split()
+    for degree in range(4):
+        yield ut3, degree
+
+
+def test_all_ideal_classes_invert_as_themselves(corpus):
+    # every class isomorphism_witness inverts has all slots ideal, and the
+    # identity path returns exactly what the stacked solve returns
+    inverted = 0
+    for split, degree in _witness_cases(corpus):
+        report = isomorphism_witness(split, degree)
+        for result in report.onto + [result for result, _ in report.back]:
+            assert is_ideal_chain(result.input)
+            again = inverse_excision(result.input, result.schedule)
+            psi, eta = _invert_by_solve(result.input)
+            assert again.output.terms == psi.terms == result.output.terms
+            assert again.verification.witness.is_zero() and eta.is_zero()
+            inverted += 1
+    assert inverted == 2 * 3 * 3 + 2 * 2
+
+
+def test_identity_path_returns_the_canonical_form(corpus):
+    for demo in corpus:
+        split = demo.split
+        for degree in (2, 4):
+            [phi] = homology(split, Variant("hc", "relative"), degree).representatives
+            # E11 ⊗ E12 ⊗ E11 ⊗ … is ideal on every corpus algebra
+            tau = pure_tensor(split, (0, 1) + (0,) * degree)
+            rotated = cyclic_t(phi + boundary_b(tau))
+            assert is_ideal_chain(rotated) and not boundary_b(rotated).is_zero()
+            assert rotated != canonicalize_cyclic(rotated)
+            for chain in (rotated, phi.scaled(-3)):
+                [result] = inverse_excision_class([chain])
+                assert result.output == canonicalize_cyclic(chain)
+                assert result.verification.witness.is_zero()
+                assert verify_certificate(result) is None
+
+
+def test_classes_with_complement_slots_take_the_solve(t2, direct_sum, monkeypatch):
+    import excisionlab.excision as excision_module
+
+    solved = []
+    solve = excision_module._invert_by_solve
+
+    def counted(chain):
+        solved.append(chain)
+        return solve(chain)
+
+    monkeypatch.setattr(excision_module, "_invert_by_solve", counted)
+    variant = Variant("hc", "relative")
+    for demo in (t2, direct_sum):
+        split = demo.split
+        for degree in (2, 4):
+            mixed = [t for t in basis_tuples(split, variant, degree + 1)
+                     if not all(split.is_ideal_index(i) for i in t)]
+            eta = Chain(degree + 1, split,
+                        {t: k + 1 for k, t in enumerate(mixed[:3])})
+            for phi in homology(split, variant, degree).representatives:
+                solved.clear()
+                [plain] = inverse_excision_class([phi])
+                [result] = inverse_excision_class([phi + boundary_b(eta)])
+                assert len(solved) == 1
+                assert not is_ideal_chain(solved[0])
+                assert verify_certificate(result) is None
+                witness = find_boundary_witness(result.output - plain.output, "I")
+                cert = BoundaryCertificate(
+                    lhs=result.output, rhs=plain.output, witness=witness,
+                    op="hc", space="I",
+                )
+                assert verify_certificate(cert) is None
+
+
+def test_dual_number_extension_meets_nonzero_strict_classes(monkeypatch):
+    import excisionlab.excision as excision_module
+
+    split = dual_number_split()
+    for op, dims in (("hh", [2, 1, 1, 1]), ("hc", [2, 0, 2, 0])):
+        for space in ("I", "relative"):
+            assert [homology(split, Variant(op, space), n).dimension
+                    for n in range(4)] == dims
+    formula = excision_module.closed_formula
+    strict = []
+
+    def counted(chain, schedule):
+        strict.append(chain)
+        return formula(chain, schedule)
+
+    monkeypatch.setattr(excision_module, "closed_formula", counted)
+    report = isomorphism_witness(split, 2)
+    results = report.onto + [result for result, _ in report.back]
+    assert len(results) == 4 and len(strict) == 2
+    assert all(boundary_b(chain).is_zero() for chain in strict)
+    assert all(verify_certificate(c) is None for c in report.all_certificates())
 
 
 def test_witness_search_fails_on_nontrivial_classes(t2):

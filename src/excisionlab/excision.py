@@ -417,7 +417,9 @@ def _invert_by_solve(chain):
     ideal and a relative witness η with  ρ(ψ) − b(η) ≡ chain, which exists
     exactly because the excision map is onto in homology.  The system is
     eliminated once per split and degree (`_inverse_system`); each class
-    only replays that record on its right-hand side.  Returns (ψ, η).
+    only replays that record on its right-hand side.  `inverse_excision`
+    sends only cycles with a complement slot here: an all-ideal one is its
+    own preimage.  Returns (ψ, η).
     """
     context = chain.context
     n = chain.degree

@@ -471,22 +471,14 @@ def test_round_trip_through_rho(corpus):
                 assert verify_certificate(cert) is None
 
 
-def _witness_cases(corpus):
-    """(split, degree): the corpus at degrees 0–4, and the upper-triangular
-    3x3 algebra with the first-row ideal at degrees 0–3."""
-    for demo in corpus:
-        for degree in range(5):
-            yield demo.split, degree
-    ut3 = upper_triangular_split()
-    for degree in range(4):
-        yield ut3, degree
-
-
 def test_all_ideal_classes_invert_as_themselves(corpus):
     # every class isomorphism_witness inverts has all slots ideal, and the
     # identity path returns exactly what the stacked solve returns
+    ut3 = upper_triangular_split()
+    cases = [(demo.split, n) for demo in corpus for n in range(5)]
+    cases += [(ut3, n) for n in range(4)]
     inverted = 0
-    for split, degree in _witness_cases(corpus):
+    for split, degree in cases:
         report = isomorphism_witness(split, degree)
         for result in report.onto + [result for result, _ in report.back]:
             assert is_ideal_chain(result.input)
@@ -495,6 +487,7 @@ def test_all_ideal_classes_invert_as_themselves(corpus):
             assert again.output.terms == psi.terms == result.output.terms
             assert again.verification.witness.is_zero() and eta.is_zero()
             inverted += 1
+    # one class each way at degrees 0, 2, 4 on the corpus and 0, 2 on ut3
     assert inverted == 2 * 3 * 3 + 2 * 2
 
 

@@ -26,6 +26,7 @@ from .chains import (
     DegreeLimitError,
     HomologyReport,
     Variant,
+    assemble_boundary,
     bar_boundary,
     basis_tuples,
     boundary_b,
@@ -75,6 +76,7 @@ from .fileio import (
     save_chain,
 )
 from .linalg import (
+    ExactMatrix,
     Scalar,
     SparseMatrix,
     SparseVector,

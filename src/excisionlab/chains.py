@@ -19,9 +19,12 @@ table, `SplitBasis.product_table`: (i, j) -> ((k, c), ...), whose constants
 are `int` when they are integral and `Fraction` otherwise.  The differential
 and the descent and closed formula of `excision` all walk it, and every sum
 goes through `linalg._accumulate`.  The signs are the ints ±1, so on an
-integer algebra every term of `tuple_boundary_terms` is an `int`, and
-`boundary_matrix` sums each column in `int` and turns each entry into a
-`Fraction` once, when `SparseMatrix` stores it.  `tensor_prepend` and
+integer algebra every term of `tuple_boundary_terms` is an `int`.
+`assemble_boundary` sums each column of a differential in `int` and keeps
+the entries so, in a `linalg.ExactMatrix`, once per complex: elimination,
+the ∂∂ = 0 check, homology and the witness searches of `excision` all read
+that form, and only the public `boundary_matrix` view, built when something
+asks for it, turns its entries into `Fraction`s.  `tensor_prepend` and
 `excision` likewise read units and chain coefficients through
 `linalg._integral_items`, and `Chain` stores each result as a `Fraction`.
 Exact integer sums equal exact `Fraction` sums, so nothing is rounded.
@@ -37,7 +40,7 @@ from itertools import product as iter_product
 
 from .linalg import (
     ONE,
-    SparseMatrix,
+    ExactMatrix,
     _Sparse,
     _accumulate,
     _eliminate,
@@ -407,17 +410,17 @@ def _rotation_index(rows):
 
 
 @_memoised
-def boundary_matrix(context, variant, degree):
-    """The differential from degree to degree-1 as a sparse matrix.
+def assemble_boundary(context, variant, degree):
+    """The differential from degree to degree-1, assembled once.
 
     Returns (matrix, column tuples, row tuples); columns and rows are the
     deterministic bases produced by `basis_tuples`.  Each column is the
     `tuple_boundary_terms` of its tuple, folded onto the rows through an
     index whose signs are the ints ±1 (every rotation of a row tuple, for
-    `hc`), summed by row in `int` where the constants allow it; each entry
-    becomes a `Fraction` once, in `SparseMatrix`.  The triple is memoised
-    on the split basis `context` and shared by every caller: do not mutate
-    the matrix or the lists.
+    `hc`), summed by row in `int` where the constants allow it; the matrix
+    is a `linalg.ExactMatrix` whose entries are `int` exactly where they
+    are integral.  The triple is memoised on the split basis `context` and
+    shared by every caller: do not mutate the matrix or the lists.
     """
     if degree < 1:
         raise ValueError("the boundary matrix needs degree >= 1")
@@ -444,8 +447,20 @@ def boundary_matrix(context, variant, degree):
             r, sign = hit
             _accumulate(out, r, sign * v)
         for r, v in out.items():
+            if type(v) is not int and v.denominator == 1:
+                v = v.numerator  # fractions that summed to an integer
             entries[(r, c)] = v
-    return SparseMatrix(len(rows), len(cols), entries), cols, rows
+    return ExactMatrix(len(rows), len(cols), entries), cols, rows
+
+
+@_memoised
+def boundary_matrix(context, variant, degree):
+    """`assemble_boundary`'s triple with the matrix as a `SparseMatrix`,
+    every entry a `Fraction`; built from the assembled matrix on the first
+    request and memoised like it.  The library itself asks for it only to
+    attach a system to a `CertificateSearchError`."""
+    matrix, cols, rows = assemble_boundary(context, variant, degree)
+    return matrix.to_fractions(), cols, rows
 
 
 @dataclass
@@ -467,31 +482,31 @@ class HomologyReport:
 
 @_memoised
 def boundary_echelon(context, variant, degree):
-    """The `linalg.Echelon` record of `boundary_matrix(context, variant,
+    """The `linalg.Echelon` record of `assemble_boundary(context, variant,
     degree)`, eliminated once and memoised next to the matrix: every rank,
     kernel and solve against that differential reads it."""
-    return echelon(boundary_matrix(context, variant, degree)[0])
+    return echelon(assemble_boundary(context, variant, degree)[0])
 
 
 @_memoised
 def _homology_basis(context, variant, degree):
     """The kernel vectors ({column: value}) of ∂_degree that represent its
-    homology, once ∂_degree ∘ ∂_(degree+1) = 0 is checked (in `int` where
-    the entries are integral).  The kernel vector v_f is 1 at free column f
-    and 0 at the other free columns; it is kept unless some boundary,
-    projected onto the free columns, has its last nonzero entry at f, and
-    those last entries are the pivots of the projected boundary columns
-    eliminated in reversed column order."""
-    up = boundary_matrix(context, variant, degree + 1)[0]
+    homology, once ∂_degree ∘ ∂_(degree+1) = 0 is checked on the assembled
+    matrices (in `int` where the entries are integral).  The kernel vector
+    v_f is 1 at free column f and 0 at the other free columns; it is kept
+    unless some boundary, projected onto the free columns, has its last
+    nonzero entry at f, and those last entries are the pivots of the
+    projected boundary columns eliminated in reversed column order."""
+    up = assemble_boundary(context, variant, degree + 1)[0]
     free = list(range(up.rows))
     if degree > 0:
         record = boundary_echelon(context, variant, degree)
         free = record.free_columns()
         down_cols = {}
-        for (r, k), v in _integral_items(record.entries):
+        for (r, k), v in record.entries.items():
             down_cols.setdefault(k, []).append((r, v))
         product = {}
-        for (k, c), v in _integral_items(up.entries):
+        for (k, c), v in up.entries.items():
             for r, d in down_cols.get(k, ()):
                 _accumulate(product, (r, c), v * d)
         if product:
@@ -532,13 +547,13 @@ def homology(context, variant, degree, max_degree=None):
         )
     tuples = basis_tuples(context, variant, degree)
     if degree > 0:
-        _, cols, _ = boundary_matrix(context, variant, degree)
+        _, cols, _ = assemble_boundary(context, variant, degree)
         if cols != tuples:
             raise ComplexInvariantError(
                 f"the degree-{degree} basis differs from the columns of its "
                 "boundary matrix"
             )
-    _, _, up_rows = boundary_matrix(context, variant, degree + 1)
+    _, _, up_rows = assemble_boundary(context, variant, degree + 1)
     if up_rows != tuples:
         raise ComplexInvariantError(
             f"the degree-{degree} basis differs from the rows of the "

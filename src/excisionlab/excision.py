@@ -26,6 +26,7 @@ from .chains import (
     Variant,
     _memoised,
     _rotation,
+    assemble_boundary,
     basis_tuples,
     boundary_b,
     boundary_echelon,
@@ -37,7 +38,7 @@ from .chains import (
     tensor_prepend,
 )
 from .linalg import (
-    ONE, SparseMatrix, SparseVector, Unsolvable, _accumulate, _integral_items,
+    ExactMatrix, SparseVector, Unsolvable, _accumulate, _integral_items,
     echelon, solve,
 )
 from .units import build_unit_schedule
@@ -347,12 +348,12 @@ def find_boundary_witness(target, space):
     `target` is a degree-n chain; the unknown η ranges over the canonical
     degree-(n+1) basis of the requested space.  Unsolvability would falsify
     the excision theorem, so it raises CertificateSearchError with the full
-    system attached.
+    system, `boundary_matrix`, attached.
     """
     context = target.context
     n = target.degree
     variant = Variant("hc", space)
-    matrix, cols, rows = boundary_matrix(context, variant, n + 1)
+    matrix, cols, rows = assemble_boundary(context, variant, n + 1)
     row_index = {t: r for r, t in enumerate(rows)}
     rhs_entries = {}
     for tup, coeff in canonicalize_cyclic(target).terms.items():
@@ -369,7 +370,7 @@ def find_boundary_witness(target, space):
             f"the {matrix.rows}x{matrix.cols} system is inconsistent "
             f"(echelon row {result.row}); this contradicts the excision "
             "isomorphism under the local-unit hypotheses",
-            matrix,
+            boundary_matrix(context, variant, n + 1)[0],
             rhs,
             cols,
         )
@@ -380,21 +381,22 @@ def find_boundary_witness(target, space):
 @_memoised
 def _inverse_system(context, n):
     """(system, echelon record, ideal columns, relative columns, relative
-    row index) of `_invert_by_solve`, built once per split and degree."""
+    row index) of `_invert_by_solve`, built once per split and degree from
+    the assembled boundary matrices; the system is a `linalg.ExactMatrix`."""
     cols_ideal = basis_tuples(context, Variant("hc", "I"), n)
-    up_matrix, cols_up, rows_rel = boundary_matrix(
+    up_matrix, cols_up, rows_rel = assemble_boundary(
         context, Variant("hc", "relative"), n + 1
     )
     rel_index = {t: r for r, t in enumerate(rows_rel)}
     offset = len(cols_ideal)
     entries = {}
     for c, tup in enumerate(cols_ideal):
-        entries[(rel_index[tup], c)] = ONE
+        entries[(rel_index[tup], c)] = 1
     for (r, c), v in up_matrix.entries.items():
         entries[(r, offset + c)] = -v
     total_rows = len(rows_rel)
     if n >= 1:
-        down_matrix, down_cols, _ = boundary_matrix(context, Variant("hc", "I"), n)
+        down_matrix, down_cols, _ = assemble_boundary(context, Variant("hc", "I"), n)
         if down_cols != cols_ideal:
             raise InverseInvariantError(
                 "the ideal's cyclic basis differs between its own boundary "
@@ -403,7 +405,7 @@ def _inverse_system(context, n):
         for (r, c), v in down_matrix.entries.items():
             entries[(total_rows + r, c)] = v
         total_rows += down_matrix.rows
-    system = SparseMatrix(total_rows, offset + up_matrix.cols, entries)
+    system = ExactMatrix(total_rows, offset + up_matrix.cols, entries)
     return system, echelon(system), cols_ideal, cols_up, rel_index
 
 
@@ -433,7 +435,7 @@ def _invert_by_solve(chain):
             f"{system.rows}x{system.cols} system is inconsistent (echelon row "
             f"{solution.row}); this contradicts the excision isomorphism "
             "under the local-unit hypotheses",
-            system,
+            system.to_fractions(),
             rhs,
             cols_ideal + cols_up,
         )
@@ -451,13 +453,26 @@ def _invert_by_solve(chain):
     return psi, eta
 
 
+def _homotopy_sum(steps, sign=1):
+    """sign · the sum of the homotopies of the descent certificates `steps`
+    (at least one, in one chain space), accumulated in one pass, in `int`
+    where integral."""
+    first = steps[0].homotopy
+    terms = {}
+    for step in steps:
+        first._require_same_space(step.homotopy)
+        for tup, coeff in _integral_items(step.homotopy.terms):
+            _accumulate(terms, tup, sign * coeff)
+    return Chain(first.degree, first.context, terms)
+
+
 def _descent_witness(chain, schedule, output):
     """Witness η with b(η) = output − chain for a strict cycle: minus the
     sum of the homotopies of the descent steps with e_n, …, e_1 that the
-    closed formula summarises, accumulated in one pass."""
+    closed formula summarises."""
     if chain.degree == 0:
         return Chain(1, chain.context)
-    witness = {}
+    steps = []
     current = chain
     for unit in reversed(schedule.units):
         try:
@@ -466,15 +481,14 @@ def _descent_witness(chain, schedule, output):
             raise InverseInvariantError(
                 f"a validated unit schedule failed a descent step: {exc}", current
             ) from exc
-        for tup, coeff in _integral_items(step.homotopy.terms):
-            _accumulate(witness, tup, -coeff)
+        steps.append(step)
         current = step.output
     if current != output:
         raise InverseInvariantError(
             "the closed formula differs from the chained descent steps",
             output - current,
         )
-    return Chain(chain.degree + 1, chain.context, witness)
+    return _homotopy_sum(steps, -1)
 
 
 def inverse_excision(chain, schedule):
@@ -565,9 +579,7 @@ def concatenate_descents(certificates):
         raise ValueError("need at least one descent certificate")
     first = certificates[0].input
     last = certificates[-1].output
-    witness = certificates[0].homotopy
-    for cert in certificates[1:]:
-        witness = witness + cert.homotopy
+    witness = _homotopy_sum(certificates)
     space = next(name for name, (member, _) in SPACES.items()
                  if all(member(c) for c in (first, last, witness)))
     return BoundaryCertificate(

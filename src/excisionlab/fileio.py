@@ -258,16 +258,20 @@ def chain_from_doc(doc, context):
             raise ParseError(f"expected {degree + 1} slots", f"{spot}.slots")
         factors = []
         for q, slot in enumerate(slots):
-            # only lists of strings are hashable and can be memoised; any
-            # other slot is parsed afresh so it fails with its own path
-            strings = isinstance(slot, list) and all(isinstance(x, str) for x in slot)
-            text = tuple(slot) if strings else None
-            items = slot_memo.get(text)
+            # only lists of strings are memoised, so a hit is a slot already
+            # read; any other slot misses (a tuple holding a non-string never
+            # equals one of strings, and an unhashable one cannot be looked
+            # up) and is parsed afresh, so it fails with its own path
+            text = tuple(slot) if type(slot) is list else None
+            try:
+                items = slot_memo.get(text)
+            except TypeError:
+                items = text = None
             if items is None:
                 at = f"{spot}.slots[{q}]"
                 vec = context.to_split(_vector_from_list(slot, dimension, at))
                 items = sorted(_integral_items(vec.entries))
-                if strings:
+                if text is not None and all(isinstance(x, str) for x in text):
                     slot_memo[text] = items
             factors.append(items)
         # coeff · (factors[0] ⊗ factors[1] ⊗ ...) on the tensor basis

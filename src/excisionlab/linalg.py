@@ -8,6 +8,10 @@ by setting every free variable to zero.
 A matrix is eliminated once, by `echelon`, into an `Echelon` record that
 `rank`, `rref`, `kernel_basis`, `image_basis` and `solve` read; a solve
 replays the record's integer log of row operations on its right-hand side.
+`echelon` reads a `SparseMatrix`, whose entries are `Fraction`s, or an
+`ExactMatrix`, whose entries are kept as assembled: `int` where integral
+and `Fraction` otherwise, as for the boundary matrices of `chains`, which
+so reach elimination without a `Fraction` round trip.
 Elimination is fraction-free: rows are kept as primitive integer rows (no
 common factor, no denominators), and a value goes back to `Fraction` only
 when a reduced entry is read out as the quotient of an integer entry by its
@@ -263,6 +267,18 @@ class SparseMatrix:
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
 
 
+class ExactMatrix(namedtuple("ExactMatrix", "rows cols entries")):
+    """A sparse matrix over Q as it was assembled: its nonzero entries by
+    (row, col), each an `int` where integral and a `Fraction` otherwise,
+    stored without a check or a coercion.  `echelon` eliminates it as it
+    would `to_fractions()`, the same matrix as a `SparseMatrix`."""
+
+    __slots__ = ()
+
+    def to_fractions(self):
+        return SparseMatrix(self.rows, self.cols, self.entries)
+
+
 @dataclass(frozen=True)
 class Unsolvable:
     """Witness of an inconsistent system: the echelon row where 0 = nonzero."""
@@ -302,12 +318,12 @@ class Echelon(namedtuple(
         "Echelon", "rows cols entries pivots reduced order scales steps")):
     """One elimination, read in place of the matrix by `rank`, `rref`,
     `kernel_basis`, `image_basis` and `solve`: the matrix's shape and
-    (shared) `entries`; per pivot column, a positive integer multiple of its
-    row of the reduced row echelon form (`reduced`) and the matrix row it
-    came from (`order`); and the row operations, in integers: (row, p, q) in
-    `scales` where a row became p/q times itself, and per pivot (row, sign
-    flipped, [(target, a, b, g), ...]) in `steps` for each
-    `target = (a·target − b·pivot row) / g`."""
+    (shared) `entries`, of the types the matrix stores; per pivot column, a
+    positive integer multiple of its row of the reduced row echelon form
+    (`reduced`) and the matrix row it came from (`order`); and the row
+    operations, in integers: (row, p, q) in `scales` where a row became p/q
+    times itself, and per pivot (row, sign flipped, [(target, a, b, g), ...])
+    in `steps` for each `target = (a·target − b·pivot row) / g`."""
 
     __slots__ = ()
 
@@ -397,7 +413,8 @@ def _eliminate(rows, cols):
 
 
 def echelon(matrix):
-    """Eliminate `matrix` once and return its `Echelon` record."""
+    """Eliminate `matrix`, a `SparseMatrix` or an `ExactMatrix`, once and
+    return its `Echelon` record."""
     rows = [{} for _ in range(matrix.rows)]
     for (r, c), v in matrix.entries.items():
         rows[r][c] = v

@@ -15,6 +15,7 @@ from excisionlab.chains import (
     ComplexInvariantError,
     DegreeLimitError,
     Variant,
+    assemble_boundary,
     bar_boundary,
     basis_tuples,
     boundary_b,
@@ -311,19 +312,29 @@ def test_boundary_matrices_match_the_dense_oracle(corpus, t2):
         for op in ("hh", "hc", "bar"):
             for space in ("A", "I", "relative"):
                 for degree in range(1, top + 1):
-                    matrix, cols, rows = boundary_matrix(split, Variant(op, space), degree)
+                    variant = Variant(op, space)
+                    matrix, cols, rows = boundary_matrix(split, variant, degree)
+                    exact, exact_cols, exact_rows = assemble_boundary(split, variant, degree)
                     dense, ncols = _dense_boundary(
                         mult, split.dimension, split.ideal_count, space, op, degree
                     )
-                    assert (matrix.rows, matrix.cols) == (len(dense), ncols)
-                    assert matrix.entries == {
+                    expected = {
                         (r, c): v
                         for r, row in enumerate(dense)
                         for c, v in enumerate(row)
                         if v
-                    }, (name, op, space, degree)
+                    }
+                    for m in (matrix, exact):
+                        assert (m.rows, m.cols) == (len(dense), ncols)
+                        assert m.entries == expected, (name, op, space, degree)
+                    assert (exact_cols, exact_rows) == (cols, rows)
                     assert all(type(v) is Fraction for v in matrix.entries.values())
-                    if any(v.denominator != 1 for v in matrix.entries.values()):
+                    # the assembled form is `int` exactly where integral
+                    assert all(
+                        type(v) is (int if v.denominator == 1 else Fraction)
+                        for v in exact.entries.values()
+                    )
+                    if any(type(v) is Fraction for v in exact.entries.values()):
                         non_integral.add(name)
     assert non_integral == {"t2-corner, ideal basis halved"}
 
@@ -350,6 +361,28 @@ def test_boundary_leaving_the_space_raises_a_typed_error(t2):
 
 def _fresh_split(demo):
     return SplitBasis(demo.ideal, demo.split.ordered_basis, demo.split.ideal_count)
+
+
+def test_isomorphism_witness_never_builds_the_fraction_matrices(t2, monkeypatch):
+    """The library reads each differential as assembled, in integers; the
+    `Fraction` view of `boundary_matrix` is built only when asked for."""
+    import excisionlab.excision as excision_module
+
+    built = []
+    original = chains.boundary_matrix
+
+    def counted(*args):
+        built.append(args)
+        return original(*args)
+
+    for module in (chains, excision_module):
+        monkeypatch.setattr(module, "boundary_matrix", counted)
+    split = _fresh_split(t2)
+    report = isomorphism_witness(split, 2)
+    assert report.dimensions_match and report.onto
+    assert built == []
+    assert not any(key[0] == "boundary_matrix" for key in split.chain_cache)
+    assert any(key[0] == "assemble_boundary" for key in split.chain_cache)
 
 
 def test_repeated_isomorphism_witness_is_identical(t2, direct_sum):
@@ -441,8 +474,8 @@ def test_homology_matches_the_incremental_span_reference(corpus):
 def test_homology_rejects_a_complex_whose_square_is_not_zero(t2, op, space, degree):
     split = _fresh_split(t2)
     variant = Variant(op, space)
-    down = boundary_matrix(split, variant, degree)[0]
-    up = boundary_matrix(split, variant, degree + 1)[0]
+    down = assemble_boundary(split, variant, degree)[0]
+    up = assemble_boundary(split, variant, degree + 1)[0]
     used = {k for (_, k) in down.entries}
     # moving up[r, c] by 1 moves column c of ∂∂ by column r of ∂, not zero
     r, c = next((r, c) for (r, c) in up.entries if r in used)

@@ -9,6 +9,7 @@ from excisionlab.chains import (
     Variant,
     basis_tuples,
     boundary_b,
+    boundary_matrix,
     canonicalize_cyclic,
     cyclic_t,
     filtration_level,
@@ -174,6 +175,11 @@ def test_iterated_descent_reaches_the_ideal(t2):
             fused = concatenate_descents(steps)
             assert fused.lhs == cycle
             assert fused.rhs == current
+            # the one-pass sum equals the chain sum of the homotopies
+            witness = steps[0].homotopy
+            for step in steps[1:]:
+                witness = witness + step.homotopy
+            assert fused.witness == witness
             assert verify_certificate(fused) is None
 
 
@@ -299,7 +305,8 @@ def test_closed_formula_equals_iterated_descent(corpus, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the strict inverse ran linear algebra")
 
-    for name in ("boundary_matrix", "solve", "find_boundary_witness"):
+    for name in ("assemble_boundary", "boundary_matrix", "solve",
+                 "find_boundary_witness"):
         monkeypatch.setattr(excision_module, name, forbidden)
     formula = excision_module.closed_formula
 
@@ -570,7 +577,10 @@ def test_witness_search_fails_on_nontrivial_classes(t2):
     target = pure_tensor(t2.split, (0, 0, 0))
     with pytest.raises(CertificateSearchError) as info:
         find_boundary_witness(target, "relative")
-    assert info.value.matrix.rows > 0
+    # the error carries the system as the public `Fraction` matrix
+    matrix, cols, _ = boundary_matrix(t2.split, Variant("hc", "relative"), 3)
+    assert info.value.matrix is matrix and matrix.rows > 0
+    assert info.value.columns == cols
 
 
 # --------------------------------------------------------- verification

@@ -26,7 +26,6 @@ from .chains import (
     DegreeLimitError,
     HomologyReport,
     Variant,
-    assemble_boundary,
     bar_boundary,
     basis_tuples,
     boundary_b,
@@ -76,8 +75,6 @@ from .fileio import (
     save_chain,
 )
 from .linalg import (
-    ExactMatrix,
-    Scalar,
     SparseMatrix,
     SparseVector,
     Unsolvable,

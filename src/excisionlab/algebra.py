@@ -5,8 +5,10 @@ two-sided; a split basis lists an ideal basis first and a complement lifting
 a basis of the quotient, and every chain-level computation downstream runs in
 the coordinates of that ordered basis.
 
-Products and the associativity check read an integer structure table, so they
-run in `int` arithmetic wherever the constants are integral.
+An algebra holds its structure constants once, in `Algebra.structure_table`;
+products, equality, the associativity check and documents all read it.  Its
+constants are stored as `linalg` stores every scalar, an `int` where
+integral, so products run in `int` arithmetic wherever they can.
 """
 
 from __future__ import annotations
@@ -14,13 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .linalg import (
-    ONE,
     IncrementalSpan,
     SparseMatrix,
     SparseVector,
     _accumulate,
     _combination,
-    _integral_items,
     invert,
 )
 
@@ -28,22 +28,21 @@ from .linalg import (
 class Algebra:
     """Algebra presented extensionally: a basis and all pairwise products.
 
-    `structure_constants` maps (i, j) to the coordinates of e_i * e_j; absent
-    pairs multiply to zero.  `structure_table` holds the same constants as
-    (i, j) -> ((k, c), ...), `c` an `int` where it is integral.
-    Associativity is not checked at construction, call `validate_algebra`
-    for that.
+    The constructor's `structure_constants` maps (i, j) to the coordinates
+    of e_i * e_j, a `SparseVector`; absent pairs multiply to zero.  They are
+    kept as `structure_table`: (i, j) -> ((k, c), ...) for each nonzero
+    product, by ascending k.  Associativity is not checked at construction,
+    call `validate_algebra` for that.
     """
 
-    __slots__ = ("dimension", "basis_labels", "structure_constants",
-                 "structure_table")
+    __slots__ = ("dimension", "basis_labels", "structure_table")
 
     def __init__(self, dimension, basis_labels, structure_constants):
         self.dimension = int(dimension)
         if len(basis_labels) != self.dimension:
             raise ValueError("one label per basis element required")
         self.basis_labels = list(basis_labels)
-        clean, table = {}, {}
+        table = {}
         for (i, j), vec in structure_constants.items():
             i, j = int(i), int(j)
             if not (0 <= i < self.dimension and 0 <= j < self.dimension):
@@ -51,24 +50,20 @@ class Algebra:
             if vec.dimension != self.dimension:
                 raise ValueError(f"product ({i}, {j}) has wrong dimension")
             if not vec.is_zero():
-                clean[(i, j)] = vec
-                table[(i, j)] = tuple(_integral_items(vec.entries))
-        self.structure_constants = clean
+                table[(i, j)] = tuple(vec.items())
         self.structure_table = table
 
     def mul_basis(self, i, j):
         """Product of basis elements i and j, as coordinates."""
-        vec = self.structure_constants.get((i, j))
-        if vec is None:
-            return SparseVector(self.dimension)
-        return vec
+        row = self.structure_table.get((i, j), ())
+        return SparseVector(self.dimension, dict(row))
 
     def mul(self, u, v):
         """Bilinear product of two coordinate vectors."""
         table = self.structure_table
-        right = _integral_items(v.entries)
+        right = v.entries.items()
         out = {}
-        for i, ci in _integral_items(u.entries):
+        for i, ci in u.entries.items():
             for j, cj in right:
                 for k, c in table.get((i, j), ()):
                     _accumulate(out, k, ci * cj * c)
@@ -82,7 +77,7 @@ class Algebra:
             isinstance(other, Algebra)
             and self.dimension == other.dimension
             and self.basis_labels == other.basis_labels
-            and self.structure_constants == other.structure_constants
+            and self.structure_table == other.structure_table
         )
 
     def __hash__(self):
@@ -195,9 +190,9 @@ class _ProductTable(dict):
     """(i, j) -> ((k, c), ...): the split coordinates of f_i·f_j for split
     basis elements f_i, f_j, each pair computed on first use.
 
-    `c` is an `int` when the structure constant is integral and stays a
-    `Fraction` otherwise, so integer algebras are expanded in `int`
-    arithmetic.  A present pair is a plain dict lookup.
+    `c` is stored as `linalg` stores every scalar, an `int` where integral,
+    so integer algebras are expanded in `int` arithmetic.  A present pair is
+    a plain dict lookup.
     """
 
     def __init__(self, split):
@@ -209,7 +204,7 @@ class _ProductTable(dict):
         split = self.split
         basis = split.ordered_basis
         product = split.to_split(split.parent.mul(basis[i], basis[j]))
-        row = self[key] = tuple(_integral_items(product.entries))
+        row = self[key] = tuple(product.entries.items())
         return row
 
 
@@ -260,7 +255,7 @@ class SplitBasis:
         vec = self.ordered_basis[i]
         if len(vec.entries) == 1:
             ((k, v),) = vec.entries.items()
-            if v == ONE:
+            if v == 1:
                 return self.parent.basis_labels[k]
         return f"v{i}"
 
@@ -375,6 +370,7 @@ def quotient(split):
 def opposite_algebra(algebra):
     """Same underlying space with the reversed product: (i, j) -> product(j, i)."""
     constants = {
-        (j, i): vec for (i, j), vec in algebra.structure_constants.items()
+        (j, i): SparseVector(algebra.dimension, dict(row))
+        for (i, j), row in algebra.structure_table.items()
     }
     return Algebra(algebra.dimension, list(algebra.basis_labels), constants)

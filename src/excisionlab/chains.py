@@ -15,19 +15,15 @@ rotation of each tuple; a tuple equal to one of its own rotations with sign -1
 represents the zero class and is dropped (we are over Q).
 
 Every product of basis elements is read from the split basis's one product
-table, `SplitBasis.product_table`: (i, j) -> ((k, c), ...), whose constants
-are `int` when they are integral and `Fraction` otherwise.  The differential
-and the descent and closed formula of `excision` all walk it, and every sum
-goes through `linalg._accumulate`.  The signs are the ints ±1, so on an
-integer algebra every term of `tuple_boundary_terms` is an `int`.
-`assemble_boundary` sums each column of a differential in `int` and keeps
-the entries so, in a `linalg.ExactMatrix`, once per complex: elimination,
-the ∂∂ = 0 check, homology and the witness searches of `excision` all read
-that form, and only the public `boundary_matrix` view, built when something
-asks for it, turns its entries into `Fraction`s.  `tensor_prepend` and
-`excision` likewise read units and chain coefficients through
-`linalg._integral_items`, and `Chain` stores each result as a `Fraction`.
-Exact integer sums equal exact `Fraction` sums, so nothing is rounded.
+table, `SplitBasis.product_table`: (i, j) -> ((k, c), ...).  The
+differential and the descent and closed formula of `excision` all walk it,
+and every sum goes through `linalg._accumulate`.  Coefficients are stored
+as `linalg` stores every scalar, an `int` where integral and a `Fraction`
+otherwise, and the signs are the ints ±1, so on an integer algebra every
+chain, table row and boundary matrix is summed in `int` arithmetic.
+`boundary_matrix` assembles each differential once per complex; its
+elimination, the ∂∂ = 0 check, homology and the witness searches of
+`excision` all read that one matrix.
 """
 
 from __future__ import annotations
@@ -35,16 +31,14 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import wraps
-from fractions import Fraction
 from itertools import product as iter_product
 
 from .linalg import (
-    ONE,
-    ExactMatrix,
+    SparseMatrix,
     _Sparse,
     _accumulate,
     _eliminate,
-    _integral_items,
+    _exact,
     echelon,
     kernel_basis,
 )
@@ -87,7 +81,8 @@ def _memoised(build):
 class Chain(_Sparse):
     """Element of the (degree+1)-fold tensor power over a split basis.
 
-    `terms` maps tuples of split-basis indices to nonzero coefficients.
+    `terms` maps tuples of split-basis indices to nonzero coefficients, each
+    in the one exact form of `linalg._exact`.
     Chains are treated as immutable; all arithmetic returns new objects.
     A cyclic class is the chain of its canonical form (`canonicalize_cyclic`).
     """
@@ -111,8 +106,7 @@ class Chain(_Sparse):
                 for index in tup:
                     if not 0 <= index < dim:
                         raise ValueError(f"slot index {index} out of range")
-                if type(coeff) is not Fraction:
-                    coeff = Fraction(coeff)
+                coeff = _exact(coeff)
                 if coeff:
                     clean[tuple(tup)] = coeff
         self.terms = clean
@@ -150,7 +144,7 @@ class Chain(_Sparse):
         return f"Chain(degree={self.degree}, {' + '.join(bits)})"
 
 
-def pure_tensor(context, indices, coeff=ONE):
+def pure_tensor(context, indices, coeff=1):
     return Chain(len(indices) - 1, context, {tuple(indices): coeff})
 
 
@@ -200,7 +194,7 @@ def bar_boundary(chain):
 def cyclic_t(chain):
     """Signed cyclic rotation; the identity in degree 0."""
     n = chain.degree
-    sign = ONE if n % 2 == 0 else -ONE
+    sign = 1 if n % 2 == 0 else -1
     out = {}
     for tup, coeff in chain.terms.items():
         _accumulate(out, tup[-1:] + tup[:-1], sign * coeff)
@@ -225,7 +219,7 @@ def canonical_rotation(tup):
     obstructed = False
     for k in range(n + 1):
         cand = _rotation(tup, k)
-        sign = ONE if (n * k) % 2 == 0 else -ONE
+        sign = 1 if (n * k) % 2 == 0 else -1
         if best is None or cand < best:
             best = cand
             best_sign = sign
@@ -237,7 +231,7 @@ def canonical_rotation(tup):
 
 
 def is_canonical_tuple(tup):
-    return canonical_rotation(tup) == (tup, ONE)
+    return canonical_rotation(tup) == (tup, 1)
 
 
 def canonicalize_cyclic(chain):
@@ -258,9 +252,9 @@ def tensor_prepend(vector, chain):
 
     `vector` is in split coordinates.
     """
-    entries = _integral_items(vector.entries)
+    entries = vector.entries.items()
     out = {}
-    for tup, coeff in _integral_items(chain.terms):
+    for tup, coeff in chain.terms.items():
         for i, ci in entries:
             _accumulate(out, (i,) + tup, coeff * ci)
     return Chain(chain.degree + 1, chain.context, out)
@@ -410,17 +404,16 @@ def _rotation_index(rows):
 
 
 @_memoised
-def assemble_boundary(context, variant, degree):
+def boundary_matrix(context, variant, degree):
     """The differential from degree to degree-1, assembled once.
 
     Returns (matrix, column tuples, row tuples); columns and rows are the
     deterministic bases produced by `basis_tuples`.  Each column is the
     `tuple_boundary_terms` of its tuple, folded onto the rows through an
     index whose signs are the ints ±1 (every rotation of a row tuple, for
-    `hc`), summed by row in `int` where the constants allow it; the matrix
-    is a `linalg.ExactMatrix` whose entries are `int` exactly where they
-    are integral.  The triple is memoised on the split basis `context` and
-    shared by every caller: do not mutate the matrix or the lists.
+    `hc`) and summed by row, in `int` where the constants allow it.  The
+    triple is memoised on the split basis `context` and shared by every
+    caller: do not mutate the matrix or the lists.
     """
     if degree < 1:
         raise ValueError("the boundary matrix needs degree >= 1")
@@ -447,20 +440,8 @@ def assemble_boundary(context, variant, degree):
             r, sign = hit
             _accumulate(out, r, sign * v)
         for r, v in out.items():
-            if type(v) is not int and v.denominator == 1:
-                v = v.numerator  # fractions that summed to an integer
-            entries[(r, c)] = v
-    return ExactMatrix(len(rows), len(cols), entries), cols, rows
-
-
-@_memoised
-def boundary_matrix(context, variant, degree):
-    """`assemble_boundary`'s triple with the matrix as a `SparseMatrix`,
-    every entry a `Fraction`; built from the assembled matrix on the first
-    request and memoised like it.  The library itself asks for it only to
-    attach a system to a `CertificateSearchError`."""
-    matrix, cols, rows = assemble_boundary(context, variant, degree)
-    return matrix.to_fractions(), cols, rows
+            entries[(r, c)] = _exact(v)
+    return SparseMatrix._assembled(len(rows), len(cols), entries), cols, rows
 
 
 @dataclass
@@ -482,22 +463,22 @@ class HomologyReport:
 
 @_memoised
 def boundary_echelon(context, variant, degree):
-    """The `linalg.Echelon` record of `assemble_boundary(context, variant,
+    """The `linalg.Echelon` record of `boundary_matrix(context, variant,
     degree)`, eliminated once and memoised next to the matrix: every rank,
     kernel and solve against that differential reads it."""
-    return echelon(assemble_boundary(context, variant, degree)[0])
+    return echelon(boundary_matrix(context, variant, degree)[0])
 
 
 @_memoised
 def _homology_basis(context, variant, degree):
     """The kernel vectors ({column: value}) of ∂_degree that represent its
     homology, once ∂_degree ∘ ∂_(degree+1) = 0 is checked on the assembled
-    matrices (in `int` where the entries are integral).  The kernel vector
-    v_f is 1 at free column f and 0 at the other free columns; it is kept
-    unless some boundary, projected onto the free columns, has its last
-    nonzero entry at f, and those last entries are the pivots of the
-    projected boundary columns eliminated in reversed column order."""
-    up = assemble_boundary(context, variant, degree + 1)[0]
+    matrices.  The kernel vector v_f is 1 at free column f and 0 at the
+    other free columns; it is kept unless some boundary, projected onto the
+    free columns, has its last nonzero entry at f, and those last entries
+    are the pivots of the projected boundary columns eliminated in reversed
+    column order."""
+    up = boundary_matrix(context, variant, degree + 1)[0]
     free = list(range(up.rows))
     if degree > 0:
         record = boundary_echelon(context, variant, degree)
@@ -524,7 +505,7 @@ def _homology_basis(context, variant, degree):
     boundary = {free[last - k] for k in _eliminate(rows, len(free))[0]}
     chosen = [f for f in free if f not in boundary]
     if degree == 0:
-        return [{f: ONE} for f in chosen]
+        return [{f: 1} for f in chosen]
     return [v.entries for v in kernel_basis(record, chosen)]
 
 
@@ -547,13 +528,13 @@ def homology(context, variant, degree, max_degree=None):
         )
     tuples = basis_tuples(context, variant, degree)
     if degree > 0:
-        _, cols, _ = assemble_boundary(context, variant, degree)
+        _, cols, _ = boundary_matrix(context, variant, degree)
         if cols != tuples:
             raise ComplexInvariantError(
                 f"the degree-{degree} basis differs from the columns of its "
                 "boundary matrix"
             )
-    _, _, up_rows = assemble_boundary(context, variant, degree + 1)
+    _, _, up_rows = boundary_matrix(context, variant, degree + 1)
     if up_rows != tuples:
         raise ComplexInvariantError(
             f"the degree-{degree} basis differs from the rows of the "

@@ -26,7 +26,6 @@ from .chains import (
     Variant,
     _memoised,
     _rotation,
-    assemble_boundary,
     basis_tuples,
     boundary_b,
     boundary_echelon,
@@ -38,8 +37,7 @@ from .chains import (
     tensor_prepend,
 )
 from .linalg import (
-    ExactMatrix, SparseVector, Unsolvable, _accumulate, _integral_items,
-    echelon, solve,
+    SparseMatrix, SparseVector, Unsolvable, _accumulate, echelon, solve,
 )
 from .units import build_unit_schedule
 
@@ -193,9 +191,9 @@ def _check_left_unit(chain, unit_split):
     """Check e·f0 = f0 for the initial content f0 of each tail, the exact
     shape of the left-unit hypothesis, or raise UnitActionError."""
     table = chain.context.product_table
-    unit = _integral_items(unit_split.entries)
+    unit = unit_split.entries.items()
     heads = {}
-    for tup, coeff in _integral_items(chain.terms):
+    for tup, coeff in chain.terms.items():
         _accumulate(heads.setdefault(tup[1:], {}), tup[0], coeff)
     for tail, head in sorted(heads.items()):
         product = {}
@@ -221,9 +219,9 @@ def descent_output(chain, unit_split):
         raise ValueError("descent needs degree >= 1")
     context = chain.context
     table = context.product_table
-    unit_terms = _integral_items(unit_split.entries)
+    unit_terms = unit_split.entries.items()
     out = {}
-    for tup, coeff in _integral_items(chain.terms):
+    for tup, coeff in chain.terms.items():
         c = coeff if (n + 1) % 2 == 0 else -coeff
         last, middle, body = tup[-1], tup[1:-1], tup[:-1]
         wrapped = table[last, tup[0]]
@@ -279,7 +277,7 @@ def closed_formula(chain, schedule):
     if n == 0:
         return Chain(0, context, dict(chain.terms))
     table = context.product_table
-    units = [_integral_items(context.to_split(u).entries) for u in schedule.units]
+    units = [context.to_split(u).entries.items() for u in schedule.units]
 
     def times(f, vector):  # f·vector for the split basis index f
         out = {}
@@ -294,7 +292,7 @@ def closed_formula(chain, schedule):
                 _accumulate(target, prefix + (k,), sign * c * ck)
 
     out = {}
-    for tup, coeff in _integral_items(chain.terms):
+    for tup, coeff in chain.terms.items():
         free, pending = {(): coeff}, {}
         for i in range(1, n + 1):
             e = units[i - 1]
@@ -348,12 +346,12 @@ def find_boundary_witness(target, space):
     `target` is a degree-n chain; the unknown η ranges over the canonical
     degree-(n+1) basis of the requested space.  Unsolvability would falsify
     the excision theorem, so it raises CertificateSearchError with the full
-    system, `boundary_matrix`, attached.
+    system, the memoised `boundary_matrix`, attached.
     """
     context = target.context
     n = target.degree
     variant = Variant("hc", space)
-    matrix, cols, rows = assemble_boundary(context, variant, n + 1)
+    matrix, cols, rows = boundary_matrix(context, variant, n + 1)
     row_index = {t: r for r, t in enumerate(rows)}
     rhs_entries = {}
     for tup, coeff in canonicalize_cyclic(target).terms.items():
@@ -370,7 +368,7 @@ def find_boundary_witness(target, space):
             f"the {matrix.rows}x{matrix.cols} system is inconsistent "
             f"(echelon row {result.row}); this contradicts the excision "
             "isomorphism under the local-unit hypotheses",
-            boundary_matrix(context, variant, n + 1)[0],
+            matrix,
             rhs,
             cols,
         )
@@ -382,9 +380,10 @@ def find_boundary_witness(target, space):
 def _inverse_system(context, n):
     """(system, echelon record, ideal columns, relative columns, relative
     row index) of `_invert_by_solve`, built once per split and degree from
-    the assembled boundary matrices; the system is a `linalg.ExactMatrix`."""
+    the assembled boundary matrices and, like them, without a per-entry
+    check."""
     cols_ideal = basis_tuples(context, Variant("hc", "I"), n)
-    up_matrix, cols_up, rows_rel = assemble_boundary(
+    up_matrix, cols_up, rows_rel = boundary_matrix(
         context, Variant("hc", "relative"), n + 1
     )
     rel_index = {t: r for r, t in enumerate(rows_rel)}
@@ -396,7 +395,7 @@ def _inverse_system(context, n):
         entries[(r, offset + c)] = -v
     total_rows = len(rows_rel)
     if n >= 1:
-        down_matrix, down_cols, _ = assemble_boundary(context, Variant("hc", "I"), n)
+        down_matrix, down_cols, _ = boundary_matrix(context, Variant("hc", "I"), n)
         if down_cols != cols_ideal:
             raise InverseInvariantError(
                 "the ideal's cyclic basis differs between its own boundary "
@@ -405,7 +404,7 @@ def _inverse_system(context, n):
         for (r, c), v in down_matrix.entries.items():
             entries[(total_rows + r, c)] = v
         total_rows += down_matrix.rows
-    system = ExactMatrix(total_rows, offset + up_matrix.cols, entries)
+    system = SparseMatrix._assembled(total_rows, offset + up_matrix.cols, entries)
     return system, echelon(system), cols_ideal, cols_up, rel_index
 
 
@@ -435,7 +434,7 @@ def _invert_by_solve(chain):
             f"{system.rows}x{system.cols} system is inconsistent (echelon row "
             f"{solution.row}); this contradicts the excision isomorphism "
             "under the local-unit hypotheses",
-            system.to_fractions(),
+            system,
             rhs,
             cols_ideal + cols_up,
         )
@@ -455,13 +454,12 @@ def _invert_by_solve(chain):
 
 def _homotopy_sum(steps, sign=1):
     """sign · the sum of the homotopies of the descent certificates `steps`
-    (at least one, in one chain space), accumulated in one pass, in `int`
-    where integral."""
+    (at least one, in one chain space), accumulated in one pass."""
     first = steps[0].homotopy
     terms = {}
     for step in steps:
         first._require_same_space(step.homotopy)
-        for tup, coeff in _integral_items(step.homotopy.terms):
+        for tup, coeff in step.homotopy.terms.items():
             _accumulate(terms, tup, sign * coeff)
     return Chain(first.degree, first.context, terms)
 

@@ -28,9 +28,7 @@ from .excision import (
     InverseResult,
     verify_certificate,
 )
-from .linalg import (
-    SparseVector, _accumulate, _integral_items, format_scalar, parse_scalar,
-)
+from .linalg import SparseVector, _accumulate, format_scalar, parse_scalar
 from .units import UnitRequest, UnitSchedule, find_local_left_unit
 
 
@@ -135,10 +133,10 @@ def algebra_to_doc(algebra, ideal=None, split=None):
                 "right": j,
                 "result": [
                     {"index": k, "coeff": format_scalar(v)}
-                    for k, v in vec.items()
+                    for k, v in row
                 ],
             }
-            for (i, j), vec in sorted(algebra.structure_constants.items())
+            for (i, j), row in sorted(algebra.structure_table.items())
         ],
     }
     if ideal is not None:
@@ -245,14 +243,12 @@ def chain_from_doc(doc, context):
     if degree < 0:
         raise ParseError("the degree must be non-negative", "degree")
     dimension = context.dimension
-    # the sorted split coordinates per slot text, read as `int` where
-    # integral: a document repeats few distinct slots
+    # the sorted split coordinates per slot text: a document repeats few
+    # distinct slots
     slot_memo = {}
     terms = {}
     for spot, record in _each(doc, "terms", dict, default=[]):
         coeff = _scalar(record.get("coeff"), f"{spot}.coeff")
-        if coeff.denominator == 1:
-            coeff = coeff.numerator
         slots = record.get("slots")
         if not isinstance(slots, list) or len(slots) != degree + 1:
             raise ParseError(f"expected {degree + 1} slots", f"{spot}.slots")
@@ -270,7 +266,7 @@ def chain_from_doc(doc, context):
             if items is None:
                 at = f"{spot}.slots[{q}]"
                 vec = context.to_split(_vector_from_list(slot, dimension, at))
-                items = sorted(_integral_items(vec.entries))
+                items = vec.items()
                 if text is not None and all(isinstance(x, str) for x in text):
                     slot_memo[text] = items
             factors.append(items)

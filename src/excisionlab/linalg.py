@@ -1,19 +1,19 @@
 """Exact sparse linear algebra over the rationals.
 
-Scalars are `fractions.Fraction`, so nothing is ever rounded, and every
-routine here is a pure function of its inputs: the same input produces a
-bit-identical output.  Underdetermined solves are resolved deterministically
-by setting every free variable to zero.
+Every stored scalar is exact and in one normal form, chosen by `_exact`: an
+`int` where the value is integral and a `fractions.Fraction` only where it
+is not.  `SparseVector`, `SparseMatrix` and `chains.Chain` store their
+values so, integer arithmetic is used wherever the values allow it, and
+nothing is ever rounded: a float, or any other inexact value, is refused.
+Every routine here is a pure function of its inputs: the same input
+produces a bit-identical output.  Underdetermined solves are resolved
+deterministically by setting every free variable to zero.
 
 A matrix is eliminated once, by `echelon`, into an `Echelon` record that
 `rank`, `rref`, `kernel_basis`, `image_basis` and `solve` read; a solve
 replays the record's integer log of row operations on its right-hand side.
-`echelon` reads a `SparseMatrix`, whose entries are `Fraction`s, or an
-`ExactMatrix`, whose entries are kept as assembled: `int` where integral
-and `Fraction` otherwise, as for the boundary matrices of `chains`, which
-so reach elimination without a `Fraction` round trip.
 Elimination is fraction-free: rows are kept as primitive integer rows (no
-common factor, no denominators), and a value goes back to `Fraction` only
+common factor, no denominators), and a value becomes a `Fraction` only
 when a reduced entry is read out as the quotient of an integer entry by its
 row's pivot entry.  The reduced row echelon form is unique, so pivots,
 kernels, solutions and images are exactly those of Gauss-Jordan over
@@ -27,11 +27,6 @@ from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-
-Scalar = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 _SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
@@ -47,7 +42,21 @@ def parse_scalar(text):
     if match is None:
         raise ValueError(f"not an exact rational literal: {text!r}")
     p, q = match.groups()
-    return Fraction(int(p), int(q)) if q else Fraction(int(p))
+    return _exact(Fraction(int(p), int(q or 1)))
+
+
+def _exact(value):
+    """The stored form of the exact scalar `value`: an `int` where it is
+    integral, else a `Fraction`.  A string is read by `parse_scalar`; a
+    float, `Decimal`, complex or any other value raises TypeError, so
+    nothing inexact is ever stored."""
+    if isinstance(value, int):
+        return int(value)
+    if isinstance(value, Fraction):
+        return value.numerator if value.denominator == 1 else value
+    if isinstance(value, str):
+        return parse_scalar(value)
+    raise TypeError(f"not an exact rational scalar: {value!r}")
 
 
 def format_scalar(value):
@@ -65,13 +74,6 @@ def _accumulate(store, key, value):
         store[key] = total
     else:
         store.pop(key, None)
-
-
-def _integral_items(values):
-    """The (key, value) pairs of a dict of exact scalars, each value an `int`
-    where it is integral and a `Fraction` otherwise.  Sums and products of
-    these equal the `Fraction` ones exactly; `int` ones cost far less."""
-    return [(k, v.numerator if v.denominator == 1 else v) for k, v in values.items()]
 
 
 def _combination(dimension, terms):
@@ -102,7 +104,7 @@ class _Sparse:
         return sorted(self._values().items())
 
     def scaled(self, factor):
-        factor = Fraction(factor)
+        factor = _exact(factor)
         if not factor:
             return self._like({})
         return self._like({k: factor * v for k, v in self._values().items()})
@@ -142,8 +144,7 @@ class SparseVector(_Sparse):
                     raise ValueError(
                         f"index {index} out of range for dimension {self.dimension}"
                     )
-                if type(value) is not Fraction:
-                    value = Fraction(value)
+                value = _exact(value)
                 if value:
                     clean[index] = value
         self.entries = clean
@@ -160,14 +161,14 @@ class SparseVector(_Sparse):
 
     @classmethod
     def from_list(cls, values):
-        return cls(len(values), {i: Fraction(v) for i, v in enumerate(values)})
+        return cls(len(values), dict(enumerate(values)))
 
     @classmethod
     def unit(cls, dimension, index):
-        return cls(dimension, {index: ONE})
+        return cls(dimension, {index: 1})
 
     def get(self, index):
-        return self.entries.get(index, ZERO)
+        return self.entries.get(index, 0)
 
     def to_list(self):
         return [self.get(i) for i in range(self.dimension)]
@@ -201,11 +202,20 @@ class SparseMatrix:
                 r, c = int(r), int(c)
                 if not (0 <= r < self.rows and 0 <= c < self.cols):
                     raise ValueError(f"entry ({r}, {c}) out of range")
-                if type(value) is not Fraction:
-                    value = Fraction(value)
+                value = _exact(value)
                 if value:
                     clean[(r, c)] = value
         self.entries = clean
+
+    @classmethod
+    def _assembled(cls, rows, cols, entries):
+        """The matrix with the nonzero `entries`, already in `_exact` form
+        and in range, stored without a check: for matrices the library
+        assembles itself, whose entries are many and correct by
+        construction.  Callers must not mutate `entries` afterwards."""
+        matrix = cls.__new__(cls)
+        matrix.rows, matrix.cols, matrix.entries = rows, cols, entries
+        return matrix
 
     @classmethod
     def from_rows(cls, rows_list):
@@ -249,7 +259,7 @@ class SparseMatrix:
 
     def to_dense(self):
         return [
-            [self.entries.get((r, c), ZERO) for c in range(self.cols)]
+            [self.entries.get((r, c), 0) for c in range(self.cols)]
             for r in range(self.rows)
         ]
 
@@ -265,18 +275,6 @@ class SparseMatrix:
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"
-
-
-class ExactMatrix(namedtuple("ExactMatrix", "rows cols entries")):
-    """A sparse matrix over Q as it was assembled: its nonzero entries by
-    (row, col), each an `int` where integral and a `Fraction` otherwise,
-    stored without a check or a coercion.  `echelon` eliminates it as it
-    would `to_fractions()`, the same matrix as a `SparseMatrix`."""
-
-    __slots__ = ()
-
-    def to_fractions(self):
-        return SparseMatrix(self.rows, self.cols, self.entries)
 
 
 @dataclass(frozen=True)
@@ -318,9 +316,9 @@ class Echelon(namedtuple(
         "Echelon", "rows cols entries pivots reduced order scales steps")):
     """One elimination, read in place of the matrix by `rank`, `rref`,
     `kernel_basis`, `image_basis` and `solve`: the matrix's shape and
-    (shared) `entries`, of the types the matrix stores; per pivot column, a
-    positive integer multiple of its row of the reduced row echelon form
-    (`reduced`) and the matrix row it came from (`order`); and the row
+    (shared) `entries`; per pivot column, a positive integer multiple of its
+    row of the reduced row echelon form (`reduced`) and the matrix row it
+    came from (`order`); and the row
     operations, in integers: (row, p, q) in `scales` where a row became p/q
     times itself, and per pivot (row, sign flipped, [(target, a, b, g), ...])
     in `steps` for each `target = (a·target − b·pivot row) / g`."""
@@ -413,8 +411,8 @@ def _eliminate(rows, cols):
 
 
 def echelon(matrix):
-    """Eliminate `matrix`, a `SparseMatrix` or an `ExactMatrix`, once and
-    return its `Echelon` record."""
+    """Eliminate the `SparseMatrix` `matrix` once and return its `Echelon`
+    record."""
     rows = [{} for _ in range(matrix.rows)]
     for (r, c), v in matrix.entries.items():
         rows[r][c] = v
@@ -446,8 +444,9 @@ def solve(system, rhs):
     """One exact solution of matrix @ x = rhs, or an Unsolvable witness.
 
     Free variables are set to zero, so the answer is unique and reproducible.
-    The logged row operations are replayed on `rhs` in `Fraction`s, skipping
-    zeros; any non-pivot row left nonzero makes row `rank` read 0 = nonzero.
+    The logged row operations are replayed on `rhs` in exact arithmetic,
+    skipping zeros; any non-pivot row left nonzero makes row `rank` read
+    0 = nonzero.
     """
     record = _record(system)
     if rhs.dimension != record.rows:
@@ -466,7 +465,7 @@ def solve(system, rhs):
             if v or pv:
                 v = a * v - b * pv
                 if v:
-                    x[i] = v / g if g != 1 else v
+                    x[i] = Fraction(v, g) if g != 1 else v
     solution = {}
     for row, c, i in zip(record.reduced, record.pivots, record.order):
         v = x.pop(i, None)
@@ -483,7 +482,7 @@ def kernel_basis(system, free=None):
     record = _record(system)
     if free is None:
         free = record.free_columns()
-    vectors = {f: {f: ONE} for f in free}
+    vectors = {f: {f: 1} for f in free}
     for row, c in zip(record.reduced, record.pivots):
         pv = row[c]
         for j, v in row.items():

@@ -152,10 +152,10 @@ def int_rank(rows):
 
 
 def _dense_inverse(rows):
-    """Inverse of a nonsingular square matrix of `Fraction`s, by Gauss-Jordan
-    on [rows | identity]."""
+    """Inverse of a nonsingular square matrix of exact scalars, by
+    Gauss-Jordan on [rows | identity] in `Fraction`s, so `/` stays exact."""
     n = len(rows)
-    work = [list(row) + [Fraction(int(i == j)) for j in range(n)]
+    work = [[Fraction(v) for v in row] + [Fraction(int(i == j)) for j in range(n)]
             for i, row in enumerate(rows)]
     for col in range(n):
         pivot = next(i for i in range(col, n) if work[i][col])

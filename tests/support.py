@@ -11,6 +11,14 @@ from excisionlab.linalg import SparseMatrix, SparseVector, invert, kernel_basis
 WORD_CAP = 3  # longest product the inverse formula ever forms
 
 
+def stored_exactly(values):
+    """True when every value has the library's one stored form: an `int`
+    where it is integral, a `Fraction` with denominator other than 1
+    otherwise."""
+    return all(type(v) is int or (type(v) is Fraction and v.denominator != 1)
+               for v in values)
+
+
 class WordAlgebra:
     """Free algebra on the symbols f0..fn, e1..en, truncated above length 3.
 

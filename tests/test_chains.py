@@ -15,7 +15,6 @@ from excisionlab.chains import (
     ComplexInvariantError,
     DegreeLimitError,
     Variant,
-    assemble_boundary,
     bar_boundary,
     basis_tuples,
     boundary_b,
@@ -38,7 +37,9 @@ from excisionlab.fileio import certificate_to_doc
 from excisionlab.linalg import IncrementalSpan, SparseVector, Unsolvable, solve
 
 from dense_oracle import _dense_boundary, incremental_span_homology, split_products
-from support import random_chain, rebased_split, upper_triangular_split
+from support import (
+    random_chain, rebased_split, stored_exactly, upper_triangular_split,
+)
 
 
 def test_boundary_degree_one_formula(t2):
@@ -314,7 +315,6 @@ def test_boundary_matrices_match_the_dense_oracle(corpus, t2):
                 for degree in range(1, top + 1):
                     variant = Variant(op, space)
                     matrix, cols, rows = boundary_matrix(split, variant, degree)
-                    exact, exact_cols, exact_rows = assemble_boundary(split, variant, degree)
                     dense, ncols = _dense_boundary(
                         mult, split.dimension, split.ideal_count, space, op, degree
                     )
@@ -324,17 +324,13 @@ def test_boundary_matrices_match_the_dense_oracle(corpus, t2):
                         for c, v in enumerate(row)
                         if v
                     }
-                    for m in (matrix, exact):
-                        assert (m.rows, m.cols) == (len(dense), ncols)
-                        assert m.entries == expected, (name, op, space, degree)
-                    assert (exact_cols, exact_rows) == (cols, rows)
-                    assert all(type(v) is Fraction for v in matrix.entries.values())
-                    # the assembled form is `int` exactly where integral
-                    assert all(
-                        type(v) is (int if v.denominator == 1 else Fraction)
-                        for v in exact.entries.values()
-                    )
-                    if any(type(v) is Fraction for v in exact.entries.values()):
+                    assert (matrix.rows, matrix.cols) == (len(dense), ncols)
+                    assert matrix.entries == expected, (name, op, space, degree)
+                    assert cols == basis_tuples(split, variant, degree)
+                    assert rows == basis_tuples(split, variant, degree - 1)
+                    # every entry is `int` exactly where integral
+                    assert stored_exactly(matrix.entries.values())
+                    if any(type(v) is Fraction for v in matrix.entries.values()):
                         non_integral.add(name)
     assert non_integral == {"t2-corner, ideal basis halved"}
 
@@ -363,26 +359,19 @@ def _fresh_split(demo):
     return SplitBasis(demo.ideal, demo.split.ordered_basis, demo.split.ideal_count)
 
 
-def test_isomorphism_witness_never_builds_the_fraction_matrices(t2, monkeypatch):
-    """The library reads each differential as assembled, in integers; the
-    `Fraction` view of `boundary_matrix` is built only when asked for."""
-    import excisionlab.excision as excision_module
-
-    built = []
-    original = chains.boundary_matrix
-
-    def counted(*args):
-        built.append(args)
-        return original(*args)
-
-    for module in (chains, excision_module):
-        monkeypatch.setattr(module, "boundary_matrix", counted)
+def test_isomorphism_witness_never_builds_the_fraction_matrices(t2):
+    """Each differential is assembled once, in its stored form: on an
+    integer algebra every boundary matrix that `isomorphism_witness` leaves
+    in the split's cache holds only `int`s, so no `Fraction` enters the
+    assembly, the elimination or the solves."""
     split = _fresh_split(t2)
     report = isomorphism_witness(split, 2)
     assert report.dimensions_match and report.onto
-    assert built == []
-    assert not any(key[0] == "boundary_matrix" for key in split.chain_cache)
-    assert any(key[0] == "assemble_boundary" for key in split.chain_cache)
+    cached = [value[0] for key, value in split.chain_cache.items()
+              if key[0] == "boundary_matrix"]
+    assert len(cached) >= 4 and any(matrix.entries for matrix in cached)
+    for matrix in cached:
+        assert all(type(v) is int for v in matrix.entries.values())
 
 
 def test_repeated_isomorphism_witness_is_identical(t2, direct_sum):
@@ -432,10 +421,13 @@ def test_cached_complexes_are_not_mutated(t2):
 
 def test_chain_keeps_fraction_coefficients_and_checks_slots(t2):
     half = Fraction(1, 2)
-    chain = Chain(1, t2.split, {(0, 1): half, (1, 0): 3, (0, 0): "2/3", (1, 1): 0})
+    chain = Chain(1, t2.split, {(0, 1): half, (1, 0): Fraction(6, 2), (0, 0): "2/3",
+                                (1, 1): 0, (2, 2): -4})
     assert chain.terms[(0, 1)] is half
-    assert chain.terms == {(0, 1): half, (1, 0): Fraction(3), (0, 0): Fraction(2, 3)}
-    assert all(type(v) is Fraction for v in chain.terms.values())
+    assert chain.terms == {(0, 1): half, (1, 0): 3, (0, 0): Fraction(2, 3), (2, 2): -4}
+    # `int` exactly where integral, a `Fraction` only where not
+    assert [type(v) for v in chain.terms.values()] == [Fraction, int, Fraction, int]
+    assert stored_exactly(chain.terms.values())
     with pytest.raises(ValueError, match="out of range"):
         Chain(1, t2.split, {(0, t2.split.dimension): half})
     with pytest.raises(ValueError, match="out of range"):
@@ -474,8 +466,8 @@ def test_homology_matches_the_incremental_span_reference(corpus):
 def test_homology_rejects_a_complex_whose_square_is_not_zero(t2, op, space, degree):
     split = _fresh_split(t2)
     variant = Variant(op, space)
-    down = assemble_boundary(split, variant, degree)[0]
-    up = assemble_boundary(split, variant, degree + 1)[0]
+    down = boundary_matrix(split, variant, degree)[0]
+    up = boundary_matrix(split, variant, degree + 1)[0]
     used = {k for (_, k) in down.entries}
     # moving up[r, c] by 1 moves column c of ∂∂ by column r of ∂, not zero
     r, c = next((r, c) for (r, c) in up.entries if r in used)

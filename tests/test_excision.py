@@ -46,7 +46,8 @@ from excisionlab.units import (
 
 from dense_oracle import sign_word_closed_formula
 from support import (
-    WordAlgebra, dual_number_split, filtered_cycle_basis, upper_triangular_split,
+    WordAlgebra, dual_number_split, filtered_cycle_basis, stored_exactly,
+    upper_triangular_split,
 )
 
 
@@ -289,6 +290,8 @@ def test_closed_formula_matches_the_sign_word_oracle(corpus, monkeypatch, name, 
         assert cycles
     rows = [c for row in split.product_table.values() for _, c in row]
     units = [c for u in schedule.units for c in split.to_split(u).entries.values()]
+    # `int` exactly where integral, so a `Fraction` marks a true fraction
+    assert stored_exactly(rows) and stored_exactly(units)
     assert any(type(c) is Fraction for c in rows) == doubled
     assert any(c.denominator > 1 for c in units) == doubled
 
@@ -305,8 +308,7 @@ def test_closed_formula_equals_iterated_descent(corpus, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the strict inverse ran linear algebra")
 
-    for name in ("assemble_boundary", "boundary_matrix", "solve",
-                 "find_boundary_witness"):
+    for name in ("boundary_matrix", "solve", "find_boundary_witness"):
         monkeypatch.setattr(excision_module, name, forbidden)
     formula = excision_module.closed_formula
 
@@ -577,7 +579,7 @@ def test_witness_search_fails_on_nontrivial_classes(t2):
     target = pure_tensor(t2.split, (0, 0, 0))
     with pytest.raises(CertificateSearchError) as info:
         find_boundary_witness(target, "relative")
-    # the error carries the system as the public `Fraction` matrix
+    # the error carries the system, the memoised boundary matrix
     matrix, cols, _ = boundary_matrix(t2.split, Variant("hc", "relative"), 3)
     assert info.value.matrix is matrix and matrix.rows > 0
     assert info.value.columns == cols

@@ -1,9 +1,11 @@
 import copy
 import random
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 
+from excisionlab.chains import Chain
 from excisionlab.linalg import (
     IncrementalSpan,
     SparseMatrix,
@@ -18,6 +20,8 @@ from excisionlab.linalg import (
     rref,
     solve,
 )
+
+from support import stored_exactly
 
 
 def test_parse_scalar_accepts_exact_rationals():
@@ -45,10 +49,45 @@ def test_sparse_vector_drops_zeros_and_checks_range():
     with pytest.raises(ValueError):
         SparseVector(2, {-1: Fraction(1, 2)})
     half = Fraction(1, 2)
-    v = SparseVector(4, {0: half, 1: "-2/3", 2: 5, 3: Fraction(0)})
-    assert v.entries == {0: half, 1: Fraction(-2, 3), 2: Fraction(5)}
-    assert all(type(x) is Fraction for x in v.entries.values())
+    v = SparseVector(4, {0: half, 1: "-2/3", 2: Fraction(5), 3: Fraction(0)})
+    assert v.entries == {0: half, 1: Fraction(-2, 3), 2: 5}
+    # `int` exactly where integral, a `Fraction` only where not
+    assert [type(x) for x in v.entries.values()] == [Fraction, Fraction, int]
+    assert stored_exactly(v.entries.values())
     assert v.entries[0] is half
+    assert v.get(3) == 0 and type(v.get(3)) is int
+
+
+# Each way a scalar enters storage, as (split) -> the stored values of a
+# container holding the one value x.
+STORES = {
+    "SparseVector": lambda split, x: SparseVector(2, {0: x}).entries,
+    "SparseVector.from_list": lambda split, x: SparseVector.from_list([x, 0]).entries,
+    "SparseMatrix": lambda split, x: SparseMatrix(1, 2, {(0, 1): x}).entries,
+    "Chain": lambda split, x: Chain(0, split, {(0,): x}).terms,
+    "scaled": lambda split, x: SparseVector.unit(2, 0).scaled(x).entries,
+}
+
+
+@pytest.mark.parametrize("store", STORES.values(), ids=list(STORES))
+@pytest.mark.parametrize("value, error", [
+    (0.1, TypeError), (2.0, TypeError), (Decimal("0.5"), TypeError),
+    (1j, TypeError), (None, TypeError), (b"1", TypeError),
+    # strings are read by `parse_scalar`, which takes only ASCII literals
+    ("\u0663", ValueError), ("1.5", ValueError), ("1/0", ValueError),
+])
+def test_non_rational_scalars_are_refused(t2, store, value, error):
+    with pytest.raises(error):
+        store(t2.split, value)
+
+
+@pytest.mark.parametrize("store", STORES.values(), ids=list(STORES))
+def test_scalars_are_stored_int_where_integral(t2, store):
+    for value, stored in (("-2/3", Fraction(-2, 3)), ("7", 7), (Fraction(6, 3), 2),
+                          (5, 5), (True, 1)):
+        [kept] = store(t2.split, value).values()
+        assert kept == stored and type(kept) is type(stored), value
+        assert stored_exactly([kept])
 
 
 def test_rref_identity():
@@ -183,7 +222,9 @@ def _dense(matrix):
 
 
 def _reference_rref(dense, ncols):
-    rows = [list(row) for row in dense]
+    # read as `Fraction`s: the library stores integral values as `int`, and
+    # the `/` below must stay exact
+    rows = [[Fraction(x) for x in row] for row in dense]
     pivots = []
     top = 0
     for c in range(ncols):
@@ -286,10 +327,6 @@ def _square_matrix(rng):
     return SparseMatrix(n, n, entries)
 
 
-def _all_fractions(values):
-    return all(type(v) is Fraction for v in values)
-
-
 def _far_pivot_matrix():
     """Column 0 is nonzero only in the last of eight rows, so the first
     pivot row must come up from the bottom."""
@@ -351,7 +388,7 @@ def test_elimination_matches_dense_reference():
         assert reduced.entries == {
             (r, c): v for r, row in enumerate(ref_rows) for c, v in enumerate(row) if v
         }
-        assert _all_fractions(reduced.entries.values())
+        assert stored_exactly(reduced.entries.values())
         if len(pivots) < min(m.rows, m.cols):
             seen["deficient"] += 1
         assert rank(m) == len(ref_pivots)
@@ -359,10 +396,10 @@ def test_elimination_matches_dense_reference():
         kernel = kernel_basis(m)
         assert [v.entries for v in kernel] == ref_kernel
         assert all(v.dimension == m.cols for v in kernel)
-        assert all(_all_fractions(v.entries.values()) for v in kernel)
+        assert all(stored_exactly(v.entries.values()) for v in kernel)
         image = image_basis(m)
         assert [v.entries for v in image] == ref_image
-        assert all(_all_fractions(v.entries.values()) for v in image)
+        assert all(stored_exactly(v.entries.values()) for v in image)
 
         if m.rows == m.cols:
             n = m.rows
@@ -377,7 +414,7 @@ def test_elimination_matches_dense_reference():
                     (r, c): aug_rows[r][n + c]
                     for r in range(n) for c in range(n) if aug_rows[r][n + c]
                 }
-                assert _all_fractions(inverse.entries.values())
+                assert stored_exactly(inverse.entries.values())
             else:
                 seen["singular"] += 1
                 with pytest.raises(ValueError):
@@ -410,7 +447,7 @@ def test_elimination_matches_dense_reference():
                 else:
                     assert isinstance(result, SparseVector)
                     assert result.entries == expected
-                    assert _all_fractions(result.entries.values())
+                    assert stored_exactly(result.entries.values())
             if isinstance(expected, Unsolvable):
                 seen["inconsistent"] += 1
             else:

@@ -186,24 +186,31 @@ def validate_ideal(ideal):
     return None
 
 
+def _coordinates(columns, vector):
+    """`vector` in the basis whose inverse matrix has the columns `columns`."""
+    return _combination(
+        len(columns), [(v, columns[j]) for j, v in vector.entries.items()]
+    )
+
+
 class _ProductTable(dict):
     """(i, j) -> ((k, c), ...): the split coordinates of f_i·f_j for split
     basis elements f_i, f_j, each pair computed on first use.
 
     `c` is stored as `linalg` stores every scalar, an `int` where integral,
     so integer algebras are expanded in `int` arithmetic.  A present pair is
-    a plain dict lookup.
+    a plain dict lookup.  It holds what it reads, not the split, so that a
+    dropped split is freed without the cyclic garbage collector.
     """
 
-    def __init__(self, split):
+    def __init__(self, mul, basis, columns):
         super().__init__()
-        self.split = split
+        self._mul, self._basis, self._columns = mul, basis, columns
 
     def __missing__(self, key):
         i, j = key
-        split = self.split
-        basis = split.ordered_basis
-        product = split.to_split(split.parent.mul(basis[i], basis[j]))
+        basis = self._basis
+        product = _coordinates(self._columns, self._mul(basis[i], basis[j]))
         row = self[key] = tuple(product.entries.items())
         return row
 
@@ -229,7 +236,9 @@ class SplitBasis:
         backward = invert(forward)
         # column-major storage of the inverse, for fast parent->split conversion
         self._backward_cols = [backward.column(j) for j in range(self.dimension)]
-        self.product_table = _ProductTable(self)
+        self.product_table = _ProductTable(
+            self.parent.mul, self.ordered_basis, self._backward_cols
+        )
         # basis tuples, boundary matrices and their echelon records, memoised
         # by `chains` and `excision`; they live as long as this split
         self.chain_cache = {}
@@ -239,10 +248,7 @@ class SplitBasis:
 
     def to_split(self, vector):
         """Parent coordinates -> coordinates over the ordered basis."""
-        columns = self._backward_cols
-        return _combination(
-            self.dimension, [(v, columns[j]) for j, v in vector.entries.items()]
-        )
+        return _coordinates(self._backward_cols, vector)
 
     def from_split(self, vector):
         basis = self.ordered_basis

@@ -41,7 +41,9 @@ from .fileio import (
     save_certificate,
     vector_to_list,
 )
-from .units import NoLocalUnit, NoLocalUnitError, UnitRequest, find_local_left_unit
+from .units import (
+    NoLocalUnit, NoLocalUnitError, UnitRequest, find_local_left_unit, level_targets,
+)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -57,6 +59,22 @@ def _emit(report, fmt):
     else:
         print(report.render_text())
     return EXIT_OK if report.success else EXIT_MISMATCH
+
+
+def _no_local_unit(args, failure, lines, file=None):
+    """Report a missing local unit, as one structured document for every
+    subcommand or as `lines` on `file`, and return the exit code."""
+    if args.format == "structured":
+        doc = {
+            "command": args.command,
+            "status": "no-local-unit",
+            "witness_target": vector_to_list(failure.witness_target),
+            "detail": failure.detail,
+        }
+        print(json.dumps(doc, indent=1))
+    else:
+        print("\n".join(lines), file=file)
+    return EXIT_NO_LOCAL_UNIT
 
 
 def cmd_homology(args):
@@ -100,16 +118,12 @@ def cmd_descend(args):
     # name a tuple with a non-ideal initial slot before looking for a unit
     require_top_filtration(chain)
     if args.unit == "auto":
-        heads = sorted({tup[0] for tup in chain.terms})
-        targets = [split.ordered_basis[i] for i in heads]
+        targets = level_targets(split, chain.terms, chain.degree, None)
         unit = find_local_left_unit(UnitRequest(ideal, targets))
         if isinstance(unit, NoLocalUnit):
-            print(
+            return _no_local_unit(args, unit, [
                 "no local left unit exists for the initial slots; witness "
-                f"target: {_vector_text(unit.witness_target)}",
-                file=sys.stderr,
-            )
-            return EXIT_NO_LOCAL_UNIT
+                f"target: {_vector_text(unit.witness_target)}"], sys.stderr)
     else:
         unit = load_element(args.unit, split.dimension)
     report = RunReport(command="descend")
@@ -148,19 +162,10 @@ def cmd_local_unit(args):
     targets = load_targets(args.targets, split.dimension)
     result = find_local_left_unit(UnitRequest(ideal, targets))
     if isinstance(result, NoLocalUnit):
-        if args.format == "structured":
-            doc = {
-                "command": "local-unit",
-                "status": "no-local-unit",
-                "witness_target": vector_to_list(result.witness_target),
-                "detail": result.detail,
-            }
-            print(json.dumps(doc, indent=1))
-        else:
-            print("no local left unit exists for the given targets")
-            print(f"witness target: {_vector_text(result.witness_target)}")
-            print(f"detail: {result.detail}")
-        return EXIT_NO_LOCAL_UNIT
+        return _no_local_unit(args, result, [
+            "no local left unit exists for the given targets",
+            f"witness target: {_vector_text(result.witness_target)}",
+            f"detail: {result.detail}"])
     if args.format == "structured":
         doc = {"command": "local-unit", "status": "ok", "unit": vector_to_list(result)}
         print(json.dumps(doc, indent=1))
@@ -278,13 +283,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except NoLocalUnitError as exc:
-        failure = exc.failure
-        print(f"error: {exc}", file=sys.stderr)
-        print(
-            f"witness target: {_vector_text(failure.witness_target)}",
-            file=sys.stderr,
-        )
-        return EXIT_NO_LOCAL_UNIT
+        return _no_local_unit(args, exc.failure, [
+            f"error: {exc}",
+            f"witness target: {_vector_text(exc.failure.witness_target)}"],
+            sys.stderr)
     except CertificateSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_WITNESS

@@ -39,7 +39,9 @@ from .chains import (
 from .linalg import (
     SparseMatrix, SparseVector, Unsolvable, _accumulate, echelon, solve,
 )
-from .units import build_unit_schedule
+from .units import (
+    ScheduleMismatchError, build_unit_schedule, check_schedule, require_degree,
+)
 
 
 class UnitActionError(ValueError):
@@ -52,10 +54,6 @@ class UnitActionError(ValueError):
             f"element is not a left unit on the initial content {head!r} "
             f"(tensor tail {tail})"
         )
-
-
-class ScheduleMismatchError(ValueError):
-    """The unit schedule does not cover the slots of the given chain."""
 
 
 class InverseInvariantError(RuntimeError):
@@ -170,15 +168,9 @@ def rotate_to_ideal_initial(chain):
     return Chain(n, context, out)
 
 
-def require_top_filtration(chain, schedule=None):
-    """Reject a schedule whose degree is not the chain's, when one is given
-    (ScheduleMismatchError), then a tuple whose initial slot is not ideal
-    (ValueError): the rule of the top filtration step."""
-    if schedule is not None and schedule.degree != chain.degree:
-        raise ScheduleMismatchError(
-            f"schedule has {schedule.degree} units but the chain has degree "
-            f"{chain.degree}"
-        )
+def require_top_filtration(chain):
+    """Reject a tuple whose initial slot is not ideal (ValueError): the rule
+    of the top filtration step."""
     for tup in chain.terms:
         if not chain.context.is_ideal_index(tup[0]):
             raise ValueError(
@@ -273,7 +265,8 @@ def closed_formula(chain, schedule):
     """
     n = chain.degree
     context = chain.context
-    require_top_filtration(chain, schedule)
+    require_degree(schedule, n)
+    require_top_filtration(chain)
     if n == 0:
         return Chain(0, context, dict(chain.terms))
     table = context.product_table
@@ -307,37 +300,6 @@ def closed_formula(chain, schedule):
         emit(out, free, [(tup[0], 1)])
         emit(out, pending, table[tup[n], tup[0]])
     return Chain(n, context, out)
-
-
-def _validate_schedule(chain, schedule):
-    """Check the descending unit conditions against the chain's actual slots."""
-    context = chain.context
-    algebra = context.parent
-    n = chain.degree
-    if schedule.degree != n:
-        raise ScheduleMismatchError(
-            f"schedule has {schedule.degree} units but the chain has degree {n}"
-        )
-    if n == 0:
-        return
-    e_n = schedule.units[n - 1]
-    for idx in sorted({t[0] for t in chain.terms}):
-        f0 = context.ordered_basis[idx]
-        if algebra.mul(e_n, f0) != f0:
-            raise ScheduleMismatchError(
-                f"e_{n} does not fix the initial slot {context.split_label(idx)}"
-            )
-    for i in range(n, 1, -1):
-        e_i = schedule.units[i - 1]
-        e_prev = schedule.units[i - 2]
-        if algebra.mul(e_prev, e_i) != e_i:
-            raise ScheduleMismatchError(f"e_{i-1} does not fix e_{i}")
-        for idx in sorted({t[i] for t in chain.terms}):
-            prod = algebra.mul(context.ordered_basis[idx], e_i)
-            if algebra.mul(e_prev, prod) != prod:
-                raise ScheduleMismatchError(
-                    f"e_{i-1} does not fix {context.split_label(idx)}·e_{i}"
-                )
 
 
 def find_boundary_witness(target, space):
@@ -516,7 +478,7 @@ def inverse_excision(chain, schedule):
     strict = n == 0 or (boundary := boundary_b(chain)).is_zero()
     if not strict and not canonicalize_cyclic(boundary).is_zero():
         raise ValueError("input is not a cycle of the relative cyclic complex")
-    _validate_schedule(chain, schedule)
+    check_schedule(chain, schedule)
     if strict:
         output = closed_formula(chain, schedule)
         if not is_ideal_chain(output):
@@ -646,7 +608,7 @@ def verify_certificate(certificate):
         if not certificate.schedule.verify(certificate.input.context.parent):
             return Mismatch("a unit fails an equation recorded in its schedule")
         try:
-            _validate_schedule(certificate.input, certificate.schedule)
+            check_schedule(certificate.input, certificate.schedule)
         except ScheduleMismatchError as exc:
             return Mismatch(f"unit schedule does not fit the input: {exc}")
         output = certificate.output

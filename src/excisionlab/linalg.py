@@ -289,15 +289,16 @@ def _primitive(row):
     rational row dict, equal to the row times p/q.  The row is scaled by the
     lcm of its denominators, then divided by the gcd of its entries.
     Elimination depends only on the line of each row, so a row of one entry
-    becomes {j: 1}; that and the short path for integer rows matter for the
-    small local-unit systems solved for every class."""
+    becomes {j: 1}; that and the short path for integer rows (with `_exact`
+    storage, the rows without a `Fraction`) matter for the small local-unit
+    systems solved for every class."""
     if len(row) == 1:
         [(j, v)] = row.items()
         return {j: 1}, v.denominator, v.numerator
-    den = lcm(*[v.denominator for v in row.values()])
-    if den == 1:
-        ints = {j: v.numerator for j, v in row.items()}
+    if all(type(v) is int for v in row.values()):
+        ints, den = dict(row), 1
     else:
+        den = lcm(*[v.denominator for v in row.values()])
         ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
     return ints, den, _divide_content(ints)
 

@@ -1,5 +1,5 @@
 """Local left units found by exact linear solving, and the unit schedules
-consumed by the inverse excision formula.
+the inverse formula consumes, built and checked by one rule, `level_targets`.
 
 An element e of an ideal I is a local left unit for a finite target set S
 when e·s = s for every s in S.  The solver is deterministic (free variables
@@ -42,6 +42,10 @@ class NoLocalUnit:
     detail: str
 
 
+class ScheduleMismatchError(ValueError):
+    """The unit schedule does not cover the slots of the given chain."""
+
+
 class UnitInvariantError(RuntimeError):
     """The exact solver contradicted itself: a solved unit fails to fix a
     target, or an unsolvable system has only solvable prefixes.  A bug,
@@ -65,15 +69,12 @@ def _unit_system(ideal, targets):
     algebra = ideal.parent
     dim = algebra.dimension
     m = len(ideal.basis_vectors)
-    products = [
-        [algebra.mul(w, s) for w in ideal.basis_vectors] for s in targets
-    ]
     entries = {}
     rhs = {}
     for t_index, s in enumerate(targets):
         base = t_index * dim
-        for k, w_s in enumerate(products[t_index]):
-            for r, v in w_s.entries.items():
+        for k, w in enumerate(ideal.basis_vectors):
+            for r, v in algebra.mul(w, s).entries.items():
                 entries[(base + r, k)] = v
         for r, v in s.entries.items():
             rhs[base + r] = v
@@ -155,25 +156,38 @@ class UnitSchedule:
     def verify(self, algebra):
         """Re-check every recorded equation e_i·s = s through the structure
         constants; returns True iff all hold exactly."""
-        for e, targets in zip(self.units, self.provenance):
-            for s in targets:
-                if algebra.mul(e, s) != s:
-                    return False
-        return True
+        return all(algebra.mul(e, s) == s
+                   for e, targets in zip(self.units, self.provenance) for s in targets)
+
+
+def level_targets(context, tuples, level, above):
+    """The descending unit rule: the targets e_level must fix for the index
+    tuples `tuples`.  With `above` None (level n) they are the initial
+    slots; else `above` (e_(level+1), parent coordinates), then the distinct
+    nonzero products f·above over the slot-(level+1) entries f."""
+    basis = context.ordered_basis
+    if above is None:
+        return [basis[i] for i in _slot_indices(tuples, 0)]
+    targets = dict.fromkeys([above])  # ordered: the first occurrence is kept
+    for i in _slot_indices(tuples, level + 1):
+        product = context.parent.mul(basis[i], above)
+        if not product.is_zero():  # not truth: every vector is truthy
+            targets.setdefault(product)
+    return list(targets)
+
+
+def _slot_indices(tuples, position):
+    return sorted({t[position] for t in tuples})
 
 
 def build_unit_schedule(tuples, context, degree):
     """Build the descending unit schedule for a family of pure tensors.
 
     `tuples` are index tuples over the split basis, each of the given degree
-    with the initial slot in the ideal part.  e_n is a local left unit for
-    the set of all initial slots; then, going downward, e_{i-1} is a local
-    left unit for {e_i} together with all products f_i·e_i over slot-i
-    entries f_i.  Failure raises NoLocalUnitError carrying the level and the
-    NoLocalUnit witness.
+    with the initial slot in the ideal part.  Going down from e_n, e_level
+    is a local left unit for the targets of `level_targets`; failure raises
+    NoLocalUnitError carrying the level and the NoLocalUnit witness.
     """
-    ideal = context.ideal
-    algebra = context.parent
     n = int(degree)
     tuples = [tuple(t) for t in tuples]
     for t in tuples:
@@ -181,34 +195,46 @@ def build_unit_schedule(tuples, context, degree):
             raise ValueError(f"tuple {t} does not have degree {n}")
         if not context.is_ideal_index(t[0]):
             raise ValueError(f"tuple {t} has a non-ideal initial slot")
-    if n == 0:
-        return UnitSchedule(())
-    units = [None] * n
-    provenance = [None] * n
+    units, provenance, above = [], [], None
+    for level in range(n, 0, -1):
+        targets = level_targets(context, tuples, level, above)
+        above = find_local_left_unit(UnitRequest(context.ideal, targets))
+        if isinstance(above, NoLocalUnit):
+            raise NoLocalUnitError(level, above)
+        units.append(above)
+        provenance.append(targets)
+    return UnitSchedule(units[::-1], provenance[::-1])
 
-    def slot_vectors(position):
-        indices = sorted({t[position] for t in tuples})
-        return [context.ordered_basis[i] for i in indices]
 
-    targets = slot_vectors(0)
-    result = find_local_left_unit(UnitRequest(ideal, targets))
-    if isinstance(result, NoLocalUnit):
-        raise NoLocalUnitError(n, result)
-    units[n - 1] = result
-    provenance[n - 1] = tuple(targets)
-    for i in range(n, 1, -1):
-        e_i = units[i - 1]
-        targets = [e_i]
-        seen = {e_i}
-        for f in slot_vectors(i):
-            prod = algebra.mul(f, e_i)
-            if prod.is_zero() or prod in seen:
+def require_degree(schedule, degree):
+    """Raise ScheduleMismatchError unless the schedule has `degree` units."""
+    if schedule.degree != degree:
+        raise ScheduleMismatchError(
+            f"schedule has {schedule.degree} units but the chain has degree {degree}"
+        )
+
+
+def check_schedule(chain, schedule):
+    """Replay `level_targets` on the slots of `chain`, with each e_(level+1)
+    read from the schedule, and raise ScheduleMismatchError unless the
+    schedule has the chain's degree and each unit fixes its targets."""
+    require_degree(schedule, chain.degree)
+    context, tuples = chain.context, chain.terms
+    mul, label = context.parent.mul, context.split_label
+    above = None
+    for level in range(chain.degree, 0, -1):
+        unit = schedule.units[level - 1]
+        for k, target in enumerate(level_targets(context, tuples, level, above)):
+            if mul(unit, target) == target:
                 continue
-            seen.add(prod)
-            targets.append(prod)
-        result = find_local_left_unit(UnitRequest(ideal, targets))
-        if isinstance(result, NoLocalUnit):
-            raise NoLocalUnitError(i - 1, result)
-        units[i - 2] = result
-        provenance[i - 2] = tuple(targets)
-    return UnitSchedule(tuple(units), tuple(provenance))
+            # name the target only now, so the build path formats nothing
+            if above is None:
+                name = f"the initial slot {label(_slot_indices(tuples, 0)[k])}"
+            elif k == 0:
+                name = f"e_{level + 1}"
+            else:  # by the first slot entry whose product it is
+                index = next(i for i in _slot_indices(tuples, level + 1)
+                             if mul(context.ordered_basis[i], above) == target)
+                name = f"{label(index)}·e_{level + 1}"
+            raise ScheduleMismatchError(f"e_{level} does not fix {name}")
+        above = unit

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from excisionlab.algebra import (
     validate_algebra,
     validate_ideal,
 )
+from excisionlab.excision import isomorphism_witness
 from excisionlab.linalg import SparseVector
 
 from support import rebased_split, stored_exactly
@@ -248,3 +251,19 @@ def test_validate_algebra_finds_the_brute_force_triple(corpus):
             failure = validate_algebra(perturbed)
             assert (failure.i, failure.j, failure.k, failure.left_product,
                     failure.right_product) == expected, name
+
+
+def test_a_dropped_split_is_freed_without_a_collection(t2):
+    # the split's memoised matrices and echelon records go with its last
+    # reference, not at the cyclic collector's next run
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        split = make_split_basis(t2.ideal)
+        isomorphism_witness(split, 2)
+        ref = weakref.ref(split)
+        del split
+        assert ref() is None
+    finally:
+        if enabled:
+            gc.enable()

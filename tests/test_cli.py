@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from excisionlab.algebra import Ideal, make_split_basis
 from excisionlab.chains import pure_tensor
 from excisionlab.cli import (
     EXIT_ERROR,
@@ -12,6 +13,7 @@ from excisionlab.cli import (
     main,
 )
 from excisionlab.fileio import demo_by_name, save_algebra, save_chain
+from excisionlab.linalg import SparseVector
 
 
 @pytest.fixture()
@@ -157,17 +159,24 @@ def test_local_unit_command(t2_files, capsys):
     }
 
 
-def test_local_unit_reports_failure(tmp_path, capsys):
+@pytest.fixture()
+def line_files(tmp_path):
+    """t2-corner over the nilpotent line ideal span{E12}, which has no local
+    left unit, with the chain E12⊗E22 and the target list [E12]."""
     demo = demo_by_name("t2-corner")
-    from excisionlab.algebra import Ideal, make_split_basis
-    from excisionlab.linalg import SparseVector
-
     line = Ideal(demo.algebra, [SparseVector.from_list([0, 1, 0])])
     split = make_split_basis(line)
     algebra_path = str(tmp_path / "nilpotent.json")
     save_algebra(algebra_path, demo.algebra, line, split)
+    chain_path = str(tmp_path / "chain.json")
+    save_chain(chain_path, pure_tensor(split, (0, 2)))  # E12⊗E22
     targets = str(tmp_path / "targets.json")
     open(targets, "w").write(json.dumps({"targets": [["0", "1", "0"]]}))
+    return algebra_path, chain_path, targets
+
+
+def test_local_unit_reports_failure(line_files, capsys):
+    algebra_path, _, targets = line_files
     code = main(["local-unit", "--algebra", algebra_path, "--targets", targets])
     assert code == EXIT_NO_LOCAL_UNIT
     out = capsys.readouterr().out
@@ -181,6 +190,32 @@ def test_local_unit_reports_failure(tmp_path, capsys):
     assert report["status"] == "no-local-unit"
     assert report["witness_target"] == ["0", "1", "0"]
     assert f"detail: {report['detail']}\n" in out
+
+
+def test_every_missing_unit_prints_the_same_structured_document(line_files, capsys):
+    algebra_path, chain, targets = line_files
+    runs = {
+        "local-unit": ["--targets", targets],
+        "descend": ["--chain", chain, "--unit", "auto"],
+        "excise-inverse": ["--chain", chain, "--degree", "1"],
+    }
+    for command, extra in runs.items():
+        argv = [command, "--algebra", algebra_path, *extra]
+        assert main([*argv, "--format", "structured"]) == EXIT_NO_LOCAL_UNIT
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert json.loads(captured.out) == {
+            "command": command,
+            "status": "no-local-unit",
+            "witness_target": ["0", "1", "0"],
+            "detail": "inconsistent at echelon row 0",
+        }
+        # text output is unchanged: a report on stdout for local-unit, an
+        # error on stderr for the other two
+        assert main(argv) == EXIT_NO_LOCAL_UNIT
+        captured = capsys.readouterr()
+        text = captured.out if command == "local-unit" else captured.err
+        assert "witness target: [0, 1, 0]" in text
 
 
 def test_demo_command(capsys):

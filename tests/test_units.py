@@ -1,19 +1,26 @@
+from dataclasses import replace
 from itertools import combinations
 
 import pytest
 
 from excisionlab.algebra import Ideal
 from excisionlab import units
+from excisionlab.chains import Chain, boundary_b
+from excisionlab.excision import inverse_excision, verify_certificate
 from excisionlab.linalg import Echelon, SparseVector, Unsolvable
 from excisionlab.units import (
     NoLocalUnit,
     NoLocalUnitError,
+    ScheduleMismatchError,
     UnitInvariantError,
     UnitRequest,
     UnitSchedule,
     build_unit_schedule,
+    check_schedule,
     find_local_left_unit,
 )
+
+from support import filtered_cycle_basis
 
 
 def test_corner_ideal_unit(t2):
@@ -159,3 +166,55 @@ def test_solver_contradictions_raise_a_typed_error(t2, monkeypatch):
     forge(lambda m, rhs: next(answers, SparseVector(m.cols)))
     with pytest.raises(UnitInvariantError):
         find_local_left_unit(request)
+
+
+def test_the_checker_accepts_every_schedule_the_builder_returns(corpus):
+    for demo in corpus:
+        for degree in (1, 2, 3):
+            for cycle in filtered_cycle_basis(demo.split, degree, degree):
+                schedule = build_unit_schedule(sorted(cycle.terms), demo.split, degree)
+                check_schedule(cycle, schedule)
+
+
+# Strict top-filtration cycles: E11⊗E12⊗E12 + E12⊗E11⊗E12 over t2-corner,
+# E11⊗E21⊗E11⊗E11 + E11⊗E11⊗E21⊗E11 over direct-sum, whose built schedule
+# is (E11+E22, E11, E11): the level-1 targets are E11 and E21·E11 = E21.
+T2_CYCLE = {(0, 1, 1): 1, (1, 0, 1): 1}
+SUM_CYCLE = {(0, 2, 0, 0): 1, (0, 0, 2, 0): 1}
+E12_T2 = [0, 1, 0]
+E11_SUM, E12_SUM = [1, 0, 0, 0, 0], [0, 1, 0, 0, 0]
+
+
+# One forged unit per failure kind.  t2-corner has no f·e_i case: a unit
+# that fixes an initial slot has E11-coefficient 1, so either e_i is
+# E11 + b·E12, whose products f·e_i are e_i or 0, or e_i is invertible and
+# only the identity fixes it.
+@pytest.mark.parametrize("name, terms, level, unit, text", [
+    ("t2-corner", T2_CYCLE, 2, E12_T2, "e_2 does not fix the initial slot E11"),
+    ("t2-corner", T2_CYCLE, 1, E12_T2, "e_1 does not fix e_2"),
+    ("direct-sum", SUM_CYCLE, 3, E12_SUM, "e_3 does not fix the initial slot E11"),
+    ("direct-sum", SUM_CYCLE, 2, E12_SUM, "e_2 does not fix e_3"),
+    ("direct-sum", SUM_CYCLE, 1, E11_SUM, "e_1 does not fix E21·e_2"),
+])
+def test_a_forged_unit_is_named_by_the_checker_and_the_verifier(
+        corpus, name, terms, level, unit, text):
+    split = next(d for d in corpus if d.name == name).split
+    degree = len(next(iter(terms))) - 1
+    cycle = Chain(degree, split, terms)
+    assert boundary_b(cycle).is_zero()
+    schedule = build_unit_schedule(sorted(terms), split, degree)
+    check_schedule(cycle, schedule)
+    result = inverse_excision(cycle, schedule)
+    forged = list(schedule.units)
+    forged[level - 1] = SparseVector.from_list(unit)
+    with pytest.raises(ScheduleMismatchError) as info:
+        check_schedule(cycle, UnitSchedule(forged))
+    assert str(info.value) == text
+    # with no recorded equations only the replay of the rule catches it
+    mismatch = verify_certificate(replace(result, schedule=UnitSchedule(forged)))
+    assert mismatch.reason == f"unit schedule does not fit the input: {text}"
+    # with the builder's targets recorded, a recorded equation fails first
+    mismatch = verify_certificate(
+        replace(result, schedule=UnitSchedule(forged, schedule.provenance))
+    )
+    assert mismatch.reason == "a unit fails an equation recorded in its schedule"

@@ -21,9 +21,12 @@ and every sum goes through `linalg._accumulate`.  Coefficients are stored
 as `linalg` stores every scalar, an `int` where integral and a `Fraction`
 otherwise, and the signs are the ints ±1, so on an integer algebra every
 chain, table row and boundary matrix is summed in `int` arithmetic.
-`boundary_matrix` assembles each differential once per complex; its
-elimination, the ∂∂ = 0 check, homology and the witness searches of
-`excision` all read that one matrix.
+`boundary_matrix` assembles each differential once per space of tuples;
+its elimination, the ∂∂ = 0 check, homology and the witness searches of
+`excision` all read that one matrix.  When the ideal is the whole algebra,
+the spaces I, relative and A coincide and share one memoised complex
+(`_memoised`); otherwise the relative complex takes its all-ideal columns
+from ∂^I, the differential of its subcomplex C(I).
 """
 
 from __future__ import annotations
@@ -68,13 +71,24 @@ def resolve_max_degree(explicit=None):
 
 def _memoised(build):
     """Memoise `build(context, *args)` in `context.chain_cache` under (name,
-    *args), for as long as the split lives; callers must not mutate it."""
+    *args), for as long as the split lives; callers must not mutate it.
+
+    One value per space of tuples: when the ideal is the whole algebra, the
+    spaces I, relative and A have the same tuples, so a `Variant` of any of
+    them is looked up or built under its I key and stored under both keys.
+    A hit costs one lookup as before."""
     @wraps(build)
     def memo(context, *args):
         key = (build.__name__, *args)
-        if key not in context.chain_cache:
-            context.chain_cache[key] = build(context, *args)
-        return context.chain_cache[key]
+        cache = context.chain_cache
+        if key not in cache:
+            variant = args[0]
+            if (type(variant) is Variant and variant.space != "I"
+                    and context.ideal_count == context.dimension):
+                cache[key] = memo(context, Variant(variant.op, "I"), *args[1:])
+            else:
+                cache[key] = build(context, *args)
+        return cache[key]
     return memo
 
 
@@ -412,8 +426,11 @@ def boundary_matrix(context, variant, degree):
     `tuple_boundary_terms` of its tuple, folded onto the rows through an
     index whose signs are the ints ±1 (every rotation of a row tuple, for
     `hc`) and summed by row, in `int` where the constants allow it.  The
-    triple is memoised on the split basis `context` and shared by every
-    caller: do not mutate the matrix or the lists.
+    relative complex copies its all-ideal columns from ∂^I
+    (`_ideal_columns`) and assembles only the mixed ones; either way the
+    entries are stored column by column, in the same order.  The triple is
+    memoised on the split basis `context` and shared by every caller: do
+    not mutate the matrix or the lists.
     """
     if degree < 1:
         raise ValueError("the boundary matrix needs degree >= 1")
@@ -425,8 +442,16 @@ def boundary_matrix(context, variant, degree):
     else:
         row_index = {t: (r, 1) for r, t in enumerate(rows)}
     wrap = variant.op != "bar"
+    ideal_count = context.ideal_count
+    ideal_columns = None
+    if variant.space == "relative" and 0 < ideal_count < context.dimension:
+        ideal_columns = _ideal_columns(context, variant.op, degree, row_index)
     entries = {}
     for c, tup in enumerate(cols):
+        if ideal_columns is not None and max(tup) < ideal_count:
+            for r, v in next(ideal_columns):
+                entries[(r, c)] = v
+            continue
         out = {}
         for t, v in tuple_boundary_terms(context, tup, wrap=wrap).items():
             hit = row_index.get(t)
@@ -442,6 +467,24 @@ def boundary_matrix(context, variant, degree):
         for r, v in out.items():
             entries[(r, c)] = _exact(v)
     return SparseMatrix._assembled(len(rows), len(cols), entries), cols, rows
+
+
+def _ideal_columns(context, op, degree, row_index):
+    """The columns of ∂^I (`boundary_matrix` of the I space) in order, each
+    a list of (relative row, value) in its stored order, for the all-ideal
+    columns of the relative complex.
+
+    Those columns are the I basis in the same lexicographic order, and ∂
+    maps an all-ideal tuple onto all-ideal rows: every I row is a row of
+    the relative complex (for `hc` a canonical necklace, which the rotation
+    index maps to itself with sign 1).  Their boundary terms were checked
+    against the I space when ∂^I was assembled."""
+    matrix, cols, rows = boundary_matrix(context, Variant(op, "I"), degree)
+    lift = [row_index[t][0] for t in rows]
+    columns = [[] for _ in cols]
+    for (r, c), v in matrix.entries.items():
+        columns[c].append((lift[r], v))
+    return iter(columns)
 
 
 @dataclass

@@ -553,11 +553,11 @@ def verify_certificate(certificate):
     Returns None when the certificate is sound, otherwise a Mismatch carrying
     the exact residual chain where the failed claim is an identity of chains.
     A descent certificate must also have homotopy e ⊗ input with e a left
-    unit on every initial slot, and an inverse result must replay its unit
-    schedule: each recorded equation and the descending conditions on the
-    input's slots.  The verification path re-expands boundaries and
-    canonical forms directly on chains; it never reuses the linear solve
-    that produced the witness.
+    unit on every initial slot, and an inverse result must have its units in
+    the ideal and replay its unit schedule: each recorded equation and the
+    descending conditions on the input's slots.  The verification path
+    re-expands boundaries and canonical forms directly on chains; it never
+    reuses the linear solve that produced the witness.
     """
     if isinstance(certificate, DescentCertificate):
         n = certificate.input.degree
@@ -605,7 +605,11 @@ def verify_certificate(certificate):
             return Mismatch("boundary identity fails", residual)
         return None
     if isinstance(certificate, InverseResult):
-        if not certificate.schedule.verify(certificate.input.context.parent):
+        context = certificate.input.context
+        for unit in certificate.schedule.units:
+            if any(i >= context.ideal_count for i in context.to_split(unit).entries):
+                return Mismatch("a unit of the schedule lies outside the ideal")
+        if not certificate.schedule.verify(context.parent):
             return Mismatch("a unit fails an equation recorded in its schedule")
         try:
             check_schedule(certificate.input, certificate.schedule)

@@ -310,6 +310,9 @@ def schedule_from_doc(doc, dimension):
     ]
     if len(provenance) != len(units):
         raise ParseError("one target list per unit required", "targets")
+    if _get(doc, "degree", int) != len(units):
+        raise ParseError(f"expected the degree {len(units)}, the number of units",
+                         "degree")
     return UnitSchedule(units, provenance)
 
 

@@ -305,13 +305,21 @@ def _halved_ideal_split(demo):
 
 
 def test_boundary_matrices_match_the_dense_oracle(corpus, t2):
-    cases = [(demo.name, demo.split, 4) for demo in corpus]
-    cases.append(("t2-corner, ideal basis halved", _halved_ideal_split(t2), 3))
+    cases = [(demo.name, demo.split, 4, ("A", "I", "relative")) for demo in corpus]
+    cases.append(("t2-corner, ideal basis halved", _halved_ideal_split(t2), 3,
+                  ("A", "I", "relative")))
+    # the relative complex copies its all-ideal columns from ∂^I: request it
+    # first on fresh splits, and on rebased splits, whose products gain
+    # terms, so that the copy meets a non-trivial row re-indexing
+    cases += [(f"{demo.name}, relative first", _fresh_split(demo), 4,
+               ("relative", "I", "A")) for demo in corpus]
+    cases += [(f"{demo.name} rebased {offset}", rebased_split(demo, offset), 3,
+               ("relative", "I", "A")) for demo in corpus for offset in (1, 2)]
     non_integral = set()
-    for name, split, top in cases:
+    for name, split, top, spaces in cases:
         mult = split_products(split)
         for op in ("hh", "hc", "bar"):
-            for space in ("A", "I", "relative"):
+            for space in spaces:
                 for degree in range(1, top + 1):
                     variant = Variant(op, space)
                     matrix, cols, rows = boundary_matrix(split, variant, degree)
@@ -516,6 +524,16 @@ def test_each_system_is_eliminated_once(corpus, monkeypatch):
         # every corpus class is all-ideal, so no stacked system is built
         assert ("_inverse_system", degree) not in split.chain_cache
         witness_eliminations = list(counts["complex"])
+        # no complex is eliminated twice (told apart by shape): on matrix2
+        # the ideal is the whole algebra, and its spaces share one complex
+        assert len(set(witness_eliminations)) == len(witness_eliminations), demo.name
+        if split.ideal_count == split.dimension:
+            for op in VARIANT_OPS:
+                for n in range(1, degree + 2):
+                    for memoised in (basis_tuples, boundary_matrix, boundary_echelon):
+                        shared = {id(memoised(split, Variant(op, space), n))
+                                  for space in VARIANT_SPACES}
+                        assert len(shared) == 1, (op, n, memoised.__name__)
         counts["complex"].clear()
         assert isomorphism_witness(split, degree) == first
         assert counts["complex"] == [], demo.name

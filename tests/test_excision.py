@@ -1,3 +1,4 @@
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -454,6 +455,21 @@ def test_schedule_mismatch_is_reported(t2):
     bad = UnitSchedule((SparseVector.from_list([0, 1, 0]),))  # E12 is no unit
     with pytest.raises(ScheduleMismatchError):
         inverse_excision(phi, bad)
+
+
+def test_a_unit_outside_the_ideal_is_refused(t2):
+    phi = pure_tensor(t2.split, (0, 2))  # E11 ⊗ E22
+    [result] = inverse_excision_class([canonicalize_cyclic(phi)])
+    assert verify_certificate(result) is None
+    # the identity E11+E22 fixes the recorded target E11 and every slot,
+    # but it is no unit of the ideal span{E11, E12}
+    identity = UnitSchedule([SparseVector.from_list([1, 0, 1])],
+                            [[SparseVector.from_list([1, 0, 0])]])
+    assert identity.verify(t2.algebra)
+    forged = dataclasses.replace(result, schedule=identity)
+    mismatch = verify_certificate(forged)
+    assert isinstance(mismatch, Mismatch)
+    assert mismatch.reason == "a unit of the schedule lies outside the ideal"
 
 
 def test_round_trip_through_rho(corpus):

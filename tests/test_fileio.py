@@ -207,7 +207,7 @@ def test_verify_replays_the_unit_schedule(t2):
         "E12 as the unit": {"units": [e12]},
         # no recorded equation, but E12 does not fix the initial slot E11
         "E12 with no targets": {"units": [e12], "targets": [[]]},
-        "no units": {"units": [], "targets": []},
+        "no units": {"degree": 0, "units": [], "targets": []},
     }
     for name, schedule in forged.items():
         doc = json.loads(saved)

@@ -96,6 +96,7 @@ def fields(kind):
             found += _chain_fields(doc, (key,))
         found += [
             (("schedule",), dict, False),
+            (("schedule", "degree"), int, True),
             (("schedule", "units"), list, False),
             (("schedule", "units", 0), list, None),
             (("schedule", "targets"), list, False),
@@ -201,6 +202,16 @@ def test_unknown_claims_are_refused(key):
     mismatch = verify_certificate(forged)
     assert isinstance(mismatch, Mismatch)
     assert "unknown claim" in mismatch.reason
+
+
+def test_a_schedule_degree_other_than_its_unit_count_is_refused():
+    inverse = copy.deepcopy(documents()["inverse"])
+    assert inverse["schedule"]["degree"] == len(inverse["schedule"]["units"]) == 1
+    inverse["schedule"]["degree"] = 7
+    with pytest.raises(ParseError) as info:
+        certificate_from_doc(inverse)
+    assert info.value.location == "schedule.degree"
+    assert "number of units" in info.value.message
 
 
 def subtree_paths(doc, path=()):

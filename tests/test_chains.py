@@ -530,7 +530,8 @@ def test_each_system_is_eliminated_once(corpus, monkeypatch):
         if split.ideal_count == split.dimension:
             for op in VARIANT_OPS:
                 for n in range(1, degree + 2):
-                    for memoised in (basis_tuples, boundary_matrix, boundary_echelon):
+                    for memoised in (basis_tuples, boundary_matrix, boundary_echelon,
+                                     chains._homology_basis):
                         shared = {id(memoised(split, Variant(op, space), n))
                                   for space in VARIANT_SPACES}
                         assert len(shared) == 1, (op, n, memoised.__name__)

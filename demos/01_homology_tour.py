@@ -7,7 +7,8 @@ excision pattern: dim HC_n(I) = dim HC_n(A,I) in every degree.
 """
 
 from excisionlab import Variant, homology
-from excisionlab.fileio import demo_corpus, render_chain
+from excisionlab.chains import render_chain
+from excisionlab.fileio import demo_corpus
 
 for demo in demo_corpus():
     print("=" * 64)

@@ -19,8 +19,9 @@ from excisionlab import (
     pure_tensor,
     verify_certificate,
 )
-from excisionlab.fileio import demo_by_name, render_chain
-from excisionlab.units import UnitRequest, find_local_left_unit
+from excisionlab.chains import render_chain
+from excisionlab.fileio import demo_by_name
+from excisionlab.units import find_local_left_unit
 
 demo = demo_by_name("direct-sum")
 split = demo.split
@@ -39,7 +40,7 @@ while not is_ideal_chain(current):
     step += 1
     heads = sorted({tup[0] for tup in current.terms})
     targets = [split.ordered_basis[i] for i in heads]
-    unit = find_local_left_unit(UnitRequest(demo.ideal, targets))
+    unit = find_local_left_unit(demo.ideal, targets)
     print(f"step {step}: unit fixing the initial slots:",
           [str(v) for v in unit.to_list()])
     cert = descent_step(current, unit)

@@ -11,7 +11,8 @@ the ideal's own complex.
 import json
 
 from excisionlab import isomorphism_witness, verify_certificate
-from excisionlab.fileio import certificate_to_doc, demo_corpus, render_chain
+from excisionlab.chains import render_chain
+from excisionlab.fileio import certificate_to_doc, demo_corpus
 
 for demo in demo_corpus():
     print("=" * 64)

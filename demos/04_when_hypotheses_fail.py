@@ -15,16 +15,17 @@ from excisionlab import (
     validate_ideal,
 )
 from excisionlab.algebra import Ideal, make_split_basis
-from excisionlab.fileio import demo_by_name, render_chain
+from excisionlab.chains import render_chain
+from excisionlab.fileio import demo_by_name
 from excisionlab.linalg import SparseVector
-from excisionlab.units import NoLocalUnit, NoLocalUnitError, UnitRequest, find_local_left_unit
+from excisionlab.units import NoLocalUnit, NoLocalUnitError, find_local_left_unit
 
 t2 = demo_by_name("t2-corner")
 line = Ideal(t2.algebra, [SparseVector.from_list([0, 1, 0])])
 assert validate_ideal(line) is None
 print("span{E12} is a two-sided ideal of the upper-triangular matrices")
 
-result = find_local_left_unit(UnitRequest(line, line.basis_vectors))
+result = find_local_left_unit(line, line.basis_vectors)
 assert isinstance(result, NoLocalUnit)
 print("unit solve:", result.detail)
 print("witness target (nothing fixes it):",

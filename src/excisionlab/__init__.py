@@ -78,17 +78,14 @@ from .linalg import (
     SparseMatrix,
     SparseVector,
     Unsolvable,
-    image_basis,
     kernel_basis,
     parse_scalar,
-    rref,
     solve,
 )
 from .units import (
     NoLocalUnit,
     NoLocalUnitError,
     UnitInvariantError,
-    UnitRequest,
     UnitSchedule,
     build_unit_schedule,
     find_local_left_unit,

@@ -21,7 +21,8 @@ from .linalg import (
     SparseVector,
     _accumulate,
     _combination,
-    invert,
+    echelon,
+    solve,
 )
 
 
@@ -232,10 +233,16 @@ class SplitBasis:
         self.dimension = self.parent.dimension
         if len(self.ordered_basis) != self.dimension:
             raise ValueError("ordered basis must span the parent algebra")
-        forward = SparseMatrix.from_columns(self.ordered_basis, rows=self.dimension)
-        backward = invert(forward)
-        # column-major storage of the inverse, for fast parent->split conversion
-        self._backward_cols = [backward.column(j) for j in range(self.dimension)]
+        record = echelon(
+            SparseMatrix.from_columns(self.ordered_basis, rows=self.dimension)
+        )
+        if len(record.pivots) < self.dimension:
+            raise ValueError("matrix is singular")
+        # the columns of the inverse, for fast parent->split conversion
+        self._backward_cols = [
+            solve(record, SparseVector.unit(self.dimension, j))
+            for j in range(self.dimension)
+        ]
         self.product_table = _ProductTable(
             self.parent.mul, self.ordered_basis, self._backward_cols
         )

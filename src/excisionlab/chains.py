@@ -43,6 +43,7 @@ from .linalg import (
     _eliminate,
     _exact,
     echelon,
+    format_scalar,
     kernel_basis,
 )
 
@@ -149,13 +150,18 @@ class Chain(_Sparse):
         return hash((self.degree, tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
-        if not self.terms:
-            return f"Chain(degree={self.degree}, 0)"
-        bits = []
-        for tup, coeff in self.items():
-            label = "⊗".join(self.context.split_label(i) for i in tup)
-            bits.append(f"{coeff}·{label}")
-        return f"Chain(degree={self.degree}, {' + '.join(bits)})"
+        return f"Chain(degree={self.degree}, {render_chain(self)})"
+
+
+def render_chain(chain):
+    """Human-readable exact form of a chain over its split labels."""
+    if not chain.terms:
+        return "0"
+    bits = []
+    for tup, coeff in chain.items():
+        word = "⊗".join(chain.context.split_label(i) for i in tup)
+        bits.append(f"({format_scalar(coeff)})·{word}")
+    return " + ".join(bits)
 
 
 def pure_tensor(context, indices, coeff=1):

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .chains import (
-    DegreeLimitError, Variant, boundary_b, canonicalize_cyclic, homology,
+    DegreeLimitError, Variant, boundary_b, canonicalize_cyclic, homology, render_chain,
 )
 from .excision import (
     CertificateSearchError,
@@ -37,12 +37,11 @@ from .fileio import (
     load_chain,
     load_element,
     load_targets,
-    render_chain,
     save_certificate,
     vector_to_list,
 )
 from .units import (
-    NoLocalUnit, NoLocalUnitError, UnitRequest, find_local_left_unit, level_targets,
+    NoLocalUnit, NoLocalUnitError, find_local_left_unit, level_targets,
 )
 
 EXIT_OK = 0
@@ -119,7 +118,7 @@ def cmd_descend(args):
     require_top_filtration(chain)
     if args.unit == "auto":
         targets = level_targets(split, chain.terms, chain.degree, None)
-        unit = find_local_left_unit(UnitRequest(ideal, targets))
+        unit = find_local_left_unit(ideal, targets)
         if isinstance(unit, NoLocalUnit):
             return _no_local_unit(args, unit, [
                 "no local left unit exists for the initial slots; witness "
@@ -160,7 +159,7 @@ def cmd_verify(args):
 def cmd_local_unit(args):
     _, ideal, split = load_algebra(args.algebra)
     targets = load_targets(args.targets, split.dimension)
-    result = find_local_left_unit(UnitRequest(ideal, targets))
+    result = find_local_left_unit(ideal, targets)
     if isinstance(result, NoLocalUnit):
         return _no_local_unit(args, result, [
             "no local left unit exists for the given targets",

@@ -29,7 +29,7 @@ from .excision import (
     verify_certificate,
 )
 from .linalg import SparseVector, _accumulate, format_scalar, parse_scalar
-from .units import UnitRequest, UnitSchedule, find_local_left_unit
+from .units import UnitSchedule, find_local_left_unit
 
 
 class ParseError(ValueError):
@@ -390,8 +390,7 @@ def certificate_from_doc(doc):
     elif kind == "inverse":
         certificate = InverseResult(
             input=_nested(doc, "input", chain_from_doc, split),
-            schedule=_nested(doc, "schedule", schedule_from_doc, split.dimension,
-                             default={}),
+            schedule=_nested(doc, "schedule", schedule_from_doc, split.dimension),
             output=_nested(doc, "output", chain_from_doc, split),
             verification=_nested(doc, "certificate", _boundary_from_doc, split),
         )
@@ -437,9 +436,7 @@ class DemoExtension:
             raise ValueError(f"demo {self.name!r}: the product is not associative")
         if validate_ideal(self.ideal) is not None:
             raise ValueError(f"demo {self.name!r}: the ideal is not two-sided")
-        unit = find_local_left_unit(
-            UnitRequest(self.ideal, self.ideal.basis_vectors)
-        )
+        unit = find_local_left_unit(self.ideal, self.ideal.basis_vectors)
         if not isinstance(unit, SparseVector):
             raise ValueError(f"demo {self.name!r}: the ideal lacks a local left unit")
 
@@ -595,13 +592,3 @@ class RunReport:
         lines.append(f"elapsed: {self.elapsed_seconds:.3f}s")
         return "\n".join(lines)
 
-
-def render_chain(chain):
-    """Human-readable exact form of a chain over its split labels."""
-    if not chain.terms:
-        return "0"
-    bits = []
-    for tup, coeff in chain.items():
-        word = "⊗".join(chain.context.split_label(i) for i in tup)
-        bits.append(f"({format_scalar(coeff)})·{word}")
-    return " + ".join(bits)

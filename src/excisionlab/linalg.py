@@ -10,14 +10,13 @@ produces a bit-identical output.  Underdetermined solves are resolved
 deterministically by setting every free variable to zero.
 
 A matrix is eliminated once, by `echelon`, into an `Echelon` record that
-`rank`, `rref`, `kernel_basis`, `image_basis` and `solve` read; a solve
-replays the record's integer log of row operations on its right-hand side.
-Elimination is fraction-free: rows are kept as primitive integer rows (no
-common factor, no denominators), and a value becomes a `Fraction` only
-when a reduced entry is read out as the quotient of an integer entry by its
-row's pivot entry.  The reduced row echelon form is unique, so pivots,
-kernels, solutions and images are exactly those of Gauss-Jordan over
-`Fraction`; only the cost differs.
+`kernel_basis` and `solve` read; a solve replays the record's integer log
+of row operations on its right-hand side.  Elimination is fraction-free:
+rows are kept as primitive integer rows (no common factor, no
+denominators), and a value becomes a `Fraction` only when a reduced entry
+is read out as the quotient of an integer entry by its row's pivot entry.
+The reduced row echelon form is unique, so pivots, kernels and solutions
+are exactly those of Gauss-Jordan over `Fraction`; only the cost differs.
 """
 
 from __future__ import annotations
@@ -42,7 +41,7 @@ def parse_scalar(text):
     if match is None:
         raise ValueError(f"not an exact rational literal: {text!r}")
     p, q = match.groups()
-    return _exact(Fraction(int(p), int(q or 1)))
+    return int(p) if q is None else _exact(Fraction(int(p), int(q)))
 
 
 def _exact(value):
@@ -218,17 +217,6 @@ class SparseMatrix:
         return matrix
 
     @classmethod
-    def from_rows(cls, rows_list):
-        rows = len(rows_list)
-        cols = len(rows_list[0]) if rows_list else 0
-        entries = {}
-        for r, row in enumerate(rows_list):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            entries.update(((r, c), v) for c, v in enumerate(row))
-        return cls(rows, cols, entries)
-
-    @classmethod
     def from_columns(cls, columns, rows=None):
         if rows is None:
             if not columns:
@@ -242,11 +230,6 @@ class SparseMatrix:
                 entries[(r, c)] = v
         return cls(rows, len(columns), entries)
 
-    def column(self, c):
-        return SparseVector(
-            self.rows, {r: v for (r, cc), v in self.entries.items() if cc == c}
-        )
-
     def matvec(self, vec):
         if vec.dimension != self.cols:
             raise ValueError("dimension mismatch")
@@ -256,12 +239,6 @@ class SparseMatrix:
             if x:
                 _accumulate(out, r, v * x)
         return SparseVector(self.rows, out)
-
-    def to_dense(self):
-        return [
-            [self.entries.get((r, c), 0) for c in range(self.cols)]
-            for r in range(self.rows)
-        ]
 
     def __eq__(self, other):
         return (
@@ -315,11 +292,10 @@ def _divide_content(row):
 
 class Echelon(namedtuple(
         "Echelon", "rows cols entries pivots reduced order scales steps")):
-    """One elimination, read in place of the matrix by `rank`, `rref`,
-    `kernel_basis`, `image_basis` and `solve`: the matrix's shape and
-    (shared) `entries`; per pivot column, a positive integer multiple of its
-    row of the reduced row echelon form (`reduced`) and the matrix row it
-    came from (`order`); and the row
+    """One elimination, read in place of the matrix by `kernel_basis` and
+    `solve`: the matrix's shape and (shared) `entries`; per pivot column, a
+    positive integer multiple of its row of the reduced row echelon form
+    (`reduced`) and the matrix row it came from (`order`); and the row
     operations, in integers: (row, p, q) in `scales` where a row became p/q
     times itself, and per pivot (row, sign flipped, [(target, a, b, g), ...])
     in `steps` for each `target = (a·target − b·pivot row) / g`."""
@@ -426,28 +402,13 @@ def _record(system):
     return system if type(system) is Echelon else echelon(system)
 
 
-def rref(system):
-    """Reduced row echelon form and its pivot columns."""
-    record = _record(system)
-    entries = {}
-    for i, (row, c) in enumerate(zip(record.reduced, record.pivots)):
-        pv = row[c]
-        for j, v in row.items():
-            entries[(i, j)] = Fraction(v, pv)
-    return SparseMatrix(record.rows, record.cols, entries), list(record.pivots)
-
-
-def rank(system):
-    return len(_record(system).pivots)
-
-
 def solve(system, rhs):
     """One exact solution of matrix @ x = rhs, or an Unsolvable witness.
 
     Free variables are set to zero, so the answer is unique and reproducible.
     The logged row operations are replayed on `rhs` in exact arithmetic,
-    skipping zeros; any non-pivot row left nonzero makes row `rank` read
-    0 = nonzero.
+    skipping zeros; any non-pivot row left nonzero makes echelon row
+    `len(pivots)` read 0 = nonzero.
     """
     record = _record(system)
     if rhs.dimension != record.rows:
@@ -491,18 +452,6 @@ def kernel_basis(system, free=None):
             if vector is not None:
                 vector[c] = Fraction(-v, pv)
     return [SparseVector(record.cols, vectors[f]) for f in free]
-
-
-def image_basis(system):
-    """Columns of the original matrix at the rref pivot positions."""
-    record = _record(system)
-    slot = {c: k for k, c in enumerate(record.pivots)}
-    columns = [{} for _ in record.pivots]
-    for (r, c), v in record.entries.items():
-        k = slot.get(c)
-        if k is not None:
-            columns[k][r] = v
-    return [SparseVector(record.rows, column) for column in columns]
 
 
 def invert(matrix):

@@ -3,7 +3,7 @@ the inverse formula consumes, built and checked by one rule, `level_targets`.
 
 An element e of an ideal I is a local left unit for a finite target set S
 when e·s = s for every s in S.  The solver is deterministic (free variables
-are zeroed), so the same request always yields the same unit, and every
+are zeroed), so the same targets always yield the same unit, and every
 returned unit is re-verified against its targets before being handed out.
 """
 
@@ -19,17 +19,6 @@ from .linalg import (
     echelon,
     solve,
 )
-
-
-@dataclass(frozen=True)
-class UnitRequest:
-    """An ideal together with the finite target set a unit must fix."""
-
-    ideal: object
-    targets: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "targets", tuple(self.targets))
 
 
 @dataclass(frozen=True)
@@ -82,15 +71,14 @@ def _unit_system(ideal, targets):
     return matrix, SparseVector(len(targets) * dim, rhs)
 
 
-def find_local_left_unit(request):
-    """Solve e·s = s (all s in the targets) for e in the ideal.
+def find_local_left_unit(ideal, targets):
+    """Solve e·s = s (all s in `targets`) for e in `ideal`.
 
     Returns the unit as a parent-coordinate vector, or a NoLocalUnit witness.
     Targets outside the ideal's span are a caller error and raise; the ideal
     basis is eliminated once and every target solved against that record.
     """
-    ideal = request.ideal
-    targets = list(request.targets)
+    targets = list(targets)
     span = echelon(
         SparseMatrix.from_columns(ideal.basis_vectors, rows=ideal.parent.dimension)
     )
@@ -198,7 +186,7 @@ def build_unit_schedule(tuples, context, degree):
     units, provenance, above = [], [], None
     for level in range(n, 0, -1):
         targets = level_targets(context, tuples, level, above)
-        above = find_local_left_unit(UnitRequest(context.ideal, targets))
+        above = find_local_left_unit(context.ideal, targets)
         if isinstance(above, NoLocalUnit):
             raise NoLocalUnitError(level, above)
         units.append(above)

@@ -271,25 +271,36 @@ def homology_dimension(split, op, space, degree):
     return n_basis - rank_down - rank_up
 
 
+def image_columns(matrix):
+    """A basis of the image of the `SparseMatrix` `matrix`: its columns at
+    the pivot columns of its `Echelon` record."""
+    from excisionlab.linalg import SparseVector, echelon
+
+    columns = {c: {} for c in echelon(matrix).pivots}
+    for (r, c), v in matrix.entries.items():
+        column = columns.get(c)
+        if column is not None:
+            column[r] = v
+    return [SparseVector(matrix.rows, column) for column in columns.values()]
+
+
 def incremental_span_homology(split, variant, degree):
     """(dimension, representatives as {tuple: value} dicts) by growing an
-    `IncrementalSpan`: the boundaries (`image_basis` of ∂_(degree+1)) go in
+    `IncrementalSpan`: the boundaries (`image_columns` of ∂_(degree+1)) go in
     first, then each kernel basis vector of ∂_degree in order, and a kernel
     vector is a representative when it enlarges the span.  It runs on the
     library's matrices and elimination, each checked against a dense
     reference elsewhere, and shares nothing with `chains.homology` itself.
     """
     from excisionlab.chains import basis_tuples, boundary_matrix
-    from excisionlab.linalg import (
-        IncrementalSpan, SparseVector, image_basis, kernel_basis,
-    )
+    from excisionlab.linalg import IncrementalSpan, SparseVector, kernel_basis
 
     tuples = basis_tuples(split, variant, degree)
     if degree == 0:
         cycles = [SparseVector.unit(len(tuples), i) for i in range(len(tuples))]
     else:
         cycles = kernel_basis(boundary_matrix(split, variant, degree)[0])
-    boundaries = image_basis(boundary_matrix(split, variant, degree + 1)[0])
+    boundaries = image_columns(boundary_matrix(split, variant, degree + 1)[0])
     span = IncrementalSpan(len(tuples))
     for vector in boundaries:
         span.add(vector)

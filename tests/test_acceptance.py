@@ -32,7 +32,6 @@ from excisionlab.linalg import SparseVector
 from excisionlab.units import (
     NoLocalUnit,
     NoLocalUnitError,
-    UnitRequest,
     build_unit_schedule,
     find_local_left_unit,
 )
@@ -128,7 +127,7 @@ def test_criterion_3_filtration_lemma():
 def _descent_unit(demo, chain):
     heads = sorted({tup[0] for tup in chain.terms})
     vectors = [demo.split.ordered_basis[i] for i in heads]
-    unit = find_local_left_unit(UnitRequest(demo.ideal, vectors))
+    unit = find_local_left_unit(demo.ideal, vectors)
     assert isinstance(unit, SparseVector)
     return unit
 
@@ -227,7 +226,7 @@ def test_criterion_8_no_local_unit_surfaces():
     t2 = CORPUS[0]
     line = Ideal(t2.algebra, [SparseVector.from_list([0, 1, 0])])
     split = make_split_basis(line)
-    result = find_local_left_unit(UnitRequest(line, line.basis_vectors))
+    result = find_local_left_unit(line, line.basis_vectors)
     ok = isinstance(result, NoLocalUnit)
     ok &= result.witness_target == SparseVector.from_list([0, 1, 0])
     # a genuine cyclic cycle of the relative complex for this extension
@@ -250,7 +249,7 @@ def test_criterion_9_bar_acyclicity():
     for demo in CORPUS:
         for degree in range(1, 4):
             ok &= homology(demo.split, Variant("bar", "I"), degree).dimension == 0
-        unit = find_local_left_unit(UnitRequest(demo.ideal, demo.ideal.basis_vectors))
+        unit = find_local_left_unit(demo.ideal, demo.ideal.basis_vectors)
         unit_split = demo.split.to_split(unit)
         for degree in range(1, 4):
             for _ in range(10):

@@ -10,6 +10,7 @@ from excisionlab.algebra import (
     AssociativityFailure,
     Ideal,
     NotTwoSided,
+    SplitBasis,
     make_split_basis,
     opposite_algebra,
     quotient,
@@ -17,9 +18,11 @@ from excisionlab.algebra import (
     validate_ideal,
 )
 from excisionlab.excision import isomorphism_witness
-from excisionlab.linalg import SparseVector
+from excisionlab.linalg import SparseMatrix, SparseVector, invert
 
-from support import rebased_split, stored_exactly
+from support import (
+    dual_number_split, rebased_split, stored_exactly, upper_triangular_split,
+)
 
 
 def _one_dim_idempotent():
@@ -106,6 +109,35 @@ def test_split_coordinates_round_trip(direct_sum):
     split = direct_sum.split
     v = SparseVector.from_list([1, 0, -2, 3, 5])
     assert split.from_split(split.to_split(v)) == v
+
+
+def _tier1_splits(corpus):
+    """Every split the tests build, by name: the corpus, ut3, the
+    dual-number split and the rebased corpus splits."""
+    splits = {demo.name: demo.split for demo in corpus}
+    splits["ut3"] = upper_triangular_split()
+    splits["dual-number"] = dual_number_split()
+    for demo in corpus:
+        for offset in (1, 2):
+            splits[f"{demo.name}+{offset}"] = rebased_split(demo, offset)
+    return splits
+
+
+def test_to_split_reads_the_inverse_basis_matrix(corpus):
+    for name, split in _tier1_splits(corpus).items():
+        dim = split.dimension
+        inverse = invert(SparseMatrix.from_columns(split.ordered_basis, rows=dim))
+        for j in range(dim):
+            column = [(r, v) for (r, c), v in inverse.entries.items() if c == j]
+            image = split.to_split(SparseVector.unit(dim, j))
+            # in the inverse's entry order, which the product table keeps
+            assert list(image.entries.items()) == column, (name, j)
+            assert stored_exactly(image.entries.values())
+        for k, vector in enumerate(split.ordered_basis):
+            assert split.to_split(vector) == SparseVector.unit(dim, k), (name, k)
+        singular = split.ordered_basis[:-1] + [split.ordered_basis[0].scaled(-3)]
+        with pytest.raises(ValueError, match="singular"):
+            SplitBasis(split.ideal, singular, split.ideal_count)
 
 
 def test_quotient_of_corner_is_idempotent_line(t2):

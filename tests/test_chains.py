@@ -36,7 +36,9 @@ from excisionlab.excision import _invert_by_solve, _inverse_system, isomorphism_
 from excisionlab.fileio import certificate_to_doc
 from excisionlab.linalg import IncrementalSpan, SparseVector, Unsolvable, solve
 
-from dense_oracle import _dense_boundary, incremental_span_homology, split_products
+from dense_oracle import (
+    _dense_boundary, image_columns, incremental_span_homology, split_products,
+)
 from support import (
     random_chain, rebased_split, stored_exactly, upper_triangular_split,
 )
@@ -74,14 +76,12 @@ def test_bar_boundary_degree_one(t2):
 def test_bar_contracting_homotopy(corpus):
     # with e a left unit for the whole ideal, s(x) = e ⊗ x satisfies
     # b'(s(x)) + s(b'(x)) = x on ideal chains
-    from excisionlab.units import UnitRequest, find_local_left_unit
+    from excisionlab.units import find_local_left_unit
 
     rng = random.Random(5)
     for demo in corpus:
         split = demo.split
-        unit = find_local_left_unit(
-            UnitRequest(demo.ideal, demo.ideal.basis_vectors)
-        )
+        unit = find_local_left_unit(demo.ideal, demo.ideal.basis_vectors)
         unit_split = split.to_split(unit)
         for degree in range(1, 4):
             for _ in range(8):
@@ -218,16 +218,13 @@ def test_cyclic_homology_of_full_matrices(matrix2):
 
 
 def test_homology_representatives_are_cycles_mod_boundaries(t2):
-    from excisionlab.chains import basis_tuples, boundary_matrix
-    from excisionlab.linalg import image_basis
-
     variant = Variant("hc", "relative")
     report = homology(t2.split, variant, 2)
     tuples = basis_tuples(t2.split, variant, 2)
     index = {t: i for i, t in enumerate(tuples)}
     up, _, _ = boundary_matrix(t2.split, variant, 3)
     span = IncrementalSpan(len(tuples))
-    for v in image_basis(up):
+    for v in image_columns(up):
         span.add(v)
     for rep in report.representatives:
         assert canonicalize_cyclic(boundary_b(rep)).is_zero()
@@ -500,10 +497,10 @@ def _count_eliminations(monkeypatch):
             counts["complex"].append((len(rows), cols))
         return original(rows, cols)
 
-    def unit_search(request):
+    def unit_search(ideal, targets):
         inside_unit_search.append(True)
         try:
-            return find_unit(request)
+            return find_unit(ideal, targets)
         finally:
             inside_unit_search.pop()
 

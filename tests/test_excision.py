@@ -42,7 +42,7 @@ from excisionlab.excision import (
 )
 from excisionlab.linalg import SparseVector
 from excisionlab.units import (
-    UnitRequest, UnitSchedule, build_unit_schedule, find_local_left_unit,
+    UnitSchedule, build_unit_schedule, find_local_left_unit,
 )
 
 from dense_oracle import sign_word_closed_formula
@@ -150,8 +150,7 @@ def test_descent_drops_filtration_and_certifies(corpus):
                 for cycle in filtered_cycle_basis(split, degree, p):
                     heads = sorted({tup[0] for tup in cycle.terms})
                     unit = find_local_left_unit(
-                        UnitRequest(demo.ideal, [split.ordered_basis[i] for i in heads])
-                    )
+                        demo.ideal, [split.ordered_basis[i] for i in heads])
                     cert = descent_step(cycle, unit)
                     assert filtration_level(cert.output) <= p - 1
                     assert boundary_b(cert.homotopy) == cycle - cert.output
@@ -167,8 +166,7 @@ def test_iterated_descent_reaches_the_ideal(t2):
         while not is_ideal_chain(current):
             heads = sorted({tup[0] for tup in current.terms})
             unit = find_local_left_unit(
-                UnitRequest(t2.ideal, [split.ordered_basis[i] for i in heads])
-            )
+                t2.ideal, [split.ordered_basis[i] for i in heads])
             cert = descent_step(current, unit)
             steps.append(cert)
             current = cert.output

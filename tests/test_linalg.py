@@ -2,6 +2,7 @@ import copy
 import random
 from decimal import Decimal
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -12,12 +13,9 @@ from excisionlab.linalg import (
     SparseVector,
     Unsolvable,
     echelon,
-    image_basis,
     invert,
     kernel_basis,
     parse_scalar,
-    rank,
-    rref,
     solve,
 )
 
@@ -90,58 +88,65 @@ def test_scalars_are_stored_int_where_integral(t2, store):
         assert stored_exactly([kept])
 
 
-def test_rref_identity():
-    m = SparseMatrix.from_rows([[1, 0], [0, 1]])
-    reduced, pivots = rref(m)
-    assert reduced == m
-    assert pivots == [0, 1]
+def _matrix(rows):
+    """The `SparseMatrix` with the dense rows `rows`."""
+    return SparseMatrix(len(rows), len(rows[0]), {
+        (r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)})
 
 
-def test_rref_zero_matrix():
-    m = SparseMatrix(2, 3)
-    reduced, pivots = rref(m)
-    assert reduced == m
-    assert pivots == []
+def _rref(record):
+    """{(row, col): value}: the reduced row echelon form read from an
+    `Echelon` record, each reduced row divided by its pivot entry."""
+    return {(i, j): Fraction(v, row[c])
+            for i, (row, c) in enumerate(zip(record.reduced, record.pivots))
+            for j, v in row.items()}
 
 
-def test_rref_rank_one():
+def test_echelon_of_identity():
+    record = echelon(_matrix([[1, 0], [0, 1]]))
+    assert _rref(record) == {(0, 0): 1, (1, 1): 1}
+    assert record.pivots == [0, 1]
+
+
+def test_echelon_of_zero_matrix():
+    record = echelon(SparseMatrix(2, 3))
+    assert _rref(record) == {}
+    assert record.pivots == []
+
+
+def test_echelon_of_rank_one():
     # hand Gaussian elimination: R2 <- R2 - 2 R1
-    m = SparseMatrix.from_rows([[1, 2], [2, 4]])
-    reduced, pivots = rref(m)
-    assert reduced.to_dense() == [[1, 2], [0, 0]]
-    assert pivots == [0]
+    record = echelon(_matrix([[1, 2], [2, 4]]))
+    assert _rref(record) == {(0, 0): 1, (0, 1): 2}
+    assert record.pivots == [0]
 
 
 def test_solve_identity():
-    m = SparseMatrix.from_rows([[1, 0], [0, 1]])
+    m = _matrix([[1, 0], [0, 1]])
     v = SparseVector.from_list([5, -7])
     assert solve(m, v) == v
 
 
 def test_solve_zeroes_free_variables():
-    m = SparseMatrix.from_rows([[1, 1]])
+    m = _matrix([[1, 1]])
     x = solve(m, SparseVector.from_list([2]))
     assert x == SparseVector.from_list([2, 0])
 
 
 def test_solve_inconsistent():
-    m = SparseMatrix.from_rows([[1], [1]])
+    m = _matrix([[1], [1]])
     result = solve(m, SparseVector.from_list([1, 2]))
     assert isinstance(result, Unsolvable)
 
 
 def test_solve_rejects_dimension_mismatch():
-    m = SparseMatrix.from_rows([[1, 0]])
+    m = _matrix([[1, 0]])
     with pytest.raises(ValueError):
         solve(m, SparseVector.from_list([1, 2]))
 
 
 def test_kernel_of_identity_is_empty():
-    assert kernel_basis(SparseMatrix.from_rows([[1, 0], [0, 1]])) == []
-
-
-def test_image_of_zero_matrix_is_empty():
-    assert image_basis(SparseMatrix(3, 2)) == []
+    assert kernel_basis(_matrix([[1, 0], [0, 1]])) == []
 
 
 def _random_matrix(rng, rows, cols, density=0.4):
@@ -157,7 +162,7 @@ def test_rank_nullity_on_random_matrices():
     rng = random.Random(2024)
     for _ in range(40):
         m = _random_matrix(rng, rng.randint(1, 6), rng.randint(1, 6))
-        assert len(kernel_basis(m)) + rank(m) == m.cols
+        assert len(kernel_basis(m)) + len(echelon(m).pivots) == m.cols
 
 
 def test_kernel_vectors_annihilate():
@@ -192,13 +197,13 @@ def test_solve_is_deterministic():
 
 
 def test_invert_round_trip():
-    m = SparseMatrix.from_rows([[2, 1], [1, 1]])
+    m = _matrix([[2, 1], [1, 1]])
     inv = invert(m)
     prod = [[sum(m.entries.get((r, k), 0) * inv.entries.get((k, c), 0)
                  for k in range(2)) for c in range(2)] for r in range(2)]
     assert prod == [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
-        invert(SparseMatrix.from_rows([[1, 2], [2, 4]]))
+        invert(_matrix([[1, 2], [2, 4]]))
 
 
 def test_incremental_span_membership():
@@ -380,26 +385,24 @@ def test_elimination_matches_dense_reference():
         dense = _dense(m)
         ref_rows, ref_pivots = _reference_rref(dense, m.cols)
         ref_kernel = _reference_kernel(dense, m.cols)
-        ref_image = [
-            {r: dense[r][c] for r in range(m.rows) if dense[r][c]} for c in ref_pivots
-        ]
-        reduced, pivots = rref(m)
-        assert pivots == ref_pivots
-        assert reduced.entries == {
+        record = echelon(m)
+        snapshot = copy.deepcopy(record)
+        assert record.pivots == ref_pivots
+        reduced = _rref(record)
+        assert reduced == {
             (r, c): v for r, row in enumerate(ref_rows) for c, v in enumerate(row) if v
         }
-        assert stored_exactly(reduced.entries.values())
-        if len(pivots) < min(m.rows, m.cols):
+        # each reduced row is kept as a primitive integer row, pivot entry > 0
+        for row, c in zip(record.reduced, record.pivots):
+            assert all(type(v) is int for v in row.values())
+            assert gcd(*row.values()) == 1 and row[c] > 0
+        if len(ref_pivots) < min(m.rows, m.cols):
             seen["deficient"] += 1
-        assert rank(m) == len(ref_pivots)
 
         kernel = kernel_basis(m)
         assert [v.entries for v in kernel] == ref_kernel
         assert all(v.dimension == m.cols for v in kernel)
         assert all(stored_exactly(v.entries.values()) for v in kernel)
-        image = image_basis(m)
-        assert [v.entries for v in image] == ref_image
-        assert all(stored_exactly(v.entries.values()) for v in image)
 
         if m.rows == m.cols:
             n = m.rows
@@ -421,16 +424,12 @@ def test_elimination_matches_dense_reference():
                     invert(m)
 
         # one record answers every question, read as often as asked
-        record = echelon(m)
-        snapshot = copy.deepcopy(record)
-        assert rank(record) == len(ref_pivots)
-        assert rref(record)[0] == reduced and rref(record)[1] == ref_pivots
+        assert _rref(record) == reduced and record.pivots == ref_pivots
         assert [v.entries for v in kernel_basis(record)] == ref_kernel
         free = record.free_columns()
         chosen = free[::2]
         assert [v.entries for v in kernel_basis(record, chosen)] == [
             ref_kernel[free.index(f)] for f in chosen]
-        assert [v.entries for v in image_basis(record)] == ref_image
 
         solutions = []
         for _ in range(2):
@@ -458,7 +457,7 @@ def test_elimination_matches_dense_reference():
     assert seen["consistent"] >= 200
     assert seen["inverted"] >= 30
     assert seen["singular"] >= 10
-    assert sum(1 for m in blocks if rank(m) < min(m.rows, m.cols)) >= 10
+    assert sum(1 for m in blocks if len(echelon(m).pivots) < min(m.rows, m.cols)) >= 10
 
 
 def test_incremental_span_matches_reference_rank():
@@ -496,7 +495,8 @@ def test_incremental_span_matches_reference_rank():
 def test_far_pivot_is_swapped_up():
     m = _far_pivot_matrix()
     assert [r for (r, c) in m.entries if c == 0] == [7]
-    reduced, pivots = rref(m)
-    assert pivots[0] == 0
-    assert reduced.entries[(0, 0)] == 1
-    assert [r for (r, c) in reduced.entries if c == 0] == [0]
+    record = echelon(m)
+    reduced = _rref(record)
+    assert record.pivots[0] == 0
+    assert reduced[(0, 0)] == 1
+    assert [r for (r, c) in reduced if c == 0] == [0]

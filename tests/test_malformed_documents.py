@@ -95,7 +95,7 @@ def fields(kind):
         for key in ("input", "output"):
             found += _chain_fields(doc, (key,))
         found += [
-            (("schedule",), dict, False),
+            (("schedule",), dict, True),
             (("schedule", "degree"), int, True),
             (("schedule", "units"), list, False),
             (("schedule", "units", 0), list, None),

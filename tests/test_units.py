@@ -13,7 +13,6 @@ from excisionlab.units import (
     NoLocalUnitError,
     ScheduleMismatchError,
     UnitInvariantError,
-    UnitRequest,
     UnitSchedule,
     build_unit_schedule,
     check_schedule,
@@ -26,37 +25,31 @@ from support import filtered_cycle_basis
 def test_corner_ideal_unit(t2):
     # e·E11 = E11 and e·E12 = E12 has the solution e = E11 with the free
     # E12-coordinate zeroed
-    unit = find_local_left_unit(UnitRequest(t2.ideal, t2.ideal.basis_vectors))
+    unit = find_local_left_unit(t2.ideal, t2.ideal.basis_vectors)
     assert unit == SparseVector.from_list([1, 0, 0])
 
 
 def test_unital_ideal_unit_is_the_identity(matrix2):
-    unit = find_local_left_unit(
-        UnitRequest(matrix2.ideal, matrix2.ideal.basis_vectors)
-    )
+    unit = find_local_left_unit(matrix2.ideal, matrix2.ideal.basis_vectors)
     assert unit == SparseVector.from_list([1, 0, 0, 1])
 
 
 def test_nilpotent_line_has_no_unit(t2):
     # x·E12 = 0 for every x in span{E12}
     line = Ideal(t2.algebra, [SparseVector.from_list([0, 1, 0])])
-    result = find_local_left_unit(UnitRequest(line, line.basis_vectors))
+    result = find_local_left_unit(line, line.basis_vectors)
     assert isinstance(result, NoLocalUnit)
     assert result.witness_target == SparseVector.from_list([0, 1, 0])
 
 
 def test_targets_outside_ideal_rejected(t2):
     with pytest.raises(ValueError):
-        find_local_left_unit(
-            UnitRequest(t2.ideal, [SparseVector.from_list([0, 0, 1])])
-        )
+        find_local_left_unit(t2.ideal, [SparseVector.from_list([0, 0, 1])])
 
 
 def test_unit_fixes_every_target_exactly(corpus):
     for demo in corpus:
-        unit = find_local_left_unit(
-            UnitRequest(demo.ideal, demo.ideal.basis_vectors)
-        )
+        unit = find_local_left_unit(demo.ideal, demo.ideal.basis_vectors)
         for s in demo.ideal.basis_vectors:
             assert demo.algebra.mul(unit, s) == s
 
@@ -65,11 +58,11 @@ def test_success_on_full_basis_implies_success_on_subsets(corpus):
     for demo in corpus:
         basis = demo.ideal.basis_vectors
         assert isinstance(
-            find_local_left_unit(UnitRequest(demo.ideal, basis)), SparseVector
+            find_local_left_unit(demo.ideal, basis), SparseVector
         )
         for size in range(1, len(basis) + 1):
             for subset in combinations(basis, size):
-                result = find_local_left_unit(UnitRequest(demo.ideal, subset))
+                result = find_local_left_unit(demo.ideal, subset)
                 assert isinstance(result, SparseVector)
 
 
@@ -140,15 +133,14 @@ def test_right_units_reduce_to_left_units_of_the_opposite(t2):
 
     flipped = opposite_algebra(t2.algebra)
     ideal = Ideal(flipped, t2.ideal.basis_vectors)
-    result = find_local_left_unit(UnitRequest(ideal, ideal.basis_vectors))
+    result = find_local_left_unit(ideal, ideal.basis_vectors)
     assert isinstance(result, NoLocalUnit)
     restored = Ideal(opposite_algebra(flipped), t2.ideal.basis_vectors)
-    unit = find_local_left_unit(UnitRequest(restored, restored.basis_vectors))
+    unit = find_local_left_unit(restored, restored.basis_vectors)
     assert unit == SparseVector.from_list([1, 0, 0])
 
 
 def test_solver_contradictions_raise_a_typed_error(t2, monkeypatch):
-    request = UnitRequest(t2.ideal, t2.ideal.basis_vectors)
     real_solve = units.solve
 
     def forge(answer):
@@ -160,12 +152,12 @@ def test_solver_contradictions_raise_a_typed_error(t2, monkeypatch):
     # a "solution" e = E12 that fixes no target is caught by re-verification
     forge(lambda m, rhs: SparseVector(m.cols, {1: 1}))
     with pytest.raises(UnitInvariantError):
-        find_local_left_unit(request)
+        find_local_left_unit(t2.ideal, t2.ideal.basis_vectors)
     # an unsolvable full system whose every prefix is solvable
     answers = iter([Unsolvable(row=0)])
     forge(lambda m, rhs: next(answers, SparseVector(m.cols)))
     with pytest.raises(UnitInvariantError):
-        find_local_left_unit(request)
+        find_local_left_unit(t2.ideal, t2.ideal.basis_vectors)
 
 
 def test_the_checker_accepts_every_schedule_the_builder_returns(corpus):

@@ -12,11 +12,9 @@ from .algebra import (
     AssociativityFailure,
     Ideal,
     NotTwoSided,
-    QuotientAlgebra,
     SplitBasis,
     make_split_basis,
     opposite_algebra,
-    quotient,
     validate_algebra,
     validate_ideal,
 )
@@ -26,12 +24,10 @@ from .chains import (
     DegreeLimitError,
     HomologyReport,
     Variant,
-    bar_boundary,
     basis_tuples,
     boundary_b,
     boundary_matrix,
     canonicalize_cyclic,
-    cyclic_filtration_level,
     cyclic_t,
     filtration_level,
     homology,
@@ -50,7 +46,6 @@ from .excision import (
     Mismatch,
     UnitActionError,
     closed_formula,
-    concatenate_descents,
     descent_output,
     descent_step,
     find_boundary_witness,

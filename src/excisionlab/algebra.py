@@ -54,11 +54,6 @@ class Algebra:
                 table[(i, j)] = tuple(vec.items())
         self.structure_table = table
 
-    def mul_basis(self, i, j):
-        """Product of basis elements i and j, as coordinates."""
-        row = self.structure_table.get((i, j), ())
-        return SparseVector(self.dimension, dict(row))
-
     def mul(self, u, v):
         """Bilinear product of two coordinate vectors."""
         table = self.structure_table
@@ -319,65 +314,6 @@ def make_split_basis(ideal, complement_hint=None):
     if len(ordered) != algebra.dimension:
         raise ValueError("could not complete the ideal basis to a full basis")
     return SplitBasis(ideal, ordered, ideal_count)
-
-
-class QuotientAlgebra:
-    """The algebra A/I realized on the complement positions of a split basis."""
-
-    __slots__ = ("source", "split", "algebra")
-
-    def __init__(self, source, split, algebra):
-        self.source = source
-        self.split = split
-        self.algebra = algebra
-
-    def project(self, vector):
-        """Parent coordinates -> quotient coordinates (split tail)."""
-        split_coords = self.split.to_split(vector)
-        shift = self.split.ideal_count
-        qdim = self.algebra.dimension
-        return SparseVector(
-            qdim,
-            {i - shift: v for i, v in split_coords.entries.items() if i >= shift},
-        )
-
-    def __repr__(self):
-        return f"QuotientAlgebra(dim={self.algebra.dimension})"
-
-
-def quotient(split):
-    """Quotient of the parent by the ideal encoded in the split basis.
-
-    Structure constants come from multiplying complement representatives and
-    projecting; multiplicativity of the projection is verified on all basis
-    pairs before returning.
-    """
-    parent = split.parent
-    shift = split.ideal_count
-    qdim = parent.dimension - shift
-    labels = []
-    for i in range(shift, parent.dimension):
-        labels.append(f"[{split.split_label(i)}]")
-    constants = {}
-    for a in range(qdim):
-        for b in range(qdim):
-            product = split.product_table[shift + a, shift + b]
-            tail = {i - shift: v for i, v in product if i >= shift}
-            if tail:
-                constants[(a, b)] = SparseVector(qdim, tail)
-    derived = Algebra(qdim, labels, constants)
-    result = QuotientAlgebra(parent, split, derived)
-    for i in range(parent.dimension):
-        for j in range(parent.dimension):
-            lhs = result.project(parent.mul_basis(i, j))
-            pi = result.project(parent.basis_vector(i))
-            pj = result.project(parent.basis_vector(j))
-            if lhs != derived.mul(pi, pj):
-                raise ValueError(
-                    f"projection is not multiplicative on basis pair ({i}, {j}); "
-                    "the subspace is not a two-sided ideal"
-                )
-    return result
 
 
 def opposite_algebra(algebra):

@@ -1,5 +1,5 @@
 """Sparse chain groups, the Hochschild/bar differentials, the cyclic operator,
-coinvariants with canonical representatives, filtrations, and homology.
+coinvariants with canonical representatives, the ideal filtration, and homology.
 
 A degree-n chain lives in the (n+1)-fold tensor power of the algebra and is
 stored as a sparse map from index tuples over a split basis to rational
@@ -206,11 +206,6 @@ def boundary_b(chain, wrap=True):
     return Chain(chain.degree - 1, chain.context, out)
 
 
-def bar_boundary(chain):
-    """Bar differential b' (no wrap-around term); defined for degree >= 1."""
-    return boundary_b(chain, wrap=False)
-
-
 def cyclic_t(chain):
     """Signed cyclic rotation; the identity in degree 0."""
     n = chain.degree
@@ -310,29 +305,6 @@ def filtration_level(chain):
             else:
                 break
         level = max(level, max(0, n + 1 - leading))
-    return level
-
-
-def cyclic_filtration_level(chain):
-    """Minimal p for the cyclic filtration: longest run of cyclically
-    successive ideal slots per tuple."""
-    level = 0
-    context = chain.context
-    n = chain.degree
-    for tup in chain.terms:
-        flags = [context.is_ideal_index(i) for i in tup]
-        if all(flags):
-            best = n + 1
-        elif not any(flags):
-            best = 0
-        else:
-            doubled = flags + flags
-            best = run = 0
-            for f in doubled:
-                run = run + 1 if f else 0
-                best = max(best, run)
-            best = min(best, n + 1)
-        level = max(level, max(0, n + 1 - best))
     return level
 
 

@@ -7,7 +7,7 @@ with G = e ⊗ input and e a left unit on the initial slots,
 a boundary certificate records a degree-(n+1) witness η whose boundary equals
 a claimed-homologous difference, and an inverse result bundles the unit
 schedule with a boundary certificate for  ρ(output) ≡ input.  For a strict
-cycle that witness is the concatenated homotopy of the n descent steps the
+cycle that witness is minus the summed homotopy of the n descent steps the
 closed formula summarises, so the paper's inverse does no linear algebra.
 A non-strict class whose every slot is ideal is its own inverse image, since
 the excision map is the inclusion there; only the remaining classes, with a
@@ -414,25 +414,13 @@ def _invert_by_solve(chain):
     return psi, eta
 
 
-def _homotopy_sum(steps, sign=1):
-    """sign · the sum of the homotopies of the descent certificates `steps`
-    (at least one, in one chain space), accumulated in one pass."""
-    first = steps[0].homotopy
-    terms = {}
-    for step in steps:
-        first._require_same_space(step.homotopy)
-        for tup, coeff in step.homotopy.terms.items():
-            _accumulate(terms, tup, sign * coeff)
-    return Chain(first.degree, first.context, terms)
-
-
 def _descent_witness(chain, schedule, output):
     """Witness η with b(η) = output − chain for a strict cycle: minus the
     sum of the homotopies of the descent steps with e_n, …, e_1 that the
-    closed formula summarises."""
+    closed formula summarises, accumulated in one pass."""
     if chain.degree == 0:
         return Chain(1, chain.context)
-    steps = []
+    terms = {}
     current = chain
     for unit in reversed(schedule.units):
         try:
@@ -441,14 +429,15 @@ def _descent_witness(chain, schedule, output):
             raise InverseInvariantError(
                 f"a validated unit schedule failed a descent step: {exc}", current
             ) from exc
-        steps.append(step)
+        for tup, coeff in step.homotopy.terms.items():
+            _accumulate(terms, tup, -coeff)
         current = step.output
     if current != output:
         raise InverseInvariantError(
             "the closed formula differs from the chained descent steps",
             output - current,
         )
-    return _homotopy_sum(steps, -1)
+    return Chain(chain.degree + 1, chain.context, terms)
 
 
 def inverse_excision(chain, schedule):
@@ -532,19 +521,17 @@ def inverse_excision_class(classes):
     return [inverse_excision(lift, schedule) for lift in lifts]
 
 
-def concatenate_descents(certificates):
-    """Fuse a run of descent certificates on cycles into one boundary
-    certificate: b(sum of homotopies) = first input − last output."""
-    if not certificates:
-        raise ValueError("need at least one descent certificate")
-    first = certificates[0].input
-    last = certificates[-1].output
-    witness = _homotopy_sum(certificates)
-    space = next(name for name, (member, _) in SPACES.items()
-                 if all(member(c) for c in (first, last, witness)))
-    return BoundaryCertificate(
-        lhs=first, rhs=last, witness=witness, op="hh", space=space
-    )
+def _certificate_chains(certificate):
+    """Every chain a certificate holds, those of an inverse's inner
+    certificate included."""
+    if isinstance(certificate, DescentCertificate):
+        return (certificate.input, certificate.output, certificate.homotopy)
+    if isinstance(certificate, BoundaryCertificate):
+        return (certificate.lhs, certificate.rhs, certificate.witness)
+    if isinstance(certificate, InverseResult):
+        return (certificate.input, certificate.output,
+                *_certificate_chains(certificate.verification))
+    raise TypeError(f"not a certificate: {certificate!r}")
 
 
 def verify_certificate(certificate):
@@ -552,13 +539,18 @@ def verify_certificate(certificate):
 
     Returns None when the certificate is sound, otherwise a Mismatch carrying
     the exact residual chain where the failed claim is an identity of chains.
-    A descent certificate must also have homotopy e ⊗ input with e a left
-    unit on every initial slot, and an inverse result must have its units in
-    the ideal and replay its unit schedule: each recorded equation and the
-    descending conditions on the input's slots.  The verification path
-    re-expands boundaries and canonical forms directly on chains; it never
-    reuses the linear solve that produced the witness.
+    Chains over different split bases do not verify.  A descent certificate
+    must also have homotopy e ⊗ input with e a left unit on every initial
+    slot, and an inverse result must have its units in the ideal and replay
+    its unit schedule: each recorded equation and the descending conditions
+    on the input's slots.  The verification path re-expands boundaries and
+    canonical forms directly on chains; it never reuses the linear solve
+    that produced the witness.
     """
+    chains = _certificate_chains(certificate)
+    context = chains[0].context
+    if any(c.context is not context and c.context != context for c in chains):
+        return Mismatch("chains live over different split bases")
     if isinstance(certificate, DescentCertificate):
         n = certificate.input.degree
         if (certificate.output.degree, certificate.homotopy.degree) != (n, n + 1):
@@ -604,31 +596,29 @@ def verify_certificate(certificate):
         if not residual.is_zero():
             return Mismatch("boundary identity fails", residual)
         return None
-    if isinstance(certificate, InverseResult):
-        context = certificate.input.context
-        for unit in certificate.schedule.units:
-            if any(i >= context.ideal_count for i in context.to_split(unit).entries):
-                return Mismatch("a unit of the schedule lies outside the ideal")
-        if not certificate.schedule.verify(context.parent):
-            return Mismatch("a unit fails an equation recorded in its schedule")
-        try:
-            check_schedule(certificate.input, certificate.schedule)
-        except ScheduleMismatchError as exc:
-            return Mismatch(f"unit schedule does not fit the input: {exc}")
-        output = certificate.output
-        if not is_ideal_chain(output):
-            return Mismatch("output escapes the ideal's tensor space", output)
-        if output.degree >= 1:
-            cycle_residual = canonicalize_cyclic(boundary_b(output))
-            if not cycle_residual.is_zero():
-                return Mismatch("output is not a cyclic cycle", cycle_residual)
-        inner = certificate.verification
-        if inner.lhs.terms != output.terms:
-            return Mismatch("certificate lhs is not the stored output", None)
-        if inner.rhs.terms != certificate.input.terms:
-            return Mismatch("certificate rhs is not the stored input", None)
-        return verify_certificate(inner)
-    raise TypeError(f"not a certificate: {certificate!r}")
+    # an InverseResult, whose chains all lie over `context`
+    for unit in certificate.schedule.units:
+        if any(i >= context.ideal_count for i in context.to_split(unit).entries):
+            return Mismatch("a unit of the schedule lies outside the ideal")
+    if not certificate.schedule.verify(context.parent):
+        return Mismatch("a unit fails an equation recorded in its schedule")
+    try:
+        check_schedule(certificate.input, certificate.schedule)
+    except ScheduleMismatchError as exc:
+        return Mismatch(f"unit schedule does not fit the input: {exc}")
+    output = certificate.output
+    if not is_ideal_chain(output):
+        return Mismatch("output escapes the ideal's tensor space", output)
+    if output.degree >= 1:
+        cycle_residual = canonicalize_cyclic(boundary_b(output))
+        if not cycle_residual.is_zero():
+            return Mismatch("output is not a cyclic cycle", cycle_residual)
+    inner = certificate.verification
+    if inner.lhs.terms != output.terms:
+        return Mismatch("certificate lhs is not the stored output", None)
+    if inner.rhs.terms != certificate.input.terms:
+        return Mismatch("certificate rhs is not the stored input", None)
+    return verify_certificate(inner)
 
 
 @dataclass

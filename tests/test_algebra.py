@@ -13,7 +13,6 @@ from excisionlab.algebra import (
     SplitBasis,
     make_split_basis,
     opposite_algebra,
-    quotient,
     validate_algebra,
     validate_ideal,
 )
@@ -140,40 +139,21 @@ def test_to_split_reads_the_inverse_basis_matrix(corpus):
             SplitBasis(split.ideal, singular, split.ideal_count)
 
 
-def test_quotient_of_corner_is_idempotent_line(t2):
-    q = quotient(t2.split)
-    assert q.algebra.dimension == 1
-    assert q.algebra.mul_basis(0, 0) == SparseVector.from_list([1])
-    # projections of ideal vectors vanish
-    for v in t2.ideal.basis_vectors:
-        assert q.project(v).is_zero()
-
-
-def test_quotient_by_zero_ideal_is_the_algebra(t2):
-    zero = Ideal(t2.algebra, [])
-    q = quotient(make_split_basis(zero))
-    assert q.algebra.dimension == 3
-    assert q.algebra.structure_table == t2.algebra.structure_table
-
-
-def test_quotient_by_whole_algebra_is_zero(matrix2):
-    q = quotient(matrix2.split)
-    assert q.algebra.dimension == 0
-
-
-def test_quotient_dimension_is_hint_independent(t2):
-    hinted = make_split_basis(t2.ideal, [SparseVector.from_list([1, 0, 1])])
-    q = quotient(hinted)
-    assert q.algebra.dimension == 1
-    assert t2.algebra.dimension == hinted.ideal_count + q.algebra.dimension
+def test_split_basis_with_complement_hint(t2):
+    hint = SparseVector.from_list([1, 0, 1])
+    hinted = make_split_basis(t2.ideal, [hint])
+    assert hinted.ideal_count == len(t2.ideal.basis_vectors)
+    assert hinted.ordered_basis == [*t2.ideal.basis_vectors, hint]
+    assert hinted.to_split(hint) == SparseVector.unit(3, 2)
 
 
 def test_opposite_is_involutive(t2):
     opposite = opposite_algebra(t2.algebra)
     assert opposite_algebra(opposite) == t2.algebra
     # E11*E12 = E12 becomes E12*E11 = E12
-    assert opposite.mul_basis(1, 0) == SparseVector.from_list([0, 1, 0])
-    assert opposite.mul_basis(0, 1).is_zero()
+    e11, e12 = opposite.basis_vector(0), opposite.basis_vector(1)
+    assert opposite.mul(e12, e11) == SparseVector.from_list([0, 1, 0])
+    assert opposite.mul(e11, e12).is_zero()
 
 
 def test_opposite_of_commutative_is_itself():

@@ -15,14 +15,12 @@ from excisionlab.chains import (
     ComplexInvariantError,
     DegreeLimitError,
     Variant,
-    bar_boundary,
     basis_tuples,
     boundary_b,
     boundary_echelon,
     boundary_matrix,
     canonical_rotation,
     canonicalize_cyclic,
-    cyclic_filtration_level,
     cyclic_t,
     filtration_level,
     homology,
@@ -54,7 +52,7 @@ def test_boundary_rejects_degree_zero(t2):
     with pytest.raises(ValueError):
         boundary_b(pure_tensor(t2.split, (0,)))
     with pytest.raises(ValueError):
-        bar_boundary(pure_tensor(t2.split, (0,)))
+        boundary_b(pure_tensor(t2.split, (0,)), wrap=False)
 
 
 def test_boundary_squares_to_zero(corpus):
@@ -64,13 +62,13 @@ def test_boundary_squares_to_zero(corpus):
             for _ in range(10):
                 c = random_chain(demo.split, degree, rng)
                 assert boundary_b(boundary_b(c)).is_zero()
-                assert bar_boundary(bar_boundary(c)).is_zero()
+                assert boundary_b(boundary_b(c, wrap=False), wrap=False).is_zero()
 
 
 def test_bar_boundary_degree_one(t2):
     # b'(f0 ⊗ f1) = f0 f1
     c = pure_tensor(t2.split, (0, 1))
-    assert bar_boundary(c).terms == {(1,): Fraction(1)}
+    assert boundary_b(c, wrap=False).terms == {(1,): Fraction(1)}
 
 
 def test_bar_contracting_homotopy(corpus):
@@ -86,9 +84,9 @@ def test_bar_contracting_homotopy(corpus):
         for degree in range(1, 4):
             for _ in range(8):
                 x = random_chain(split, degree, rng, force_prefix=degree + 1)
-                lhs = bar_boundary(tensor_prepend(unit_split, x)) + tensor_prepend(
-                    unit_split, bar_boundary(x)
-                )
+                lhs = boundary_b(
+                    tensor_prepend(unit_split, x), wrap=False
+                ) + tensor_prepend(unit_split, boundary_b(x, wrap=False))
                 assert lhs == x
 
 
@@ -145,21 +143,17 @@ def test_boundary_descends_to_coinvariants(corpus):
 
 def test_filtration_levels(t2):
     split = t2.split
-    # all slots ideal -> level 0 in both filtrations
+    # all slots ideal -> level 0
     c = pure_tensor(split, (0, 1))
     assert filtration_level(c) == 0
-    assert cyclic_filtration_level(c) == 0
-    # E22 ⊗ E11: no ideal prefix, one cyclic ideal slot
+    # E22 ⊗ E11: no ideal prefix
     c = pure_tensor(split, (2, 0))
     assert filtration_level(c) == 2
-    assert cyclic_filtration_level(c) == 1
     zero = Chain(1, split)
     assert filtration_level(zero) == 0
-    assert cyclic_filtration_level(zero) == 0
     # no ideal slot anywhere
     c = pure_tensor(split, (2, 2))
     assert filtration_level(c) == 2
-    assert cyclic_filtration_level(c) == 2
 
 
 def test_filtration_lemma_on_random_chains(corpus):

@@ -29,7 +29,6 @@ from excisionlab.excision import (
     UnitActionError,
     _invert_by_solve,
     closed_formula,
-    concatenate_descents,
     descent_output,
     descent_step,
     find_boundary_witness,
@@ -40,6 +39,7 @@ from excisionlab.excision import (
     rotate_to_ideal_initial,
     verify_certificate,
 )
+from excisionlab.fileio import RunReport
 from excisionlab.linalg import SparseVector
 from excisionlab.units import (
     UnitSchedule, build_unit_schedule, find_local_left_unit,
@@ -172,15 +172,9 @@ def test_iterated_descent_reaches_the_ideal(t2):
             current = cert.output
             assert len(steps) <= 2
         if steps:
-            fused = concatenate_descents(steps)
-            assert fused.lhs == cycle
-            assert fused.rhs == current
-            # the one-pass sum equals the chain sum of the homotopies
-            witness = steps[0].homotopy
-            for step in steps[1:]:
-                witness = witness + step.homotopy
-            assert fused.witness == witness
-            assert verify_certificate(fused) is None
+            # the summed homotopies bound the whole descent
+            homotopy = sum((s.homotopy for s in steps[1:]), steps[0].homotopy)
+            assert boundary_b(homotopy) == cycle - current
 
 
 # ------------------------------------------------------- closed formula
@@ -381,6 +375,36 @@ def test_closed_formula_equals_iterated_descent(corpus, monkeypatch):
                 assert isinstance(verify_certificate(tampered), Mismatch)
                 tested += 1
     assert tested > 0
+
+
+@pytest.mark.parametrize("kind", ["descent", "boundary", "inverse"])
+def test_certificates_over_two_split_bases_are_mismatches(t2, direct_sum, kind):
+    """A certificate built in code can mix split bases; it does not verify,
+    and neither the check nor a run report raises."""
+    def foreign(chain):
+        return Chain(chain.degree, direct_sum.split)
+
+    if kind == "descent":
+        cycle = filtered_cycle_basis(t2.split, 2, 2)[0]
+        heads = sorted({tup[0] for tup in cycle.terms})
+        unit = find_local_left_unit(
+            t2.ideal, [t2.split.ordered_basis[i] for i in heads])
+        step = descent_step(cycle, unit)
+        certificate = dataclasses.replace(step, output=foreign(step.output))
+    else:
+        [result] = inverse_excision_class(
+            [canonicalize_cyclic(pure_tensor(t2.split, (0, 2)))])
+        inner = result.verification
+        if kind == "boundary":
+            certificate = dataclasses.replace(inner, rhs=foreign(inner.rhs))
+        else:
+            certificate = dataclasses.replace(
+                result, verification=dataclasses.replace(
+                    inner, witness=foreign(inner.witness)))
+    mismatch = verify_certificate(certificate)
+    assert isinstance(mismatch, Mismatch)
+    assert mismatch.reason == "chains live over different split bases"
+    assert RunReport("verify").add_certificate(kind, certificate) is False
 
 
 # -------------------------------------------------------- full pipeline

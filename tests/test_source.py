@@ -8,6 +8,7 @@ import pytest
 import excisionlab
 
 SOURCE = Path(excisionlab.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _library_nodes(matches):
@@ -39,3 +40,61 @@ def test_library_has_no_true_division():
                            and isinstance(node.op, ast.Div))
     if found:
         pytest.fail("true division in the library: " + ", ".join(found))
+
+
+# exported on purpose although no code outside tests reads them
+KEPT_EXPORTS = {
+    "cyclic_t": "the bicomplex route to the cyclic inverse needs t and N",
+    "opposite_algebra": "the documented route for right local units",
+    "save_algebra": "the write half of the algebra file format",
+    "save_chain": "the write half of the chain file format",
+}
+
+
+def _references(tree, found, unread, enclosing=()):
+    """Add to `found` every name `tree` reads, as a `Name`, an `Attribute`
+    or an imported name, except inside the definition of that name and
+    inside the definitions of the names in `unread`."""
+    for node in ast.iter_child_nodes(tree):
+        name = None
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.ImportFrom):
+            found.update(alias.name for alias in node.names)
+        if name is not None and name not in enclosing:
+            found.add(name)
+        inner = enclosing
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name in unread:
+                continue
+            inner = enclosing + (node.name,)
+        _references(node, found, unread, inner)
+
+
+def test_every_export_is_read_outside_tests():
+    """A public name that only tests read, directly or through other such
+    names, is library surface nobody uses: delete it, or keep it in
+    `KEPT_EXPORTS` with the reason."""
+    init = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
+    exported = {alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    paths = [p for p in SOURCE.glob("*.py") if p.name != "__init__.py"]
+    for folder in ("demos", "perfbench"):
+        paths += (ROOT / folder).rglob("*.py")
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    unread = set()
+    while True:  # a read inside an unread definition does not count
+        found = set()
+        for tree in trees:
+            _references(tree, found, unread)
+        newly = exported - found - set(KEPT_EXPORTS)
+        if newly == unread:
+            break
+        unread = newly
+    if unread:
+        pytest.fail("exported names read only by tests: "
+                    + ", ".join(sorted(unread)))
+    # an allow-listed name that code now reads leaves the list
+    assert set(KEPT_EXPORTS) <= exported - found

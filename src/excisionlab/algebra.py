@@ -76,9 +76,6 @@ class Algebra:
             and self.structure_table == other.structure_table
         )
 
-    def __hash__(self):
-        return hash((self.dimension, tuple(self.basis_labels)))
-
     def __repr__(self):
         return f"Algebra(dim={self.dimension}, labels={self.basis_labels})"
 
@@ -252,12 +249,6 @@ class SplitBasis:
         """Parent coordinates -> coordinates over the ordered basis."""
         return _coordinates(self._backward_cols, vector)
 
-    def from_split(self, vector):
-        basis = self.ordered_basis
-        return _combination(
-            self.dimension, [(v, basis[j]) for j, v in vector.entries.items()]
-        )
-
     def split_label(self, i):
         """Human-readable name of split position i."""
         vec = self.ordered_basis[i]
@@ -311,8 +302,6 @@ def make_split_basis(ideal, complement_hint=None):
         candidate = algebra.basis_vector(i)
         if span.add(candidate):
             ordered.append(candidate)
-    if len(ordered) != algebra.dimension:
-        raise ValueError("could not complete the ideal basis to a full basis")
     return SplitBasis(ideal, ordered, ideal_count)
 
 

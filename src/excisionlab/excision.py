@@ -33,7 +33,6 @@ from .chains import (
     canonicalize_cyclic,
     homology,
     is_ideal_chain,
-    relative_membership,
     tensor_prepend,
 )
 from .linalg import (
@@ -357,12 +356,7 @@ def _inverse_system(context, n):
         entries[(r, offset + c)] = -v
     total_rows = len(rows_rel)
     if n >= 1:
-        down_matrix, down_cols, _ = boundary_matrix(context, Variant("hc", "I"), n)
-        if down_cols != cols_ideal:
-            raise InverseInvariantError(
-                "the ideal's cyclic basis differs between its own boundary "
-                "matrix and basis_tuples"
-            )
+        down_matrix = boundary_matrix(context, Variant("hc", "I"), n)[0]
         for (r, c), v in down_matrix.entries.items():
             entries[(total_rows + r, c)] = v
         total_rows += down_matrix.rows
@@ -511,8 +505,6 @@ def inverse_excision_class(classes):
     degree = classes[0].degree
     lifts = []
     for chain in classes:
-        if not relative_membership(chain):
-            raise ValueError("class is not relative: a tuple has no ideal slot")
         if chain.degree != degree or chain.context is not context and chain.context != context:
             raise ValueError("classes must share degree and split basis")
         lifts.append(rotate_to_ideal_initial(chain))
@@ -539,13 +531,13 @@ def verify_certificate(certificate):
 
     Returns None when the certificate is sound, otherwise a Mismatch carrying
     the exact residual chain where the failed claim is an identity of chains.
-    Chains over different split bases do not verify.  A descent certificate
-    must also have homotopy e ⊗ input with e a left unit on every initial
-    slot, and an inverse result must have its units in the ideal and replay
-    its unit schedule: each recorded equation and the descending conditions
-    on the input's slots.  The verification path re-expands boundaries and
-    canonical forms directly on chains; it never reuses the linear solve
-    that produced the witness.
+    Chains over different split bases, or a unit of another dimension, do
+    not verify.  A descent certificate must also have homotopy e ⊗ input
+    with e a left unit on every initial slot, and an inverse result must
+    have its units in the ideal and replay its unit schedule: each recorded
+    equation and the descending conditions on the input's slots.  The
+    verification path re-expands boundaries and canonical forms directly on
+    chains; it never reuses the linear solve that produced the witness.
     """
     chains = _certificate_chains(certificate)
     context = chains[0].context
@@ -555,7 +547,9 @@ def verify_certificate(certificate):
         n = certificate.input.degree
         if (certificate.output.degree, certificate.homotopy.degree) != (n, n + 1):
             return Mismatch("output or homotopy has the wrong degree")
-        unit_split = certificate.input.context.to_split(certificate.unit)
+        if certificate.unit.dimension != context.dimension:
+            return Mismatch("the unit has the wrong dimension")
+        unit_split = context.to_split(certificate.unit)
         # a forged output can meet the identity for any e and homotopy, so
         # the homotopy must be e ⊗ input and e must fix the initial slots
         expected = tensor_prepend(unit_split, certificate.input)
@@ -598,6 +592,8 @@ def verify_certificate(certificate):
         return None
     # an InverseResult, whose chains all lie over `context`
     for unit in certificate.schedule.units:
+        if unit.dimension != context.dimension:
+            return Mismatch("a unit of the schedule has the wrong dimension")
         if any(i >= context.ideal_count for i in context.to_split(unit).entries):
             return Mismatch("a unit of the schedule lies outside the ideal")
     if not certificate.schedule.verify(context.parent):

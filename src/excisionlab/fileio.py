@@ -76,10 +76,10 @@ def _each(doc, key, kind, where="", default=None):
     ]
 
 
-def _nested(doc, key, parse, *args, default=None):
+def _nested(doc, key, parse, *args):
     """`parse(sub, *args)` for the object field `key` of `doc`; the paths of
     its ParseErrors, relative to the sub-document, gain the prefix `key.`."""
-    sub = _get(doc, key, dict, default=default)
+    sub = _get(doc, key, dict)
     try:
         return parse(sub, *args)
     except ParseError as exc:
@@ -122,7 +122,7 @@ def _write_json(path, doc):
         handle.write("\n")
 
 
-def algebra_to_doc(algebra, ideal=None, split=None):
+def algebra_to_doc(algebra, ideal, split=None):
     doc = {
         "field": "rational",
         "dimension": algebra.dimension,
@@ -138,11 +138,10 @@ def algebra_to_doc(algebra, ideal=None, split=None):
             }
             for (i, j), row in sorted(algebra.structure_table.items())
         ],
-    }
-    if ideal is not None:
-        doc["ideal"] = {
+        "ideal": {
             "basis_vectors": [vector_to_list(v) for v in ideal.basis_vectors]
-        }
+        },
+    }
     if split is not None:
         doc["complement"] = [
             vector_to_list(v) for v in split.ordered_basis[split.ideal_count :]
@@ -215,7 +214,7 @@ def load_algebra(path):
     return algebra_from_doc(_read_json(path))
 
 
-def save_algebra(path, algebra, ideal=None, split=None):
+def save_algebra(path, algebra, ideal, split=None):
     _write_json(path, algebra_to_doc(algebra, ideal, split))
 
 
@@ -375,7 +374,8 @@ def certificate_to_doc(certificate, context):
 
 
 def certificate_from_doc(doc):
-    """(certificate object, split basis) reconstructed from a document."""
+    """(certificate object, split basis) reconstructed from a document,
+    whose `degree` must be that of its input (its lhs, for a boundary)."""
     _typed(doc, dict, "")
     kind = doc.get("kind")
     _, _, split = _nested(doc, "algebra", algebra_from_doc)
@@ -396,6 +396,11 @@ def certificate_from_doc(doc):
         )
     else:
         raise ParseError(f"unknown certificate kind {kind!r}", "kind")
+    key = "lhs" if kind == "boundary" else "input"
+    degree = getattr(certificate, key).degree
+    if _get(doc, "degree", int) != degree:
+        raise ParseError(f"expected the degree {degree}, that of the {key}",
+                         "degree")
     return certificate, split
 
 

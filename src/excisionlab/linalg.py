@@ -217,11 +217,7 @@ class SparseMatrix:
         return matrix
 
     @classmethod
-    def from_columns(cls, columns, rows=None):
-        if rows is None:
-            if not columns:
-                raise ValueError("cannot infer row count from zero columns")
-            rows = columns[0].dimension
+    def from_columns(cls, columns, rows):
         entries = {}
         for c, vec in enumerate(columns):
             if vec.dimension != rows:
@@ -246,9 +242,6 @@ class SparseMatrix:
             and (self.rows, self.cols) == (other.rows, other.cols)
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(sorted(self.entries.items()))))
 
     def __repr__(self):
         return f"SparseMatrix({self.rows}x{self.cols}, nnz={len(self.entries)})"

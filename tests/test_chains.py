@@ -24,7 +24,6 @@ from excisionlab.chains import (
     cyclic_t,
     filtration_level,
     homology,
-    is_canonical_tuple,
     pure_tensor,
     relative_membership,
     tensor_prepend,
@@ -260,7 +259,7 @@ def test_necklace_bases_equal_the_rotation_filter():
         for length in range(1, 8):
             degree = length - 1
             words = list(iter_product(range(letters), repeat=length))
-            canonical = [t for t in words if is_canonical_tuple(t)]
+            canonical = [t for t in words if canonical_rotation(t) == (t, 1)]
             for ideal_count in range(letters + 1):
                 split = _zero_product_split(letters, ideal_count)
                 expected = {
@@ -282,7 +281,7 @@ def test_necklace_bases_drop_sign_obstructed_words():
         assert word not in basis_tuples(split, hc, len(word) - 1)
     # an even period, or an even degree, keeps the class
     for word in [(0, 1), (0, 1, 0, 1), (0, 0, 0), (0, 0, 0, 0, 0)]:
-        assert is_canonical_tuple(word)
+        assert canonical_rotation(word) == (word, 1)
         assert word in basis_tuples(split, hc, len(word) - 1)
 
 

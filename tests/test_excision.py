@@ -494,6 +494,29 @@ def test_a_unit_outside_the_ideal_is_refused(t2):
     assert mismatch.reason == "a unit of the schedule lies outside the ideal"
 
 
+@pytest.mark.parametrize("entries", [{0: 1, 4: 1}, {0: 1}],
+                         ids=["entry-beyond-the-split", "entries-fit"])
+def test_a_unit_of_another_dimension_is_refused(t2, entries):
+    # only a certificate built in code can hold one: a document is read with
+    # the algebra's dimension.  Its entries may reach past the split, or fit
+    # and read as the sound unit E11
+    unit = SparseVector(5, entries)
+    phi = pure_tensor(t2.split, (0, 2))  # E11 ⊗ E22
+    descent = descent_step(phi, SparseVector.from_list([1, 0, 0]))
+    [result] = inverse_excision_class([canonicalize_cyclic(phi)])
+    schedule = UnitSchedule([unit], result.schedule.provenance)
+    for certificate, reason in [
+        (dataclasses.replace(descent, unit=unit),
+         "the unit has the wrong dimension"),
+        (dataclasses.replace(result, schedule=schedule),
+         "a unit of the schedule has the wrong dimension"),
+    ]:
+        mismatch = verify_certificate(certificate)
+        assert isinstance(mismatch, Mismatch)
+        assert mismatch.reason == reason
+        assert RunReport("verify").add_certificate(reason, certificate) is False
+
+
 def test_round_trip_through_rho(corpus):
     for demo in corpus:
         for degree in range(3):

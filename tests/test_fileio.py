@@ -45,6 +45,19 @@ def test_algebra_round_trip(t2, tmp_path):
     assert split == t2.split
 
 
+def test_an_algebra_is_saved_with_its_ideal(t2, tmp_path):
+    # the reader needs the ideal, so the writer cannot leave it out
+    path = tmp_path / "t2.json"
+    with pytest.raises(TypeError):
+        save_algebra(path, t2.algebra)
+    assert not path.exists()
+    # the complement is optional: the reader completes the ideal basis
+    save_algebra(path, t2.algebra, t2.ideal)
+    _, ideal, split = load_algebra(path)
+    assert ideal == t2.ideal
+    assert split == make_split_basis(t2.ideal)
+
+
 def test_all_demos_round_trip(corpus, tmp_path):
     for demo in corpus:
         path = tmp_path / f"{demo.name}.json"

@@ -86,6 +86,7 @@ def fields(kind):
         (("algebra", "ideal", "basis_vectors", 0), list, None),
         (("algebra", "complement"), list, False),
         (("algebra", "complement", 0), list, None),
+        (("degree",), int, True),
     ]
     if kind == "descent":
         for key in ("input", "output", "homotopy"):
@@ -214,6 +215,18 @@ def test_a_schedule_degree_other_than_its_unit_count_is_refused():
     assert "number of units" in info.value.message
 
 
+@pytest.mark.parametrize("kind, key", [("descent", "input"), ("boundary", "lhs"),
+                                       ("inverse", "input")])
+def test_a_certificate_degree_other_than_its_chains_is_refused(kind, key):
+    doc = copy.deepcopy(documents()[kind])
+    assert doc["degree"] == doc[key]["degree"] == 1
+    doc["degree"] = 7
+    with pytest.raises(ParseError) as info:
+        certificate_from_doc(doc)
+    assert info.value.location == "degree"
+    assert f"that of the {key}" in info.value.message
+
+
 def subtree_paths(doc, path=()):
     yield path
     children = ()
@@ -235,6 +248,8 @@ def test_every_chain_swapped_for_every_other_gets_a_verdict():
     for kind, path in chains:
         for donor_kind, donor in chains:
             doc = mutate(kind, path, copy.deepcopy(doc_at(docs[donor_kind], donor)))
+            if path in (("input",), ("lhs",)):  # the chain the degree names
+                doc["degree"] = doc_at(doc, path)["degree"]
             certificate, _ = certificate_from_doc(doc)
             verdict = verify_certificate(certificate)
             assert verdict is None or isinstance(verdict, Mismatch)

@@ -74,27 +74,34 @@ def _references(tree, found, unread, enclosing=()):
 
 
 def test_every_export_is_read_outside_tests():
-    """A public name that only tests read, directly or through other such
-    names, is library surface nobody uses: delete it, or keep it in
-    `KEPT_EXPORTS` with the reason."""
+    """An exported name, or a public module-level function or class, that
+    only tests read, directly or through other such names, is library
+    surface nobody uses: delete it, or keep it in `KEPT_EXPORTS` with the
+    reason."""
     init = ast.parse((SOURCE / "__init__.py").read_text(encoding="utf-8"))
     exported = {alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names}
-    paths = [p for p in SOURCE.glob("*.py") if p.name != "__init__.py"]
-    for folder in ("demos", "perfbench"):
-        paths += (ROOT / folder).rglob("*.py")
-    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in paths]
+    library = [ast.parse(path.read_text(encoding="utf-8"))
+               for path in SOURCE.glob("*.py") if path.name != "__init__.py"]
+    public = exported | {
+        node.name for tree in library for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    trees = library + [ast.parse(path.read_text(encoding="utf-8"))
+                       for folder in ("demos", "perfbench")
+                       for path in (ROOT / folder).rglob("*.py")]
     unread = set()
     while True:  # a read inside an unread definition does not count
         found = set()
         for tree in trees:
             _references(tree, found, unread)
-        newly = exported - found - set(KEPT_EXPORTS)
+        newly = public - found - set(KEPT_EXPORTS)
         if newly == unread:
             break
         unread = newly
     if unread:
-        pytest.fail("exported names read only by tests: "
+        pytest.fail("public names read only by tests: "
                     + ", ".join(sorted(unread)))
     # an allow-listed name that code now reads leaves the list
     assert set(KEPT_EXPORTS) <= exported - found

@@ -48,7 +48,6 @@ from .excision import (
     closed_formula,
     descent_output,
     descent_step,
-    find_boundary_witness,
     inverse_excision,
     inverse_excision_class,
     isomorphism_witness,

@@ -238,8 +238,9 @@ class SplitBasis:
         self.product_table = _ProductTable(
             self.parent.mul, self.ordered_basis, self._backward_cols
         )
-        # basis tuples, boundary matrices and their echelon records, memoised
-        # by `chains` and `excision`; they live as long as this split
+        # basis tuples, boundary matrices, homology bases and the inverse's
+        # eliminated system, memoised by `chains` and `excision`; they live
+        # as long as this split
         self.chain_cache = {}
 
     def is_ideal_index(self, i):

@@ -22,11 +22,11 @@ as `linalg` stores every scalar, an `int` where integral and a `Fraction`
 otherwise, and the signs are the ints ±1, so on an integer algebra every
 chain, table row and boundary matrix is summed in `int` arithmetic.
 `boundary_matrix` assembles each differential once per space of tuples;
-its elimination, the ∂∂ = 0 check, homology and the witness searches of
-`excision` all read that one matrix.  When the ideal is the whole algebra,
-the spaces I, relative and A coincide and share one memoised complex
-(`_memoised`); otherwise the relative complex takes its all-ideal columns
-from ∂^I, the differential of its subcomplex C(I).
+the ∂∂ = 0 check, homology and the inverse solve of `excision` all read
+that one matrix.  When the ideal is the whole algebra, the spaces I,
+relative and A coincide and share one memoised complex (`_memoised`);
+otherwise the relative complex takes its all-ideal columns from ∂^I, the
+differential of its subcomplex C(I).
 """
 
 from __future__ import annotations
@@ -476,14 +476,6 @@ class HomologyReport:
 
 
 @_memoised
-def boundary_echelon(context, variant, degree):
-    """The `linalg.Echelon` record of `boundary_matrix(context, variant,
-    degree)`, eliminated once and memoised next to the matrix: every rank,
-    kernel and solve against that differential reads it."""
-    return echelon(boundary_matrix(context, variant, degree)[0])
-
-
-@_memoised
 def _homology_basis(context, variant, degree):
     """The kernel vectors ({column: value}) of ∂_degree that represent its
     homology, once ∂_degree ∘ ∂_(degree+1) = 0 is checked on the assembled
@@ -495,7 +487,7 @@ def _homology_basis(context, variant, degree):
     up = boundary_matrix(context, variant, degree + 1)[0]
     free = list(range(up.rows))
     if degree > 0:
-        record = boundary_echelon(context, variant, degree)
+        record = echelon(boundary_matrix(context, variant, degree)[0])
         free = record.free_columns()
         down_cols = {}
         for (r, k), v in record.entries.items():

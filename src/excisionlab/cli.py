@@ -174,6 +174,8 @@ def cmd_local_unit(args):
 
 
 def cmd_demo(args):
+    if args.degree < 0:
+        raise ValueError("degree must be non-negative")
     demo = demo_by_name(args.name)
     report = RunReport(command=f"demo {args.name} up to degree {args.degree}")
     report.details["notes"] = demo.notes

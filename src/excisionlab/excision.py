@@ -28,7 +28,6 @@ from .chains import (
     _rotation,
     basis_tuples,
     boundary_b,
-    boundary_echelon,
     boundary_matrix,
     canonicalize_cyclic,
     homology,
@@ -69,11 +68,12 @@ class InverseInvariantError(RuntimeError):
 
 
 class CertificateSearchError(RuntimeError):
-    """The boundary-witness system is unsolvable.
+    """The stacked system of `_invert_by_solve` has no solution.
 
-    This cannot happen for inputs satisfying the local-unit hypotheses — it
-    would falsify the excision isomorphism — so the full linear system is
-    attached for inspection.
+    For a relative cyclic cycle under the local-unit hypotheses this cannot
+    happen — it would falsify the excision isomorphism — so the input was
+    not such a cycle, and the full linear system is attached for
+    inspection.
     """
 
     def __init__(self, message, matrix, rhs, columns):
@@ -299,42 +299,6 @@ def closed_formula(chain, schedule):
         emit(out, free, [(tup[0], 1)])
         emit(out, pending, table[tup[n], tup[0]])
     return Chain(n, context, out)
-
-
-def find_boundary_witness(target, space):
-    """Solve b(η) ≡ target in the cyclic complex, one degree up.
-
-    `target` is a degree-n chain; the unknown η ranges over the canonical
-    degree-(n+1) basis of the requested space.  Unsolvability would falsify
-    the excision theorem, so it raises CertificateSearchError with the full
-    system, the memoised `boundary_matrix`, attached.
-    """
-    context = target.context
-    n = target.degree
-    variant = Variant("hc", space)
-    matrix, cols, rows = boundary_matrix(context, variant, n + 1)
-    row_index = {t: r for r, t in enumerate(rows)}
-    rhs_entries = {}
-    for tup, coeff in canonicalize_cyclic(target).terms.items():
-        if tup not in row_index:
-            raise ValueError(
-                f"target tuple {tup} lies outside the {space} cyclic space"
-            )
-        rhs_entries[row_index[tup]] = coeff
-    rhs = SparseVector(len(rows), rhs_entries)
-    result = solve(boundary_echelon(context, variant, n + 1), rhs)
-    if isinstance(result, Unsolvable):
-        raise CertificateSearchError(
-            f"no degree-{n + 1} witness exists in the {space} cyclic space: "
-            f"the {matrix.rows}x{matrix.cols} system is inconsistent "
-            f"(echelon row {result.row}); this contradicts the excision "
-            "isomorphism under the local-unit hypotheses",
-            matrix,
-            rhs,
-            cols,
-        )
-    terms = {cols[c]: v for c, v in result.entries.items()}
-    return Chain(n + 1, context, terms)
 
 
 @_memoised
@@ -646,7 +610,9 @@ def isomorphism_witness(context, degree, max_degree=None):
     "onto": every basis class of the relative cyclic homology is hit, with a
     certificate ρ(ψ) ≡ φ.  "back": for every basis class c of the ideal's
     cyclic homology, the inverse of ρ(c) lands back at c, certified inside
-    the ideal's own complex.
+    the ideal's own complex by the inverse's own witness (0 when ψ = c):
+    ρ(c) is all-ideal, so that witness is 0 or −Σ e_i ⊗ φ_i with every e_i
+    and φ_i ideal, and it lies in C(I).
     """
     ideal_report = homology(context, Variant("hc", "I"), degree, max_degree)
     relative_report = homology(context, Variant("hc", "relative"), degree, max_degree)
@@ -655,17 +621,10 @@ def isomorphism_witness(context, degree, max_degree=None):
     images = [rho(c) for c in ideal_report.representatives]
     results = inverse_excision_class(images)
     for cls, result in zip(ideal_report.representatives, results):
-        difference = result.output - cls
-        if difference.is_zero():
-            witness = Chain(degree + 1, context)
-        else:
-            witness = find_boundary_witness(difference, "I")
+        witness = (Chain(degree + 1, context) if result.output == cls
+                   else result.verification.witness)
         cert = BoundaryCertificate(
-            lhs=result.output,
-            rhs=cls,
-            witness=witness,
-            op="hc",
-            space="I",
+            lhs=result.output, rhs=cls, witness=witness, op="hc", space="I"
         )
         back.append((result, cert))
     return IsomorphismReport(

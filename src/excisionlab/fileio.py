@@ -56,23 +56,21 @@ def _typed(value, kind, path):
     raise ParseError(f"expected {_JSON_TYPES[kind]}", path or "document")
 
 
-def _get(doc, key, kind, where="", default=None):
+def _get(doc, key, kind, where=""):
     """Field `key` of the object `doc` at path `where` within a document, of
-    JSON type `kind`; `default` when it is absent, a ParseError if it has none."""
+    JSON type `kind`; a ParseError when it is absent."""
     if key not in doc:
-        if default is None:
-            raise ParseError("missing field", _join(where, key))
-        return default
+        raise ParseError("missing field", _join(where, key))
     return _typed(doc[key], kind, _join(where, key))
 
 
-def _each(doc, key, kind, where="", default=None):
+def _each(doc, key, kind, where=""):
     """(path, element) for each element, of JSON type `kind`, of the list
     field `key` of `doc`."""
     path = _join(where, key)
     return [
         (f"{path}[{i}]", _typed(item, kind, f"{path}[{i}]"))
-        for i, item in enumerate(_get(doc, key, list, where, default))
+        for i, item in enumerate(_get(doc, key, list, where))
     ]
 
 
@@ -159,14 +157,14 @@ def algebra_from_doc(doc):
     if len(labels) != dimension or not all(isinstance(x, str) for x in labels):
         raise ParseError(f"basis must list exactly {dimension} labels", "basis")
     constants = {}
-    for spot, record in _each(doc, "products", dict, default=[]):
+    for spot, record in _each(doc, "products", dict):
         i, j = _get(record, "left", int, spot), _get(record, "right", int, spot)
         if not (0 <= i < dimension and 0 <= j < dimension):
             raise ParseError(f"product indices ({i}, {j}) out of range", spot)
         if (i, j) in constants:
             raise ParseError(f"duplicate product record for ({i}, {j})", spot)
         entries = {}
-        for item_spot, item in _each(record, "result", dict, spot, []):
+        for item_spot, item in _each(record, "result", dict, spot):
             k = _get(item, "index", int, item_spot)
             if not 0 <= k < dimension:
                 raise ParseError(f"result index {k} out of range", item_spot)
@@ -184,7 +182,7 @@ def algebra_from_doc(doc):
     ideal = Ideal(algebra, [
         _vector_from_list(v, dimension, spot)
         for spot, v in _each(_get(doc, "ideal", dict), "basis_vectors",
-                             list, "ideal", [])
+                             list, "ideal")
     ])
     try:
         failure = validate_ideal(ideal)
@@ -246,7 +244,7 @@ def chain_from_doc(doc, context):
     # distinct slots
     slot_memo = {}
     terms = {}
-    for spot, record in _each(doc, "terms", dict, default=[]):
+    for spot, record in _each(doc, "terms", dict):
         coeff = _scalar(record.get("coeff"), f"{spot}.coeff")
         slots = record.get("slots")
         if not isinstance(slots, list) or len(slots) != degree + 1:
@@ -301,11 +299,11 @@ def schedule_from_doc(doc, dimension):
     _typed(doc, dict, "")
     units = [
         _vector_from_list(u, dimension, spot)
-        for spot, u in _each(doc, "units", list, default=[])
+        for spot, u in _each(doc, "units", list)
     ]
     provenance = [
         [_vector_from_list(s, dimension, f"{spot}[{r}]") for r, s in enumerate(targets)]
-        for spot, targets in _each(doc, "targets", list, default=[])
+        for spot, targets in _each(doc, "targets", list)
     ]
     if len(provenance) != len(units):
         raise ParseError("one target list per unit required", "targets")
@@ -329,9 +327,8 @@ def _boundary_to_doc(certificate):
 
 def _boundary_from_doc(doc, split):
     claim = {}
-    for key, known, default in (("op", BOUNDARY_OPS, "hc"),
-                                ("space", SPACES, "relative")):
-        claim[key] = _get(doc, key, str, default=default)
+    for key, known in (("op", BOUNDARY_OPS), ("space", SPACES)):
+        claim[key] = _get(doc, key, str)
         if claim[key] not in known:
             raise ParseError(f"unknown {key} {claim[key]!r}", key)
     return BoundaryCertificate(
@@ -416,7 +413,7 @@ def load_targets(path, dimension):
     """The vectors listed under "targets" in the JSON file at `path`."""
     doc = _typed(_read_json(path), dict, "")
     return [_vector_from_list(v, dimension, spot)
-            for spot, v in _each(doc, "targets", list, default=[])]
+            for spot, v in _each(doc, "targets", list)]
 
 
 def load_element(path, dimension):
@@ -446,56 +443,33 @@ class DemoExtension:
             raise ValueError(f"demo {self.name!r}: the ideal lacks a local left unit")
 
 
-def _matrix_unit_product(pairs, dim, index):
-    """Structure constants for a family of matrix units E_ab inside a basis.
-
-    `pairs` lists (a, b) per basis element in the block; `index` maps a pair
-    to its basis position.  E_ab · E_cd = E_ad when b == c, else 0.
-    """
+def _matrix_demo(pairs, idempotent, ideal_count):
+    """(algebra, ideal): the matrix units E_ab for (a, b) in `pairs`, with
+    E_ab · E_cd = E_ad when b == c and (a, d) is listed, else 0; then, when
+    `idempotent`, one more basis element P with P·P = P and P·E = E·P = 0.
+    The ideal is spanned by the first `ideal_count` basis vectors."""
+    dim = len(pairs) + idempotent
+    index = {p: i for i, p in enumerate(pairs)}
     constants = {}
     for i, (a, b) in enumerate(pairs):
         for j, (c, d) in enumerate(pairs):
             if b == c and (a, d) in index:
                 constants[(i, j)] = SparseVector(dim, {index[(a, d)]: 1})
-    return constants
+    labels = [f"E{a}{b}" for a, b in pairs]
+    if idempotent:
+        constants[(dim - 1, dim - 1)] = SparseVector(dim, {dim - 1: 1})
+        labels.append("P")
+    algebra = Algebra(dim, labels, constants)
+    return algebra, Ideal(algebra, [algebra.basis_vector(i) for i in range(ideal_count)])
 
 
-def _upper_triangular_2x2():
-    labels = ["E11", "E12", "E22"]
-    pairs = [(1, 1), (1, 2), (2, 2)]
-    index = {p: i for i, p in enumerate(pairs)}
-    algebra = Algebra(3, labels, _matrix_unit_product(pairs, 3, index))
-    ideal = Ideal(
-        algebra,
-        [SparseVector.from_list([1, 0, 0]), SparseVector.from_list([0, 1, 0])],
-    )
-    return algebra, ideal
+_UPPER_2X2 = ((1, 1), (1, 2), (2, 2))
+_FULL_2X2 = ((1, 1), (1, 2), (2, 1), (2, 2))
 
-
-def _full_matrix_2x2():
-    labels = ["E11", "E12", "E21", "E22"]
-    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    index = {p: i for i, p in enumerate(pairs)}
-    algebra = Algebra(4, labels, _matrix_unit_product(pairs, 4, index))
-    ideal = Ideal(algebra, [algebra.basis_vector(i) for i in range(4)])
-    return algebra, ideal
-
-
-def _matrix_plus_line():
-    labels = ["E11", "E12", "E21", "E22", "P"]
-    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
-    index = {p: i for i, p in enumerate(pairs)}
-    constants = _matrix_unit_product(pairs, 5, index)
-    constants[(4, 4)] = SparseVector(5, {4: 1})
-    algebra = Algebra(5, labels, constants)
-    ideal = Ideal(algebra, [algebra.basis_vector(i) for i in range(4)])
-    return algebra, ideal
-
-
-# name -> (builder of (algebra, ideal), notes), in corpus order
+# name -> (matrix units, idempotent, ideal_count, notes), in corpus order
 _DEMOS = {
     "t2-corner": (
-        _upper_triangular_2x2,
+        _UPPER_2X2, False, 2,
         "Upper-triangular 2x2 matrices with the corner ideal "
         "span{E11, E12}.  E11 is a left unit for the whole ideal "
         "(E11·E11 = E11, E11·E12 = E12) but no right unit exists "
@@ -503,13 +477,13 @@ _DEMOS = {
         "of the hypothesis is genuinely exercised.",
     ),
     "matrix2": (
-        _full_matrix_2x2,
+        _FULL_2X2, False, 4,
         "Full 2x2 matrices with the whole algebra as the ideal; the "
         "identity E11+E22 is a two-sided unit, the quotient is zero "
         "and the relative theory collapses onto the absolute one.",
     ),
     "direct-sum": (
-        _matrix_plus_line,
+        _FULL_2X2, True, 4,
         "2x2 matrices direct-sum a line with an idempotent generator; "
         "the matrix block is the ideal and its identity E11+E22 is a "
         "left (indeed two-sided) unit for it.",
@@ -523,8 +497,8 @@ def demo_by_name(name):
     """Build and validate one shipped extension; KeyError for unknown names."""
     if name not in _DEMOS:
         raise KeyError(f"unknown demo {name!r}")
-    build, notes = _DEMOS[name]
-    algebra, ideal = build()
+    *shape, notes = _DEMOS[name]
+    algebra, ideal = _matrix_demo(*shape)
     return DemoExtension(
         name=name,
         algebra=algebra,

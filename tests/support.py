@@ -1,12 +1,17 @@
 """Shared test fixtures that are plain data: the symbolic word algebra used
-for golden-formula checks, random chains, and cycle extraction."""
+for golden-formula checks, random chains, cycle extraction, and a boundary
+witness found by a linear solve."""
 
 from fractions import Fraction
 from itertools import product as iter_product
 
 from excisionlab.algebra import Algebra, Ideal, make_split_basis
-from excisionlab.chains import Chain, tuple_boundary_terms
-from excisionlab.linalg import SparseMatrix, SparseVector, invert, kernel_basis
+from excisionlab.chains import (
+    Chain, Variant, boundary_matrix, canonicalize_cyclic, tuple_boundary_terms,
+)
+from excisionlab.linalg import (
+    SparseMatrix, SparseVector, Unsolvable, invert, kernel_basis, solve,
+)
 
 WORD_CAP = 3  # longest product the inverse formula ever forms
 
@@ -139,6 +144,21 @@ def filtered_cycle_basis(split, degree, p):
             Chain(degree, split, {columns[i]: v for i, v in vec.entries.items()})
         )
     return cycles
+
+
+def cyclic_boundary_witness(target, space):
+    """A degree-(n+1) chain η of the `space` cyclic complex with b(η) ≡
+    target modulo the rotation, found by one exact solve against the
+    assembled boundary matrix; None when no such η exists."""
+    context, n = target.context, target.degree
+    matrix, cols, rows = boundary_matrix(context, Variant("hc", space), n + 1)
+    row_index = {t: r for r, t in enumerate(rows)}
+    terms = canonicalize_cyclic(target).terms
+    solution = solve(matrix, SparseVector(
+        len(rows), {row_index[t]: c for t, c in terms.items()}))
+    if isinstance(solution, Unsolvable):
+        return None
+    return Chain(n + 1, context, {cols[c]: v for c, v in solution.entries.items()})
 
 
 def upper_triangular_split():

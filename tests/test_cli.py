@@ -225,6 +225,21 @@ def test_demo_command(capsys):
     assert "all certificates verified" in out
 
 
+@pytest.mark.parametrize("command, error", [
+    ("homology --algebra {algebra} --space I", "degree must be non-negative"),
+    ("excise-inverse --algebra {algebra} --chain {chain}",
+     "chain has degree 1, expected -1"),
+    ("demo --name t2-corner", "degree must be non-negative"),
+])
+def test_a_negative_degree_is_an_error(t2_files, capsys, command, error):
+    _, algebra, chain, _ = t2_files
+    argv = [arg.format(algebra=algebra, chain=chain) for arg in command.split()]
+    assert main(argv + ["--degree", "-1"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert error in captured.err
+
+
 def test_missing_file_is_an_error(capsys):
     assert main(["homology", "--algebra", "/nonexistent.json", "--degree", "0"]) == EXIT_ERROR
     assert "error" in capsys.readouterr().err

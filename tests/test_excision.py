@@ -1,4 +1,6 @@
 import dataclasses
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -10,7 +12,6 @@ from excisionlab.chains import (
     Variant,
     basis_tuples,
     boundary_b,
-    boundary_matrix,
     canonicalize_cyclic,
     cyclic_t,
     filtration_level,
@@ -28,10 +29,10 @@ from excisionlab.excision import (
     Mismatch,
     UnitActionError,
     _invert_by_solve,
+    _inverse_system,
     closed_formula,
     descent_output,
     descent_step,
-    find_boundary_witness,
     inverse_excision,
     inverse_excision_class,
     isomorphism_witness,
@@ -47,8 +48,8 @@ from excisionlab.units import (
 
 from dense_oracle import sign_word_closed_formula
 from support import (
-    WordAlgebra, dual_number_split, filtered_cycle_basis, stored_exactly,
-    upper_triangular_split,
+    WordAlgebra, cyclic_boundary_witness, dual_number_split,
+    filtered_cycle_basis, stored_exactly, upper_triangular_split,
 )
 
 
@@ -301,7 +302,7 @@ def test_closed_formula_equals_iterated_descent(corpus, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("the strict inverse ran linear algebra")
 
-    for name in ("boundary_matrix", "solve", "find_boundary_witness"):
+    for name in ("boundary_matrix", "solve"):
         monkeypatch.setattr(excision_module, name, forbidden)
     formula = excision_module.closed_formula
 
@@ -426,8 +427,9 @@ def test_inverse_excision_class_already_in_the_ideal(t2):
     assert verify_certificate(result) is None
     # the output stays in the class of the input
     difference = result.output - cls
-    witness = find_boundary_witness(difference, "I") if not difference.is_zero() else None
-    if witness is not None:
+    if not difference.is_zero():
+        witness = cyclic_boundary_witness(difference, "I")
+        assert witness is not None
         cert = BoundaryCertificate(
             lhs=result.output, rhs=cls, witness=witness, op="hc", space="I"
         )
@@ -530,7 +532,8 @@ def test_round_trip_through_rho(corpus):
                 difference = result.output - cls
                 if difference.is_zero():
                     continue
-                witness = find_boundary_witness(difference, "I")
+                witness = cyclic_boundary_witness(difference, "I")
+                assert witness is not None
                 cert = BoundaryCertificate(
                     lhs=result.output,
                     rhs=cls,
@@ -604,7 +607,8 @@ def test_classes_with_complement_slots_take_the_solve(t2, direct_sum, monkeypatc
                 assert len(solved) == 1
                 assert not is_ideal_chain(solved[0])
                 assert verify_certificate(result) is None
-                witness = find_boundary_witness(result.output - plain.output, "I")
+                witness = cyclic_boundary_witness(result.output - plain.output, "I")
+                assert witness is not None
                 cert = BoundaryCertificate(
                     lhs=result.output, rhs=plain.output, witness=witness,
                     op="hc", space="I",
@@ -635,15 +639,17 @@ def test_dual_number_extension_meets_nonzero_strict_classes(monkeypatch):
     assert all(verify_certificate(c) is None for c in report.all_certificates())
 
 
-def test_witness_search_fails_on_nontrivial_classes(t2):
-    # [E11 ⊗ E11 ⊗ E11] generates HC_2(A,I), so it cannot be a boundary
-    target = pure_tensor(t2.split, (0, 0, 0))
+def test_the_solve_fails_on_a_chain_that_is_not_a_cycle(t2):
+    # E12 ⊗ E22 has a complement slot and b of it is −E12 ≠ 0, so no cycle
+    # over the ideal is homologous to it
+    target = pure_tensor(t2.split, (1, 2))
     with pytest.raises(CertificateSearchError) as info:
-        find_boundary_witness(target, "relative")
-    # the error carries the system, the memoised boundary matrix
-    matrix, cols, _ = boundary_matrix(t2.split, Variant("hc", "relative"), 3)
-    assert info.value.matrix is matrix and matrix.rows > 0
-    assert info.value.columns == cols
+        _invert_by_solve(target)
+    # the error carries the stacked system, built once per split and degree
+    system, _, cols_ideal, cols_up, _ = _inverse_system(t2.split, 1)
+    assert info.value.matrix is system
+    assert (system.rows, system.cols) == (5, 11)
+    assert info.value.columns == cols_ideal + cols_up
 
 
 # --------------------------------------------------------- verification
@@ -731,6 +737,68 @@ def test_pipeline_is_deterministic(t2):
         return docs
 
     assert run() == run()
+
+
+def test_an_all_ideal_inverse_is_certified_inside_the_ideal(t2):
+    """The witness of an all-ideal strict cycle's inverse is −Σ e_i ⊗ φ_i
+    with every e_i and φ_i ideal, so its claim also holds in C(I): this is
+    what lets the back certificates reuse it."""
+    for split, moving in ((t2.split, 19), (dual_number_split(), 270)):
+        moved = 0
+        for degree in range(1, 4):
+            for cycle in filtered_cycle_basis(split, degree, degree):
+                if not is_ideal_chain(cycle):
+                    continue
+                schedule = build_unit_schedule(sorted(cycle.terms), split, degree)
+                result = inverse_excision(cycle, schedule)
+                moved += result.output != cycle
+                claim = result.verification
+                assert is_ideal_chain(claim.witness)
+                assert verify_certificate(dataclasses.replace(claim, space="I")) is None
+        assert moved == moving
+
+
+def witness_cases(corpus):
+    """(split, degree) of every `isomorphism_witness` the two tests below
+    run: the corpus at degrees 0-4, ut3 at 0-3 and the dual numbers at 0-4."""
+    ut3, dual = upper_triangular_split(), dual_number_split()
+    return ([(demo.split, n) for demo in corpus for n in range(5)]
+            + [(ut3, n) for n in range(4)] + [(dual, n) for n in range(5)])
+
+
+def test_back_certificates_reuse_the_inverse_witness(corpus, monkeypatch):
+    import excisionlab.excision as excision_module
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the excision isomorphism ran a linear solve")
+
+    monkeypatch.setattr(excision_module, "solve", forbidden)
+    for split, degree in witness_cases(corpus):
+        report = isomorphism_witness(split, degree)
+        for result, cert in report.back:
+            assert (cert.witness is result.verification.witness
+                    or cert.witness.is_zero() and cert.lhs == cert.rhs)
+        assert all(verify_certificate(c) is None for c in report.all_certificates())
+
+
+# sha256 over the `certificate_to_doc` JSON, witnesses included, of every
+# certificate of `witness_cases`, taken while the back certificates were
+# still built by a separate witness search.
+ISOMORPHISM_DOCS_SHA256 = "37b981cc4a0f5cf451019fa1d19b0b2aac7aa0ef064aa19ae7089322cf5eceeb"
+
+
+def test_isomorphism_certificate_documents_are_pinned(corpus):
+    from excisionlab.fileio import certificate_to_doc
+
+    digest = hashlib.sha256()
+    count = 0
+    for split, degree in witness_cases(corpus):
+        for cert in isomorphism_witness(split, degree).all_certificates():
+            doc = certificate_to_doc(cert, split)
+            digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+            count += 1
+    assert count == 51
+    assert digest.hexdigest() == ISOMORPHISM_DOCS_SHA256
 
 
 def test_right_unit_extension_refuses_when_a_unit_is_missing(t2):

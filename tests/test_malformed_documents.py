@@ -52,7 +52,7 @@ def documents():
 def _chain_fields(doc, key):
     """(path, type, required) of the fields of the chain document `key`."""
     fields = [(key, dict, True), (key + ("degree",), int, True),
-              (key + ("terms",), list, False)]
+              (key + ("terms",), list, True)]
     if doc_at(doc, key)["terms"]:
         term = key + ("terms", 0)
         fields += [(term, dict, None), (term + ("coeff",), str, True),
@@ -73,16 +73,16 @@ def fields(kind):
         (("algebra", "field"), str, True),
         (("algebra", "dimension"), int, True),
         (("algebra", "basis"), list, True),
-        (("algebra", "products"), list, False),
+        (("algebra", "products"), list, True),
         (product, dict, None),
         (product + ("left",), int, True),
         (product + ("right",), int, True),
-        (product + ("result",), list, False),
+        (product + ("result",), list, True),
         (product + ("result", 0), dict, None),
         (product + ("result", 0, "index"), int, True),
         (product + ("result", 0, "coeff"), str, True),
         (("algebra", "ideal"), dict, True),
-        (("algebra", "ideal", "basis_vectors"), list, False),
+        (("algebra", "ideal", "basis_vectors"), list, True),
         (("algebra", "ideal", "basis_vectors", 0), list, None),
         (("algebra", "complement"), list, False),
         (("algebra", "complement", 0), list, None),
@@ -98,9 +98,9 @@ def fields(kind):
         found += [
             (("schedule",), dict, True),
             (("schedule", "degree"), int, True),
-            (("schedule", "units"), list, False),
+            (("schedule", "units"), list, True),
             (("schedule", "units", 0), list, None),
-            (("schedule", "targets"), list, False),
+            (("schedule", "targets"), list, True),
             (("schedule", "targets", 0), list, None),
             (("schedule", "targets", 0, 0), list, None),
             (("certificate",), dict, True),
@@ -109,7 +109,7 @@ def fields(kind):
     if claim is not None:
         for key in ("lhs", "rhs", "witness"):
             found += _chain_fields(doc, claim + (key,))
-        found += [(claim + ("op",), str, False), (claim + ("space",), str, False)]
+        found += [(claim + ("op",), str, True), (claim + ("space",), str, True)]
     return found
 
 
@@ -161,6 +161,23 @@ def test_malformed_field_names_its_path(kind, path, value, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith(f"error: {path_text(path)}: "), captured.err
+
+
+# the list and claim fields: the writer always writes them, even empty, so
+# the reader requires them as it does every other field but `complement`
+LISTS_AND_CLAIMS = {"products", "result", "basis_vectors", "terms", "units",
+                    "targets", "op", "space"}
+
+
+@pytest.mark.parametrize("kind, path", [
+    pytest.param(kind, path, id=f"{kind}:{path_text(path)}")
+    for kind in ("descent", "boundary", "inverse")
+    for path, _, _ in fields(kind) if path and path[-1] in LISTS_AND_CLAIMS
+])
+def test_a_dropped_list_or_claim_field_is_missing(kind, path):
+    with pytest.raises(ParseError) as info:
+        certificate_from_doc(mutate(kind, path, REMOVED))
+    assert (info.value.location, info.value.message) == (path_text(path), "missing field")
 
 
 def coeff_fields():

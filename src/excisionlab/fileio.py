@@ -153,8 +153,8 @@ def algebra_from_doc(doc):
     if doc.get("field") != "rational":
         raise ParseError('the "field" entry must be "rational"', "field")
     dimension = _get(doc, "dimension", int)
-    labels = _get(doc, "basis", list)
-    if len(labels) != dimension or not all(isinstance(x, str) for x in labels):
+    labels = [label for _, label in _each(doc, "basis", str)]
+    if len(labels) != dimension:
         raise ParseError(f"basis must list exactly {dimension} labels", "basis")
     constants = {}
     for spot, record in _each(doc, "products", dict):
@@ -286,32 +286,15 @@ def save_chain(path, chain):
 
 
 def schedule_to_doc(schedule):
-    return {
-        "degree": schedule.degree,
-        "units": [vector_to_list(u) for u in schedule.units],
-        "targets": [
-            [vector_to_list(s) for s in targets]
-            for targets in schedule.provenance
-        ],
-    }
+    return {"units": [vector_to_list(u) for u in schedule.units]}
 
 
 def schedule_from_doc(doc, dimension):
     _typed(doc, dict, "")
-    units = [
+    return UnitSchedule(tuple(
         _vector_from_list(u, dimension, spot)
         for spot, u in _each(doc, "units", list)
-    ]
-    provenance = [
-        [_vector_from_list(s, dimension, f"{spot}[{r}]") for r, s in enumerate(targets)]
-        for spot, targets in _each(doc, "targets", list)
-    ]
-    if len(provenance) != len(units):
-        raise ParseError("one target list per unit required", "targets")
-    if _get(doc, "degree", int) != len(units):
-        raise ParseError(f"expected the degree {len(units)}, the number of units",
-                         "degree")
-    return UnitSchedule(units, provenance)
+    ))
 
 
 def _boundary_to_doc(certificate):
@@ -348,7 +331,6 @@ def certificate_to_doc(certificate, context):
             "degree": certificate.input.degree,
             "input": chain_to_doc(certificate.input),
             "output": chain_to_doc(certificate.output),
-            "homotopy": chain_to_doc(certificate.homotopy),
             "unit": vector_to_list(certificate.unit),
         }
     if isinstance(certificate, BoundaryCertificate):
@@ -373,14 +355,17 @@ def certificate_to_doc(certificate, context):
 
 def certificate_from_doc(doc):
     """(certificate object, split basis) reconstructed from a document,
-    whose `degree` must be that of its input (its lhs, for a boundary)."""
+    whose `degree` must be that of its input (its lhs, for a boundary).
+    A field the reader does not read is ignored, so a document that still
+    carries a derived field (a descent's `homotopy`, a schedule's `degree`
+    or `targets`) reads as the document without it."""
     _typed(doc, dict, "")
     kind = doc.get("kind")
     _, _, split = _nested(doc, "algebra", algebra_from_doc)
     if kind == "descent":
         certificate = DescentCertificate(
             **{key: _nested(doc, key, chain_from_doc, split)
-               for key in ("input", "output", "homotopy")},
+               for key in ("input", "output")},
             unit=_vector_from_list(_get(doc, "unit", list), split.dimension, "unit"),
         )
     elif kind == "boundary":

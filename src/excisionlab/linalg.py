@@ -182,7 +182,7 @@ class SparseVector(_Sparse):
         )
 
     def __hash__(self):
-        return hash((self.dimension, tuple(sorted(self.entries.items()))))
+        return hash((self.dimension, frozenset(self.entries.items())))
 
     def __repr__(self):
         body = ", ".join(f"{i}: {v}" for i, v in self.items())

@@ -119,35 +119,17 @@ def _first_failing_target(ideal, targets):
 
 @dataclass(frozen=True)
 class UnitSchedule:
-    """Units (e_1, ..., e_n) with the target sets each one was solved against.
+    """Units (e_1, ..., e_n): units[i-1] is e_i in parent coordinates.
 
-    units[i-1] is e_i in parent coordinates; provenance[i-1] is the exact
-    target list for e_i, so a schedule can be replayed and re-verified.
+    A schedule records no targets: `check_schedule` derives them, by
+    `level_targets`, from the chain the schedule is applied to.
     """
 
     units: tuple
-    provenance: tuple = ()
-
-    def __init__(self, units, provenance=None):
-        units = tuple(units)
-        if provenance is None:
-            provenance = tuple(() for _ in units)
-        else:
-            provenance = tuple(tuple(p) for p in provenance)
-        if len(provenance) != len(units):
-            raise ValueError("one provenance entry per unit required")
-        object.__setattr__(self, "units", units)
-        object.__setattr__(self, "provenance", provenance)
 
     @property
     def degree(self):
         return len(self.units)
-
-    def verify(self, algebra):
-        """Re-check every recorded equation e_i·s = s through the structure
-        constants; returns True iff all hold exactly."""
-        return all(algebra.mul(e, s) == s
-                   for e, targets in zip(self.units, self.provenance) for s in targets)
 
 
 def level_targets(context, tuples, level, above):
@@ -186,7 +168,7 @@ def build_unit_schedule(tuples, context, degree):
             raise ValueError(f"tuple {t} does not have degree {n}")
         if not context.is_ideal_index(t[0]):
             raise ValueError(f"tuple {t} has a non-ideal initial slot")
-    units, provenance, above = [], [], None
+    units, above = [], None
     for level in range(n, 0, -1):
         targets = level_targets(context, tuples, level, above)
         key = ("local_unit", tuple(targets))
@@ -197,8 +179,7 @@ def build_unit_schedule(tuples, context, degree):
         if isinstance(above, NoLocalUnit):
             raise NoLocalUnitError(level, above)
         units.append(above)
-        provenance.append(targets)
-    return UnitSchedule(units[::-1], provenance[::-1])
+    return UnitSchedule(tuple(units[::-1]))
 
 
 def require_degree(schedule, degree):

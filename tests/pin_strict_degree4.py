@@ -1,11 +1,11 @@
 """Pin of the degree-4 strict certificate documents.
 
 `tests/test_fileio.py::test_strict_certificate_documents_are_pinned` pins
-degrees 1-3 in the tier-1 suite.  This script does the same at degree 4,
-which takes too long for tier-1: for every strict top-filtration cycle
-`filtered_cycle_basis(split, 4, 4)` of each corpus split it emits the
-inverse and the descent certificate documents, and checks their count and
-the sha256 of their canonical JSON.  Not collected by pytest; run it as
+degrees 1-3 in the tier-1 suite through `strict_documents_digest`.  This
+script runs it at degree 4, which takes too long for tier-1: for every
+strict top-filtration cycle `filtered_cycle_basis(split, 4, 4)` of each
+corpus split it emits the inverse and the descent certificate documents,
+and checks their count and the sha256 of their canonical JSON.  Not collected by pytest; run it as
 
     python tests/pin_strict_degree4.py
 
@@ -25,32 +25,34 @@ from excisionlab.fileio import certificate_to_doc, demo_corpus  # noqa: E402
 from excisionlab.units import build_unit_schedule  # noqa: E402
 from support import filtered_cycle_basis  # noqa: E402
 
-DEGREE = 4
+DEGREES = (4,)
 DOCUMENTS = 6046
-DIGEST = "4ce359b7a785dd285d292bcf22f9b497ad8e69a2e9740f9c69f1b5281648f9a1"
+DIGEST = "c60f4ca786e259ba72f76f091fc2cb9d49f03896cc35a6035f12516e0d9af794"
 
 
-def strict_documents_digest(degree=DEGREE):
+def strict_documents_digest(degrees):
     """(document count, sha256 hex digest) over the documents of the strict
-    cycles of `degree`, in corpus and basis order."""
+    cycles of each of `degrees`, by corpus split, then degree, then basis
+    order."""
     digest = hashlib.sha256()
     count = 0
     for demo in demo_corpus():
         split = demo.split
-        for cycle in filtered_cycle_basis(split, degree, degree):
-            schedule = build_unit_schedule(sorted(cycle.terms), split, degree)
-            for cert in (
-                inverse_excision(cycle, schedule),
-                descent_step(cycle, schedule.units[-1]),
-            ):
-                doc = certificate_to_doc(cert, split)
-                digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
-                count += 1
+        for degree in degrees:
+            for cycle in filtered_cycle_basis(split, degree, degree):
+                schedule = build_unit_schedule(sorted(cycle.terms), split, degree)
+                for cert in (
+                    inverse_excision(cycle, schedule),
+                    descent_step(cycle, schedule.units[-1]),
+                ):
+                    doc = certificate_to_doc(cert, split)
+                    digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+                    count += 1
     return count, digest.hexdigest()
 
 
 def main():
-    count, digest = strict_documents_digest()
+    count, digest = strict_documents_digest(DEGREES)
     print(f"{count} documents, sha256 {digest}")
     if count != DOCUMENTS:
         sys.exit(f"expected {DOCUMENTS} documents, got {count}")

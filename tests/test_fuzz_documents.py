@@ -23,8 +23,8 @@ from test_malformed_documents import (  # noqa: E402
 
 # the document's own keys and values, so that a fuzzed subtree is often
 # nearly well-formed and gets past the first check
-KEYS = ["degree", "terms", "coeff", "slots", "op", "space", "units", "targets",
-        "lhs", "rhs", "witness", "basis_vectors", "left", "right", "result", "index"]
+KEYS = ["degree", "terms", "coeff", "slots", "op", "space", "units", "lhs",
+        "rhs", "witness", "basis_vectors", "left", "right", "result", "index"]
 LEAVES = (st.none() | st.booleans() | st.integers(-2, 4) | st.text(max_size=3)
           | st.sampled_from(["0", "1", "-1", "1/2", "hc", "hh", "I", "relative", "A"]))
 JSON = st.recursive(

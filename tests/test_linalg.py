@@ -54,6 +54,9 @@ def test_sparse_vector_drops_zeros_and_checks_range():
     assert stored_exactly(v.entries.values())
     assert v.entries[0] is half
     assert v.get(3) == 0 and type(v.get(3)) is int
+    # equal vectors hash equal, whatever order their entries came in
+    w = SparseVector(4, {2: 5, 1: "-2/3", 0: half})
+    assert w == v and hash(w) == hash(v)
 
 
 # Each way a scalar enters storage, as (split) -> the stored values of a

@@ -40,8 +40,8 @@ from .linalg import (
     SparseMatrix,
     _Sparse,
     _accumulate,
-    _eliminate,
     _exact,
+    _pivot_columns,
     echelon,
     format_scalar,
     kernel_basis,
@@ -439,7 +439,7 @@ def boundary_matrix(context, variant, degree):
             r, sign = hit
             _accumulate(out, r, sign * v)
         for r, v in out.items():
-            entries[(r, c)] = _exact(v)
+            entries[(r, c)] = v if type(v) is int else _exact(v)
     return SparseMatrix._assembled(len(rows), len(cols), entries), cols, rows
 
 
@@ -482,11 +482,13 @@ class HomologyReport:
 def _homology_basis(context, variant, degree):
     """The kernel vectors ({column: value}) of ∂_degree that represent its
     homology, once ∂_degree ∘ ∂_(degree+1) = 0 is checked on the assembled
-    matrices.  The kernel vector v_f is 1 at free column f and 0 at the
-    other free columns; it is kept unless some boundary, projected onto the
-    free columns, has its last nonzero entry at f, and those last entries
-    are the pivots of the projected boundary columns eliminated in reversed
-    column order."""
+    matrices, one column of ∂_(degree+1) at a time (`boundary_matrix` stores
+    each column's entries together).  The kernel vector v_f is 1 at free
+    column f and 0 at the other free columns; it is kept unless some
+    boundary, projected onto the free columns, has its last nonzero entry
+    at f.  Those last entries are the pivot columns of the projected
+    boundaries with the free columns in reversed order, and only they are
+    computed (`_pivot_columns`), not the reduced rows."""
     up = boundary_matrix(context, variant, degree + 1)[0]
     free = list(range(up.rows))
     if degree > 0:
@@ -495,10 +497,14 @@ def _homology_basis(context, variant, degree):
         down_cols = {}
         for (r, k), v in record.entries.items():
             down_cols.setdefault(k, []).append((r, v))
-        product = {}
+        product, column = {}, 0
         for (k, c), v in up.entries.items():
+            if c != column:
+                if product:
+                    break
+                column = c
             for r, d in down_cols.get(k, ()):
-                _accumulate(product, (r, c), v * d)
+                _accumulate(product, r, v * d)
         if product:
             raise ComplexInvariantError(
                 f"∂{degree}∘∂{degree + 1} is not zero on the "
@@ -511,7 +517,7 @@ def _homology_basis(context, variant, degree):
         k = position.get(r)
         if k is not None:
             rows[c][k] = v
-    boundary = {free[last - k] for k in _eliminate(rows, len(free))[0]}
+    boundary = {free[last - k] for k in _pivot_columns(rows, len(free))}
     chosen = [f for f in free if f not in boundary]
     if degree == 0:
         return [{f: 1} for f in chosen]

@@ -17,6 +17,8 @@ denominators), and a value becomes a `Fraction` only when a reduced entry
 is read out as the quotient of an integer entry by its row's pivot entry.
 The reduced row echelon form is unique, so pivots, kernels and solutions
 are exactly those of Gauss-Jordan over `Fraction`; only the cost differs.
+Where only pivots are read, `_pivot_columns` reduces row by row against the
+rows kept so far (`_reduce`, shared with `IncrementalSpan`), with no log.
 """
 
 from __future__ import annotations
@@ -382,6 +384,50 @@ def _eliminate(rows, cols):
     return pivots, [rows[i] for i in pivot_rows], pivot_rows, scales, steps
 
 
+def _reduce(leads, row):
+    """Reduce the primitive integer row dict `row` in place, fraction-free,
+    against `leads` (leading column -> primitive integer row) until it is
+    empty or its leading column leads no row there; return it."""
+    while row:
+        lead = min(row)
+        pivot = leads.get(lead)
+        if pivot is None:
+            return row
+        a = pivot[lead]
+        b = row.pop(lead)
+        g = gcd(a, b)
+        scale, factor = a // g, b // g
+        if scale != 1:
+            for j in row:
+                row[j] *= scale
+        for j, pv in pivot.items():
+            if j == lead:
+                continue
+            nv = row.get(j, 0) - factor * pv
+            if nv:
+                row[j] = nv
+            else:
+                del row[j]
+        _divide_content(row)
+    return row
+
+
+def _pivot_columns(rows, cols):
+    """`_eliminate(rows, cols)[0]` for the row dicts `rows`, left unchanged:
+    each row is reduced against the rows kept before it and kept under its
+    leading column if anything is left.  Every echelon basis of a row space
+    has the pivots of its RREF as leading columns.  Stops at full rank."""
+    leads = {}
+    for row in rows:
+        if row:
+            row = _reduce(leads, _primitive(row)[0])
+            if row:
+                leads[min(row)] = row
+                if len(leads) == cols:
+                    break
+    return sorted(leads)
+
+
 def echelon(matrix):
     """Eliminate the `SparseMatrix` `matrix` once and return its `Echelon`
     record."""
@@ -468,7 +514,7 @@ class IncrementalSpan:
     is exact membership.  Used to check that an ideal basis is independent
     and its span two-sided, and to complete it to a split basis.  Rows are
     stored as primitive integer rows with a positive leading entry and
-    reduced fraction-free, as in `_eliminate`; a vector is in the span
+    reduced fraction-free by `_reduce`; a vector is in the span
     exactly when it reduces to zero, whatever nonzero multiple of each row
     is stored, so the answers are those of reduction over `Fraction`.
     """
@@ -477,35 +523,10 @@ class IncrementalSpan:
         self.dimension = dimension
         self._rows = {}  # leading column -> primitive integer row dict
 
-    def _reduce(self, vector):
-        row = _primitive(vector.entries)[0]
-        while row:
-            lead = min(row)
-            pivot = self._rows.get(lead)
-            if pivot is None:
-                return row
-            a = pivot[lead]
-            b = row.pop(lead)
-            g = gcd(a, b)
-            scale, factor = a // g, b // g
-            if scale != 1:
-                for j in row:
-                    row[j] *= scale
-            for j, pv in pivot.items():
-                if j == lead:
-                    continue
-                nv = row.get(j, 0) - factor * pv
-                if nv:
-                    row[j] = nv
-                else:
-                    del row[j]
-            _divide_content(row)
-        return row
-
     def add(self, vector):
         if vector.dimension != self.dimension:
             raise ValueError("dimension mismatch")
-        row = self._reduce(vector)
+        row = _reduce(self._rows, _primitive(vector.entries)[0])
         if not row:
             return False
         lead = min(row)
@@ -517,7 +538,7 @@ class IncrementalSpan:
     def contains(self, vector):
         if vector.dimension != self.dimension:
             raise ValueError("dimension mismatch")
-        return not self._reduce(vector)
+        return not _reduce(self._rows, _primitive(vector.entries)[0])
 
     def __len__(self):
         return len(self._rows)

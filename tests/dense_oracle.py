@@ -11,7 +11,9 @@ differential walks.  `sign_word_closed_formula` expands the paper's
 inverse formula word by word with the same products, as the reference for
 the library's fold over the slots.  The exception is
 `incremental_span_homology`, the library's former choice of homology
-representatives, kept as the reference for the projection that replaced it.
+representatives, kept as the reference for the projection that replaced it:
+it reads the library's matrices, kernels and images, but grows its span by
+its own sparse integer reduction (`_enlarges`), not the library's.
 """
 
 from fractions import Fraction
@@ -284,16 +286,49 @@ def image_columns(matrix):
     return [SparseVector(matrix.rows, column) for column in columns.values()]
 
 
+def _enlarges(span, vector):
+    """Reduce the rational `vector` ({index: value}) over Z against `span`
+    (leading index -> integer row dict), each step made primitive by
+    `_reduce_row`; keep what is left under its leading index and return
+    True, or return False when nothing is left."""
+    scale = lcm(*(Fraction(v).denominator for v in vector.values()))
+    row = {j: int(v * scale) for j, v in vector.items()}
+    while row:
+        lead = min(row)
+        pivot = span.get(lead)
+        if pivot is None:
+            span[lead] = row
+            return True
+        g = gcd(pivot[lead], row[lead])
+        a, b = pivot[lead] // g, row[lead] // g
+        del row[lead]
+        if a != 1:
+            for j in row:
+                row[j] *= a
+        for j, v in pivot.items():
+            if j != lead:
+                nv = row.get(j, 0) - b * v
+                if nv:
+                    row[j] = nv
+                else:
+                    del row[j]
+        values = list(row.values())
+        reduced = _reduce_row(values)
+        if reduced is not values:
+            row = dict(zip(row, reduced))
+    return False
+
+
 def incremental_span_homology(split, variant, degree):
-    """(dimension, representatives as {tuple: value} dicts) by growing an
-    `IncrementalSpan`: the boundaries (`image_columns` of ∂_(degree+1)) go in
-    first, then each kernel basis vector of ∂_degree in order, and a kernel
-    vector is a representative when it enlarges the span.  It runs on the
+    """(dimension, representatives as {tuple: value} dicts) by growing a
+    span: the boundaries (`image_columns` of ∂_(degree+1)) go in first, then
+    each kernel basis vector of ∂_degree in order, and a kernel vector is a
+    representative when it enlarges the span (`_enlarges`).  It runs on the
     library's matrices and elimination, each checked against a dense
     reference elsewhere, and shares nothing with `chains.homology` itself.
     """
     from excisionlab.chains import basis_tuples, boundary_matrix
-    from excisionlab.linalg import IncrementalSpan, SparseVector, kernel_basis
+    from excisionlab.linalg import SparseVector, kernel_basis
 
     tuples = basis_tuples(split, variant, degree)
     if degree == 0:
@@ -301,12 +336,12 @@ def incremental_span_homology(split, variant, degree):
     else:
         cycles = kernel_basis(boundary_matrix(split, variant, degree)[0])
     boundaries = image_columns(boundary_matrix(split, variant, degree + 1)[0])
-    span = IncrementalSpan(len(tuples))
+    span = {}
     for vector in boundaries:
-        span.add(vector)
+        _enlarges(span, vector.entries)
     representatives = [
         {tuples[i]: v for i, v in vector.entries.items()}
         for vector in cycles
-        if span.add(vector)
+        if _enlarges(span, vector.entries)
     ]
     return len(cycles) - len(boundaries), representatives

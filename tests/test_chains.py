@@ -458,28 +458,52 @@ def test_homology_matches_the_incremental_span_reference(corpus):
     assert cases == 351
 
 
+def _add_one(matrix, r, c):
+    """Add 1 to entry (r, c) of `matrix` in place, storing a new entry
+    after the others of column c, so that each column stays together."""
+    entries = matrix.entries
+    if (r, c) in entries:
+        entries[(r, c)] += 1
+        return
+    items = list(entries.items())
+    last = max(i for i, ((_, k), _) in enumerate(items) if k == c)
+    items.insert(last + 1, ((r, c), 1))
+    entries.clear()
+    entries.update(items)
+
+
 @pytest.mark.parametrize("op, space, degree", [("hh", "A", 1), ("hc", "relative", 2)])
 def test_homology_rejects_a_complex_whose_square_is_not_zero(t2, op, space, degree):
-    split = _fresh_split(t2)
-    variant = Variant(op, space)
-    down = boundary_matrix(split, variant, degree)[0]
-    up = boundary_matrix(split, variant, degree + 1)[0]
-    used = {k for (_, k) in down.entries}
-    # moving up[r, c] by 1 moves column c of ∂∂ by column r of ∂, not zero
-    r, c = next((r, c) for (r, c) in up.entries if r in used)
-    up.entries[(r, c)] += 1
-    with pytest.raises(ComplexInvariantError, match="not zero"):
-        homology(split, variant, degree)
+    # ∂∂ is checked one stored column of ∂_(degree+1) at a time, the last
+    # column after the loop over the entries: perturb an entry that meets ∂,
+    # the first stored column and the last
+    for where in ("meets ∂", 0, -1):
+        split = _fresh_split(t2)
+        variant = Variant(op, space)
+        down = boundary_matrix(split, variant, degree)[0]
+        up = boundary_matrix(split, variant, degree + 1)[0]
+        used = {k for (_, k) in down.entries}
+        stored = list(up.entries)
+        if where == "meets ∂":
+            r, c = next((r, c) for (r, c) in stored if r in used)
+        else:
+            r, c = min(used), stored[where][1]
+        # moving up[r, c] by 1 moves column c of ∂∂ by column r of ∂, not zero
+        _add_one(up, r, c)
+        with pytest.raises(ComplexInvariantError, match="not zero"):
+            homology(split, variant, degree)
 
 
 def _count_eliminations(monkeypatch):
     """Count `linalg._eliminate` calls by shape outside the unit search, and
-    in number inside it.  Local units are memoised per split by their target
+    in number inside it, and the homology projections (`_pivot_columns` in
+    `chains`) by shape.  Local units are memoised per split by their target
     set, so their small systems are counted apart from the chain complexes
     and the inverse systems."""
-    counts = {"complex": [], "unit": 0}
+    counts = {"complex": [], "unit": 0, "projection": []}
     inside_unit_search = []
     original = linalg._eliminate
+    pivot_columns = chains._pivot_columns
     find_unit = units.find_local_left_unit
 
     def eliminate(rows, cols):
@@ -489,6 +513,10 @@ def _count_eliminations(monkeypatch):
             counts["complex"].append((len(rows), cols))
         return original(rows, cols)
 
+    def project(rows, cols):
+        counts["projection"].append((len(rows), cols))
+        return pivot_columns(rows, cols)
+
     def unit_search(ideal, targets):
         inside_unit_search.append(True)
         try:
@@ -497,7 +525,7 @@ def _count_eliminations(monkeypatch):
             inside_unit_search.pop()
 
     monkeypatch.setattr(linalg, "_eliminate", eliminate)
-    monkeypatch.setattr(chains, "_eliminate", eliminate)
+    monkeypatch.setattr(chains, "_pivot_columns", project)
     monkeypatch.setattr(units, "find_local_left_unit", unit_search)
     return counts
 
@@ -513,9 +541,13 @@ def test_each_system_is_eliminated_once(corpus, monkeypatch):
         # every corpus class is all-ideal, so no stacked system is built
         assert ("_inverse_system", degree) not in split.chain_cache
         witness_eliminations = list(counts["complex"])
-        # no complex is eliminated twice (told apart by shape): on matrix2
-        # the ideal is the whole algebra, and its spaces share one complex
-        assert len(set(witness_eliminations)) == len(witness_eliminations), demo.name
+        projections = counts["projection"]
+        # no complex is eliminated or projected twice (told apart by shape):
+        # on matrix2 the ideal is the whole algebra, and its spaces share
+        # one complex
+        assert projections, demo.name
+        for reduced in (witness_eliminations, projections):
+            assert len(set(reduced)) == len(reduced), demo.name
         if split.ideal_count == split.dimension:
             for op in VARIANT_OPS:
                 for n in range(1, degree + 2):
@@ -526,8 +558,9 @@ def test_each_system_is_eliminated_once(corpus, monkeypatch):
                         assert len(shared) == 1, (op, n, memoised.__name__)
         counts["complex"].clear()
         counts["unit"] = 0
+        projections.clear()
         assert isomorphism_witness(split, degree) == first
-        assert counts["complex"] == [], demo.name
+        assert counts["complex"] == [] and projections == [], demo.name
         assert counts["unit"] == 0, demo.name
         # a direct solve eliminates the stacked system once, then replays
         system = _inverse_system(split, degree)[0]
@@ -538,4 +571,4 @@ def test_each_system_is_eliminated_once(corpus, monkeypatch):
         for chain in solved:
             for scale in (1, -3):
                 _invert_by_solve(chain.scaled(scale))
-        assert counts["complex"] == [], demo.name
+        assert counts["complex"] == [] and projections == [], demo.name

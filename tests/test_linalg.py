@@ -1,8 +1,9 @@
 import copy
 import random
+from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 
@@ -12,6 +13,8 @@ from excisionlab.linalg import (
     SparseMatrix,
     SparseVector,
     Unsolvable,
+    _eliminate,
+    _pivot_columns,
     echelon,
     invert,
     kernel_basis,
@@ -19,6 +22,7 @@ from excisionlab.linalg import (
     solve,
 )
 
+from dense_oracle import int_rank
 from support import stored_exactly
 
 
@@ -493,6 +497,82 @@ def test_incremental_span_matches_reference_rank():
             added.append(vector)
             assert len(span) == after
             assert span.contains(vector)
+
+
+class _Unread(dict):
+    """A row that fails the test when it is read."""
+
+    def __bool__(self):
+        raise AssertionError("a row after full column rank was read")
+
+
+def _dense_int_rank(rows, cols):
+    """The rank of the rational row dicts `rows` by the dense oracle."""
+    dense = []
+    for row in rows:
+        scale = lcm(*(Fraction(v).denominator for v in row.values()))
+        dense.append([int(row.get(j, 0) * scale) for j in range(cols)])
+    return int_rank([r for r in dense if any(r)])
+
+
+def test_pivot_columns_match_elimination():
+    """`_pivot_columns` gives the pivots of `_eliminate` and the rank of the
+    dense oracle on seeded sparse rows, integer and `Fraction`, with zero
+    rows and repeated rows (up to a scale), rank-deficient and of full
+    column rank, and leaves its rows unchanged."""
+    rng = random.Random(3141)
+    seen = Counter()
+    for _ in range(400):
+        cols = rng.randint(0, 9)
+        rational = rng.random() < 0.5
+        density = rng.choice([0.15, 0.4, 0.8])
+        rows = []
+        for _ in range(rng.randint(0, 14)):
+            pick = rng.random()
+            if pick < 0.15:
+                row = {}
+            elif pick < 0.35 and rows:
+                scale = rng.choice([1, -1, 3, Fraction(-2, 7)])
+                row = {j: scale * v for j, v in rng.choice(rows).items()}
+                seen["repeated"] += 1
+            else:
+                row = {}
+                for j in range(cols):
+                    if rng.random() < density:
+                        v = rng.randint(-4, 4)
+                        if rational:
+                            v = Fraction(v, rng.randint(1, 6))
+                        if v:
+                            row[j] = v
+            seen["zero rows"] += not row
+            rows.append(row)
+        snapshot = copy.deepcopy(rows)
+        pivots = _pivot_columns(rows, cols)
+        assert rows == snapshot
+        assert pivots == _eliminate(copy.deepcopy(rows), cols)[0]
+        assert len(pivots) == _dense_int_rank(rows, cols)
+        nonzero = sum(1 for row in rows if row)
+        if cols and len(pivots) == cols:
+            seen["full column rank"] += 1
+        elif len(pivots) < min(nonzero, cols):
+            seen["rank-deficient"] += 1
+        seen["rational"] += rational and nonzero > 0
+    assert seen["full column rank"] >= 30
+    assert seen["rank-deficient"] >= 30
+    assert seen["repeated"] >= 200
+    assert seen["zero rows"] >= 200
+    assert seen["rational"] >= 100
+
+    # full column rank is reached at the third row; the rows after it add
+    # nothing new and are not read
+    rows = [{0: 2, 2: 4}, {1: Fraction(1, 3)}, {0: 1, 2: 3}]
+    assert _pivot_columns(rows, 3) == _eliminate(copy.deepcopy(rows), 3)[0] == [0, 1, 2]
+    tail = [{0: 5, 1: -1, 2: 7}, {1: 1}]
+    assert _pivot_columns(rows + [_Unread(row) for row in tail], 3) == [0, 1, 2]
+    assert _eliminate(copy.deepcopy(rows + tail), 3)[0] == [0, 1, 2]
+    # a row that is not reduced to zero is kept under its new leading column
+    assert _pivot_columns([{0: 1, 1: 1}, {0: 2, 1: 2}, {}, {1: 3, 2: 1}], 3) == [0, 1]
+    assert _pivot_columns([{0: 1}, {0: 1, 2: 1}], 3) == [0, 2]
 
 
 def test_far_pivot_is_swapped_up():

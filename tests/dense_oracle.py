@@ -12,8 +12,8 @@ inverse formula word by word with the same products, as the reference for
 the library's fold over the slots.  The exception is
 `incremental_span_homology`, the library's former choice of homology
 representatives, kept as the reference for the projection that replaced it:
-it reads the library's matrices, kernels and images, but grows its span by
-its own sparse integer reduction (`_enlarges`), not the library's.
+it reads the library's matrices and kernels, but grows its span by its own
+sparse integer reduction (`_enlarges`), not the library's.
 """
 
 from fractions import Fraction
@@ -321,11 +321,12 @@ def _enlarges(span, vector):
 
 def incremental_span_homology(split, variant, degree):
     """(dimension, representatives as {tuple: value} dicts) by growing a
-    span: the boundaries (`image_columns` of ∂_(degree+1)) go in first, then
-    each kernel basis vector of ∂_degree in order, and a kernel vector is a
-    representative when it enlarges the span (`_enlarges`).  It runs on the
-    library's matrices and elimination, each checked against a dense
-    reference elsewhere, and shares nothing with `chains.homology` itself.
+    span: every column of ∂_(degree+1) goes in first, and those that
+    enlarge it count the rank of the boundaries; then each kernel basis
+    vector of ∂_degree in order, and a kernel vector is a representative
+    when it enlarges the span (`_enlarges`).  It reads the library's
+    matrices and kernels, each checked against a dense reference
+    elsewhere, and shares nothing with `chains.homology` itself.
     """
     from excisionlab.chains import basis_tuples, boundary_matrix
     from excisionlab.linalg import SparseVector, kernel_basis
@@ -335,13 +336,15 @@ def incremental_span_homology(split, variant, degree):
         cycles = [SparseVector.unit(len(tuples), i) for i in range(len(tuples))]
     else:
         cycles = kernel_basis(boundary_matrix(split, variant, degree)[0])
-    boundaries = image_columns(boundary_matrix(split, variant, degree + 1)[0])
+    up = boundary_matrix(split, variant, degree + 1)[0]
+    columns = [{} for _ in range(up.cols)]
+    for (r, c), v in up.entries.items():
+        columns[c][r] = v
     span = {}
-    for vector in boundaries:
-        _enlarges(span, vector.entries)
+    rank = sum(_enlarges(span, column) for column in columns)
     representatives = [
         {tuples[i]: v for i, v in vector.entries.items()}
         for vector in cycles
         if _enlarges(span, vector.entries)
     ]
-    return len(cycles) - len(boundaries), representatives
+    return len(cycles) - rank, representatives

@@ -3,7 +3,7 @@ import random
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 import pytest
 
@@ -22,7 +22,7 @@ from excisionlab.linalg import (
     solve,
 )
 
-from dense_oracle import int_rank
+from dense_oracle import _int_rows, int_rank
 from support import stored_exactly
 
 
@@ -506,15 +506,6 @@ class _Unread(dict):
         raise AssertionError("a row after full column rank was read")
 
 
-def _dense_int_rank(rows, cols):
-    """The rank of the rational row dicts `rows` by the dense oracle."""
-    dense = []
-    for row in rows:
-        scale = lcm(*(Fraction(v).denominator for v in row.values()))
-        dense.append([int(row.get(j, 0) * scale) for j in range(cols)])
-    return int_rank([r for r in dense if any(r)])
-
-
 def test_pivot_columns_match_elimination():
     """`_pivot_columns` gives the pivots of `_eliminate` and the rank of the
     dense oracle on seeded sparse rows, integer and `Fraction`, with zero
@@ -550,7 +541,8 @@ def test_pivot_columns_match_elimination():
         pivots = _pivot_columns(rows, cols)
         assert rows == snapshot
         assert pivots == _eliminate(copy.deepcopy(rows), cols)[0]
-        assert len(pivots) == _dense_int_rank(rows, cols)
+        dense = [[row.get(j, 0) for j in range(cols)] for row in rows]
+        assert len(pivots) == int_rank(_int_rows(dense))
         nonzero = sum(1 for row in rows if row)
         if cols and len(pivots) == cols:
             seen["full column rank"] += 1

@@ -3,7 +3,9 @@
 An algebra here need not be commutative and need not have a unit.  Ideals are
 two-sided; a split basis lists an ideal basis first and a complement lifting
 a basis of the quotient, and every chain-level computation downstream runs in
-the coordinates of that ordered basis.
+the coordinates of that ordered basis.  `make_split_basis` is the one check
+of an ideal: it refuses dependent basis vectors, and reads its split's own
+product table to refuse an ideal that is not two-sided with `NotTwoSided`.
 
 An algebra holds its structure constants once, in `Algebra.structure_table`;
 products, equality, the associativity check and documents all read it.  Its
@@ -13,6 +15,7 @@ integral, so products run in `int` arithmetic wherever they can.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .linalg import (
@@ -20,9 +23,7 @@ from .linalg import (
     SparseMatrix,
     SparseVector,
     _accumulate,
-    _combination,
-    echelon,
-    solve,
+    invert,
 )
 
 
@@ -39,13 +40,13 @@ class Algebra:
     __slots__ = ("dimension", "basis_labels", "structure_table")
 
     def __init__(self, dimension, basis_labels, structure_constants):
-        self.dimension = int(dimension)
+        self.dimension = operator.index(dimension)
         if len(basis_labels) != self.dimension:
             raise ValueError("one label per basis element required")
         self.basis_labels = list(basis_labels)
         table = {}
         for (i, j), vec in structure_constants.items():
-            i, j = int(i), int(j)
+            i, j = operator.index(i), operator.index(j)
             if not (0 <= i < self.dimension and 0 <= j < self.dimension):
                 raise ValueError(f"product index ({i}, {j}) out of range")
             if vec.dimension != self.dimension:
@@ -145,45 +146,35 @@ class Ideal:
         return f"Ideal(dim={self.dimension} in {self.parent!r})"
 
 
-@dataclass(frozen=True)
-class NotTwoSided:
-    """A product that escapes the span: side is "left" for a*x, "right" for x*a."""
+class NotTwoSided(ValueError):
+    """The ideal is not two-sided: for the split basis element f_a at
+    `split_index` and the ideal basis element f_x at `ideal_index`, the
+    product f_a·f_x (`side` "left") or f_x·f_a (`side` "right") leaves the
+    ideal.  `product` is that product in parent coordinates."""
 
-    side: str
-    algebra_index: int
-    ideal_index: int
-    product: SparseVector
+    def __init__(self, side, split_index, ideal_index, product):
+        super().__init__(
+            f"the ideal is not two-sided: the {side} product of split basis "
+            f"element {split_index} and ideal element {ideal_index} leaves it"
+        )
+        self.side, self.split_index = side, split_index
+        self.ideal_index, self.product = ideal_index, product
+
+
+class DependentComplement(ValueError):
+    """A complement vector depends on the ideal or on the complement vectors
+    before it."""
 
 
 def validate_ideal(ideal):
-    """Check linear independence and two-sidedness.
-
-    Dependent basis vectors are a malformed input and raise; a product
-    escaping the span is the mathematically interesting failure and is
-    returned as a NotTwoSided witness.
-    """
-    span = IncrementalSpan(ideal.parent.dimension)
-    for idx, v in enumerate(ideal.basis_vectors):
-        if not span.add(v):
-            raise ValueError(f"ideal basis vector {idx} depends on the previous ones")
-    algebra = ideal.parent
-    for a in range(algebra.dimension):
-        ea = algebra.basis_vector(a)
-        for x_idx, x in enumerate(ideal.basis_vectors):
-            left = algebra.mul(ea, x)
-            if not span.contains(left):
-                return NotTwoSided("left", a, x_idx, left)
-            right = algebra.mul(x, ea)
-            if not span.contains(right):
-                return NotTwoSided("right", a, x_idx, right)
+    """The `NotTwoSided` that `make_split_basis(ideal)` raises, or None when
+    the ideal is two-sided; dependent basis vectors raise ValueError."""
+    try:
+        make_split_basis(ideal)
+    except NotTwoSided as failure:
+        # without its traceback, which would keep the refused split alive
+        return failure.with_traceback(None)
     return None
-
-
-def _coordinates(columns, vector):
-    """`vector` in the basis whose inverse matrix has the columns `columns`."""
-    return _combination(
-        len(columns), [(v, columns[j]) for j, v in vector.entries.items()]
-    )
 
 
 class _ProductTable(dict):
@@ -196,14 +187,14 @@ class _ProductTable(dict):
     dropped split is freed without the cyclic garbage collector.
     """
 
-    def __init__(self, mul, basis, columns):
+    def __init__(self, mul, basis, inverse):
         super().__init__()
-        self._mul, self._basis, self._columns = mul, basis, columns
+        self._mul, self._basis, self._inverse = mul, basis, inverse
 
     def __missing__(self, key):
         i, j = key
         basis = self._basis
-        product = _coordinates(self._columns, self._mul(basis[i], basis[j]))
+        product = self._inverse.matvec(self._mul(basis[i], basis[j]))
         row = self[key] = tuple(product.entries.items())
         return row
 
@@ -221,22 +212,14 @@ class SplitBasis:
         self.ideal = ideal
         self.parent = ideal.parent
         self.ordered_basis = list(ordered_basis)
-        self.ideal_count = int(ideal_count)
+        self.ideal_count = operator.index(ideal_count)
         self.dimension = self.parent.dimension
-        if len(self.ordered_basis) != self.dimension:
-            raise ValueError("ordered basis must span the parent algebra")
-        record = echelon(
+        # parent -> split coordinates; a basis of the wrong length is not square
+        self._inverse = invert(
             SparseMatrix.from_columns(self.ordered_basis, rows=self.dimension)
         )
-        if len(record.pivots) < self.dimension:
-            raise ValueError("matrix is singular")
-        # the columns of the inverse, for fast parent->split conversion
-        self._backward_cols = [
-            solve(record, SparseVector.unit(self.dimension, j))
-            for j in range(self.dimension)
-        ]
         self.product_table = _ProductTable(
-            self.parent.mul, self.ordered_basis, self._backward_cols
+            self.parent.mul, self.ordered_basis, self._inverse
         )
         # basis tuples, boundary matrices, homology bases and the inverse's
         # eliminated system, memoised by `chains` and `excision`, and the
@@ -249,7 +232,7 @@ class SplitBasis:
 
     def to_split(self, vector):
         """Parent coordinates -> coordinates over the ordered basis."""
-        return _coordinates(self._backward_cols, vector)
+        return self._inverse.matvec(vector)
 
     def split_label(self, i):
         """Human-readable name of split position i."""
@@ -275,36 +258,40 @@ class SplitBasis:
 
 
 def make_split_basis(ideal, complement_hint=None):
-    """Complete the ideal basis to a basis of the parent algebra.
+    """Complete the ideal basis to a split basis of the parent algebra: the
+    one check that `ideal` is a two-sided ideal.
 
     Without a hint the complement is filled greedily with standard coordinate
-    vectors in index order, so the result is reproducible.  Hint vectors that
-    are dependent on the ideal (or each other) are rejected.
+    vectors in index order, so the result is reproducible.  An ideal vector
+    that depends on the previous ones raises ValueError, a hint vector that
+    depends on the ideal or on the hint vectors before it raises
+    `DependentComplement`, and an ideal that some product f_a·f_x or f_x·f_a
+    of the split leaves (f_x in the ideal) raises `NotTwoSided`.
     """
     algebra = ideal.parent
     span = IncrementalSpan(algebra.dimension)
-    ordered = []
-    for v in ideal.basis_vectors:
+    for idx, v in enumerate(ideal.basis_vectors):
         if not span.add(v):
-            raise ValueError("ideal basis is not linearly independent")
+            raise ValueError(f"ideal basis vector {idx} depends on the previous ones")
+    ordered = list(ideal.basis_vectors)
+    for idx, v in enumerate(complement_hint or ()):
+        if not span.add(v):
+            raise DependentComplement(
+                f"complement hint vector {idx} depends on the ideal"
+            )
         ordered.append(v)
-    ideal_count = len(ordered)
-    if complement_hint is not None:
-        for idx, v in enumerate(complement_hint):
-            if v.dimension != algebra.dimension:
-                raise ValueError("complement vector has wrong dimension")
-            if not span.add(v):
-                raise ValueError(
-                    f"complement hint vector {idx} depends on the ideal"
-                )
-            ordered.append(v)
-    for i in range(algebra.dimension):
-        if len(ordered) == algebra.dimension:
-            break
-        candidate = algebra.basis_vector(i)
-        if span.add(candidate):
-            ordered.append(candidate)
-    return SplitBasis(ideal, ordered, ideal_count)
+    for e in map(algebra.basis_vector, range(algebra.dimension)):
+        if len(ordered) < algebra.dimension and span.add(e):
+            ordered.append(e)
+    split = SplitBasis(ideal, ordered, len(ideal.basis_vectors))
+    table, count = split.product_table, split.ideal_count
+    for a in range(split.dimension):
+        for x in range(count):
+            for side, pair in (("left", (a, x)), ("right", (x, a))):
+                if any(k >= count for k, _ in table[pair]):
+                    product = algebra.mul(ordered[pair[0]], ordered[pair[1]])
+                    raise NotTwoSided(side, a, x, product)
+    return split
 
 
 def opposite_algebra(algebra):

@@ -31,6 +31,7 @@ differential of its subcomplex C(I).
 
 from __future__ import annotations
 
+import operator
 import os
 from dataclasses import dataclass
 from functools import wraps
@@ -108,7 +109,7 @@ class Chain(_Sparse):
     __slots__ = ("degree", "context", "terms")
 
     def __init__(self, degree, context, terms=None):
-        self.degree = int(degree)
+        self.degree = operator.index(degree)
         if self.degree < 0:
             raise ValueError("chain degree must be non-negative")
         self.context = context

@@ -15,10 +15,10 @@ from itertools import product as iter_product
 
 from .algebra import (
     Algebra,
+    DependentComplement,
     Ideal,
     make_split_basis,
     validate_algebra,
-    validate_ideal,
 )
 from .chains import SPACES, Chain
 from .excision import (
@@ -111,7 +111,10 @@ def vector_to_list(vector):
 
 def _read_json(path):
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ParseError("nested too deeply", "document") from None
 
 
 def _write_json(path, doc):
@@ -184,17 +187,6 @@ def algebra_from_doc(doc):
         for spot, v in _each(_get(doc, "ideal", dict), "basis_vectors",
                              list, "ideal")
     ])
-    try:
-        failure = validate_ideal(ideal)
-    except ValueError as exc:  # dependent basis vectors
-        raise ParseError(str(exc), "ideal") from None
-    if failure is not None:
-        raise ParseError(
-            f"not a two-sided ideal: basis product ({failure.side}, "
-            f"algebra index {failure.algebra_index}, ideal index "
-            f"{failure.ideal_index}) escapes the span",
-            "ideal",
-        )
     hint = None
     if "complement" in doc:
         hint = [
@@ -203,8 +195,10 @@ def algebra_from_doc(doc):
         ]
     try:
         split = make_split_basis(ideal, hint)
-    except ValueError as exc:  # a dependent complement (or ideal) vector
-        raise ParseError(str(exc), "ideal" if hint is None else "complement") from None
+    except DependentComplement as exc:
+        raise ParseError(str(exc), "complement") from None
+    except ValueError as exc:  # a dependent ideal vector, or NotTwoSided
+        raise ParseError(str(exc), "ideal") from None
     return algebra, ideal, split
 
 
@@ -411,7 +405,8 @@ def load_element(path, dimension):
 @dataclass
 class DemoExtension:
     """A ready-made algebra extension satisfying the local-left-unit
-    hypotheses, checked at construction time."""
+    hypotheses, checked at construction time; `make_split_basis`, which
+    built `split`, has checked that the ideal is two-sided."""
 
     name: str
     algebra: Algebra
@@ -422,8 +417,6 @@ class DemoExtension:
     def __post_init__(self):
         if validate_algebra(self.algebra) is not None:
             raise ValueError(f"demo {self.name!r}: the product is not associative")
-        if validate_ideal(self.ideal) is not None:
-            raise ValueError(f"demo {self.name!r}: the ideal is not two-sided")
         unit = find_local_left_unit(self.ideal, self.ideal.basis_vectors)
         if not isinstance(unit, SparseVector):
             raise ValueError(f"demo {self.name!r}: the ideal lacks a local left unit")

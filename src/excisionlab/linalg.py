@@ -19,10 +19,13 @@ The reduced row echelon form is unique, so pivots, kernels and solutions
 are exactly those of Gauss-Jordan over `Fraction`; only the cost differs.
 Where only pivots are read, `_pivot_columns` reduces row by row against the
 rows kept so far (`_reduce`, shared with `IncrementalSpan`), with no log.
+`invert` is the one matrix inverse: a split basis inverts its basis matrix
+through it.
 """
 
 from __future__ import annotations
 
+import operator
 import re
 from collections import namedtuple
 from dataclasses import dataclass
@@ -138,11 +141,11 @@ class SparseVector(_Sparse):
     __slots__ = ("dimension", "entries")
 
     def __init__(self, dimension, entries=None):
-        self.dimension = int(dimension)
+        self.dimension = operator.index(dimension)
         clean = {}
         if entries:
             for index, value in entries.items():
-                index = int(index)
+                index = operator.index(index)
                 if not 0 <= index < self.dimension:
                     raise ValueError(
                         f"index {index} out of range for dimension {self.dimension}"
@@ -197,12 +200,12 @@ class SparseMatrix:
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows, cols, entries=None):
-        self.rows = int(rows)
-        self.cols = int(cols)
+        self.rows = operator.index(rows)
+        self.cols = operator.index(cols)
         clean = {}
         if entries:
             for (r, c), value in entries.items():
-                r, c = int(r), int(c)
+                r, c = operator.index(r), operator.index(c)
                 if not (0 <= r < self.rows and 0 <= c < self.cols):
                     raise ValueError(f"entry ({r}, {c}) out of range")
                 value = _exact(value)
@@ -496,7 +499,8 @@ def kernel_basis(system, free=None):
 
 
 def invert(matrix):
-    """Exact inverse of a nonsingular square matrix, one solve per column."""
+    """Exact inverse of a nonsingular square matrix, one solve per column:
+    the parent -> split coordinate change of every `algebra.SplitBasis`."""
     if matrix.rows != matrix.cols:
         raise ValueError("only square matrices can be inverted")
     n = matrix.rows
@@ -510,11 +514,10 @@ def invert(matrix):
 class IncrementalSpan:
     """A growing subspace kept in echelon form.
 
-    `add` returns True exactly when the vector enlarges the span; `contains`
-    is exact membership.  Used to check that an ideal basis is independent
-    and its span two-sided, and to complete it to a split basis.  Rows are
-    stored as primitive integer rows with a positive leading entry and
-    reduced fraction-free by `_reduce`; a vector is in the span
+    `add` returns True exactly when the vector enlarges the span.  Used to
+    check that an ideal basis is independent and to complete it to a split
+    basis.  Rows are stored as primitive integer rows with a positive leading
+    entry and reduced fraction-free by `_reduce`; a vector is in the span
     exactly when it reduces to zero, whatever nonzero multiple of each row
     is stored, so the answers are those of reduction over `Fraction`.
     """
@@ -534,11 +537,6 @@ class IncrementalSpan:
             row = {j: -v for j, v in row.items()}
         self._rows[lead] = row
         return True
-
-    def contains(self, vector):
-        if vector.dimension != self.dimension:
-            raise ValueError("dimension mismatch")
-        return not _reduce(self._rows, _primitive(vector.entries)[0])
 
     def __len__(self):
         return len(self._rows)

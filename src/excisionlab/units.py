@@ -11,6 +11,7 @@ keeps the unit, or the `NoLocalUnit`, in the split's `chain_cache`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .linalg import (
@@ -161,7 +162,7 @@ def build_unit_schedule(tuples, context, degree):
     its ordered target list (levels share it) before it is solved; failure
     raises NoLocalUnitError carrying the level and the NoLocalUnit witness.
     """
-    n = int(degree)
+    n = operator.index(degree)
     tuples = [tuple(t) for t in tuples]
     for t in tuples:
         if len(t) != n + 1:

@@ -16,8 +16,12 @@ from excisionlab.algebra import (
     validate_algebra,
     validate_ideal,
 )
+from excisionlab import chains
+from excisionlab.chains import Chain
 from excisionlab.excision import isomorphism_witness
+from excisionlab.fileio import ParseError, algebra_from_doc, algebra_to_doc
 from excisionlab.linalg import SparseMatrix, SparseVector, invert
+from excisionlab.units import build_unit_schedule
 
 from support import (
     dual_number_split, rebased_split, stored_exactly, upper_triangular_split,
@@ -74,6 +78,63 @@ def test_validate_ideal_rejects_dependent_basis(t2):
     )
     with pytest.raises(ValueError):
         validate_ideal(dependent)
+
+
+def _first_row_of_full_3x3():
+    """The first-row ideal span{E11, E12, E13} of the full 3x3 matrices: a
+    right ideal, but E21·E11 = E21 leaves it."""
+    pairs = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+    index = {p: i for i, p in enumerate(pairs)}
+    products = {
+        (i, j): SparseVector(9, {index[(a, d)]: 1})
+        for i, (a, b) in enumerate(pairs)
+        for j, (c, d) in enumerate(pairs) if b == c
+    }
+    algebra = Algebra(9, [f"E{a}{b}" for a, b in pairs], products)
+    return Ideal(algebra, [algebra.basis_vector(i) for i in range(3)])
+
+
+def test_the_first_row_ideal_is_refused_before_any_assembly(monkeypatch):
+    def assembly(*args):
+        pytest.fail("a chain complex was assembled")
+
+    monkeypatch.setattr(chains, "boundary_matrix", assembly)
+    ideal = _first_row_of_full_3x3()
+    with pytest.raises(NotTwoSided) as info:
+        make_split_basis(ideal)
+
+    def fields(failure):
+        return (failure.side, failure.split_index, failure.ideal_index,
+                failure.product)
+
+    # f_3 = E21 and f_0 = E11
+    assert fields(info.value) == ("left", 3, 0, ideal.parent.basis_vector(3))
+    witness = validate_ideal(ideal)
+    assert fields(witness) == fields(info.value)
+    assert witness.__traceback__ is None  # it does not hold the refused split
+    with pytest.raises(ParseError) as info:
+        algebra_from_doc(algebra_to_doc(ideal.parent, ideal))
+    assert info.value.location == "ideal"
+
+
+@pytest.mark.parametrize("build", [
+    lambda t2: SparseVector(3.0),
+    lambda t2: SparseVector(3, {1.5: 2}),
+    lambda t2: SparseMatrix(2.0, 2),
+    lambda t2: SparseMatrix(2, 2.0),
+    lambda t2: SparseMatrix(2, 2, {(0.9, 1.2): 3}),
+    lambda t2: Algebra(1.0, ["e"], {}),
+    lambda t2: Algebra(1, ["e"], {(0.0, 0): SparseVector(1, {0: 1})}),
+    lambda t2: Chain(1.0, t2.split),
+    lambda t2: SplitBasis(t2.ideal, t2.split.ordered_basis, 2.0),
+    lambda t2: build_unit_schedule([(0, 2)], t2.split, 1.0),
+], ids=["vector dimension", "vector index", "matrix rows", "matrix cols",
+        "matrix entry", "algebra dimension", "product index", "chain degree",
+        "ideal count", "schedule degree"])
+def test_a_float_integer_argument_is_refused(t2, build):
+    # int() would truncate it: SparseVector(3, {1.5: 2}) stored {1: 2}
+    with pytest.raises(TypeError):
+        build(t2)
 
 
 def test_split_basis_completion(t2):

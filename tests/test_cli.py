@@ -253,6 +253,18 @@ def test_missing_file_is_an_error(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["verify", "--certificate"], ["homology", "--degree", "0", "--algebra"],
+])
+def test_a_deeply_nested_document_is_a_parse_error(tmp_path, capsys, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 200000 + "]" * 200000)
+    assert main([*command, str(path)]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: document: ")
+
+
 @pytest.mark.parametrize("unit, location", [
     ([], "document"),
     ({}, "element"),

@@ -13,7 +13,8 @@ from excisionlab.excision import (
     isomorphism_witness,
     verify_certificate,
 )
-from excisionlab.algebra import Algebra, Ideal, make_split_basis
+from excisionlab import algebra, fileio
+from excisionlab.algebra import Algebra, Ideal, SplitBasis, make_split_basis
 from excisionlab.fileio import (
     DemoExtension,
     ParseError,
@@ -318,6 +319,34 @@ def test_json_decode_errors_carry_position(tmp_path):
         load_algebra(path)
 
 
+def test_the_reader_checks_the_ideal_once(corpus, monkeypatch):
+    """One span and one inverse per document: `make_split_basis` is the
+    reader's only check of the ideal."""
+    calls = []
+
+    class Span(algebra.IncrementalSpan):
+        def __init__(self, dimension):
+            calls.append("span")
+            super().__init__(dimension)
+
+    def invert(matrix, inner=algebra.invert):
+        calls.append("invert")
+        return inner(matrix)
+
+    def validate_ideal(ideal):
+        pytest.fail("the reader validated the ideal a second time")
+
+    monkeypatch.setattr(algebra, "IncrementalSpan", Span)
+    monkeypatch.setattr(algebra, "invert", invert)
+    monkeypatch.setattr(algebra, "validate_ideal", validate_ideal)
+    monkeypatch.setattr(fileio, "validate_ideal", validate_ideal, raising=False)
+    for demo in corpus:
+        for split in (None, demo.split):
+            calls.clear()
+            algebra_from_doc(algebra_to_doc(demo.algebra, demo.ideal, split))
+            assert calls == ["span", "invert"], (demo.name, split)
+
+
 def test_demo_extension_rejects_broken_hypotheses(t2):
     def extension(algebra, ideal):
         return DemoExtension("broken", algebra, ideal, make_split_basis(ideal), "")
@@ -327,8 +356,11 @@ def test_demo_extension_rejects_broken_hypotheses(t2):
         (0, 0): SparseVector(2, {1: 1}),
         (1, 0): SparseVector(2, {0: 1}),
     })
+    # span{x} is not two-sided, so `make_split_basis` would refuse it first
+    line = Ideal(loose, [loose.basis_vector(0)])
+    split = SplitBasis(line, [loose.basis_vector(0), loose.basis_vector(1)], 1)
     with pytest.raises(ValueError, match="not associative"):
-        extension(loose, Ideal(loose, [loose.basis_vector(0)]))
+        DemoExtension("broken", loose, line, split, "")
     # span{E12, E22} is an ideal, but nothing in it fixes E12 from the left
     one_sided = Ideal(t2.algebra, [t2.algebra.basis_vector(1), t2.algebra.basis_vector(2)])
     with pytest.raises(ValueError, match="local left unit"):

@@ -314,3 +314,31 @@ def test_every_chain_swapped_for_every_other_gets_a_verdict():
             assert verdict is None or isinstance(verdict, Mismatch)
             verdicts.add(verdict is None)
     assert verdicts == {True, False}
+
+
+E11, E12, E22 = ["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]
+NO_COMPLEMENT = object()
+
+
+@pytest.mark.parametrize("ideal, complement, location", [
+    pytest.param([E11, ["2", "0", "0"]], NO_COMPLEMENT, "ideal", id="dependent ideal"),
+    pytest.param([E11, ["2", "0", "0"]], [E22], "ideal",
+                 id="dependent ideal with a complement"),
+    pytest.param([E22], NO_COMPLEMENT, "ideal", id="one-sided ideal"),
+    pytest.param([E11], [E12, E22], "ideal", id="one-sided ideal with a complement"),
+    pytest.param([E11, E12], [["1", "1", "0"]], "complement",
+                 id="complement dependent on the ideal"),
+])
+def test_an_ideal_or_complement_the_split_refuses_names_its_field(
+        ideal, complement, location):
+    """The reader's one check of the ideal, `make_split_basis`, is refused
+    at the field it concerns, whatever its message says."""
+    doc = copy.deepcopy(documents()["descent"])
+    doc["algebra"]["ideal"]["basis_vectors"] = ideal
+    if complement is NO_COMPLEMENT:
+        del doc["algebra"]["complement"]
+    else:
+        doc["algebra"]["complement"] = complement
+    with pytest.raises(ParseError) as info:
+        certificate_from_doc(doc)
+    assert info.value.location == f"algebra.{location}"

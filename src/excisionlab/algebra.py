@@ -10,7 +10,8 @@ product table to refuse an ideal that is not two-sided with `NotTwoSided`.
 An algebra holds its structure constants once, in `Algebra.structure_table`;
 products, equality, the associativity check and documents all read it.  Its
 constants are stored as `linalg` stores every scalar, an `int` where
-integral, so products run in `int` arithmetic wherever they can.
+integral, so products run in `int` arithmetic wherever they can.  A split
+basis builds its whole product table when it is made.
 """
 
 from __future__ import annotations
@@ -177,35 +178,16 @@ def validate_ideal(ideal):
     return None
 
 
-class _ProductTable(dict):
-    """(i, j) -> ((k, c), ...): the split coordinates of f_i·f_j for split
-    basis elements f_i, f_j, each pair computed on first use.
-
-    `c` is stored as `linalg` stores every scalar, an `int` where integral,
-    so integer algebras are expanded in `int` arithmetic.  A present pair is
-    a plain dict lookup.  It holds what it reads, not the split, so that a
-    dropped split is freed without the cyclic garbage collector.
-    """
-
-    def __init__(self, mul, basis, inverse):
-        super().__init__()
-        self._mul, self._basis, self._inverse = mul, basis, inverse
-
-    def __missing__(self, key):
-        i, j = key
-        basis = self._basis
-        product = self._inverse.matvec(self._mul(basis[i], basis[j]))
-        row = self[key] = tuple(product.entries.items())
-        return row
-
-
 class SplitBasis:
     """Ordered basis of the parent algebra with the ideal basis first.
 
     The first `ideal_count` vectors span the ideal; the remaining ones lift a
     basis of the quotient.  Provides the coordinate change between parent and
     split coordinates and `product_table`, the one table of products of split
-    basis elements that every chain computation reads.
+    basis elements that every chain computation reads: (i, j) -> ((k, c), ...),
+    the split coordinates of f_i·f_j (`int` where integral) for every pair; it
+    refers to nothing, so a dropped split is freed without the cyclic
+    garbage collector.
     """
 
     def __init__(self, ideal, ordered_basis, ideal_count):
@@ -218,9 +200,11 @@ class SplitBasis:
         self._inverse = invert(
             SparseMatrix.from_columns(self.ordered_basis, rows=self.dimension)
         )
-        self.product_table = _ProductTable(
-            self.parent.mul, self.ordered_basis, self._inverse
-        )
+        basis, mul = self.ordered_basis, self.parent.mul
+        self.product_table = {
+            (i, j): tuple(self.to_split(mul(f_i, f_j)).entries.items())
+            for i, f_i in enumerate(basis) for j, f_j in enumerate(basis)
+        }
         # basis tuples, boundary matrices, homology bases and the inverse's
         # eliminated system, memoised by `chains` and `excision`, and the
         # local left units by target set, memoised by `units`; they live as

@@ -12,7 +12,8 @@ coefficients.  Sign conventions:
 
 Coinvariants under t are represented by the lexicographically smallest signed
 rotation of each tuple; a tuple equal to one of its own rotations with sign -1
-represents the zero class and is dropped (we are over Q).
+represents the zero class and is dropped (we are over Q).  Every rotation
+and its sign come from one rule, `_signed_rotations`.
 
 Every product of basis elements is read from the split basis's one product
 table, `SplitBasis.product_table`: (i, j) -> ((k, c), ...).  The
@@ -64,7 +65,7 @@ class ComplexInvariantError(RuntimeError):
 
 def resolve_max_degree(explicit=None):
     if explicit is not None:
-        return int(explicit)
+        return operator.index(explicit)
     env = os.environ.get(MAX_DEGREE_ENV)
     if env is None:
         return DEFAULT_MAX_DEGREE
@@ -207,42 +208,37 @@ def boundary_b(chain, wrap=True):
     return Chain(chain.degree - 1, chain.context, out)
 
 
+def _signed_rotations(tup):
+    """[(tup rotated by k slots, (-1)^(n·k)) for k = 0..n], n = len(tup) - 1:
+    t^k of the tuple.  The one rotation rule; `cyclic_t`, `canonical_rotation`,
+    `_rotation_index` and `excision.rotate_to_ideal_initial` read it."""
+    n = len(tup) - 1
+    return [(tup[-k:] + tup[:-k], -1 if n * k % 2 else 1) for k in range(n + 1)]
+
+
 def cyclic_t(chain):
     """Signed cyclic rotation; the identity in degree 0."""
-    n = chain.degree
-    sign = 1 if n % 2 == 0 else -1
     out = {}
     for tup, coeff in chain.terms.items():
-        _accumulate(out, tup[-1:] + tup[:-1], sign * coeff)
-    return Chain(n, chain.context, out)
-
-
-def _rotation(tup, k):
-    if k == 0:
-        return tup
-    return tup[-k:] + tup[:-k]
+        # t is the rotation by one slot, modulo the n + 1 slots
+        rotated, sign = _signed_rotations(tup)[1 % len(tup)]
+        _accumulate(out, rotated, sign * coeff)
+    return Chain(chain.degree, chain.context, out)
 
 
 def canonical_rotation(tup):
-    """(canonical tuple, sign) for the class of `tup` modulo signed rotation.
+    """(canonical tuple, sign) for the class of `tup` modulo signed rotation:
+    the first smallest rotation.
 
-    Returns None when a self-rotation carries sign -1, which forces the class
-    to vanish over Q.
+    Returns None when a rotation equal to it carries the opposite sign, which
+    forces the class to vanish over Q.
     """
-    n = len(tup) - 1
     best = None
-    best_sign = None
-    obstructed = False
-    for k in range(n + 1):
-        cand = _rotation(tup, k)
-        sign = 1 if (n * k) % 2 == 0 else -1
+    for cand, sign in _signed_rotations(tup):
         if best is None or cand < best:
-            best = cand
-            best_sign = sign
+            best, best_sign = cand, sign
         elif cand == best and sign != best_sign:
-            obstructed = True
-    if obstructed:
-        return None
+            return None
     return best, best_sign
 
 
@@ -356,6 +352,7 @@ def _necklaces(letters, length):
 def basis_tuples(context, variant, degree):
     """Deterministic (lexicographic) basis of the requested chain group,
     memoised: do not mutate the returned list."""
+    width = operator.index(degree) + 1
     ideal_count = context.ideal_count
     letters = ideal_count if variant.space == "I" else context.dimension
     relative = variant.space == "relative"
@@ -366,14 +363,14 @@ def basis_tuples(context, variant, degree):
         # p < degree + 1, which is even).  A necklace starts with its least
         # letter, so the relative ones come first.
         tuples = []
-        for word, period in _necklaces(letters, degree + 1):
+        for word, period in _necklaces(letters, width):
             if relative and word[0] >= ideal_count:
                 break
             if degree % 2 and period % 2:
                 continue
             tuples.append(word)
     else:
-        tuples = list(iter_product(range(letters), repeat=degree + 1))
+        tuples = list(iter_product(range(letters), repeat=width))
         if relative:
             tuples = [t for t in tuples if any(i < ideal_count for i in t)]
     return tuples
@@ -384,11 +381,9 @@ def _rotation_index(rows):
     the rotation is congruent to sign · (row tuple) modulo im(1 - t)."""
     index = {}
     for r, tup in enumerate(rows):
-        n = len(tup) - 1
-        for k in range(n + 1):
-            # rotating back by n + 1 - k costs (-1)^(n(n+1-k)) = (-1)^(nk)
-            sign = 1 if (n * k) % 2 == 0 else -1
-            index.setdefault(_rotation(tup, k), (r, sign))
+        # t^k(row) = sign · (rotation k), and sign = ±1 is its own inverse
+        for rotated, sign in _signed_rotations(tup):
+            index.setdefault(rotated, (r, sign))
     return index
 
 
@@ -407,7 +402,7 @@ def boundary_matrix(context, variant, degree):
     memoised on the split basis `context` and shared by every caller: do
     not mutate the matrix or the lists.
     """
-    if degree < 1:
+    if operator.index(degree) < 1:
         raise ValueError("the boundary matrix needs degree >= 1")
     cols = basis_tuples(context, variant, degree)
     rows = basis_tuples(context, variant, degree - 1)
@@ -534,7 +529,7 @@ def homology(context, variant, degree, max_degree=None):
     with ∂∂ ≠ 0 raises ComplexInvariantError.
     """
     cap = resolve_max_degree(max_degree)
-    if degree < 0:
+    if operator.index(degree) < 0:
         raise ValueError("degree must be non-negative")
     if degree > cap:
         raise DegreeLimitError(

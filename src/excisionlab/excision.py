@@ -26,7 +26,7 @@ from .chains import (
     Chain,
     Variant,
     _memoised,
-    _rotation,
+    _signed_rotations,
     basis_tuples,
     boundary_b,
     boundary_matrix,
@@ -156,7 +156,6 @@ def rotate_to_ideal_initial(chain):
     canonical form (`canonicalize_cyclic`) is that of the input.
     """
     context = chain.context
-    n = chain.degree
     out = {}
     for tup, coeff in chain.terms.items():
         position = next(
@@ -166,10 +165,10 @@ def rotate_to_ideal_initial(chain):
             raise ValueError(
                 f"tuple {tup} has no ideal slot; the chain is not relative"
             )
-        k = (n + 1 - position) % (n + 1)
-        sign = 1 if (n * k) % 2 == 0 else -1
-        _accumulate(out, _rotation(tup, k), sign * coeff)
-    return Chain(n, context, out)
+        # rotating by -position slots brings that slot to the front
+        rotated, sign = _signed_rotations(tup)[-position]
+        _accumulate(out, rotated, sign * coeff)
+    return Chain(chain.degree, context, out)
 
 
 def require_top_filtration(chain):

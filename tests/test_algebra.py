@@ -17,11 +17,13 @@ from excisionlab.algebra import (
     validate_ideal,
 )
 from excisionlab import chains
-from excisionlab.chains import Chain
+from excisionlab.chains import VARIANT_SPACES, Chain, Variant, homology
 from excisionlab.excision import isomorphism_witness
-from excisionlab.fileio import ParseError, algebra_from_doc, algebra_to_doc
+from excisionlab.fileio import (
+    ParseError, algebra_from_doc, algebra_to_doc, demo_corpus,
+)
 from excisionlab.linalg import SparseMatrix, SparseVector, invert
-from excisionlab.units import build_unit_schedule
+from excisionlab.units import NoLocalUnit, build_unit_schedule, find_local_left_unit
 
 from support import (
     dual_number_split, rebased_split, stored_exactly, upper_triangular_split,
@@ -186,6 +188,17 @@ def _tier1_splits(corpus):
     return splits
 
 
+def test_the_product_table_is_built_whole():
+    # on splits fresh from `make_split_basis`, before anything reads them
+    for name, split in _tier1_splits(demo_corpus()).items():
+        table, basis, dim = split.product_table, split.ordered_basis, split.dimension
+        assert type(table) is dict and len(table) == dim * dim, name
+        for i, f_i in enumerate(basis):
+            for j, f_j in enumerate(basis):
+                product = split.to_split(split.parent.mul(f_i, f_j))
+                assert table[i, j] == tuple(product.entries.items()), (name, i, j)
+
+
 def test_to_split_reads_the_inverse_basis_matrix(corpus):
     for name, split in _tier1_splits(corpus).items():
         dim = split.dimension
@@ -228,6 +241,29 @@ def test_opposite_of_commutative_is_itself():
 def test_opposite_preserves_associativity(corpus):
     for demo in corpus:
         assert validate_algebra(opposite_algebra(demo.algebra)) is None
+
+
+def test_right_local_units_route_through_the_opposite(corpus):
+    """The README's route for an extension with local right units: its
+    opposite has them as local left units, has the same cyclic homology,
+    and passing to the opposite again gives back the extension."""
+    for demo in corpus:
+        opposite = opposite_algebra(demo.algebra)
+        assert opposite_algebra(opposite) == demo.algebra, demo.name
+        restored = Ideal(opposite_algebra(opposite), demo.ideal.basis_vectors)
+        assert make_split_basis(restored) == demo.split, demo.name
+        flipped = make_split_basis(Ideal(opposite, demo.ideal.basis_vectors))
+        for space in VARIANT_SPACES:
+            for degree in range(4):
+                variant = Variant("hc", space)
+                assert (homology(flipped, variant, degree).dimension
+                        == homology(demo.split, variant, degree).dimension), (
+                    demo.name, space, degree)
+    # t2-corner's ideal has a left unit and no right unit, so in the
+    # opposite no element is a left unit on the whole ideal
+    t2 = next(demo for demo in corpus if demo.name == "t2-corner")
+    flipped = Ideal(opposite_algebra(t2.algebra), t2.ideal.basis_vectors)
+    assert isinstance(find_local_left_unit(flipped, flipped.basis_vectors), NoLocalUnit)
 
 
 def _constants(algebra):

@@ -15,6 +15,7 @@ from excisionlab.chains import (
     ComplexInvariantError,
     DegreeLimitError,
     Variant,
+    _signed_rotations,
     basis_tuples,
     boundary_b,
     boundary_matrix,
@@ -25,11 +26,12 @@ from excisionlab.chains import (
     homology,
     pure_tensor,
     relative_membership,
+    resolve_max_degree,
     tensor_prepend,
     tuple_boundary_terms,
 )
 from excisionlab.excision import _invert_by_solve, _inverse_system, isomorphism_witness
-from excisionlab.fileio import certificate_to_doc
+from excisionlab.fileio import certificate_to_doc, demo_by_name
 from excisionlab.linalg import IncrementalSpan, SparseVector, Unsolvable, echelon, solve
 
 from dense_oracle import (
@@ -96,6 +98,21 @@ def test_cyclic_t_degree_one(t2):
 def test_cyclic_t_is_identity_in_degree_zero(t2):
     c = pure_tensor(t2.split, (2,))
     assert cyclic_t(c) == c
+
+
+def test_signed_rotations_are_repeated_single_steps():
+    # one step moves the last slot to the front with sign (-1)^n
+    for length in range(1, 6):
+        n = length - 1
+        for tup in iter_product(range(3), repeat=length):
+            rotations = _signed_rotations(tup)
+            assert len(rotations) == length, tup
+            step, sign = tup, 1
+            for k, rotation in enumerate(rotations):
+                assert rotation == (step, sign), (tup, k)
+                step, sign = step[-1:] + step[:-1], sign * (-1) ** n
+            # t^(n+1) is the identity: (-1)^(n(n+1)) = 1
+            assert (step, sign) == (tup, 1), tup
 
 
 def test_cyclic_t_order(corpus):
@@ -236,6 +253,29 @@ def test_degree_cap(t2, monkeypatch):
     with pytest.raises(DegreeLimitError):
         homology(t2.split, Variant("hc", "I"), 3)
     assert homology(t2.split, Variant("hc", "I"), 3, max_degree=3).degree == 3
+
+
+@pytest.mark.parametrize("degree", [1.5, 1.0, 2.5])
+def test_a_float_degree_is_refused(degree):
+    # int() would truncate the cap, and a fractional degree gave an empty
+    # complex.  On a fresh split: the memo finds an entry stored under an
+    # integer degree equal to the float (1 == 1.0) before any check runs.
+    split = demo_by_name("matrix2").split
+    hc = Variant("hc", "A")
+    calls = [
+        lambda: homology(split, hc, degree),
+        lambda: homology(split, hc, 1, max_degree=degree),
+        lambda: isomorphism_witness(split, degree),
+        lambda: basis_tuples(split, hc, degree),
+        lambda: basis_tuples(split, Variant("hh", "A"), degree),
+        lambda: boundary_matrix(split, hc, degree),
+        lambda: resolve_max_degree(degree),
+    ]
+    for call in calls:
+        with pytest.raises(TypeError):
+            call()
+    assert split.chain_cache == {}
+    assert homology(split, hc, 2).dimension == 1
 
 
 def test_sign_killed_tuples_vanish_in_coinvariants(t2):

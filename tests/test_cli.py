@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -66,7 +67,7 @@ def test_excise_inverse_and_verify(t2_files, capsys):
         "command": "verify", "status": "ok", "reason": None, "residual": None,
     }
 
-    doc = json.loads(open(cert).read())
+    doc = json.loads(Path(cert).read_text())
     key = doc["certificate"]["witness"]["terms"]
     # tamper with one coefficient: verification must fail with exit code 2
     if key:
@@ -76,7 +77,7 @@ def test_excise_inverse_and_verify(t2_files, capsys):
             {"coeff": "17", "slots": [doc["input"]["terms"][0]["slots"][0]] * 3}
         ]
     tampered = str(tmp_path / "tampered.json")
-    open(tampered, "w").write(json.dumps(doc))
+    Path(tampered).write_text(json.dumps(doc))
     assert main(["verify", "--certificate", tampered]) == EXIT_MISMATCH
     text = capsys.readouterr().out
     assert text.startswith("MISMATCH: ")
@@ -138,14 +139,14 @@ def test_descend_auto_unit(t2_files, capsys):
 def test_descend_unit_from_file(t2_files, capsys):
     _, algebra, chain, tmp_path = t2_files
     unit = str(tmp_path / "unit.json")
-    open(unit, "w").write(json.dumps({"element": ["1", "0", "0"]}))
+    Path(unit).write_text(json.dumps({"element": ["1", "0", "0"]}))
     assert main(["descend", "--algebra", algebra, "--chain", chain, "--unit", unit]) == EXIT_OK
 
 
 def test_local_unit_command(t2_files, capsys):
     _, algebra, _, tmp_path = t2_files
     targets = str(tmp_path / "targets.json")
-    open(targets, "w").write(
+    Path(targets).write_text(
         json.dumps({"targets": [["1", "0", "0"], ["0", "1", "0"]]})
     )
     code = main(["local-unit", "--algebra", algebra, "--targets", targets])
@@ -171,7 +172,7 @@ def line_files(tmp_path):
     chain_path = str(tmp_path / "chain.json")
     save_chain(chain_path, pure_tensor(split, (0, 2)))  # E12⊗E22
     targets = str(tmp_path / "targets.json")
-    open(targets, "w").write(json.dumps({"targets": [["0", "1", "0"]]}))
+    Path(targets).write_text(json.dumps({"targets": [["0", "1", "0"]]}))
     return algebra_path, chain_path, targets
 
 

@@ -45,7 +45,8 @@ def test_library_has_no_true_division():
 # exported on purpose although no code outside tests reads them
 KEPT_EXPORTS = {
     "cyclic_t": "the bicomplex route to the cyclic inverse needs t and N",
-    "opposite_algebra": "the documented route for right local units",
+    "opposite_algebra": "the README's route to right local units, tested by "
+                        "test_algebra.py::test_right_local_units_route_through_the_opposite",
     "save_algebra": "the write half of the algebra file format",
     "save_chain": "the write half of the chain file format",
 }

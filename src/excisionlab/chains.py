@@ -17,8 +17,10 @@ and its sign come from one rule, `_signed_rotations`.
 
 Every product of basis elements is read from the split basis's one product
 table, `SplitBasis.product_table`: (i, j) -> ((k, c), ...).  The
-differential and the descent and closed formula of `excision` all walk it,
-and every sum goes through `linalg._accumulate`.  Coefficients are stored
+differential walks it in one place, `_add_boundary`, which sums each face
+inline onto its tuple or, for `boundary_matrix`, straight onto its row; the
+descent and closed formula of `excision` walk it too, and every other sum
+goes through `linalg._accumulate`.  Coefficients are stored
 as `linalg` stores every scalar, an `int` where integral and a `Fraction`
 otherwise, and the signs are the ints ±1, so on an integer algebra every
 chain, table row and boundary matrix is summed in `int` arithmetic.
@@ -170,29 +172,61 @@ def pure_tensor(context, indices):
     return Chain(len(indices) - 1, context, {tuple(indices): 1})
 
 
-def tuple_boundary_terms(context, tup, wrap=True):
-    """Differential of a single basis tuple as a {tuple: coeff} dict.
+def _add_boundary(out, context, tup, scale, wrap, index=None, variant=None):
+    """Add `scale` · b(tup) into the dict `out`, or `scale` · b'(tup) with
+    wrap=False: the one face walk of the differential.
 
-    With wrap=True this is b, without it b'.  Products expand through the
-    split-basis structure constants, so output tuples stay on the standard
-    tensor basis.  The signs are the ints ±1 and the constants come from
-    the split's product table, so each coefficient is an exact `int` when
-    the constants are integers and a `Fraction` otherwise.
-    """
+    Products expand through the split's product table, so the faces stay on
+    the standard tensor basis, and a product that vanishes makes no face.
+    Without `index` each face is keyed by its tuple.  With it (face ->
+    (row, sign) of `variant`'s row basis) each face is added at its row,
+    times its sign; a face that `index` lacks is skipped if its class is
+    sign-obstructed (zero over Q) in `hc` and otherwise raises
+    ComplexInvariantError.  Sums inline and drops zeros, as
+    `linalg._accumulate` does."""
     table = context.product_table
     n = len(tup) - 1
-    out = {}
-    sign = 1
-    for i in range(n):
-        head, tail = tup[:i], tup[i + 2 :]
-        for k, c in table[tup[i], tup[i + 1]]:
-            _accumulate(out, head + (k,) + tail, sign * c)
+    sign = scale
+    # face i multiplies slots i and i + 1, and the wrap-around face i = n
+    # slots n and 0, so every face's sign is (-1)^i
+    for i in range(n + 1 if wrap else n):
+        products = table[tup[i], tup[i + 1] if i < n else tup[0]]
+        if products:
+            head, tail = (tup[:i], tup[i + 2 :]) if i < n else ((), tup[1:n])
+            for k, c in products:
+                key, value = head + (k,) + tail, sign * c
+                if index is not None:
+                    hit = index.get(key)
+                    if hit is None:
+                        if variant.op == "hc" and canonical_rotation(key) is None:
+                            continue  # a sign-obstructed class, zero over Q
+                        raise ComplexInvariantError(
+                            f"boundary term {key} of {tup} lies outside the "
+                            f"{variant.op}/{variant.space} chain space"
+                        )
+                    key, row_sign = hit
+                    value = row_sign * value
+                total = out.get(key, 0) + value
+                if total:
+                    out[key] = total
+                else:
+                    out.pop(key, None)
         sign = -sign
-    if wrap:
-        # sign is now (-1)^n
-        middle = tup[1:n]
-        for k, c in table[tup[n], tup[0]]:
-            _accumulate(out, (k,) + middle, sign * c)
+
+
+def tuple_boundary_terms(context, tup, wrap=True):
+    """Differential of a single basis tuple as a {tuple: coeff} dict, defined
+    for degree >= 1 (two or more slots).
+
+    With wrap=True this is b, without it b' (`_add_boundary`).  The signs
+    are the ints ±1 and the constants come from the split's product table,
+    so each coefficient is an exact `int` when the constants are integers
+    and a `Fraction` otherwise.
+    """
+    if len(tup) < 2:
+        raise ValueError("the differential needs degree >= 1")
+    out = {}
+    _add_boundary(out, context, tup, 1, wrap)
     return out
 
 
@@ -203,8 +237,7 @@ def boundary_b(chain, wrap=True):
         raise ValueError("the differential needs degree >= 1")
     out = {}
     for tup, coeff in chain.terms.items():
-        for t, c in tuple_boundary_terms(chain.context, tup, wrap).items():
-            _accumulate(out, t, coeff * c)
+        _add_boundary(out, chain.context, tup, coeff, wrap)
     return Chain(chain.degree - 1, chain.context, out)
 
 
@@ -392,10 +425,10 @@ def boundary_matrix(context, variant, degree):
     """The differential from degree to degree-1, assembled once.
 
     Returns (matrix, column tuples, row tuples); columns and rows are the
-    deterministic bases produced by `basis_tuples`.  Each column is the
-    `tuple_boundary_terms` of its tuple, folded onto the rows through an
-    index whose signs are the ints ±1 (every rotation of a row tuple, for
-    `hc`) and summed by row, in `int` where the constants allow it.  The
+    deterministic bases produced by `basis_tuples`.  Each column is b (b'
+    for `bar`) of its tuple, whose faces `_add_boundary` sums straight onto
+    the rows through an index whose signs are the ints ±1 (every rotation
+    of a row tuple, for `hc`), in `int` where the constants allow it.  The
     relative complex copies its all-ideal columns from ∂^I
     (`_ideal_columns`) and assembles only the mixed ones; either way the
     entries are stored column by column, in the same order.  The triple is
@@ -406,8 +439,7 @@ def boundary_matrix(context, variant, degree):
         raise ValueError("the boundary matrix needs degree >= 1")
     cols = basis_tuples(context, variant, degree)
     rows = basis_tuples(context, variant, degree - 1)
-    cyclic = variant.op == "hc"
-    if cyclic:
+    if variant.op == "hc":
         row_index = _rotation_index(rows)
     else:
         row_index = {t: (r, 1) for r, t in enumerate(rows)}
@@ -423,17 +455,7 @@ def boundary_matrix(context, variant, degree):
                 entries[(r, c)] = v
             continue
         out = {}
-        for t, v in tuple_boundary_terms(context, tup, wrap=wrap).items():
-            hit = row_index.get(t)
-            if hit is None:
-                if cyclic and canonical_rotation(t) is None:
-                    continue  # a sign-obstructed class, zero over Q
-                raise ComplexInvariantError(
-                    f"boundary term {t} of {tup} lies outside the "
-                    f"{variant.op}/{variant.space} chain space"
-                )
-            r, sign = hit
-            _accumulate(out, r, sign * v)
+        _add_boundary(out, context, tup, 1, wrap, row_index, variant)
         for r, v in out.items():
             entries[(r, c)] = v if type(v) is int else _exact(v)
     return SparseMatrix._assembled(len(rows), len(cols), entries), cols, rows

@@ -73,7 +73,9 @@ def _accumulate(store, key, value):
     """Add `value` into `store[key]`, dropping the key when the sum is zero.
 
     The one sparse-sum step of the library: vectors, chains and tensor
-    expansions all accumulate through it, so a stored value is never zero.
+    expansions accumulate through it, and the elimination loops and the
+    face walk of the differential (`chains._add_boundary`) sum inline in
+    the same way, so a stored value is never zero.
     """
     total = store.get(key, 0) + value
     if total:

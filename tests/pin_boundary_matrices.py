@@ -10,11 +10,17 @@ it hashes `boundary_matrix` for hh/hc/bar × I/relative/A at degrees 1-4
 insertion order with the type name of each value.  Every split is hashed
 twice, once requesting the spaces in the order I, relative, A and once
 A, relative, I, so a complex built from another one is pinned whichever
-is asked for first.  Not collected by pytest; run it as
+is asked for first.
+
+A second pin covers the largest matrices the benchmark assembles, which
+the first stops short of: the hc I and relative matrices of the corpus at
+degree 5 (direct-sum's relative one is 628 × 2590), and of t2-corner
+rebased by offsets 1 and 2 at degrees 5 and 6.  Not collected by pytest;
+run it as
 
     python tests/pin_boundary_matrices.py
 
-It exits non-zero, naming the pin, when the count or the digest moves.
+It exits non-zero, naming the pin, when a count or a digest moves.
 """
 
 import hashlib
@@ -34,6 +40,8 @@ from support import (  # noqa: E402
 ORDERS = (("I", "relative", "A"), ("A", "relative", "I"))
 MATRICES = 774
 DIGEST = "449010abed76e3121e53e3d9594224904e3daa6b36abc0d74b7d90d8f3d703e2"
+LARGE_MATRICES = 14
+LARGE_DIGEST = "ad81b85f8f6962f8f3e902866c7ca3803d2341522474f16d706c5fd23669b07e"
 
 
 def fresh_splits():
@@ -48,36 +56,65 @@ def fresh_splits():
     return cases
 
 
-def boundary_matrices_digest():
-    """(matrix count, sha256 hex digest) over every pinned matrix, in input,
-    order, space, op and degree order."""
+def _digest(cases):
+    """(matrix count, sha256 hex digest) over the matrices of `cases`, each
+    (name, split, space, op, degree), in their order."""
     digest = hashlib.sha256()
     count = 0
-    for order in ORDERS:
-        for name, split, top in fresh_splits():
-            for space in order:
-                for op in VARIANT_OPS:
-                    for degree in range(1, top + 1):
-                        matrix, cols, rows = boundary_matrix(
-                            split, Variant(op, space), degree)
-                        record = [
-                            name, op, space, degree, matrix.rows, matrix.cols,
-                            cols, rows,
-                            [[r, c, type(v).__name__, str(v)]
-                             for (r, c), v in matrix.entries.items()],
-                        ]
-                        digest.update(json.dumps(record).encode() + b"\n")
-                        count += 1
+    for name, split, space, op, degree in cases:
+        matrix, cols, rows = boundary_matrix(split, Variant(op, space), degree)
+        record = [
+            name, op, space, degree, matrix.rows, matrix.cols, cols, rows,
+            [[r, c, type(v).__name__, str(v)]
+             for (r, c), v in matrix.entries.items()],
+        ]
+        digest.update(json.dumps(record).encode() + b"\n")
+        count += 1
     return count, digest.hexdigest()
 
 
+def boundary_matrices_digest():
+    """(matrix count, sha256 hex digest) over every pinned matrix, in input,
+    order, space, op and degree order."""
+    return _digest(
+        (name, split, space, op, degree)
+        for order in ORDERS
+        for name, split, top in fresh_splits()
+        for space in order
+        for op in VARIANT_OPS
+        for degree in range(1, top + 1)
+    )
+
+
+def large_matrices_digest():
+    """(matrix count, sha256 hex digest) over the second pin's hc matrices,
+    in input, degree and space order."""
+    corpus = demo_corpus()
+    splits = [(demo.name, demo.split, (5,)) for demo in corpus]
+    t2 = next(demo for demo in corpus if demo.name == "t2-corner")
+    for offset in (1, 2):
+        splits.append((f"t2-corner+{offset}", rebased_split(t2, offset), (5, 6)))
+    return _digest(
+        (name, split, space, "hc", degree)
+        for name, split, degrees in splits
+        for degree in degrees
+        for space in ("I", "relative")
+    )
+
+
 def main():
-    count, digest = boundary_matrices_digest()
-    print(f"{count} matrices, sha256 {digest}")
-    if count != MATRICES:
-        sys.exit(f"expected {MATRICES} matrices, got {count}")
-    if digest != DIGEST:
-        sys.exit(f"expected sha256 {DIGEST}, got {digest}")
+    failures = []
+    for label, (count, digest), expected_count, expected_digest in (
+        ("degrees 1-4", boundary_matrices_digest(), MATRICES, DIGEST),
+        ("large hc", large_matrices_digest(), LARGE_MATRICES, LARGE_DIGEST),
+    ):
+        print(f"{label}: {count} matrices, sha256 {digest}")
+        if count != expected_count:
+            failures.append(f"{label}: expected {expected_count} matrices, got {count}")
+        elif digest != expected_digest:
+            failures.append(f"{label}: expected sha256 {expected_digest}, got {digest}")
+    if failures:
+        sys.exit("\n".join(failures))
 
 
 if __name__ == "__main__":

@@ -55,6 +55,15 @@ def test_boundary_rejects_degree_zero(t2):
         boundary_b(pure_tensor(t2.split, (0,)), wrap=False)
 
 
+@pytest.mark.parametrize("wrap", [True, False])
+@pytest.mark.parametrize("tup", [(0,), ()], ids=["one-slot", "no-slot"])
+def test_tuple_boundary_terms_rejects_degree_zero(t2, tup, wrap):
+    # a tuple needs two slots for a face: (0,) must not wrap onto a
+    # "boundary" {(0,): 1}, nor () fail with an IndexError
+    with pytest.raises(ValueError, match="degree >= 1"):
+        tuple_boundary_terms(t2.split, tup, wrap)
+
+
 def test_boundary_squares_to_zero(corpus):
     rng = random.Random(11)
     for demo in corpus:
@@ -382,6 +391,43 @@ def test_boundary_terms_are_exact_ints_or_fractions(corpus, t2):
                     assert v and (type(v) is int or (
                         split is halved and type(v) is Fraction and v.denominator != 1))
     assert tuple_boundary_terms(halved, (0, 0, 2)) == {(0, 2): Fraction(1, 2)}
+
+
+def _summed_tuple_boundaries(chain, wrap):
+    """Σ coeff · tuple_boundary_terms(tup) over the terms of `chain`, summed
+    through `Chain` arithmetic."""
+    total = Chain(chain.degree - 1, chain.context)
+    for tup, coeff in chain.terms.items():
+        faces = tuple_boundary_terms(chain.context, tup, wrap)
+        total = total + Chain(chain.degree - 1, chain.context, faces).scaled(coeff)
+    return total
+
+
+def test_boundary_b_sums_the_tuple_boundaries(corpus, t2):
+    # the face E12 of E11⊗E12 cancels the face E12 of E12⊗E22, in b and in
+    # b'; E22⊗E22 adds E22 - E22 = 0 to b and E22 to b'
+    cancelling = Chain(1, t2.split, {(0, 1): 1, (1, 2): -1, (2, 2): 1})
+    for tup in ((0, 1), (1, 2)):
+        for wrap in (True, False):
+            assert tuple_boundary_terms(t2.split, tup, wrap) == {(1,): 1}
+    assert boundary_b(cancelling).is_zero()
+    assert boundary_b(cancelling, wrap=False) == Chain(0, t2.split, {(2,): 1})
+    rng = random.Random(25)
+    halved = _halved_ideal_split(t2)
+    cases = [cancelling]
+    for split in [demo.split for demo in corpus] + [halved]:
+        for degree in (1, 2, 3):
+            for _ in range(6):
+                chain = random_chain(split, degree, rng, nterms=4)
+                cases += [chain, chain.scaled(Fraction(2, 3))]
+    fractional = False
+    for chain in cases:
+        for wrap in (True, False):
+            result = boundary_b(chain, wrap)
+            assert result == _summed_tuple_boundaries(chain, wrap)
+            assert stored_exactly(result.terms.values())
+            fractional |= any(type(v) is Fraction for v in result.terms.values())
+    assert fractional
 
 
 def test_boundary_leaving_the_space_raises_a_typed_error(t2):

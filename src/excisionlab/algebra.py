@@ -206,7 +206,7 @@ class SplitBasis:
             for i, f_i in enumerate(basis) for j, f_j in enumerate(basis)
         }
         # basis tuples, boundary matrices, homology bases and the inverse's
-        # eliminated system, memoised by `chains` and `excision`, and the
+        # stacked system, memoised by `chains` and `excision`, and the
         # local left units by target set, memoised by `units`; they live as
         # long as this split
         self.chain_cache = {}

@@ -77,6 +77,20 @@ def resolve_max_degree(explicit=None):
         raise ValueError(f"{MAX_DEGREE_ENV} must be an integer, not {env!r}") from None
 
 
+def _check_degree(degree, max_degree=None):
+    """Refuse a negative degree, and one above the cap `resolve_max_degree`
+    gives, before anything of that degree is assembled."""
+    cap = resolve_max_degree(max_degree)
+    if operator.index(degree) < 0:
+        raise ValueError("degree must be non-negative")
+    if degree > cap:
+        raise DegreeLimitError(
+            f"degree {degree} exceeds the configured maximum {cap}; the tensor "
+            f"space grows as dim^(degree+1) — raise the cap explicitly or via "
+            f"{MAX_DEGREE_ENV} if you really want this"
+        )
+
+
 def _memoised(build):
     """Memoise `build(context, *args)` in `context.chain_cache` under (name,
     *args), for as long as the split lives; callers must not mutate it.
@@ -510,10 +524,11 @@ def _homology_basis(context, variant, degree):
     up = boundary_matrix(context, variant, degree + 1)[0]
     free = list(range(up.rows))
     if degree > 0:
-        record = echelon(boundary_matrix(context, variant, degree)[0])
+        down = boundary_matrix(context, variant, degree)[0]
+        record = echelon(down)
         free = record.free_columns()
         down_cols = {}
-        for (r, k), v in record.entries.items():
+        for (r, k), v in down.entries.items():
             down_cols.setdefault(k, []).append((r, v))
         product, column = {}, 0
         for (k, c), v in up.entries.items():
@@ -550,15 +565,7 @@ def homology(context, variant, degree, max_degree=None):
     the vectors kept before them (`_homology_basis`, memoised).  A complex
     with ∂∂ ≠ 0 raises ComplexInvariantError.
     """
-    cap = resolve_max_degree(max_degree)
-    if operator.index(degree) < 0:
-        raise ValueError("degree must be non-negative")
-    if degree > cap:
-        raise DegreeLimitError(
-            f"degree {degree} exceeds the configured maximum {cap}; the tensor "
-            f"space grows as dim^(degree+1) — raise the cap explicitly or via "
-            f"{MAX_DEGREE_ENV} if you really want this"
-        )
+    _check_degree(degree, max_degree)
     tuples = basis_tuples(context, variant, degree)
     representatives = [
         Chain(degree, context, {tuples[i]: v for i, v in cycle.items()})

@@ -25,6 +25,7 @@ from .chains import (
     SPACES,
     Chain,
     Variant,
+    _check_degree,
     _memoised,
     _signed_rotations,
     basis_tuples,
@@ -36,7 +37,7 @@ from .chains import (
     tensor_prepend,
 )
 from .linalg import (
-    SparseMatrix, SparseVector, Unsolvable, _accumulate, echelon, solve,
+    SparseMatrix, SparseVector, Unsolvable, _accumulate, solve,
 )
 from .units import (
     ScheduleMismatchError, build_unit_schedule, check_schedule, require_degree,
@@ -305,10 +306,10 @@ def closed_formula(chain, schedule):
 
 @_memoised
 def _inverse_system(context, n):
-    """(system, echelon record, ideal columns, relative columns, relative
-    row index) of `_invert_by_solve`, built once per split and degree from
-    the assembled boundary matrices and, like them, without a per-entry
-    check."""
+    """(system, ideal columns, relative columns, relative row index) of
+    `_invert_by_solve`, assembled once per split and degree from the
+    memoised boundary matrices and, like them, without a per-entry check;
+    each solve eliminates the system with its own right-hand side."""
     cols_ideal = basis_tuples(context, Variant("hc", "I"), n)
     up_matrix, cols_up, rows_rel = boundary_matrix(
         context, Variant("hc", "relative"), n + 1
@@ -327,7 +328,7 @@ def _inverse_system(context, n):
             entries[(total_rows + r, c)] = v
         total_rows += down_matrix.rows
     system = SparseMatrix._assembled(total_rows, offset + up_matrix.cols, entries)
-    return system, echelon(system), cols_ideal, cols_up, rel_index
+    return system, cols_ideal, cols_up, rel_index
 
 
 def _invert_by_solve(chain):
@@ -339,17 +340,20 @@ def _invert_by_solve(chain):
     class there.  Instead we solve directly for a cyclic cycle ψ over the
     ideal and a relative witness η with  ρ(ψ) − b(η) ≡ chain, which exists
     exactly because the excision map is onto in homology.  The system is
-    eliminated once per split and degree (`_inverse_system`); each class
-    only replays that record on its right-hand side.  `inverse_excision`
-    sends only cycles with a complement slot here: an all-ideal one is its
-    own preimage.  Returns (ψ, η).
+    assembled once per split and degree (`_inverse_system`), and each class
+    eliminates it once with its right-hand side.  Like `homology`, which
+    builds the same complexes, the solve refuses a degree above the cap
+    before it assembles anything.  `inverse_excision` sends only cycles
+    with a complement slot here: an all-ideal one is its own preimage.
+    Returns (ψ, η).
     """
     context = chain.context
     n = chain.degree
-    system, record, cols_ideal, cols_up, rel_index = _inverse_system(context, n)
+    _check_degree(n)
+    system, cols_ideal, cols_up, rel_index = _inverse_system(context, n)
     terms = canonicalize_cyclic(chain).terms
     rhs = SparseVector(system.rows, {rel_index[t]: c for t, c in terms.items()})
-    solution = solve(record, rhs)
+    solution = solve(system, rhs)
     if isinstance(solution, Unsolvable):
         raise CertificateSearchError(
             f"no inverse image exists for the degree-{n} class: the "

@@ -10,15 +10,16 @@ produces a bit-identical output.  Underdetermined solves are resolved
 deterministically by setting every free variable to zero.
 
 A matrix is eliminated once, by `echelon`, into an `Echelon` record that
-`kernel_basis` and `solve` read; a solve replays the record's integer log
-of row operations on its right-hand side.  Elimination is fraction-free:
+`kernel_basis` reads; `solve` eliminates the matrix with its right-hand side
+as one more column, and `invert` the matrix beside the identity, each once
+and by the same `_eliminate`.  Elimination is fraction-free:
 rows are kept as primitive integer rows (no common factor, no
 denominators), and a value becomes a `Fraction` only when a reduced entry
 is read out as the quotient of an integer entry by its row's pivot entry.
 The reduced row echelon form is unique, so pivots, kernels and solutions
 are exactly those of Gauss-Jordan over `Fraction`; only the cost differs.
 Where only pivots are read, `_pivot_columns` reduces row by row against the
-rows kept so far (`_reduce`, shared with `IncrementalSpan`), with no log.
+rows kept so far (`_reduce`, shared with `IncrementalSpan`).
 `invert` is the one matrix inverse: a split basis inverts its basis matrix
 through it.
 """
@@ -264,43 +265,37 @@ class Unsolvable:
 
 
 def _primitive(row):
-    """(ints, p, q): the primitive integer row `ints` on the line of a
-    rational row dict, equal to the row times p/q.  The row is scaled by the
-    lcm of its denominators, then divided by the gcd of its entries.
-    Elimination depends only on the line of each row, so a row of one entry
-    becomes {j: 1}; that and the short path for integer rows (with `_exact`
-    storage, the rows without a `Fraction`) matter for the small local-unit
-    systems solved for every class."""
+    """The primitive integer row on the line of a rational row dict: the row
+    scaled by the lcm of its denominators, then divided by the gcd of its
+    entries.  Elimination depends only on the line of each row, so a row of
+    one entry becomes {j: 1}; that and the short path for integer rows (with
+    `_exact` storage, the rows without a `Fraction`) matter for the small
+    local-unit systems solved for every class."""
     if len(row) == 1:
-        [(j, v)] = row.items()
-        return {j: 1}, v.denominator, v.numerator
+        [j] = row
+        return {j: 1}
     if all(type(v) is int for v in row.values()):
-        ints, den = dict(row), 1
+        ints = dict(row)
     else:
         den = lcm(*[v.denominator for v in row.values()])
         ints = {j: v.numerator * (den // v.denominator) for j, v in row.items()}
-    return ints, den, _divide_content(ints)
+    _divide_content(ints)
+    return ints
 
 
 def _divide_content(row):
-    """Divide an integer row dict in place by the gcd of its entries and
-    return that gcd (1 for an empty row)."""
+    """Divide an integer row dict in place by the gcd of its entries."""
     g = gcd(*row.values())
     if g > 1:
         for j in row:
             row[j] //= g
-    return g or 1
 
 
-class Echelon(namedtuple(
-        "Echelon", "rows cols entries pivots reduced order scales steps")):
-    """One elimination, read in place of the matrix by `kernel_basis` and
-    `solve`: the matrix's shape and (shared) `entries`; per pivot column, a
-    positive integer multiple of its row of the reduced row echelon form
-    (`reduced`) and the matrix row it came from (`order`); and the row
-    operations, in integers: (row, p, q) in `scales` where a row became p/q
-    times itself, and per pivot (row, sign flipped, [(target, a, b, g), ...])
-    in `steps` for each `target = (a·target − b·pivot row) / g`."""
+class Echelon(namedtuple("Echelon", "cols pivots reduced")):
+    """One elimination of a matrix with `cols` columns, read in place of the
+    matrix by `kernel_basis`: per pivot column (`pivots`), a positive
+    integer multiple of its row of the reduced row echelon form
+    (`reduced`)."""
 
     __slots__ = ()
 
@@ -311,7 +306,7 @@ class Echelon(namedtuple(
 
 def _eliminate(rows, cols):
     """In-place fraction-free Gauss-Jordan on row dicts; returns the fields
-    `pivots`, `reduced`, `order`, `scales` and `steps` of `Echelon`.
+    `pivots` and `reduced` of `Echelon`.
 
     On entry each row is replaced by its primitive integer row
     (`_primitive`), and every row operation keeps it primitive: a pivot row
@@ -330,18 +325,13 @@ def _eliminate(rows, cols):
     reduced rows.
     """
     holders = {}  # column -> indices of the rows with a nonzero entry there
-    scales = []
     for i, row in enumerate(rows):
         if row:
-            row, p, q = _primitive(row)
-            rows[i] = row
-            if p != q:
-                scales.append((i, p, q))
+            rows[i] = row = _primitive(row)
             for j in row:
                 holders.setdefault(j, set()).add(i)
     pivots = []
     pivot_rows = []
-    steps = []
     used = set()
     nrows = len(rows)
     for col in range(cols):
@@ -350,13 +340,11 @@ def _eliminate(rows, cols):
             continue
         pivot_row = rows[sel]
         a = pivot_row[col]
-        flip = a < 0
-        if flip:
+        if a < 0:
             a = -a
             for j in pivot_row:
                 pivot_row[j] = -pivot_row[j]
         pivot_items = [(j, v) for j, v in pivot_row.items() if j != col]
-        ops = []
         for i in holders.pop(col):
             if i == sel:
                 continue
@@ -379,14 +367,13 @@ def _eliminate(rows, cols):
                     else:
                         del target[j]
                         holders[j].discard(i)
-            ops.append((i, scale, factor, _divide_content(target)))
+            _divide_content(target)
         pivots.append(col)
         pivot_rows.append(sel)
-        steps.append((sel, flip, ops))
         used.add(sel)
         if len(pivots) == nrows:
             break
-    return pivots, [rows[i] for i in pivot_rows], pivot_rows, scales, steps
+    return pivots, [rows[i] for i in pivot_rows]
 
 
 def _reduce(leads, row):
@@ -425,7 +412,7 @@ def _pivot_columns(rows, cols):
     leads = {}
     for row in rows:
         if row:
-            row = _reduce(leads, _primitive(row)[0])
+            row = _reduce(leads, _primitive(row))
             if row:
                 leads[min(row)] = row
                 if len(leads) == cols:
@@ -433,61 +420,46 @@ def _pivot_columns(rows, cols):
     return sorted(leads)
 
 
-def echelon(matrix):
-    """Eliminate the `SparseMatrix` `matrix` once and return its `Echelon`
-    record."""
+def _rows(matrix):
+    """The rows of `matrix` as dicts {column: value}, for `_eliminate`."""
     rows = [{} for _ in range(matrix.rows)]
     for (r, c), v in matrix.entries.items():
         rows[r][c] = v
-    return Echelon(matrix.rows, matrix.cols, matrix.entries,
-                   *_eliminate(rows, matrix.cols))
+    return rows
 
 
-def _record(system):
-    """The echelon record of `system`, a matrix or already a record."""
-    return system if type(system) is Echelon else echelon(system)
+def echelon(matrix):
+    """Eliminate the `SparseMatrix` `matrix` once and return its `Echelon`
+    record."""
+    return Echelon(matrix.cols, *_eliminate(_rows(matrix), matrix.cols))
 
 
-def solve(system, rhs):
+def solve(matrix, rhs):
     """One exact solution of matrix @ x = rhs, or an Unsolvable witness.
 
     Free variables are set to zero, so the answer is unique and reproducible.
-    The logged row operations are replayed on `rhs` in exact arithmetic,
-    skipping zeros; any non-pivot row left nonzero makes echelon row
-    `len(pivots)` read 0 = nonzero.
+    `rhs` is column `cols` of one elimination of `[matrix | rhs]`: a pivot
+    there is the last one, and its echelon row reads 0 = nonzero; otherwise
+    each pivot row gives x_c = row[cols] / row[c].
     """
-    record = _record(system)
-    if rhs.dimension != record.rows:
+    if rhs.dimension != matrix.rows:
         raise ValueError("rhs dimension must equal the matrix row count")
-    x = dict(rhs.entries)
-    for i, p, q in record.scales:
-        v = x.get(i)
-        if v:
-            x[i] = Fraction(v.numerator * p, v.denominator * q)
-    for sel, flip, ops in record.steps:
-        pv = x.get(sel, 0)
-        if pv and flip:
-            x[sel] = pv = -pv
-        for i, a, b, g in ops:
-            v = x.pop(i, 0)
-            if v or pv:
-                v = a * v - b * pv
-                if v:
-                    x[i] = Fraction(v, g) if g != 1 else v
-    solution = {}
-    for row, c, i in zip(record.reduced, record.pivots, record.order):
-        v = x.pop(i, None)
-        if v:
-            solution[c] = Fraction(v.numerator, v.denominator * row[c])
-    if x:
-        return Unsolvable(row=len(record.pivots))
-    return SparseVector(record.cols, solution)
+    n = matrix.cols
+    rows = _rows(matrix)
+    for r, v in rhs.entries.items():
+        rows[r][n] = v
+    pivots, reduced = _eliminate(rows, n + 1)
+    if pivots and pivots[-1] == n:
+        return Unsolvable(row=len(pivots) - 1)
+    return SparseVector(n, {c: Fraction(row[n], row[c])
+                            for row, c in zip(reduced, pivots) if n in row})
 
 
 def kernel_basis(system, free=None):
     """Deterministic basis of the null space, one vector per free column
-    (only those in `free` if given): 1 there, 0 at every other free column."""
-    record = _record(system)
+    (only those in `free` if given): 1 there, 0 at every other free column.
+    `system` is a matrix or its `Echelon` record."""
+    record = system if type(system) is Echelon else echelon(system)
     if free is None:
         free = record.free_columns()
     vectors = {f: {f: 1} for f in free}
@@ -501,16 +473,22 @@ def kernel_basis(system, free=None):
 
 
 def invert(matrix):
-    """Exact inverse of a nonsingular square matrix, one solve per column:
-    the parent -> split coordinate change of every `algebra.SplitBasis`."""
+    """Exact inverse of a nonsingular square matrix, by one elimination of
+    `[matrix | 1]`: the parent -> split coordinate change of every
+    `algebra.SplitBasis`.  The matrix is singular exactly when the last
+    pivot lies in the identity's columns."""
     if matrix.rows != matrix.cols:
         raise ValueError("only square matrices can be inverted")
     n = matrix.rows
-    record = echelon(matrix)
-    if len(record.pivots) < n:
+    rows = _rows(matrix)
+    for r in range(n):
+        rows[r][n + r] = 1
+    pivots, reduced = _eliminate(rows, 2 * n)
+    if pivots and pivots[-1] >= n:
         raise ValueError("matrix is singular")
-    columns = [solve(record, SparseVector.unit(n, c)) for c in range(n)]
-    return SparseMatrix.from_columns(columns, rows=n)
+    return SparseMatrix(n, n, {
+        (r, c): Fraction(row[n + c], row[r])
+        for c in range(n) for r, row in enumerate(reduced) if n + c in row})
 
 
 class IncrementalSpan:
@@ -531,7 +509,7 @@ class IncrementalSpan:
     def add(self, vector):
         if vector.dimension != self.dimension:
             raise ValueError("dimension mismatch")
-        row = _reduce(self._rows, _primitive(vector.entries)[0])
+        row = _reduce(self._rows, _primitive(vector.entries))
         if not row:
             return False
         lead = min(row)

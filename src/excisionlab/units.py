@@ -78,16 +78,18 @@ def find_local_left_unit(ideal, targets):
     """Solve e·s = s (all s in `targets`) for e in `ideal`.
 
     Returns the unit as a parent-coordinate vector, or a NoLocalUnit witness.
-    Targets outside the ideal's span are a caller error and raise; the ideal
-    basis is eliminated once and every target solved against that record.
+    Targets outside the ideal's span are a caller error and raise: one
+    elimination of [ideal basis | targets] has its first pivot among the
+    target columns at the first target outside the ideal.
     """
     targets = list(targets)
+    basis = ideal.basis_vectors
     span = echelon(
-        SparseMatrix.from_columns(ideal.basis_vectors, rows=ideal.parent.dimension)
+        SparseMatrix.from_columns(basis + targets, rows=ideal.parent.dimension)
     )
-    for idx, s in enumerate(targets):
-        if isinstance(solve(span, s), Unsolvable):
-            raise ValueError(f"target {idx} does not lie in the ideal")
+    outside = next((c for c in span.pivots if c >= len(basis)), None)
+    if outside is not None:
+        raise ValueError(f"target {outside - len(basis)} does not lie in the ideal")
     matrix, rhs = _unit_system(ideal, targets)
     result = solve(matrix, rhs)
     if isinstance(result, Unsolvable):
@@ -97,7 +99,6 @@ def find_local_left_unit(ideal, targets):
             targets=tuple(targets),
             detail=f"inconsistent at echelon row {result.row}",
         )
-    basis = ideal.basis_vectors
     unit = _combination(
         ideal.parent.dimension, [(c, basis[k]) for k, c in result.entries.items()]
     )

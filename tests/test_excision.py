@@ -580,7 +580,25 @@ def test_identity_path_returns_the_canonical_form(corpus):
                 assert verify_certificate(result) is None
 
 
-def test_classes_with_complement_slots_take_the_solve(t2, direct_sum, monkeypatch):
+def solve_fallback_inputs(t2, direct_sum):
+    """(φ, φ + b(η)) for every relative `hc` representative φ of t2-corner
+    and direct-sum at degrees 2 and 4, with η the first three tuples of
+    degree n + 1 that have a complement slot, weighted 1, 2, 3: cycles that
+    are neither strict nor all-ideal, so their inverse takes the solve."""
+    variant = Variant("hc", "relative")
+    for demo in (t2, direct_sum):
+        split = demo.split
+        for degree in (2, 4):
+            mixed = [t for t in basis_tuples(split, variant, degree + 1)
+                     if not all(split.is_ideal_index(i) for i in t)]
+            eta = Chain(degree + 1, split,
+                        {t: k + 1 for k, t in enumerate(mixed[:3])})
+            for phi in homology(split, variant, degree).representatives:
+                yield phi, phi + boundary_b(eta)
+
+
+def _count_solves(monkeypatch):
+    """The list of chains `_invert_by_solve` is called with from now on."""
     import excisionlab.excision as excision_module
 
     solved = []
@@ -591,28 +609,80 @@ def test_classes_with_complement_slots_take_the_solve(t2, direct_sum, monkeypatc
         return solve(chain)
 
     monkeypatch.setattr(excision_module, "_invert_by_solve", counted)
-    variant = Variant("hc", "relative")
-    for demo in (t2, direct_sum):
-        split = demo.split
-        for degree in (2, 4):
-            mixed = [t for t in basis_tuples(split, variant, degree + 1)
-                     if not all(split.is_ideal_index(i) for i in t)]
-            eta = Chain(degree + 1, split,
-                        {t: k + 1 for k, t in enumerate(mixed[:3])})
-            for phi in homology(split, variant, degree).representatives:
-                solved.clear()
-                [plain] = inverse_excision_class([phi])
-                [result] = inverse_excision_class([phi + boundary_b(eta)])
-                assert len(solved) == 1
-                assert not is_ideal_chain(solved[0])
-                assert verify_certificate(result) is None
-                witness = cyclic_boundary_witness(result.output - plain.output, "I")
-                assert witness is not None
-                cert = BoundaryCertificate(
-                    lhs=result.output, rhs=plain.output, witness=witness,
-                    op="hc", space="I",
-                )
-                assert verify_certificate(cert) is None
+    return solved
+
+
+def test_classes_with_complement_slots_take_the_solve(t2, direct_sum, monkeypatch):
+    solved = _count_solves(monkeypatch)
+    for phi, chain in solve_fallback_inputs(t2, direct_sum):
+        solved.clear()
+        [plain] = inverse_excision_class([phi])
+        [result] = inverse_excision_class([chain])
+        assert len(solved) == 1
+        assert not is_ideal_chain(solved[0])
+        assert verify_certificate(result) is None
+        witness = cyclic_boundary_witness(result.output - plain.output, "I")
+        assert witness is not None
+        cert = BoundaryCertificate(
+            lhs=result.output, rhs=plain.output, witness=witness,
+            op="hc", space="I",
+        )
+        assert verify_certificate(cert) is None
+
+
+# sha256 over the `certificate_to_doc` JSON, witness included, of the
+# inverse of every `solve_fallback_inputs` cycle: the one pin on the
+# documents of `_invert_by_solve`.
+SOLVE_FALLBACK_DOCS_SHA256 = "878ac29f092b8f1684c6a24de25c643ea8d99fa46602ce980d8be5b9a7b25c95"
+
+
+def test_solve_fallback_documents_are_pinned(t2, direct_sum, monkeypatch):
+    from excisionlab.fileio import certificate_to_doc
+
+    solved = _count_solves(monkeypatch)
+    digest = hashlib.sha256()
+    count = 0
+    for _, chain in solve_fallback_inputs(t2, direct_sum):
+        [result] = inverse_excision_class([chain])
+        doc = certificate_to_doc(result, chain.context)
+        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+        count += 1
+    # every pinned document took the solve, once
+    assert len(solved) == count == 4
+    assert digest.hexdigest() == SOLVE_FALLBACK_DOCS_SHA256
+
+
+def test_the_solve_refuses_a_degree_above_the_cap(
+        t2, direct_sum, tmp_path, monkeypatch, capsys):
+    import excisionlab.excision as excision_module
+    from excisionlab.algebra import SplitBasis
+    from excisionlab.chains import DegreeLimitError
+    from excisionlab.cli import EXIT_ERROR, main
+    from excisionlab.fileio import save_algebra, save_chain
+
+    # φ + b(η) on t2-corner at degree 2, which takes the solve, read with
+    # the cap at 1: like `homology`, the solve refuses before it assembles
+    # hc/relative at degree 3 or hc/I at degree 2
+    _, chain = next(solve_fallback_inputs(t2, direct_sum))
+    assert chain.degree == 2
+    algebra, path = str(tmp_path / "t2.json"), str(tmp_path / "chain.json")
+    save_algebra(algebra, t2.algebra, t2.ideal, t2.split)
+    save_chain(path, chain)
+    split = t2.split
+    fresh = SplitBasis(split.ideal, split.ordered_basis, split.ideal_count)
+
+    def assembled(*args):
+        raise AssertionError("a complex was assembled above the degree cap")
+
+    monkeypatch.setattr(excision_module, "boundary_matrix", assembled)
+    monkeypatch.setenv("EXCISIONLAB_MAX_DEGREE", "1")
+    with pytest.raises(DegreeLimitError, match="EXCISIONLAB_MAX_DEGREE"):
+        inverse_excision_class([Chain(2, fresh, chain.terms)])
+    assert main(["excise-inverse", "--algebra", algebra, "--chain", path,
+                 "--degree", "2"]) == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "EXCISIONLAB_MAX_DEGREE" in captured.err
 
 
 def test_dual_number_extension_meets_nonzero_strict_classes(monkeypatch):
@@ -645,7 +715,7 @@ def test_the_solve_fails_on_a_chain_that_is_not_a_cycle(t2):
     with pytest.raises(CertificateSearchError) as info:
         _invert_by_solve(target)
     # the error carries the stacked system, built once per split and degree
-    system, _, cols_ideal, cols_up, _ = _inverse_system(t2.split, 1)
+    system, cols_ideal, cols_up, _ = _inverse_system(t2.split, 1)
     assert info.value.matrix is system
     assert (system.rows, system.cols) == (5, 11)
     assert info.value.columns == cols_ideal + cols_up

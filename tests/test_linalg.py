@@ -385,6 +385,11 @@ def test_elimination_matches_dense_reference():
     block_rng = random.Random(16180)
     blocks = [_permuted_block_matrix(block_rng) for _ in range(60)]
     matrices += blocks
+    # the edge shapes of `[M | rhs]` and `[M | 1]`: an empty system, one
+    # with no unknowns (inconsistent exactly when its rhs is nonzero) and a
+    # zero scalar (singular)
+    edges = [SparseMatrix(0, 0), SparseMatrix(3, 0), SparseMatrix(1, 1)]
+    matrices += edges
     seen = {"deficient": 0, "inconsistent": 0, "consistent": 0,
             "inverted": 0, "singular": 0}
     for m in matrices:
@@ -446,13 +451,14 @@ def test_elimination_matches_dense_reference():
         )
         for rhs in solutions + [planted, SparseVector(m.rows)]:
             expected = _reference_solve(dense, m.cols, rhs.to_list())
-            for result in (solve(m, rhs), solve(record, rhs)):
-                if isinstance(expected, Unsolvable):
-                    assert result == expected
-                else:
-                    assert isinstance(result, SparseVector)
-                    assert result.entries == expected
-                    assert stored_exactly(result.entries.values())
+            result = solve(m, rhs)
+            if isinstance(expected, Unsolvable):
+                assert result == expected
+            else:
+                assert isinstance(result, SparseVector)
+                assert result.dimension == m.cols
+                assert result.entries == expected
+                assert stored_exactly(result.entries.values())
             if isinstance(expected, Unsolvable):
                 seen["inconsistent"] += 1
             else:
@@ -464,6 +470,14 @@ def test_elimination_matches_dense_reference():
     assert seen["inverted"] >= 30
     assert seen["singular"] >= 10
     assert sum(1 for m in blocks if len(echelon(m).pivots) < min(m.rows, m.cols)) >= 10
+    empty, no_unknowns, zero = edges
+    assert solve(empty, SparseVector(0)) == SparseVector(0)
+    assert invert(empty) == empty
+    assert solve(no_unknowns, SparseVector(3)) == SparseVector(0)
+    assert solve(no_unknowns, SparseVector(3, {2: 1})) == Unsolvable(row=0)
+    assert solve(zero, SparseVector(1, {0: 1})) == Unsolvable(row=0)
+    with pytest.raises(ValueError, match="singular"):
+        invert(zero)
 
 
 def test_incremental_span_matches_reference_rank():

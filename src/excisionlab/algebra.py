@@ -205,10 +205,9 @@ class SplitBasis:
             (i, j): tuple(self.to_split(mul(f_i, f_j)).entries.items())
             for i, f_i in enumerate(basis) for j, f_j in enumerate(basis)
         }
-        # basis tuples, boundary matrices, homology bases and the inverse's
-        # stacked system, memoised by `chains` and `excision`, and the
-        # local left units by target set, memoised by `units`; they live as
-        # long as this split
+        # basis tuples, boundary matrices and homology bases, memoised by
+        # `chains`, and the local left units by target set, memoised by
+        # `units`; they live as long as this split
         self.chain_cache = {}
 
     def is_ideal_index(self, i):

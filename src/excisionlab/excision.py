@@ -10,9 +10,11 @@ a claimed-homologous difference, and an inverse result bundles the unit
 schedule with a boundary certificate for  ρ(output) ≡ input.  For a strict
 cycle that witness is minus the summed homotopy of the n descent steps the
 closed formula summarises, so the paper's inverse does no linear algebra.
-A non-strict class whose every slot is ideal is its own inverse image, since
-the excision map is the inclusion there; only the remaining classes, with a
-complement slot, are inverted, and certified, by an exact linear solve.
+Every other class is inverted by one boundary b(η) that cancels the terms of
+its canonical form with a complement slot; since C(I) is the subcomplex of
+all-ideal tuples, what remains is an ideal cycle.  η is found by an exact
+linear solve on those rows of the relative differential, and a class with
+no such term, all-ideal, is its own inverse image and solves nothing.
 Verification re-expands every identity from scratch, so a tampered
 certificate is caught by exact residual arithmetic.
 """
@@ -26,9 +28,7 @@ from .chains import (
     Chain,
     Variant,
     _check_degree,
-    _memoised,
     _signed_rotations,
-    basis_tuples,
     boundary_b,
     boundary_matrix,
     canonicalize_cyclic,
@@ -40,7 +40,8 @@ from .linalg import (
     SparseMatrix, SparseVector, Unsolvable, _accumulate, solve,
 )
 from .units import (
-    ScheduleMismatchError, build_unit_schedule, check_schedule, require_degree,
+    ScheduleMismatchError, _unit_refusal, build_unit_schedule, check_schedule,
+    require_degree,
 )
 
 
@@ -70,12 +71,14 @@ class InverseInvariantError(RuntimeError):
 
 
 class CertificateSearchError(RuntimeError):
-    """The stacked system of `_invert_by_solve` has no solution.
+    """The system of `_invert_by_solve` has no solution: no boundary cancels
+    the terms with a complement slot.
 
     For a relative cyclic cycle under the local-unit hypotheses this cannot
     happen — it would falsify the excision isomorphism — so the input was
-    not such a cycle, and the full linear system is attached for
-    inspection.
+    not such a cycle.  The system (the mixed rows of the relative
+    differential), its right-hand side and its column tuples are attached
+    for inspection.
     """
 
     def __init__(self, message, matrix, rhs, columns):
@@ -234,15 +237,19 @@ def descent_output(chain, unit_split):
 def descent_step(chain, unit):
     """One certified descent step.
 
-    `unit` is in parent coordinates and must act as a left unit on the
-    initial content of the chain (checked tail-by-tail; failure carries the
-    offending slot as a witness).  Every initial slot must already be ideal.
+    `unit` is in parent coordinates, must lie in the ideal (else
+    ValueError: the output would leave the top filtration step) and must
+    act as a left unit on the initial content of the chain (checked
+    tail-by-tail; failure carries the offending slot as a witness).  Every
+    initial slot must already be ideal.
     Returns a certificate whose identity holds even when the input is not a
     cycle; for cycles it reads  input − output = b(homotopy).
     """
     if chain.degree < 1:
         raise ValueError("descent needs degree >= 1")
     require_top_filtration(chain)
+    if (refusal := _unit_refusal(chain.context, unit)) is not None:
+        raise ValueError(f"the unit {refusal}")
     unit_split = chain.context.to_split(unit)
     _check_left_unit(chain, unit_split)
     return DescentCertificate(
@@ -304,55 +311,35 @@ def closed_formula(chain, schedule):
     return Chain(n, context, out)
 
 
-@_memoised
-def _inverse_system(context, n):
-    """(system, ideal columns, relative columns, relative row index) of
-    `_invert_by_solve`, assembled once per split and degree from the
-    memoised boundary matrices and, like them, without a per-entry check;
-    each solve eliminates the system with its own right-hand side."""
-    cols_ideal = basis_tuples(context, Variant("hc", "I"), n)
-    up_matrix, cols_up, rows_rel = boundary_matrix(
-        context, Variant("hc", "relative"), n + 1
-    )
-    rel_index = {t: r for r, t in enumerate(rows_rel)}
-    offset = len(cols_ideal)
-    entries = {}
-    for c, tup in enumerate(cols_ideal):
-        entries[(rel_index[tup], c)] = 1
-    for (r, c), v in up_matrix.entries.items():
-        entries[(r, offset + c)] = -v
-    total_rows = len(rows_rel)
-    if n >= 1:
-        down_matrix = boundary_matrix(context, Variant("hc", "I"), n)[0]
-        for (r, c), v in down_matrix.entries.items():
-            entries[(total_rows + r, c)] = v
-        total_rows += down_matrix.rows
-    system = SparseMatrix._assembled(total_rows, offset + up_matrix.cols, entries)
-    return system, cols_ideal, cols_up, rel_index
-
-
 def _invert_by_solve(chain):
-    """Inverse image of a merely-cyclic cycle by one exact linear solve.
+    """Inverse image (ψ, η) of a non-strict relative cyclic cycle, with
+    ψ = φ + b(η) a cyclic cycle over the ideal and φ the canonical form of
+    `chain`.
 
-    Classes whose lifts are not strict cycles (possible from degree 2 on:
-    the boundary only vanishes modulo the rotation action) are outside the
-    closed formula's hypothesis, and the formula provably lands in the wrong
-    class there.  Instead we solve directly for a cyclic cycle ψ over the
-    ideal and a relative witness η with  ρ(ψ) − b(η) ≡ chain, which exists
-    exactly because the excision map is onto in homology.  The system is
-    assembled once per split and degree (`_inverse_system`), and each class
-    eliminates it once with its right-hand side.  Like `homology`, which
-    builds the same complexes, the solve refuses a degree above the cap
-    before it assembles anything.  `inverse_excision` sends only cycles
-    with a complement slot here: an all-ideal one is its own preimage.
-    Returns (ψ, η).
+    C(I) is the subcomplex of all-ideal tuples of the relative complex, so
+    ψ lies over the ideal exactly when b(η) cancels the mixed terms of φ,
+    those with a complement slot.  With none, ψ = φ and η = 0: ρ is the
+    inclusion there, and nothing is assembled.  Otherwise η is the one
+    solution, free variables zero, of  ∂η = −φ  on the mixed rows of the
+    memoised relative differential, eliminated once with its right-hand
+    side; such an η exists because the excision map is onto in homology.
+    Like `homology`, which builds the same complex, the solve refuses a
+    degree above the cap before it assembles anything.
     """
     context = chain.context
     n = chain.degree
+    ideal_count = context.ideal_count
+    phi = canonicalize_cyclic(chain)
+    mixed = {t: c for t, c in phi.terms.items() if max(t) >= ideal_count}
+    if not mixed:
+        return phi, Chain(n + 1, context)
     _check_degree(n)
-    system, cols_ideal, cols_up, rel_index = _inverse_system(context, n)
-    terms = canonicalize_cyclic(chain).terms
-    rhs = SparseVector(system.rows, {rel_index[t]: c for t, c in terms.items()})
+    matrix, cols, rows = boundary_matrix(context, Variant("hc", "relative"), n + 1)
+    on_mixed = [max(t) >= ideal_count for t in rows]
+    system = SparseMatrix._assembled(matrix.rows, matrix.cols, {
+        (r, c): v for (r, c), v in matrix.entries.items() if on_mixed[r]})
+    row_index = {t: r for r, t in enumerate(rows)}
+    rhs = SparseVector(system.rows, {row_index[t]: -c for t, c in mixed.items()})
     solution = solve(system, rhs)
     if isinstance(solution, Unsolvable):
         raise CertificateSearchError(
@@ -362,20 +349,10 @@ def _invert_by_solve(chain):
             "under the local-unit hypotheses",
             system,
             rhs,
-            cols_ideal + cols_up,
+            cols,
         )
-    offset = len(cols_ideal)
-    psi = Chain(
-        n,
-        context,
-        {cols_ideal[c]: v for c, v in solution.entries.items() if c < offset},
-    )
-    eta = Chain(
-        n + 1,
-        context,
-        {cols_up[c - offset]: v for c, v in solution.entries.items() if c >= offset},
-    )
-    return psi, eta
+    eta = Chain(n + 1, context, {cols[c]: v for c, v in solution.entries.items()})
+    return canonicalize_cyclic(phi + boundary_b(eta)), eta
 
 
 def _descent_witness(chain, schedule, output):
@@ -411,19 +388,19 @@ def inverse_excision(chain, schedule):
     The input must have every initial slot in the ideal (no rotation happens
     here: plain Hochschild-style inputs must arrive already in the top
     filtration step) and must be a cycle of the relative cyclic complex.
-    It takes one of three paths:
+    It takes one of two paths:
       - strict cycles go through the closed formula, and are certified by
         the homotopy that proves it: the n descent steps with e_n, …, e_1
         must end at the formula's output, and the witness is minus the sum
         of their homotopies e_i ⊗ φ_i, so this path does no linear algebra;
-      - other cycles whose every slot is ideal are their own preimage, since
-        ρ is the inclusion: the output is the canonical form of the input
-        and the witness is 0, exactly what the solve would return;
-      - cycles with a complement slot that only close up modulo the
-        rotation action carry no formula guarantee and are inverted by the
-        exact linear solve of `_invert_by_solve`.
-    Every path ships the same kind of independently checkable certificate;
-    a failed internal identity raises InverseInvariantError.
+      - every other cycle only closes up modulo the rotation action, where
+        the formula carries no guarantee: `_invert_by_solve` cancels the
+        terms of its canonical form that have a complement slot with one
+        boundary, found by an exact linear solve, and an all-ideal cycle,
+        with no such term, is its own preimage with witness 0.
+    Both paths ship the same kind of independently checkable certificate,
+    and both outputs must lie over the ideal and be cyclic cycles; a failed
+    internal identity raises InverseInvariantError.
     """
     context = chain.context
     n = chain.degree
@@ -434,17 +411,13 @@ def inverse_excision(chain, schedule):
     check_schedule(chain, schedule)
     if strict:
         output = closed_formula(chain, schedule)
-        if not is_ideal_chain(output):
-            raise InverseInvariantError(
-                "closed formula escaped the ideal's tensor space", output
-            )
         witness = _descent_witness(chain, schedule, output)
-    elif is_ideal_chain(chain):
-        # ρ is the inclusion here, so the class is its own preimage; the
-        # solve would return exactly this, its ideal columns being pivots
-        output, witness = canonicalize_cyclic(chain), Chain(n + 1, context)
     else:
         output, witness = _invert_by_solve(chain)
+    if not is_ideal_chain(output):
+        raise InverseInvariantError(
+            "inverse image escaped the ideal's tensor space", output
+        )
     if n >= 1 and not canonicalize_cyclic(boundary_b(output)).is_zero():
         raise InverseInvariantError(
             "inverse image is not a cyclic cycle over the ideal", output
@@ -501,14 +474,14 @@ def verify_certificate(certificate):
 
     Returns None when the certificate is sound, otherwise a Mismatch carrying
     the exact residual chain where the failed claim is an identity of chains.
-    Chains over different split bases, or a unit of another dimension, do
-    not verify.  A descent certificate's identity is checked on its derived
-    homotopy e ⊗ input, and e must be a left unit on every initial slot; an
-    inverse result must have its units in the ideal and fit the descending
-    unit rule on the input's slots, which `check_schedule`, the one schedule
-    check, replays.  The verification path re-expands boundaries and
-    canonical forms directly on chains; it never reuses the linear solve
-    that produced the witness.
+    Chains over different split bases, or a unit of another dimension or
+    outside the ideal, do not verify.  A descent certificate's identity is
+    checked on its derived homotopy e ⊗ input, and e must be a left unit on
+    every initial slot; an inverse result must claim `hc` over `relative`,
+    the one claim the inverse makes, and its schedule must pass
+    `check_schedule`, the one schedule check.  The verification path
+    re-expands boundaries and canonical forms directly on chains; it never
+    reuses the linear solve that produced the witness.
     """
     chains = _certificate_chains(certificate)
     context = chains[0].context
@@ -518,8 +491,8 @@ def verify_certificate(certificate):
         n = certificate.input.degree
         if certificate.output.degree != n:
             return Mismatch("output has the wrong degree")
-        if certificate.unit.dimension != context.dimension:
-            return Mismatch("the unit has the wrong dimension")
+        if (refusal := _unit_refusal(context, certificate.unit)) is not None:
+            return Mismatch(f"the unit {refusal}")
         unit_split = context.to_split(certificate.unit)
         # any e has an output that meets the identity, so e must also fix
         # the initial slots
@@ -558,11 +531,10 @@ def verify_certificate(certificate):
             return Mismatch("boundary identity fails", residual)
         return None
     # an InverseResult, whose chains all lie over `context`
-    for unit in certificate.schedule.units:
-        if unit.dimension != context.dimension:
-            return Mismatch("a unit of the schedule has the wrong dimension")
-        if any(i >= context.ideal_count for i in context.to_split(unit).entries):
-            return Mismatch("a unit of the schedule lies outside the ideal")
+    inner = certificate.verification
+    if (inner.op, inner.space) != ("hc", "relative"):
+        return Mismatch(f"the inverse claims op {inner.op!r} in space "
+                        f"{inner.space!r}, not 'hc' in 'relative'")
     try:
         check_schedule(certificate.input, certificate.schedule)
     except ScheduleMismatchError as exc:
@@ -574,7 +546,6 @@ def verify_certificate(certificate):
         cycle_residual = canonicalize_cyclic(boundary_b(output))
         if not cycle_residual.is_zero():
             return Mismatch("output is not a cyclic cycle", cycle_residual)
-    inner = certificate.verification
     if inner.lhs.terms != output.terms:
         return Mismatch("certificate lhs is not the stored output", None)
     if inner.rhs.terms != certificate.input.terms:

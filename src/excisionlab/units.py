@@ -192,12 +192,26 @@ def require_degree(schedule, degree):
         )
 
 
+def _unit_refusal(context, unit):
+    """Why the parent-coordinate `unit` is no element of the split's ideal
+    ("has the wrong dimension", "lies outside the ideal"), or None."""
+    if unit.dimension != context.dimension:
+        return "has the wrong dimension"
+    if any(i >= context.ideal_count for i in context.to_split(unit).entries):
+        return "lies outside the ideal"
+    return None
+
+
 def check_schedule(chain, schedule):
     """Replay `level_targets` on the slots of `chain`, with each e_(level+1)
     read from the schedule, and raise ScheduleMismatchError unless the
-    schedule has the chain's degree and each unit fixes its targets."""
+    schedule has the chain's degree, each unit lies in the ideal, and each
+    unit fixes its targets."""
     require_degree(schedule, chain.degree)
     context, tuples = chain.context, chain.terms
+    for unit in schedule.units:
+        if (refusal := _unit_refusal(context, unit)) is not None:
+            raise ScheduleMismatchError(f"a unit of the schedule {refusal}")
     mul, label = context.parent.mul, context.split_label
     above = None
     for level in range(chain.degree, 0, -1):

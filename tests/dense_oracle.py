@@ -9,11 +9,14 @@ are brought to split coordinates by a dense inverse of the basis matrix
 computed here, never from the split's product table that the library's
 differential walks.  `sign_word_closed_formula` expands the paper's
 inverse formula word by word with the same products, as the reference for
-the library's fold over the slots.  The exception is
+the library's fold over the slots.  The exceptions are
 `incremental_span_homology`, the library's former choice of homology
 representatives, kept as the reference for the projection that replaced it:
 it reads the library's matrices and kernels, but grows its span by its own
-sparse integer reduction (`_enlarges`), not the library's.
+sparse integer reduction (`_enlarges`), not the library's; and
+`stacked_inverse`, the library's former inverse solve, kept as the reference
+for the mixed-row solve that replaced it: it reads the library's matrices
+and `solve`, but poses the whole stacked system.
 """
 
 from fractions import Fraction
@@ -348,3 +351,44 @@ def incremental_span_homology(split, variant, degree):
         if _enlarges(span, vector.entries)
     ]
     return len(cycles) - rank, representatives
+
+
+def stacked_inverse(chain):
+    """(ψ, η) for a relative cyclic cycle `chain` of degree n, from one
+    solve of the stacked system
+
+        [ ρ     | −∂^rel_(n+1) ]  [ψ]   [φ]
+        [ ∂^I_n |  0           ]  [η] = [0]
+
+    over the columns of C_n(I) and then of the relative degree n + 1, with
+    φ the canonical form of `chain` on the relative rows: ψ an ideal cyclic
+    cycle with ρ(ψ) − b(η) ≡ φ, free variables zeroed.  None when the
+    system is inconsistent."""
+    from excisionlab.chains import (
+        Chain, Variant, basis_tuples, boundary_matrix, canonicalize_cyclic,
+    )
+    from excisionlab.linalg import SparseMatrix, SparseVector, Unsolvable, solve
+
+    split, n = chain.context, chain.degree
+    cols_ideal = basis_tuples(split, Variant("hc", "I"), n)
+    up, cols_up, rows_rel = boundary_matrix(split, Variant("hc", "relative"), n + 1)
+    rel_index = {t: r for r, t in enumerate(rows_rel)}
+    offset = len(cols_ideal)
+    entries = {(rel_index[t], c): 1 for c, t in enumerate(cols_ideal)}
+    for (r, c), v in up.entries.items():
+        entries[(r, offset + c)] = -v
+    rows = len(rows_rel)
+    if n >= 1:
+        down = boundary_matrix(split, Variant("hc", "I"), n)[0]
+        for (r, c), v in down.entries.items():
+            entries[(rows + r, c)] = v
+        rows += down.rows
+    system = SparseMatrix(rows, offset + up.cols, entries)
+    rhs = SparseVector(rows, {rel_index[t]: v
+                              for t, v in canonicalize_cyclic(chain).terms.items()})
+    solution = solve(system, rhs)
+    if isinstance(solution, Unsolvable):
+        return None
+    psi = {cols_ideal[c]: v for c, v in solution.entries.items() if c < offset}
+    eta = {cols_up[c - offset]: v for c, v in solution.entries.items() if c >= offset}
+    return Chain(n, split, psi), Chain(n + 1, split, eta)

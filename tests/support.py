@@ -7,7 +7,8 @@ from itertools import product as iter_product
 
 from excisionlab.algebra import Algebra, Ideal, make_split_basis
 from excisionlab.chains import (
-    Chain, Variant, boundary_matrix, canonicalize_cyclic, tuple_boundary_terms,
+    Chain, Variant, basis_tuples, boundary_b, boundary_matrix,
+    canonicalize_cyclic, tuple_boundary_terms,
 )
 from excisionlab.linalg import (
     SparseMatrix, SparseVector, Unsolvable, invert, kernel_basis, solve,
@@ -159,6 +160,17 @@ def cyclic_boundary_witness(target, space):
     if isinstance(solution, Unsolvable):
         return None
     return Chain(n + 1, context, {cols[c]: v for c, v in solution.entries.items()})
+
+
+def mixed_boundary(split, degree, last=False):
+    """b(η) for η the first (or, with `last`, the last) three relative
+    cyclic tuples of degree `degree` + 1 with a complement slot, weighted
+    1, 2, 3: added to a cycle, a cycle whose inverse takes the solve."""
+    mixed = [t for t in basis_tuples(split, Variant("hc", "relative"), degree + 1)
+             if max(t) >= split.ideal_count]
+    picked = mixed[-3:] if last else mixed[:3]
+    return boundary_b(Chain(degree + 1, split,
+                            {t: k + 1 for k, t in enumerate(picked)}))
 
 
 def upper_triangular_split():

@@ -30,7 +30,7 @@ from excisionlab.chains import (
     tensor_prepend,
     tuple_boundary_terms,
 )
-from excisionlab.excision import _invert_by_solve, _inverse_system, isomorphism_witness
+from excisionlab.excision import _invert_by_solve, isomorphism_witness
 from excisionlab.fileio import certificate_to_doc, demo_by_name
 from excisionlab.linalg import IncrementalSpan, SparseVector, Unsolvable, solve
 
@@ -38,7 +38,8 @@ from dense_oracle import (
     _dense_boundary, image_columns, incremental_span_homology, split_products,
 )
 from support import (
-    random_chain, rebased_split, stored_exactly, upper_triangular_split,
+    mixed_boundary, random_chain, rebased_split, stored_exactly,
+    upper_triangular_split,
 )
 
 
@@ -482,6 +483,8 @@ def test_cached_complexes_are_not_mutated(t2):
     assert report.representatives
     for rep in report.representatives:
         _invert_by_solve(rep)
+        # one with a complement slot, whose solve reads ∂^rel_(degree+1)
+        assert not _invert_by_solve(rep + mixed_boundary(split, degree))[1].is_zero()
     for (variant, n), triple, (entries, cols, rows) in zip(keys, cached, snapshots):
         assert boundary_matrix(split, variant, n) is triple
         assert triple[0].entries == entries
@@ -624,8 +627,6 @@ def test_each_system_is_eliminated_once(corpus, monkeypatch):
         first = isomorphism_witness(split, degree)
         solved = [r.input for r in first.onto] + [r.input for r, _ in first.back]
         assert len(solved) >= 2 and counts["unit"] > 0
-        # every corpus class is all-ideal, so no stacked system is built
-        assert ("_inverse_system", degree) not in split.chain_cache
         witness_eliminations = list(counts["complex"])
         projections = counts["projection"]
         # no complex is eliminated or projected twice (told apart by shape):
@@ -648,16 +649,19 @@ def test_each_system_is_eliminated_once(corpus, monkeypatch):
         assert isomorphism_witness(split, degree) == first
         assert counts["complex"] == [] and projections == [], demo.name
         assert counts["unit"] == 0, demo.name
-        # assembling the stacked system eliminates nothing; each direct
-        # solve eliminates it once, with its right-hand side as one more
-        # column, and nothing else
-        system = _inverse_system(split, degree)[0]
-        assert counts["complex"] == [] and projections == [], demo.name
-        shape = (system.rows, system.cols + 1)
+        # every corpus class is all-ideal, so the inverse solved nothing; a
+        # class with a complement slot eliminates the mixed rows of
+        # ∂^rel_(n+1) once, with its right-hand side as one more column, and
+        # nothing else
+        up = boundary_matrix(split, Variant("hc", "relative"), degree + 1)[0]
+        shape = (up.rows, up.cols + 1)
         assert shape not in witness_eliminations
+        if split.ideal_count == split.dimension:
+            continue  # matrix2: no tuple has a complement slot
         for chain in solved:
+            mixed = chain + mixed_boundary(split, degree)
             for scale in (1, -3):
                 counts["complex"].clear()
-                _invert_by_solve(chain.scaled(scale))
+                _invert_by_solve(mixed.scaled(scale))
                 assert counts["complex"] == [shape], demo.name
         assert projections == [], demo.name

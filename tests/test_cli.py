@@ -129,6 +129,41 @@ def test_degree_mismatch_is_an_error(t2_files, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_verify_refuses_an_inverse_claimed_in_another_space(t2_files, capsys):
+    # E22⊗E22⊗E22⊗E22 has no ideal slot and its b vanishes modulo rotation:
+    # added to the witness it keeps the boundary identity, but only in A
+    demo, algebra, _, tmp_path = t2_files
+    chain = str(tmp_path / "degree2.json")
+    save_chain(chain, pure_tensor(demo.split, (0, 0, 0)))  # E11⊗E11⊗E11
+    cert = str(tmp_path / "cert.json")
+    assert main(["excise-inverse", "--algebra", algebra, "--chain", chain,
+                 "--degree", "2", "--emit-certificate", cert]) == EXIT_OK
+    doc = json.loads(Path(cert).read_text())
+    e22 = ["0", "0", "1"]
+    doc["certificate"]["witness"]["terms"].append(
+        {"coeff": "1", "slots": [e22] * 4})
+    for space, code in (("relative", EXIT_MISMATCH), ("A", EXIT_MISMATCH)):
+        doc["certificate"]["space"] = space
+        forged = tmp_path / f"forged-{space}.json"
+        forged.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert main(["verify", "--certificate", str(forged)]) == code
+        assert capsys.readouterr().out.startswith("MISMATCH: ")
+
+
+def test_descend_refuses_a_unit_outside_the_ideal(t2_files, capsys):
+    # E11+E22 fixes E11, but the step would leave the top filtration step
+    _, algebra, chain, tmp_path = t2_files
+    unit = tmp_path / "identity.json"
+    unit.write_text(json.dumps({"element": ["1", "0", "1"]}))
+    code = main(["descend", "--algebra", algebra, "--chain", chain,
+                 "--unit", str(unit)])
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: the unit lies outside the ideal\n"
+
+
 def test_descend_auto_unit(t2_files, capsys):
     _, algebra, chain, _ = t2_files
     code = main(["descend", "--algebra", algebra, "--chain", chain])

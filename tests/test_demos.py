@@ -25,8 +25,11 @@ def test_demo_prints_its_golden_text(demo):
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")])
     )
+    # every warning is an error in the demo too, as in the tier-1 run
     result = subprocess.run(
-        [sys.executable, str(demo)], capture_output=True, env=env, timeout=120
+        [sys.executable, "-W", "error", str(demo)], capture_output=True,
+        env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr.decode()
+    assert result.stderr == b""
     assert result.stdout == (ROOT / "demos" / "expected" / f"{demo.stem}.txt").read_bytes()

@@ -10,8 +10,8 @@ from excisionlab.algebra import Ideal, make_split_basis
 from excisionlab.chains import (
     Chain,
     Variant,
-    basis_tuples,
     boundary_b,
+    boundary_matrix,
     canonicalize_cyclic,
     cyclic_t,
     filtration_level,
@@ -29,7 +29,6 @@ from excisionlab.excision import (
     Mismatch,
     UnitActionError,
     _invert_by_solve,
-    _inverse_system,
     closed_formula,
     descent_output,
     descent_step,
@@ -40,16 +39,18 @@ from excisionlab.excision import (
     rotate_to_ideal_initial,
     verify_certificate,
 )
-from excisionlab.fileio import RunReport
+from excisionlab.fileio import RunReport, demo_by_name
 from excisionlab.linalg import SparseVector
 from excisionlab.units import (
-    UnitSchedule, build_unit_schedule, check_schedule, find_local_left_unit,
+    ScheduleMismatchError, UnitSchedule, build_unit_schedule, check_schedule,
+    find_local_left_unit,
 )
 
-from dense_oracle import sign_word_closed_formula
+from dense_oracle import sign_word_closed_formula, stacked_inverse
 from support import (
     WordAlgebra, cyclic_boundary_witness, dual_number_split,
-    filtered_cycle_basis, stored_exactly, upper_triangular_split,
+    filtered_cycle_basis, mixed_boundary, rebased_split, stored_exactly,
+    upper_triangular_split,
 )
 
 
@@ -486,13 +487,37 @@ def test_a_unit_outside_the_ideal_is_refused(t2):
     [result] = inverse_excision_class([canonicalize_cyclic(phi)])
     assert verify_certificate(result) is None
     # the identity E11+E22 fixes every slot, but it is no unit of the
-    # ideal span{E11, E12}
+    # ideal span{E11, E12}: the one schedule check refuses it, so the
+    # inverse never runs the formula with it
     identity = UnitSchedule((SparseVector.from_list([1, 0, 1]),))
-    check_schedule(result.input, identity)
+    reason = "a unit of the schedule lies outside the ideal"
+    with pytest.raises(ScheduleMismatchError, match=reason):
+        check_schedule(result.input, identity)
+    with pytest.raises(ScheduleMismatchError, match=reason):
+        inverse_excision(result.input, identity)
     forged = dataclasses.replace(result, schedule=identity)
     mismatch = verify_certificate(forged)
     assert isinstance(mismatch, Mismatch)
-    assert mismatch.reason == "a unit of the schedule lies outside the ideal"
+    assert mismatch.reason == f"unit schedule does not fit the input: {reason}"
+
+
+def test_a_descent_unit_outside_the_ideal_is_refused(t2):
+    # E11+E22 is a left unit on E11 ⊗ E22, but not in the ideal: the step
+    # would give −E22 ⊗ E11, which leaves the top filtration step
+    phi = pure_tensor(t2.split, (0, 2))
+    identity = SparseVector.from_list([1, 0, 1])
+    assert filtration_level(descent_output(phi, t2.split.to_split(identity))) == 2
+    with pytest.raises(ValueError, match="the unit lies outside the ideal"):
+        descent_step(phi, identity)
+    step = descent_step(phi, SparseVector.from_list([1, 0, 0]))
+    forged = DescentCertificate(
+        input=phi, output=descent_output(phi, t2.split.to_split(identity)),
+        unit=identity,
+    )
+    assert verify_certificate(step) is None
+    mismatch = verify_certificate(forged)
+    assert isinstance(mismatch, Mismatch)
+    assert mismatch.reason == "the unit lies outside the ideal"
 
 
 @pytest.mark.parametrize("entries", [{0: 1, 4: 1}, {0: 1}],
@@ -510,7 +535,8 @@ def test_a_unit_of_another_dimension_is_refused(t2, entries):
         (dataclasses.replace(descent, unit=unit),
          "the unit has the wrong dimension"),
         (dataclasses.replace(result, schedule=schedule),
-         "a unit of the schedule has the wrong dimension"),
+         "unit schedule does not fit the input: a unit of the schedule has "
+         "the wrong dimension"),
     ]:
         mismatch = verify_certificate(certificate)
         assert isinstance(mismatch, Mismatch)
@@ -543,24 +569,64 @@ def test_round_trip_through_rho(corpus):
                 assert verify_certificate(cert) is None
 
 
-def test_all_ideal_classes_invert_as_themselves(corpus):
-    # every class isomorphism_witness inverts has all slots ideal, and the
-    # identity path returns exactly what the stacked solve returns
+def test_all_ideal_classes_invert_as_themselves(corpus, monkeypatch):
+    # every class isomorphism_witness inverts has all slots ideal, so the
+    # inverse solves nothing and returns what the stacked system returns
     ut3 = upper_triangular_split()
     cases = [(demo.split, n) for demo in corpus for n in range(5)]
     cases += [(ut3, n) for n in range(4)]
+    solved = _count_solves(monkeypatch)
     inverted = 0
     for split, degree in cases:
         report = isomorphism_witness(split, degree)
         for result in report.onto + [result for result, _ in report.back]:
             assert is_ideal_chain(result.input)
             again = inverse_excision(result.input, result.schedule)
-            psi, eta = _invert_by_solve(result.input)
+            psi, eta = stacked_inverse(result.input)
             assert again.output.terms == psi.terms == result.output.terms
             assert again.verification.witness.is_zero() and eta.is_zero()
+            assert _invert_by_solve(result.input)[1].is_zero()
             inverted += 1
+    assert solved == []
     # one class each way at degrees 0, 2, 4 on the corpus and 0, 2 on ut3
     assert inverted == 2 * 3 * 3 + 2 * 2
+
+
+def mixed_solve_inputs():
+    """Relative `hc` cycles at degrees 1–3 on t2-corner, direct-sum, ut3,
+    the dual-number split and three rebased splits: each representative φ,
+    and each nonzero `mixed_boundary` B, first and last, and φ + B."""
+    t2, direct_sum = demo_by_name("t2-corner"), demo_by_name("direct-sum")
+    splits = [t2.split, direct_sum.split, upper_triangular_split(),
+              dual_number_split(), rebased_split(t2, 1), rebased_split(t2, 2),
+              rebased_split(direct_sum, 1)]
+    for split in splits:
+        for degree in (1, 2, 3):
+            representatives = homology(
+                split, Variant("hc", "relative"), degree).representatives
+            yield from representatives
+            for last in (False, True):
+                boundary = mixed_boundary(split, degree, last)
+                if not boundary.is_zero():
+                    yield boundary
+                for phi in representatives:
+                    yield phi + boundary
+
+
+def test_the_mixed_solve_matches_the_stacked_system(monkeypatch):
+    # the solve on the mixed rows of ∂^rel returns the (ψ, η) of the full
+    # stacked system [ρ | −∂^rel ; ∂^I | 0], whose RREF it shares
+    solved = _count_solves(monkeypatch)
+    count = 0
+    for chain in mixed_solve_inputs():
+        lift = rotate_to_ideal_initial(chain)
+        psi, eta = _invert_by_solve(lift)
+        reference = stacked_inverse(lift)
+        assert (psi.terms, eta.terms) == (reference[0].terms, reference[1].terms)
+        assert is_ideal_chain(psi)
+        count += 1
+    # 11 have no term with a complement slot and solve nothing
+    assert (count, len(solved)) == (64, 53)
 
 
 def test_identity_path_returns_the_canonical_form(corpus):
@@ -581,45 +647,43 @@ def test_identity_path_returns_the_canonical_form(corpus):
 
 
 def solve_fallback_inputs(t2, direct_sum):
-    """(φ, φ + b(η)) for every relative `hc` representative φ of t2-corner
-    and direct-sum at degrees 2 and 4, with η the first three tuples of
-    degree n + 1 that have a complement slot, weighted 1, 2, 3: cycles that
-    are neither strict nor all-ideal, so their inverse takes the solve."""
-    variant = Variant("hc", "relative")
+    """(φ, φ + B) for every relative `hc` representative φ of t2-corner
+    and direct-sum at degrees 2 and 4, with B the first `mixed_boundary`:
+    cycles that are neither strict nor all-ideal, so their inverse takes
+    the solve."""
     for demo in (t2, direct_sum):
         split = demo.split
         for degree in (2, 4):
-            mixed = [t for t in basis_tuples(split, variant, degree + 1)
-                     if not all(split.is_ideal_index(i) for i in t)]
-            eta = Chain(degree + 1, split,
-                        {t: k + 1 for k, t in enumerate(mixed[:3])})
-            for phi in homology(split, variant, degree).representatives:
-                yield phi, phi + boundary_b(eta)
+            boundary = mixed_boundary(split, degree)
+            for phi in homology(split, Variant("hc", "relative"), degree).representatives:
+                yield phi, phi + boundary
 
 
 def _count_solves(monkeypatch):
-    """The list of chains `_invert_by_solve` is called with from now on."""
+    """The list of right-hand sides the inverse's `solve` is called with
+    from now on."""
     import excisionlab.excision as excision_module
 
     solved = []
-    solve = excision_module._invert_by_solve
+    solve = excision_module.solve
 
-    def counted(chain):
-        solved.append(chain)
-        return solve(chain)
+    def counted(matrix, rhs):
+        solved.append(rhs)
+        return solve(matrix, rhs)
 
-    monkeypatch.setattr(excision_module, "_invert_by_solve", counted)
+    monkeypatch.setattr(excision_module, "solve", counted)
     return solved
 
 
 def test_classes_with_complement_slots_take_the_solve(t2, direct_sum, monkeypatch):
     solved = _count_solves(monkeypatch)
     for phi, chain in solve_fallback_inputs(t2, direct_sum):
-        solved.clear()
         [plain] = inverse_excision_class([phi])
+        assert solved == []
         [result] = inverse_excision_class([chain])
         assert len(solved) == 1
-        assert not is_ideal_chain(solved[0])
+        solved.clear()
+        assert not is_ideal_chain(chain)
         assert verify_certificate(result) is None
         witness = cyclic_boundary_witness(result.output - plain.output, "I")
         assert witness is not None
@@ -662,7 +726,7 @@ def test_the_solve_refuses_a_degree_above_the_cap(
 
     # φ + b(η) on t2-corner at degree 2, which takes the solve, read with
     # the cap at 1: like `homology`, the solve refuses before it assembles
-    # hc/relative at degree 3 or hc/I at degree 2
+    # hc/relative at degree 3
     _, chain = next(solve_fallback_inputs(t2, direct_sum))
     assert chain.degree == 2
     algebra, path = str(tmp_path / "t2.json"), str(tmp_path / "chain.json")
@@ -709,16 +773,20 @@ def test_dual_number_extension_meets_nonzero_strict_classes(monkeypatch):
 
 
 def test_the_solve_fails_on_a_chain_that_is_not_a_cycle(t2):
-    # E12 ⊗ E22 has a complement slot and b of it is −E12 ≠ 0, so no cycle
-    # over the ideal is homologous to it
-    target = pure_tensor(t2.split, (1, 2))
+    # b(E11 ⊗ E22 ⊗ E22) = −E11 ⊗ E22 has a complement slot, so no boundary
+    # cancels the mixed term and leaves a cycle over the ideal
+    target = pure_tensor(t2.split, (0, 2, 2))
+    assert canonicalize_cyclic(boundary_b(target)) == -pure_tensor(t2.split, (0, 2))
     with pytest.raises(CertificateSearchError) as info:
         _invert_by_solve(target)
-    # the error carries the stacked system, built once per split and degree
-    system, cols_ideal, cols_up, _ = _inverse_system(t2.split, 1)
-    assert info.value.matrix is system
-    assert (system.rows, system.cols) == (5, 11)
-    assert info.value.columns == cols_ideal + cols_up
+    # the error carries the mixed rows of ∂^rel_3, its rhs and its columns
+    matrix, cols, rows = boundary_matrix(t2.split, Variant("hc", "relative"), 3)
+    system = info.value.matrix
+    assert (system.rows, system.cols) == (matrix.rows, matrix.cols) == (10, 21)
+    assert system.entries == {
+        (r, c): v for (r, c), v in matrix.entries.items() if 2 in rows[r]}
+    assert info.value.rhs == SparseVector(10, {rows.index((0, 2, 2)): -1})
+    assert info.value.columns == cols
 
 
 # --------------------------------------------------------- verification

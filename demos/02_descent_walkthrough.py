@@ -21,6 +21,7 @@ from excisionlab import (
 )
 from excisionlab.chains import render_chain
 from excisionlab.fileio import demo_by_name
+from excisionlab.linalg import SparseVector
 from excisionlab.units import find_local_left_unit
 
 demo = demo_by_name("direct-sum")
@@ -39,10 +40,11 @@ step = 0
 while not is_ideal_chain(current):
     step += 1
     heads = sorted({tup[0] for tup in current.terms})
-    targets = [split.ordered_basis[i] for i in heads]
-    unit = find_local_left_unit(demo.ideal, targets)
+    # units and targets are split coordinates: f_i is the i-th unit vector
+    targets = [SparseVector.unit(split.dimension, i) for i in heads]
+    unit = find_local_left_unit(split, targets)
     print(f"step {step}: unit fixing the initial slots:",
-          [str(v) for v in unit.to_list()])
+          [str(v) for v in split.from_split(unit).to_list()])
     cert = descent_step(current, unit)
     assert verify_certificate(cert) is None
     assert boundary_b(cert.homotopy) == current - cert.output

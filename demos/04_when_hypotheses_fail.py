@@ -25,14 +25,16 @@ line = Ideal(t2.algebra, [SparseVector.from_list([0, 1, 0])])
 assert validate_ideal(line) is None
 print("span{E12} is a two-sided ideal of the upper-triangular matrices")
 
-result = find_local_left_unit(line, line.basis_vectors)
+# the split lists E12 first, so in split coordinates the ideal's one basis
+# element is the first unit vector
+split = make_split_basis(line)
+result = find_local_left_unit(split, [SparseVector.unit(split.dimension, 0)])
 assert isinstance(result, NoLocalUnit)
 print("unit solve:", result.detail)
 print("witness target (nothing fixes it):",
-      [str(v) for v in result.witness_target.to_list()])
+      [str(v) for v in split.from_split(result.witness_target).to_list()])
 print()
 
-split = make_split_basis(line)
 cycle = pure_tensor(split, (0, 1)) + pure_tensor(split, (0, 2))
 assert canonicalize_cyclic(boundary_b(cycle)).is_zero()
 print("a genuine relative cyclic cycle exists:", render_chain(cycle))

@@ -28,6 +28,17 @@ from .linalg import (
 )
 
 
+def _product(table, u, v):
+    """{k: c}, the product of the vectors with (index, value) items `u` and
+    `v` under `table`, (i, j) -> ((k, c), ...): the one product loop."""
+    out = {}
+    for i, ci in u:
+        for j, cj in v:
+            for k, c in table.get((i, j), ()):
+                _accumulate(out, k, ci * cj * c)
+    return out
+
+
 class Algebra:
     """Algebra presented extensionally: a basis and all pairwise products.
 
@@ -58,14 +69,8 @@ class Algebra:
 
     def mul(self, u, v):
         """Bilinear product of two coordinate vectors."""
-        table = self.structure_table
-        right = v.entries.items()
-        out = {}
-        for i, ci in u.entries.items():
-            for j, cj in right:
-                for k, c in table.get((i, j), ()):
-                    _accumulate(out, k, ci * cj * c)
-        return SparseVector(self.dimension, out)
+        return SparseVector(self.dimension, _product(
+            self.structure_table, u.entries.items(), v.entries.items()))
 
     def basis_vector(self, i):
         return SparseVector.unit(self.dimension, i)
@@ -182,10 +187,11 @@ class SplitBasis:
     """Ordered basis of the parent algebra with the ideal basis first.
 
     The first `ideal_count` vectors span the ideal; the remaining ones lift a
-    basis of the quotient.  Provides the coordinate change between parent and
-    split coordinates and `product_table`, the one table of products of split
-    basis elements that every chain computation reads: (i, j) -> ((k, c), ...),
-    the split coordinates of f_i·f_j (`int` where integral) for every pair; it
+    basis of the quotient.  Chains and units are in split coordinates (f_i
+    is the i-th unit vector); `to_split` and `from_split` convert where
+    vectors enter or leave the program.  `product_table` is the one table
+    of products of split basis elements: (i, j) -> ((k, c), ...), the split
+    coordinates of f_i·f_j (`int` where integral) for every pair; it
     refers to nothing, so a dropped split is freed without the cyclic
     garbage collector.
     """
@@ -196,10 +202,9 @@ class SplitBasis:
         self.ordered_basis = list(ordered_basis)
         self.ideal_count = operator.index(ideal_count)
         self.dimension = self.parent.dimension
-        # parent -> split coordinates; a basis of the wrong length is not square
-        self._inverse = invert(
-            SparseMatrix.from_columns(self.ordered_basis, rows=self.dimension)
-        )
+        # split -> parent coordinates and back; a wrong length is not square
+        self._matrix = SparseMatrix.from_columns(self.ordered_basis, rows=self.dimension)
+        self._inverse = invert(self._matrix)
         basis, mul = self.ordered_basis, self.parent.mul
         self.product_table = {
             (i, j): tuple(self.to_split(mul(f_i, f_j)).entries.items())
@@ -216,6 +221,15 @@ class SplitBasis:
     def to_split(self, vector):
         """Parent coordinates -> coordinates over the ordered basis."""
         return self._inverse.matvec(vector)
+
+    def from_split(self, vector):
+        """Coordinates over the ordered basis -> parent coordinates."""
+        return self._matrix.matvec(vector)
+
+    def mul(self, u, v):
+        """Product of two split-coordinate vectors, read from `product_table`."""
+        return SparseVector(self.dimension, _product(
+            self.product_table, u.entries.items(), v.entries.items()))
 
     def split_label(self, i):
         """Human-readable name of split position i."""

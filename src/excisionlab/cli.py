@@ -60,19 +60,21 @@ def _emit(report, fmt):
     return EXIT_OK if report.success else EXIT_MISMATCH
 
 
-def _no_local_unit(args, failure, lines, file=None):
-    """Report a missing local unit, as one structured document for every
-    subcommand or as `lines` on `file`, and return the exit code."""
+def _no_local_unit(args, failure, head, tail="", file=None):
+    """Report a missing local unit, with its witness in parent coordinates, as
+    one structured document for every subcommand or as the text `head`, the
+    witness and `tail` on `file`, and return the exit code."""
+    witness = failure.context.from_split(failure.witness_target)
     if args.format == "structured":
         doc = {
             "command": args.command,
             "status": "no-local-unit",
-            "witness_target": vector_to_list(failure.witness_target),
+            "witness_target": vector_to_list(witness),
             "detail": failure.detail,
         }
         print(json.dumps(doc, indent=1))
     else:
-        print("\n".join(lines), file=file)
+        print(f"{head}witness target: {_vector_text(witness)}{tail}", file=file)
     return EXIT_NO_LOCAL_UNIT
 
 
@@ -112,22 +114,21 @@ def cmd_excise_inverse(args):
 
 
 def cmd_descend(args):
-    _, ideal, split = load_algebra(args.algebra)
+    _, _, split = load_algebra(args.algebra)
     chain = load_chain(args.chain, split)
     # name a tuple with a non-ideal initial slot before looking for a unit
     require_top_filtration(chain)
     if args.unit == "auto":
         targets = level_targets(split, chain.terms, chain.degree, None)
-        unit = find_local_left_unit(ideal, targets)
+        unit = find_local_left_unit(split, targets)
         if isinstance(unit, NoLocalUnit):
-            return _no_local_unit(args, unit, [
-                "no local left unit exists for the initial slots; witness "
-                f"target: {_vector_text(unit.witness_target)}"], sys.stderr)
+            return _no_local_unit(args, unit, "no local left unit exists for "
+                                  "the initial slots; ", file=sys.stderr)
     else:
-        unit = load_element(args.unit, split.dimension)
+        unit = split.to_split(load_element(args.unit, split.dimension))
     report = RunReport(command="descend")
     certificate = descent_step(chain, unit)
-    report.details["unit"] = _vector_text(unit)
+    report.details["unit"] = _vector_text(split.from_split(unit))
     report.details["output"] = render_chain(certificate.output)
     report.add_certificate("descent homotopy identity", certificate)
     if args.format == "structured":
@@ -157,19 +158,19 @@ def cmd_verify(args):
 
 
 def cmd_local_unit(args):
-    _, ideal, split = load_algebra(args.algebra)
-    targets = load_targets(args.targets, split.dimension)
-    result = find_local_left_unit(ideal, targets)
+    _, _, split = load_algebra(args.algebra)
+    targets = map(split.to_split, load_targets(args.targets, split.dimension))
+    result = find_local_left_unit(split, targets)
     if isinstance(result, NoLocalUnit):
-        return _no_local_unit(args, result, [
-            "no local left unit exists for the given targets",
-            f"witness target: {_vector_text(result.witness_target)}",
-            f"detail: {result.detail}"])
+        return _no_local_unit(
+            args, result, "no local left unit exists for the given targets\n",
+            f"\ndetail: {result.detail}")
+    unit = split.from_split(result)
     if args.format == "structured":
-        doc = {"command": "local-unit", "status": "ok", "unit": vector_to_list(result)}
+        doc = {"command": "local-unit", "status": "ok", "unit": vector_to_list(unit)}
         print(json.dumps(doc, indent=1))
     else:
-        print(f"unit: {_vector_text(result)}")
+        print(f"unit: {_vector_text(unit)}")
     return EXIT_OK
 
 
@@ -284,10 +285,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     except NoLocalUnitError as exc:
-        return _no_local_unit(args, exc.failure, [
-            f"error: {exc}",
-            f"witness target: {_vector_text(exc.failure.witness_target)}"],
-            sys.stderr)
+        return _no_local_unit(args, exc.failure, f"error: {exc}\n", file=sys.stderr)
     except CertificateSearchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_WITNESS

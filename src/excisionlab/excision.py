@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .algebra import _product
 from .chains import (
     SPACES,
     Chain,
@@ -36,9 +37,7 @@ from .chains import (
     is_ideal_chain,
     tensor_prepend,
 )
-from .linalg import (
-    SparseMatrix, SparseVector, Unsolvable, _accumulate, solve,
-)
+from .linalg import SparseMatrix, SparseVector, Unsolvable, _accumulate, solve
 from .units import (
     ScheduleMismatchError, _unit_refusal, build_unit_schedule, check_schedule,
     require_degree,
@@ -94,8 +93,8 @@ class DescentCertificate:
 
     The defining identity, valid whether or not the input is a cycle:
         input − output = b(homotopy) + e ⊗ b(input)
-    where e is the unit (parent coordinates) and the homotopy e ⊗ input is
-    derived from the input and the unit.
+    where e is the unit, in the split coordinates of the chains, and the
+    homotopy e ⊗ input is derived from the input and the unit.
     """
 
     input: Chain
@@ -104,7 +103,7 @@ class DescentCertificate:
 
     @property
     def homotopy(self):
-        return tensor_prepend(self.input.context.to_split(self.unit), self.input)
+        return tensor_prepend(self.unit, self.input)
 
 
 # the ops a boundary certificate can claim: strict, or modulo rotation
@@ -186,25 +185,19 @@ def require_top_filtration(chain):
             )
 
 
-def _check_left_unit(chain, unit_split):
+def _check_left_unit(chain, unit):
     """Check e·f0 = f0 for the initial content f0 of each tail, the exact
     shape of the left-unit hypothesis, or raise UnitActionError."""
-    table = chain.context.product_table
-    unit = unit_split.entries.items()
     heads = {}
     for tup, coeff in chain.terms.items():
         _accumulate(heads.setdefault(tup[1:], {}), tup[0], coeff)
     for tail, head in sorted(heads.items()):
-        product = {}
-        for j, cj in head.items():
-            for i, ci in unit:
-                for k, ck in table[i, j]:
-                    _accumulate(product, k, ci * cj * ck)
-        if product != head:
+        if _product(chain.context.product_table, unit.entries.items(),
+                    head.items()) != head:
             raise UnitActionError(tail, SparseVector(chain.context.dimension, head))
 
 
-def descent_output(chain, unit_split):
+def descent_output(chain, unit):
     """The formal one-step descent representative.
 
     For each pure tensor f0 ⊗ ... ⊗ fn the output accumulates
@@ -218,7 +211,7 @@ def descent_output(chain, unit_split):
         raise ValueError("descent needs degree >= 1")
     context = chain.context
     table = context.product_table
-    unit_terms = unit_split.entries.items()
+    unit_terms = unit.entries.items()
     out = {}
     for tup, coeff in chain.terms.items():
         c = coeff if (n + 1) % 2 == 0 else -coeff
@@ -237,8 +230,8 @@ def descent_output(chain, unit_split):
 def descent_step(chain, unit):
     """One certified descent step.
 
-    `unit` is in parent coordinates, must lie in the ideal (else
-    ValueError: the output would leave the top filtration step) and must
+    `unit`, in the split coordinates of the chain, must lie in the ideal
+    (else ValueError: the output would leave the top filtration step) and must
     act as a left unit on the initial content of the chain (checked
     tail-by-tail; failure carries the offending slot as a witness).  Every
     initial slot must already be ideal.
@@ -250,10 +243,9 @@ def descent_step(chain, unit):
     require_top_filtration(chain)
     if (refusal := _unit_refusal(chain.context, unit)) is not None:
         raise ValueError(f"the unit {refusal}")
-    unit_split = chain.context.to_split(unit)
-    _check_left_unit(chain, unit_split)
+    _check_left_unit(chain, unit)
     return DescentCertificate(
-        input=chain, output=descent_output(chain, unit_split), unit=unit
+        input=chain, output=descent_output(chain, unit), unit=unit
     )
 
 
@@ -279,7 +271,7 @@ def closed_formula(chain, schedule):
     if n == 0:
         return Chain(0, context, dict(chain.terms))
     table = context.product_table
-    units = [context.to_split(u).entries.items() for u in schedule.units]
+    units = [u.entries.items() for u in schedule.units]
 
     def times(f, vector):  # f·vector for the split basis index f
         out = {}
@@ -493,17 +485,16 @@ def verify_certificate(certificate):
             return Mismatch("output has the wrong degree")
         if (refusal := _unit_refusal(context, certificate.unit)) is not None:
             return Mismatch(f"the unit {refusal}")
-        unit_split = context.to_split(certificate.unit)
         # any e has an output that meets the identity, so e must also fix
         # the initial slots
         try:
-            _check_left_unit(certificate.input, unit_split)
+            _check_left_unit(certificate.input, certificate.unit)
         except UnitActionError as exc:
             return Mismatch(str(exc))
         residual = (certificate.input - certificate.output
                     - boundary_b(certificate.homotopy))
         if n >= 1:
-            residual -= tensor_prepend(unit_split, boundary_b(certificate.input))
+            residual -= tensor_prepend(certificate.unit, boundary_b(certificate.input))
         if not residual.is_zero():
             return Mismatch("descent identity fails", residual)
         return None

@@ -2,8 +2,10 @@
 the built-in demo corpus, and run reports.
 
 Every vector in a document is a parent-coordinate list of rational strings
-like "2" or "-3/2"; floats are rejected at parse time.  A parse error names
-its field by the path from the root; JSON syntax errors carry line/column.
+like "2" or "-3/2"; floats are rejected at parse time.  The reader converts
+every vector to split coordinates, and the writer back.  A parse error
+names its field by the path from the root; JSON syntax errors carry
+line/column.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .algebra import (
     make_split_basis,
     validate_algebra,
 )
-from .chains import SPACES, Chain
+from .chains import MAX_DEGREE_ENV, SPACES, Chain, resolve_max_degree
 from .excision import (
     BOUNDARY_OPS,
     BoundaryCertificate,
@@ -229,7 +231,8 @@ def chain_to_doc(chain):
 
 def chain_from_doc(doc, context):
     """Expand the term list of a chain document onto the standard tensor
-    basis of the split."""
+    basis of the split.  A term that would expand to more tuples than the
+    tensor space at the degree cap, dimension^(cap+1), is refused first."""
     _typed(doc, dict, "")
     degree = _get(doc, "degree", int)
     if degree < 0:
@@ -244,7 +247,7 @@ def chain_from_doc(doc, context):
         slots = record.get("slots")
         if not isinstance(slots, list) or len(slots) != degree + 1:
             raise ParseError(f"expected {degree + 1} slots", f"{spot}.slots")
-        factors = []
+        factors, size = [], 1
         for q, slot in enumerate(slots):
             # only lists of strings are memoised, so a hit is a slot already
             # read; any other slot misses (a tuple holding a non-string never
@@ -262,6 +265,13 @@ def chain_from_doc(doc, context):
                 if text is not None and all(isinstance(x, str) for x in text):
                     slot_memo[text] = items
             factors.append(items)
+            size *= len(items)
+        # a term `chain_to_doc` wrote is one tuple, within any cap
+        if size > 1 and size > dimension ** ((cap := resolve_max_degree()) + 1):
+            raise ParseError(
+                f"the slots expand to {size} tensor basis tuples, more than "
+                f"{dimension}^{cap + 1} at the degree cap {cap} "
+                f"(set by {MAX_DEGREE_ENV})", f"{spot}.slots")
         # coeff · (factors[0] ⊗ factors[1] ⊗ ...) on the tensor basis
         for combo in iter_product(*factors):
             c = coeff
@@ -279,14 +289,14 @@ def save_chain(path, chain):
     _write_json(path, chain_to_doc(chain))
 
 
-def schedule_to_doc(schedule):
-    return {"units": [vector_to_list(u) for u in schedule.units]}
+def schedule_to_doc(schedule, split):
+    return {"units": [vector_to_list(split.from_split(u)) for u in schedule.units]}
 
 
-def schedule_from_doc(doc, dimension):
+def schedule_from_doc(doc, split):
     _typed(doc, dict, "")
     return UnitSchedule(tuple(
-        _vector_from_list(u, dimension, spot)
+        split.to_split(_vector_from_list(u, split.dimension, spot))
         for spot, u in _each(doc, "units", list)
     ))
 
@@ -325,7 +335,7 @@ def certificate_to_doc(certificate, context):
             "degree": certificate.input.degree,
             "input": chain_to_doc(certificate.input),
             "output": chain_to_doc(certificate.output),
-            "unit": vector_to_list(certificate.unit),
+            "unit": vector_to_list(context.from_split(certificate.unit)),
         }
     if isinstance(certificate, BoundaryCertificate):
         return {
@@ -341,7 +351,7 @@ def certificate_to_doc(certificate, context):
             "degree": certificate.input.degree,
             "input": chain_to_doc(certificate.input),
             "output": chain_to_doc(certificate.output),
-            "schedule": schedule_to_doc(certificate.schedule),
+            "schedule": schedule_to_doc(certificate.schedule, context),
             "certificate": _boundary_to_doc(certificate.verification),
         }
     raise TypeError(f"not a certificate: {certificate!r}")
@@ -360,14 +370,15 @@ def certificate_from_doc(doc):
         certificate = DescentCertificate(
             **{key: _nested(doc, key, chain_from_doc, split)
                for key in ("input", "output")},
-            unit=_vector_from_list(_get(doc, "unit", list), split.dimension, "unit"),
+            unit=split.to_split(
+                _vector_from_list(_get(doc, "unit", list), split.dimension, "unit")),
         )
     elif kind == "boundary":
         certificate = _boundary_from_doc(doc, split)
     elif kind == "inverse":
         certificate = InverseResult(
             input=_nested(doc, "input", chain_from_doc, split),
-            schedule=_nested(doc, "schedule", schedule_from_doc, split.dimension),
+            schedule=_nested(doc, "schedule", schedule_from_doc, split),
             output=_nested(doc, "output", chain_from_doc, split),
             verification=_nested(doc, "certificate", _boundary_from_doc, split),
         )
@@ -417,8 +428,9 @@ class DemoExtension:
     def __post_init__(self):
         if validate_algebra(self.algebra) is not None:
             raise ValueError(f"demo {self.name!r}: the product is not associative")
-        unit = find_local_left_unit(self.ideal, self.ideal.basis_vectors)
-        if not isinstance(unit, SparseVector):
+        ideal = [SparseVector.unit(self.split.dimension, i)
+                 for i in range(self.split.ideal_count)]
+        if not isinstance(find_local_left_unit(self.split, ideal), SparseVector):
             raise ValueError(f"demo {self.name!r}: the ideal lacks a local left unit")
 
 

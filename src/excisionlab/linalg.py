@@ -85,16 +85,6 @@ def _accumulate(store, key, value):
         store.pop(key, None)
 
 
-def _combination(dimension, terms):
-    """The vector sum of `coeff · vector` over the (coeff, vector) pairs of
-    `terms`, accumulated in one dict and built once."""
-    out = {}
-    for coeff, vector in terms:
-        for i, v in vector.entries.items():
-            _accumulate(out, i, coeff * v)
-    return SparseVector(dimension, out)
-
-
 class _Sparse:
     """The arithmetic that `SparseVector` and `chains.Chain` share.
 

@@ -2,9 +2,11 @@
 the inverse formula consumes, built and checked by one rule, `level_targets`.
 
 An element e of an ideal I is a local left unit for a finite target set S
-when e·s = s for every s in S.  The solver is deterministic (free variables
-are zeroed), so the same targets always yield the same unit, and every
-returned unit is re-verified against its targets before being handed out.
+when e·s = s for every s in S.  Units, targets and schedules are split
+coordinates, as chains are, and products read the split's product table.
+The solver is deterministic (free variables are zeroed), so the same
+targets always yield the same unit, and every returned unit is
+re-verified against its targets before being handed out.
 `build_unit_schedule` therefore solves each target set once per split: it
 keeps the unit, or the `NoLocalUnit`, in the split's `chain_cache`.
 """
@@ -14,24 +16,20 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 
-from .linalg import (
-    SparseMatrix,
-    SparseVector,
-    Unsolvable,
-    _combination,
-    echelon,
-    solve,
-)
+from .algebra import _product
+from .linalg import SparseMatrix, SparseVector, Unsolvable, solve
 
 
 @dataclass(frozen=True)
 class NoLocalUnit:
     """No element of the ideal left-fixes all targets; `witness_target` is the
-    first target whose equation makes the system inconsistent."""
+    first target whose equation makes the system inconsistent.  As in a
+    chain, the vectors are split coordinates of `context`."""
 
     witness_target: SparseVector
     targets: tuple
     detail: str
+    context: object
 
 
 class ScheduleMismatchError(ValueError):
@@ -56,64 +54,59 @@ class NoLocalUnitError(RuntimeError):
         )
 
 
-def _unit_system(ideal, targets):
-    """Stack the equations e·s = s over the unknown ideal coordinates of e."""
-    algebra = ideal.parent
-    dim = algebra.dimension
-    m = len(ideal.basis_vectors)
-    entries = {}
-    rhs = {}
+def _times(split, i, vector):
+    """f_i·vector, read from the table row of the split basis element f_i."""
+    return _product(split.product_table, ((i, 1),), vector.entries.items())
+
+
+def _unit_system(split, targets):
+    """Stack the equations e·s = s over the coordinates of e; only the ideal
+    coordinates have columns, so a solution with free variables zero is e."""
+    dim = split.dimension
+    entries, rhs = {}, {}
     for t_index, s in enumerate(targets):
         base = t_index * dim
-        for k, w in enumerate(ideal.basis_vectors):
-            for r, v in algebra.mul(w, s).entries.items():
+        for k in range(split.ideal_count):
+            for r, v in _times(split, k, s).items():
                 entries[(base + r, k)] = v
         for r, v in s.entries.items():
             rhs[base + r] = v
-    matrix = SparseMatrix(len(targets) * dim, m, entries)
+    matrix = SparseMatrix(len(targets) * dim, dim, entries)
     return matrix, SparseVector(len(targets) * dim, rhs)
 
 
-def find_local_left_unit(ideal, targets):
-    """Solve e·s = s (all s in `targets`) for e in `ideal`.
+def find_local_left_unit(split, targets):
+    """Solve e·s = s (all s in `targets`) for e in the ideal of `split`.
 
-    Returns the unit as a parent-coordinate vector, or a NoLocalUnit witness.
-    Targets outside the ideal's span are a caller error and raise: one
-    elimination of [ideal basis | targets] has its first pivot among the
-    target columns at the first target outside the ideal.
+    Targets and unit are split coordinates.  Returns the unit, or a
+    NoLocalUnit witness.  A target with a coordinate at or above
+    `ideal_count` lies outside the ideal: a caller error, which raises.
     """
     targets = list(targets)
-    basis = ideal.basis_vectors
-    span = echelon(
-        SparseMatrix.from_columns(basis + targets, rows=ideal.parent.dimension)
-    )
-    outside = next((c for c in span.pivots if c >= len(basis)), None)
-    if outside is not None:
-        raise ValueError(f"target {outside - len(basis)} does not lie in the ideal")
-    matrix, rhs = _unit_system(ideal, targets)
-    result = solve(matrix, rhs)
-    if isinstance(result, Unsolvable):
-        witness = _first_failing_target(ideal, targets)
+    for index, s in enumerate(targets):
+        if any(i >= split.ideal_count for i in s.entries):
+            raise ValueError(f"target {index} does not lie in the ideal")
+    matrix, rhs = _unit_system(split, targets)
+    unit = solve(matrix, rhs)
+    if isinstance(unit, Unsolvable):
         return NoLocalUnit(
-            witness_target=witness,
+            witness_target=_first_failing_target(split, targets),
             targets=tuple(targets),
-            detail=f"inconsistent at echelon row {result.row}",
+            detail=f"inconsistent at echelon row {unit.row}",
+            context=split,
         )
-    unit = _combination(
-        ideal.parent.dimension, [(c, basis[k]) for k, c in result.entries.items()]
-    )
     # post-verification: the unit really fixes every target, exactly
     for idx, s in enumerate(targets):
-        if ideal.parent.mul(unit, s) != s:
+        if split.mul(unit, s) != s:
             raise UnitInvariantError(f"the solved unit does not fix target {idx}")
     return unit
 
 
-def _first_failing_target(ideal, targets):
+def _first_failing_target(split, targets):
     """Smallest prefix of the target list that is already unsolvable ends at
     the witness target."""
     for end in range(1, len(targets) + 1):
-        matrix, rhs = _unit_system(ideal, targets[:end])
+        matrix, rhs = _unit_system(split, targets[:end])
         if isinstance(solve(matrix, rhs), Unsolvable):
             return targets[end - 1]
     raise UnitInvariantError("full system unsolvable but every prefix solvable")
@@ -121,7 +114,7 @@ def _first_failing_target(ideal, targets):
 
 @dataclass(frozen=True)
 class UnitSchedule:
-    """Units (e_1, ..., e_n): units[i-1] is e_i in parent coordinates.
+    """Units (e_1, ..., e_n): units[i-1] is e_i in split coordinates.
 
     A schedule records no targets: `check_schedule` derives them, by
     `level_targets`, from the chain the schedule is applied to.
@@ -136,17 +129,17 @@ class UnitSchedule:
 
 def level_targets(context, tuples, level, above):
     """The descending unit rule: the targets e_level must fix for the index
-    tuples `tuples`.  With `above` None (level n) they are the initial
-    slots; else `above` (e_(level+1), parent coordinates), then the distinct
-    nonzero products f·above over the slot-(level+1) entries f."""
-    basis = context.ordered_basis
+    tuples `tuples`, as split-coordinate vectors.  With `above` None (level
+    n) they are the initial slots f_i; else `above` (e_(level+1)), then the
+    distinct nonzero products f_i·above over the slot-(level+1) entries."""
+    dim = context.dimension
     if above is None:
-        return [basis[i] for i in _slot_indices(tuples, 0)]
+        return [SparseVector.unit(dim, i) for i in _slot_indices(tuples, 0)]
     targets = dict.fromkeys([above])  # ordered: the first occurrence is kept
     for i in _slot_indices(tuples, level + 1):
-        product = context.parent.mul(basis[i], above)
-        if not product.is_zero():  # not truth: every vector is truthy
-            targets.setdefault(product)
+        product = _times(context, i, above)
+        if product:
+            targets.setdefault(SparseVector(dim, product))
     return list(targets)
 
 
@@ -176,7 +169,7 @@ def build_unit_schedule(tuples, context, degree):
         key = ("local_unit", tuple(targets))
         above = context.chain_cache.get(key)
         if above is None:
-            above = find_local_left_unit(context.ideal, targets)
+            above = find_local_left_unit(context, targets)
             context.chain_cache[key] = above
         if isinstance(above, NoLocalUnit):
             raise NoLocalUnitError(level, above)
@@ -193,11 +186,11 @@ def require_degree(schedule, degree):
 
 
 def _unit_refusal(context, unit):
-    """Why the parent-coordinate `unit` is no element of the split's ideal
+    """Why the split-coordinate `unit` is no element of the split's ideal
     ("has the wrong dimension", "lies outside the ideal"), or None."""
     if unit.dimension != context.dimension:
         return "has the wrong dimension"
-    if any(i >= context.ideal_count for i in context.to_split(unit).entries):
+    if any(i >= context.ideal_count for i in unit.entries):
         return "lies outside the ideal"
     return None
 
@@ -212,7 +205,7 @@ def check_schedule(chain, schedule):
     for unit in schedule.units:
         if (refusal := _unit_refusal(context, unit)) is not None:
             raise ScheduleMismatchError(f"a unit of the schedule {refusal}")
-    mul, label = context.parent.mul, context.split_label
+    mul, label = context.mul, context.split_label
     above = None
     for level in range(chain.degree, 0, -1):
         unit = schedule.units[level - 1]
@@ -226,7 +219,7 @@ def check_schedule(chain, schedule):
                 name = f"e_{level + 1}"
             else:  # by the first slot entry whose product it is
                 index = next(i for i in _slot_indices(tuples, level + 1)
-                             if mul(context.ordered_basis[i], above) == target)
+                             if _times(context, i, above) == target.entries)
                 name = f"{label(index)}·e_{level + 1}"
             raise ScheduleMismatchError(f"e_{level} does not fix {name}")
         above = unit

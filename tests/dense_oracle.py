@@ -213,7 +213,8 @@ def sign_word_closed_formula(split, schedule):
     """chain -> {tuple: coeff}: the closed inverse formula expanded word by
     word, as the paper writes it.  For each pure tensor f0 ⊗ … ⊗ fn and
     each sign word s in {+,−}^n the slots are multiplied out with
-    `Algebra.mul` on parent coordinates: slot i is e_i for + and f_i·e_i
+    `Algebra.mul` on parent coordinates, the schedule's split-coordinate
+    units converted by `from_split`: slot i is e_i for + and f_i·e_i
     for −, times f_(i−1) from the left when s_(i−1) is +, and f0 (times f_n
     when s_n is +) closes the word, with sign (−1)^(number of −).  Each
     slot goes to split coordinates by `_split_coordinates` and the tensor
@@ -221,7 +222,7 @@ def sign_word_closed_formula(split, schedule):
     formula is linear in the chain."""
     mul = split.parent.mul
     convert = _split_coordinates(split)
-    units = list(schedule.units)
+    units = [split.from_split(u) for u in schedule.units]
     expansions = {}
 
     def expand(tup):

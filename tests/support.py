@@ -97,6 +97,12 @@ class WordAlgebra:
         )
 
 
+def split_vectors(split, indices):
+    """The split basis elements f_i, i in `indices`, as split-coordinate
+    vectors: the ideal basis for `range(split.ideal_count)`."""
+    return [SparseVector.unit(split.dimension, i) for i in indices]
+
+
 def random_chain(split, degree, rng, nterms=3, force_ideal_slot=False,
                  force_prefix=None):
     """Random sparse chain with small integer coefficients.

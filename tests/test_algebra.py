@@ -26,7 +26,8 @@ from excisionlab.linalg import SparseMatrix, SparseVector, invert
 from excisionlab.units import NoLocalUnit, build_unit_schedule, find_local_left_unit
 
 from support import (
-    dual_number_split, rebased_split, stored_exactly, upper_triangular_split,
+    dual_number_split, rebased_split, split_vectors, stored_exactly,
+    upper_triangular_split,
 )
 
 
@@ -262,8 +263,10 @@ def test_right_local_units_route_through_the_opposite(corpus):
     # t2-corner's ideal has a left unit and no right unit, so in the
     # opposite no element is a left unit on the whole ideal
     t2 = next(demo for demo in corpus if demo.name == "t2-corner")
-    flipped = Ideal(opposite_algebra(t2.algebra), t2.ideal.basis_vectors)
-    assert isinstance(find_local_left_unit(flipped, flipped.basis_vectors), NoLocalUnit)
+    flipped = make_split_basis(
+        Ideal(opposite_algebra(t2.algebra), t2.ideal.basis_vectors))
+    ideal = split_vectors(flipped, range(flipped.ideal_count))
+    assert isinstance(find_local_left_unit(flipped, ideal), NoLocalUnit)
 
 
 def _constants(algebra):

@@ -38,7 +38,7 @@ from dense_oracle import (
     _dense_boundary, image_columns, incremental_span_homology, split_products,
 )
 from support import (
-    mixed_boundary, random_chain, rebased_split, stored_exactly,
+    mixed_boundary, random_chain, rebased_split, split_vectors, stored_exactly,
     upper_triangular_split,
 )
 
@@ -89,8 +89,8 @@ def test_bar_contracting_homotopy(corpus):
     rng = random.Random(5)
     for demo in corpus:
         split = demo.split
-        unit = find_local_left_unit(demo.ideal, demo.ideal.basis_vectors)
-        unit_split = split.to_split(unit)
+        unit_split = find_local_left_unit(
+            split, split_vectors(split, range(split.ideal_count)))
         for degree in range(1, 4):
             for _ in range(8):
                 x = random_chain(split, degree, rng, force_prefix=degree + 1)

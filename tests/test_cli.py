@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -328,3 +329,67 @@ def test_descend_names_a_non_ideal_initial_slot_before_any_unit_search(t2_files,
             "error: tuple (2, 0) has a non-ideal initial slot: the chain is "
             "not in the top filtration step\n"
         )
+
+
+# sha256 over the structured reports (`elapsed_seconds` dropped) and the
+# emitted certificate of `test_commands_on_a_rebased_split`, in run order
+REBASED_CLI_SHA256 = "755263429628da438a93c90bb43093ad40482cf7603ccd9e3de4b73e152d4519"
+
+
+def test_commands_on_a_rebased_split(tmp_path, capsys):
+    """On a split whose ordered basis is not the standard basis, every
+    vector the CLI reads or prints is in parent coordinates: the targets
+    and unit of `local-unit`, the unit of `descend` (solved, or read from a
+    file) and the documents of `descend` and `excise-inverse`."""
+    from support import filtered_cycle_basis, rebased_split
+
+    split = rebased_split(demo_by_name("direct-sum"), 1)
+    algebra = str(tmp_path / "rebased.json")
+    save_algebra(algebra, split.parent, split.ideal, split)
+    cycles = filtered_cycle_basis(split, 2, 2)
+    chain = str(tmp_path / "chain.json")
+    save_chain(chain, cycles[1])
+    targets, outside = str(tmp_path / "targets.json"), str(tmp_path / "outside.json")
+    Path(targets).write_text(json.dumps(
+        {"targets": [["0", "1", "0", "0", "0"], ["-1", "1", "-1", "1", "0"],
+                     ["0", "1", "2", "0", "0"]]}))
+    Path(outside).write_text(json.dumps(
+        {"targets": [["1", "0", "0", "0", "0"], ["0", "0", "0", "0", "1"]]}))
+    unit = str(tmp_path / "unit.json")
+    Path(unit).write_text(json.dumps({"element": ["0", "1", "-1", "1", "0"]}))
+    cert = str(tmp_path / "cert.json")
+    runs = [
+        ["local-unit", "--targets", targets],
+        ["descend", "--chain", chain],
+        ["descend", "--chain", chain, "--unit", unit],
+        ["excise-inverse", "--chain", chain, "--degree", "2", "--emit-certificate", cert],
+    ]
+    texts, digest = [], hashlib.sha256()
+    for extra in runs:
+        argv = [extra[0], "--algebra", algebra, *extra[1:]]
+        assert main(argv) == EXIT_OK
+        texts.append([line for line in capsys.readouterr().out.splitlines()
+                      if not line.startswith(("elapsed", "certificate_file"))])
+        assert main([*argv, "--format", "structured"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        report.pop("elapsed_seconds", None)
+        report.get("details", {}).pop("certificate_file", None)
+        digest.update(json.dumps(report, sort_keys=True).encode() + b"\n")
+    digest.update(Path(cert).read_bytes())
+    assert texts == [
+        ["unit: [0, 1, -1, 1, 0]"],
+        ["command: descend", "unit: [0, 1, 0, 0, 0]", "output: 0",
+         "certificate descent homotopy identity: ok", "all certificates verified"],
+        ["command: descend", "unit: [0, 1, -1, 1, 0]",
+         "output: (-2)·f2⊗f1⊗f1 + (1)·f2⊗f1⊗f2 + (2)·f3⊗f1⊗f1 + (-1)·f3⊗f1⊗f2",
+         "certificate descent homotopy identity: ok", "all certificates verified"],
+        ["command: excise-inverse degree 2",
+         "input: (-1)·f1⊗f1⊗f1 + (1)·f1⊗f1⊗f3",
+         "output: (-1)·f1⊗f1⊗f1 + (1)·f1⊗f1⊗f3",
+         "output_strict_boundary: (-2)·f1⊗f1 + (1)·f1⊗f3 + (1)·f3⊗f1",
+         "certificate inverse image with rho(psi) ≡ phi witness: ok",
+         "all certificates verified"],
+    ]
+    assert main(["local-unit", "--algebra", algebra, "--targets", outside]) == EXIT_ERROR
+    assert capsys.readouterr().err == "error: target 1 does not lie in the ideal\n"
+    assert digest.hexdigest() == REBASED_CLI_SHA256

@@ -49,8 +49,8 @@ from excisionlab.units import (
 from dense_oracle import sign_word_closed_formula, stacked_inverse
 from support import (
     WordAlgebra, cyclic_boundary_witness, dual_number_split,
-    filtered_cycle_basis, mixed_boundary, rebased_split, stored_exactly,
-    upper_triangular_split,
+    filtered_cycle_basis, mixed_boundary, rebased_split, split_vectors,
+    stored_exactly, upper_triangular_split,
 )
 
 
@@ -151,8 +151,7 @@ def test_descent_drops_filtration_and_certifies(corpus):
             for p in range(1, degree + 1):
                 for cycle in filtered_cycle_basis(split, degree, p):
                     heads = sorted({tup[0] for tup in cycle.terms})
-                    unit = find_local_left_unit(
-                        demo.ideal, [split.ordered_basis[i] for i in heads])
+                    unit = find_local_left_unit(split, split_vectors(split, heads))
                     cert = descent_step(cycle, unit)
                     assert filtration_level(cert.output) <= p - 1
                     assert boundary_b(cert.homotopy) == cycle - cert.output
@@ -167,8 +166,7 @@ def test_iterated_descent_reaches_the_ideal(t2):
         steps = []
         while not is_ideal_chain(current):
             heads = sorted({tup[0] for tup in current.terms})
-            unit = find_local_left_unit(
-                t2.ideal, [split.ordered_basis[i] for i in heads])
+            unit = find_local_left_unit(split, split_vectors(split, heads))
             cert = descent_step(current, unit)
             steps.append(cert)
             current = cert.output
@@ -284,7 +282,7 @@ def test_closed_formula_matches_the_sign_word_oracle(corpus, monkeypatch, name, 
             assert closed_formula(cycle, schedule).terms == oracle(cycle)
         assert cycles
     rows = [c for row in split.product_table.values() for _, c in row]
-    units = [c for u in schedule.units for c in split.to_split(u).entries.values()]
+    units = [c for u in schedule.units for c in u.entries.values()]
     # `int` exactly where integral, so a `Fraction` marks a true fraction
     assert stored_exactly(rows) and stored_exactly(units)
     assert any(type(c) is Fraction for c in rows) == doubled
@@ -389,8 +387,7 @@ def test_certificates_over_two_split_bases_are_mismatches(t2, direct_sum, kind):
     if kind == "descent":
         cycle = filtered_cycle_basis(t2.split, 2, 2)[0]
         heads = sorted({tup[0] for tup in cycle.terms})
-        unit = find_local_left_unit(
-            t2.ideal, [t2.split.ordered_basis[i] for i in heads])
+        unit = find_local_left_unit(t2.split, split_vectors(t2.split, heads))
         step = descent_step(cycle, unit)
         certificate = dataclasses.replace(step, output=foreign(step.output))
     else:
@@ -932,6 +929,55 @@ def test_isomorphism_certificate_documents_are_pinned(corpus):
             count += 1
     assert count == 51
     assert digest.hexdigest() == ISOMORPHISM_DOCS_SHA256
+
+
+def non_standard_splits(corpus):
+    """Splits whose ordered basis is not the standard basis, unlike the
+    corpus: t2-corner and direct-sum rebased by offsets 1 and 2, and
+    matrix2 with its first ideal basis vector doubled."""
+    demos = {demo.name: demo for demo in corpus}
+    return ([rebased_split(demos[name], offset)
+             for name in ("t2-corner", "direct-sum") for offset in (1, 2)]
+            + [_doubled_split(demos["matrix2"].split)])
+
+
+# count and sha256 of the strict documents at degrees 1-3, of the
+# `isomorphism_witness` documents at degrees 0-2, and sha256 of one solve
+# document, on `non_standard_splits`: a slip between parent and split
+# coordinates, which the corpus's standard bases hide, moves them
+NON_STANDARD_STRICT_DOCS = (
+    2842, "9ac94cd20af370b4bfe5c0da33f89f23be0eb042fa913a6585be3fea9973a030")
+NON_STANDARD_ISOMORPHISM_DOCS = (
+    30, "2987dd15daa3a4e6ffc353d4aa892eebb254d77a6fe30d358aa2f731ffedeec1")
+NON_STANDARD_SOLVE_DOC_SHA256 = (
+    "26bdf074fe5d94d5dc716342436c3343c4d9b6ed82a2d38613581bfdf8b9a489")
+
+
+def test_documents_on_non_standard_splits_are_pinned(corpus, monkeypatch):
+    from excisionlab.fileio import certificate_to_doc
+    from pin_strict_degree4 import strict_documents_digest
+
+    def line(doc):
+        return json.dumps(doc, sort_keys=True).encode() + b"\n"
+
+    splits = non_standard_splits(corpus)
+    assert strict_documents_digest((1, 2, 3), splits) == NON_STANDARD_STRICT_DOCS
+    digest = hashlib.sha256()
+    count = 0
+    for split in splits:
+        for degree in range(3):
+            for cert in isomorphism_witness(split, degree).all_certificates():
+                digest.update(line(certificate_to_doc(cert, split)))
+                count += 1
+    assert (count, digest.hexdigest()) == NON_STANDARD_ISOMORPHISM_DOCS
+    # φ + b(η) on rebased t2-corner at degree 2 takes the solve
+    solved = _count_solves(monkeypatch)
+    split = splits[0]
+    phi = homology(split, Variant("hc", "relative"), 2).representatives[0]
+    [result] = inverse_excision_class([phi + mixed_boundary(split, 2)])
+    assert len(solved) == 1
+    doc = certificate_to_doc(result, split)
+    assert hashlib.sha256(line(doc)).hexdigest() == NON_STANDARD_SOLVE_DOC_SHA256
 
 
 def test_right_unit_extension_refuses_when_a_unit_is_missing(t2):

@@ -243,8 +243,8 @@ def test_verify_replays_the_unit_schedule(t2):
 
 def test_schedule_round_trip(t2):
     schedule = build_unit_schedule([(0, 2), (1, 2)], t2.split, 1)
-    doc = schedule_to_doc(schedule)
-    restored = schedule_from_doc(doc, t2.split.dimension)
+    doc = schedule_to_doc(schedule, t2.split)
+    restored = schedule_from_doc(doc, t2.split)
     assert restored == schedule
 
 

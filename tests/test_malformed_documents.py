@@ -6,6 +6,7 @@ The random-subtree counterpart is in `test_fuzz_documents.py`.
 
 import copy
 import json
+import time
 from functools import cache
 
 import pytest
@@ -23,6 +24,7 @@ from excisionlab.fileio import (
     ParseError,
     certificate_from_doc,
     certificate_to_doc,
+    chain_from_doc,
     chain_to_doc,
     demo_by_name,
 )
@@ -342,3 +344,41 @@ def test_an_ideal_or_complement_the_split_refuses_names_its_field(
     with pytest.raises(ParseError) as info:
         certificate_from_doc(doc)
     assert info.value.location == f"algebra.{location}"
+
+
+def _dense_chain(degree, slot):
+    """A chain document of one term with every slot `slot`."""
+    return {"degree": degree, "terms": [{"coeff": "1", "slots": [slot] * (degree + 1)}]}
+
+
+def test_a_term_that_would_expand_past_the_cap_is_refused(tmp_path, capsys):
+    """One term of degree 10 whose slots have three coordinates each would
+    expand to 3^11 tuples, more than the 3^5 of the whole tensor space at
+    the default cap 4: the reader counts before it expands, so `verify` and
+    `excise-inverse` refuse the 800-byte file at once."""
+    doc = copy.deepcopy(documents()["boundary"])
+    doc["lhs"] = _dense_chain(10, ["1", "1", "1"])
+    certificate, algebra, chain = (tmp_path / f"{name}.json"
+                                   for name in ("certificate", "algebra", "chain"))
+    certificate.write_text(json.dumps(doc))
+    algebra.write_text(json.dumps(doc["algebra"]))
+    chain.write_text(json.dumps(doc["lhs"]))
+    start = time.perf_counter()
+    assert main(["verify", "--certificate", str(certificate)]) == EXIT_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("error: lhs.terms[0].slots: the slots expand to 177147 ")
+    assert "more than 3^5 at the degree cap 4" in err and "EXCISIONLAB_MAX_DEGREE" in err
+    assert main(["excise-inverse", "--algebra", str(algebra), "--chain", str(chain),
+                 "--degree", "10"]) == EXIT_ERROR
+    assert capsys.readouterr().err.startswith("error: terms[0].slots: the slots expand")
+    assert time.perf_counter() - start < 1
+
+
+def test_terms_within_the_bound_still_load():
+    """Two coordinates per slot at degree 5 expand to 2^6 = 64 ≤ 243 tuples;
+    a document `chain_to_doc` wrote has one tuple per term, so it loads above
+    the cap too."""
+    split = demo_by_name("t2-corner").split
+    assert len(chain_from_doc(_dense_chain(5, ["1", "1", "0"]), split).terms) == 64
+    above = pure_tensor(split, (0, 1, 2, 0, 1, 2, 0))
+    assert chain_from_doc(chain_to_doc(above), split) == above

@@ -42,6 +42,25 @@ def test_library_has_no_true_division():
         pytest.fail("true division in the library: " + ", ".join(found))
 
 
+# the attributes that change or read parent coordinates
+COORDINATE_ATTRIBUTES = {"to_split", "from_split", "ordered_basis", "parent"}
+
+
+def test_only_the_boundary_reads_parent_coordinates():
+    """Chains, local units, schedules and descent units are all in split
+    coordinates, so the chain-level modules never convert a vector or read
+    the parent algebra: that happens where vectors enter or leave the
+    program, in `fileio` and `cli`."""
+    found = []
+    for name in ("chains.py", "units.py", "excision.py"):
+        tree = ast.parse((SOURCE / name).read_text(encoding="utf-8"))
+        found += [f"{name}:{node.lineno} .{node.attr}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)
+                  and node.attr in COORDINATE_ATTRIBUTES]
+    if found:
+        pytest.fail("parent coordinates below the file formats: " + ", ".join(found))
+
+
 # exported on purpose although no code outside tests reads them
 KEPT_EXPORTS = {
     "cyclic_t": "the bicomplex route to the cyclic inverse needs t and N",

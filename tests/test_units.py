@@ -3,7 +3,7 @@ from itertools import combinations
 
 import pytest
 
-from excisionlab.algebra import Ideal, SplitBasis
+from excisionlab.algebra import Ideal, SplitBasis, make_split_basis
 from excisionlab import units
 from excisionlab.chains import Chain, boundary_b
 from excisionlab.excision import inverse_excision, verify_certificate
@@ -19,7 +19,7 @@ from excisionlab.units import (
     find_local_left_unit,
 )
 
-from support import dual_number_split, filtered_cycle_basis
+from support import dual_number_split, filtered_cycle_basis, split_vectors
 
 
 def _fresh(split):
@@ -27,52 +27,64 @@ def _fresh(split):
     return SplitBasis(split.ideal, split.ordered_basis, split.ideal_count)
 
 
+def _ideal(split):
+    """The ideal basis of `split` in split coordinates."""
+    return split_vectors(split, range(split.ideal_count))
+
+
 def test_corner_ideal_unit(t2):
     # e·E11 = E11 and e·E12 = E12 has the solution e = E11 with the free
     # E12-coordinate zeroed
-    unit = find_local_left_unit(t2.ideal, t2.ideal.basis_vectors)
+    unit = find_local_left_unit(t2.split, _ideal(t2.split))
     assert unit == SparseVector.from_list([1, 0, 0])
 
 
 def test_unital_ideal_unit_is_the_identity(matrix2):
-    unit = find_local_left_unit(matrix2.ideal, matrix2.ideal.basis_vectors)
+    unit = find_local_left_unit(matrix2.split, _ideal(matrix2.split))
     assert unit == SparseVector.from_list([1, 0, 0, 1])
 
 
 def test_nilpotent_line_has_no_unit(t2):
-    # x·E12 = 0 for every x in span{E12}
+    # x·E12 = 0 for every x in span{E12}, which the split lists first
     line = Ideal(t2.algebra, [SparseVector.from_list([0, 1, 0])])
-    result = find_local_left_unit(line, line.basis_vectors)
+    split = make_split_basis(line)
+    result = find_local_left_unit(split, _ideal(split))
     assert isinstance(result, NoLocalUnit)
-    assert result.witness_target == SparseVector.from_list([0, 1, 0])
+    assert result.witness_target == SparseVector.from_list([1, 0, 0])
+    assert result.context is split
+    assert split.from_split(result.witness_target) == SparseVector.from_list([0, 1, 0])
 
 
 def test_targets_outside_ideal_rejected(t2):
     with pytest.raises(ValueError, match="target 0 does not lie"):
-        find_local_left_unit(t2.ideal, [SparseVector.from_list([0, 0, 1])])
+        find_local_left_unit(t2.split, [SparseVector.from_list([0, 0, 1])])
     # the first target outside the ideal is named, after ideal targets and
     # before a repeat of itself
     targets = [[1, 0, 0], [2, -1, 0], [0, 1, 0], [1, 0, 1], [0, 0, 3], [1, 0, 1]]
     with pytest.raises(ValueError, match="target 3 does not lie"):
-        find_local_left_unit(t2.ideal, [SparseVector.from_list(t) for t in targets])
+        find_local_left_unit(t2.split, [SparseVector.from_list(t) for t in targets])
 
 
 def test_unit_fixes_every_target_exactly(corpus):
     for demo in corpus:
-        unit = find_local_left_unit(demo.ideal, demo.ideal.basis_vectors)
-        for s in demo.ideal.basis_vectors:
-            assert demo.algebra.mul(unit, s) == s
+        split = demo.split
+        unit = find_local_left_unit(split, _ideal(split))
+        for s in _ideal(split):
+            assert split.mul(unit, s) == s
+        # the same unit in parent coordinates, under the algebra's product
+        for v in demo.ideal.basis_vectors:
+            assert demo.algebra.mul(split.from_split(unit), v) == v
 
 
 def test_success_on_full_basis_implies_success_on_subsets(corpus):
     for demo in corpus:
-        basis = demo.ideal.basis_vectors
+        basis = _ideal(demo.split)
         assert isinstance(
-            find_local_left_unit(demo.ideal, basis), SparseVector
+            find_local_left_unit(demo.split, basis), SparseVector
         )
         for size in range(1, len(basis) + 1):
             for subset in combinations(basis, size):
-                result = find_local_left_unit(demo.ideal, subset)
+                result = find_local_left_unit(demo.split, subset)
                 assert isinstance(result, SparseVector)
 
 
@@ -93,19 +105,19 @@ def test_schedule_descending_conditions(direct_sum):
     split = direct_sum.split
     tuples = [(0, 4, 1, 2), (3, 2, 0, 1)]
     schedule = build_unit_schedule(tuples, split, 3)
-    algebra = direct_sum.algebra
     # soundness: e_n fixes the initial slots, e_{i-1} fixes e_i and every
-    # f_i e_i
+    # f_i e_i, all in split coordinates
     for tup in tuples:
-        f0 = split.ordered_basis[tup[0]]
-        assert algebra.mul(schedule.units[-1], f0) == f0
+        [f0] = split_vectors(split, [tup[0]])
+        assert split.mul(schedule.units[-1], f0) == f0
     for i in range(3, 1, -1):
         e_i = schedule.units[i - 1]
         e_prev = schedule.units[i - 2]
-        assert algebra.mul(e_prev, e_i) == e_i
+        assert split.mul(e_prev, e_i) == e_i
         for tup in tuples:
-            prod = algebra.mul(algebra.basis_vector(tup[i]), e_i)
-            assert algebra.mul(e_prev, prod) == prod
+            [f_i] = split_vectors(split, [tup[i]])
+            prod = split.mul(f_i, e_i)
+            assert split.mul(e_prev, prod) == prod
 
 
 def test_schedule_is_deterministic(direct_sum):
@@ -151,8 +163,6 @@ def test_schedule_rejects_bad_tuples(t2):
 
 
 def test_schedule_propagates_no_local_unit(t2, monkeypatch):
-    from excisionlab.algebra import make_split_basis
-
     line = Ideal(t2.algebra, [SparseVector.from_list([0, 1, 0])])
     split = make_split_basis(line)
     solves = []
@@ -179,29 +189,30 @@ def test_right_units_reduce_to_left_units_of_the_opposite(t2):
     from excisionlab.algebra import opposite_algebra
 
     flipped = opposite_algebra(t2.algebra)
-    ideal = Ideal(flipped, t2.ideal.basis_vectors)
-    result = find_local_left_unit(ideal, ideal.basis_vectors)
+    split = make_split_basis(Ideal(flipped, t2.ideal.basis_vectors))
+    result = find_local_left_unit(split, _ideal(split))
     assert isinstance(result, NoLocalUnit)
-    restored = Ideal(opposite_algebra(flipped), t2.ideal.basis_vectors)
-    unit = find_local_left_unit(restored, restored.basis_vectors)
+    restored = make_split_basis(
+        Ideal(opposite_algebra(flipped), t2.ideal.basis_vectors))
+    unit = find_local_left_unit(restored, _ideal(restored))
     assert unit == SparseVector.from_list([1, 0, 0])
 
 
 def test_solver_contradictions_raise_a_typed_error(t2, monkeypatch):
     def forge(answer):
-        # the targets' membership is read from one elimination, not a solve;
-        # every unit system gets the forged answer
+        # the targets' membership is read from their coordinates, not a
+        # solve; every unit system gets the forged answer
         monkeypatch.setattr(units, "solve", answer)
 
     # a "solution" e = E12 that fixes no target is caught by re-verification
     forge(lambda m, rhs: SparseVector(m.cols, {1: 1}))
     with pytest.raises(UnitInvariantError):
-        find_local_left_unit(t2.ideal, t2.ideal.basis_vectors)
+        find_local_left_unit(t2.split, _ideal(t2.split))
     # an unsolvable full system whose every prefix is solvable
     answers = iter([Unsolvable(row=0)])
     forge(lambda m, rhs: next(answers, SparseVector(m.cols)))
     with pytest.raises(UnitInvariantError):
-        find_local_left_unit(t2.ideal, t2.ideal.basis_vectors)
+        find_local_left_unit(t2.split, _ideal(t2.split))
 
 
 def test_the_checker_accepts_every_schedule_the_builder_returns(corpus):

@@ -20,7 +20,6 @@ from .algebra import (
 )
 from .chains import (
     Chain,
-    ComplexInvariantError,
     DegreeLimitError,
     HomologyReport,
     Variant,
@@ -40,7 +39,6 @@ from .excision import (
     BoundaryCertificate,
     CertificateSearchError,
     DescentCertificate,
-    InverseInvariantError,
     InverseResult,
     IsomorphismReport,
     Mismatch,
@@ -69,6 +67,7 @@ from .fileio import (
     save_chain,
 )
 from .linalg import (
+    InvariantError,
     SparseMatrix,
     SparseVector,
     Unsolvable,
@@ -79,7 +78,6 @@ from .linalg import (
 from .units import (
     NoLocalUnit,
     NoLocalUnitError,
-    UnitInvariantError,
     UnitSchedule,
     build_unit_schedule,
     find_local_left_unit,

@@ -41,6 +41,7 @@ from functools import wraps
 from itertools import product as iter_product
 
 from .linalg import (
+    InvariantError,
     SparseMatrix,
     _Sparse,
     _accumulate,
@@ -57,12 +58,6 @@ MAX_DEGREE_ENV = "EXCISIONLAB_MAX_DEGREE"
 
 class DegreeLimitError(RuntimeError):
     """Requested degree exceeds the configured resource cap."""
-
-
-class ComplexInvariantError(RuntimeError):
-    """A chain complex contradicts its own bookkeeping: a boundary leaves
-    the chain space, or ∂∂ is not zero.  Either is a bug, never a property
-    of the input."""
 
 
 def resolve_max_degree(explicit=None):
@@ -196,7 +191,7 @@ def _add_boundary(out, context, tup, scale, wrap, index=None, variant=None):
     (row, sign) of `variant`'s row basis) each face is added at its row,
     times its sign; a face that `index` lacks is skipped if its class is
     sign-obstructed (zero over Q) in `hc` and otherwise raises
-    ComplexInvariantError.  Sums inline and drops zeros, as
+    InvariantError.  Sums inline and drops zeros, as
     `linalg._accumulate` does."""
     table = context.product_table
     n = len(tup) - 1
@@ -214,7 +209,7 @@ def _add_boundary(out, context, tup, scale, wrap, index=None, variant=None):
                     if hit is None:
                         if variant.op == "hc" and canonical_rotation(key) is None:
                             continue  # a sign-obstructed class, zero over Q
-                        raise ComplexInvariantError(
+                        raise InvariantError(
                             f"boundary term {key} of {tup} lies outside the "
                             f"{variant.op}/{variant.space} chain space"
                         )
@@ -539,7 +534,7 @@ def _homology_basis(context, variant, degree):
             for r, d in down_cols.get(k, ()):
                 _accumulate(product, r, v * d)
         if product:
-            raise ComplexInvariantError(
+            raise InvariantError(
                 f"∂{degree}∘∂{degree + 1} is not zero on the "
                 f"{variant.op}/{variant.space} complex"
             )
@@ -563,7 +558,7 @@ def homology(context, variant, degree, max_degree=None):
     Representatives are chosen deterministically: the kernel basis vectors
     of ∂_degree, in order, that are independent modulo the boundaries and
     the vectors kept before them (`_homology_basis`, memoised).  A complex
-    with ∂∂ ≠ 0 raises ComplexInvariantError.
+    with ∂∂ ≠ 0 raises InvariantError.
     """
     _check_degree(degree, max_degree)
     tuples = basis_tuples(context, variant, degree)

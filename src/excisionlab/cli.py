@@ -14,7 +14,7 @@ import json
 import sys
 
 from .chains import (
-    DegreeLimitError, Variant, boundary_b, canonicalize_cyclic, homology, render_chain,
+    DegreeLimitError, Variant, boundary_b, homology, render_chain,
 )
 from .excision import (
     CertificateSearchError,
@@ -27,7 +27,6 @@ from .excision import (
 )
 from .fileio import (
     DEMO_NAMES,
-    ParseError,
     RunReport,
     certificate_to_doc,
     chain_to_doc,
@@ -93,14 +92,9 @@ def cmd_homology(args):
 def cmd_excise_inverse(args):
     _, _, split = load_algebra(args.algebra)
     chain = load_chain(args.chain, split)
-    if chain.degree != args.degree:
-        raise ParseError(
-            f"chain has degree {chain.degree}, expected {args.degree}", "degree"
-        )
-    report = RunReport(command=f"excise-inverse degree {args.degree}")
-    cls = canonicalize_cyclic(chain)
-    [result] = inverse_excision_class([cls])
-    report.details["input"] = render_chain(cls)
+    report = RunReport(command=f"excise-inverse degree {chain.degree}")
+    [result] = inverse_excision_class([chain])
+    report.details["input"] = render_chain(result.input)
     report.details["output"] = render_chain(result.output)
     if result.output.degree >= 1:
         report.details["output_strict_boundary"] = render_chain(
@@ -244,7 +238,6 @@ def build_parser():
     )
     p.add_argument("--algebra", required=True)
     p.add_argument("--chain", required=True)
-    p.add_argument("--degree", type=int, required=True)
     p.add_argument("--emit-certificate", default=None, metavar="OUT")
     add_format(p)
     p.set_defaults(func=cmd_excise_inverse)

@@ -37,7 +37,9 @@ from .chains import (
     is_ideal_chain,
     tensor_prepend,
 )
-from .linalg import SparseMatrix, SparseVector, Unsolvable, _accumulate, solve
+from .linalg import (
+    InvariantError, SparseMatrix, SparseVector, Unsolvable, _accumulate, solve,
+)
 from .units import (
     ScheduleMismatchError, _unit_refusal, build_unit_schedule, check_schedule,
     require_degree,
@@ -54,19 +56,6 @@ class UnitActionError(ValueError):
             f"element is not a left unit on the initial content {head!r} "
             f"(tensor tail {tail})"
         )
-
-
-class InverseInvariantError(RuntimeError):
-    """An invariant of the inverse construction failed.
-
-    Under the validated unit schedule these identities are theorems, so this
-    signals a defect in the library, never bad input; the offending chain is
-    attached for inspection.
-    """
-
-    def __init__(self, message, chain=None):
-        self.chain = chain
-        super().__init__(message)
 
 
 class CertificateSearchError(RuntimeError):
@@ -268,8 +257,6 @@ def closed_formula(chain, schedule):
     context = chain.context
     require_degree(schedule, n)
     require_top_filtration(chain)
-    if n == 0:
-        return Chain(0, context, dict(chain.terms))
     table = context.product_table
     units = [u.entries.items() for u in schedule.units]
 
@@ -351,22 +338,20 @@ def _descent_witness(chain, schedule, output):
     """Witness η with b(η) = output − chain for a strict cycle: minus the
     sum of the homotopies of the descent steps with e_n, …, e_1 that the
     closed formula summarises, accumulated in one pass."""
-    if chain.degree == 0:
-        return Chain(1, chain.context)
     terms = {}
     current = chain
     for unit in reversed(schedule.units):
         try:
             step = descent_step(current, unit)
         except UnitActionError as exc:
-            raise InverseInvariantError(
+            raise InvariantError(
                 f"a validated unit schedule failed a descent step: {exc}", current
             ) from exc
         for tup, coeff in step.homotopy.terms.items():
             _accumulate(terms, tup, -coeff)
         current = step.output
     if current != output:
-        raise InverseInvariantError(
+        raise InvariantError(
             "the closed formula differs from the chained descent steps",
             output - current,
         )
@@ -392,7 +377,7 @@ def inverse_excision(chain, schedule):
         with no such term, is its own preimage with witness 0.
     Both paths ship the same kind of independently checkable certificate,
     and both outputs must lie over the ideal and be cyclic cycles; a failed
-    internal identity raises InverseInvariantError.
+    internal identity raises InvariantError.
     """
     context = chain.context
     n = chain.degree
@@ -407,11 +392,11 @@ def inverse_excision(chain, schedule):
     else:
         output, witness = _invert_by_solve(chain)
     if not is_ideal_chain(output):
-        raise InverseInvariantError(
+        raise InvariantError(
             "inverse image escaped the ideal's tensor space", output
         )
     if n >= 1 and not canonicalize_cyclic(boundary_b(output)).is_zero():
-        raise InverseInvariantError(
+        raise InvariantError(
             "inverse image is not a cyclic cycle over the ideal", output
         )
     certificate = BoundaryCertificate(

@@ -36,6 +36,16 @@ from math import gcd, lcm
 _SCALAR_RE = re.compile(r"(-?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
+class InvariantError(RuntimeError):
+    """An identity the library proves failed: a bug, never a property of the
+    input.  `chain`, where there is one, is the offending chain, attached
+    for inspection."""
+
+    def __init__(self, message, chain=None):
+        self.chain = chain
+        super().__init__(message)
+
+
 def parse_scalar(text):
     """Parse an exact rational literal "p" or "p/q" in ASCII digits, q > 0.
 

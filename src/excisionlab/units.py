@@ -17,7 +17,7 @@ import operator
 from dataclasses import dataclass
 
 from .algebra import _product
-from .linalg import SparseMatrix, SparseVector, Unsolvable, solve
+from .linalg import InvariantError, SparseMatrix, SparseVector, Unsolvable, solve
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,6 @@ class NoLocalUnit:
 
 class ScheduleMismatchError(ValueError):
     """The unit schedule does not cover the slots of the given chain."""
-
-
-class UnitInvariantError(RuntimeError):
-    """The exact solver contradicted itself: a solved unit fails to fix a
-    target, or an unsolvable system has only solvable prefixes.  A bug,
-    never a property of the input."""
 
 
 class NoLocalUnitError(RuntimeError):
@@ -98,7 +92,7 @@ def find_local_left_unit(split, targets):
     # post-verification: the unit really fixes every target, exactly
     for idx, s in enumerate(targets):
         if split.mul(unit, s) != s:
-            raise UnitInvariantError(f"the solved unit does not fix target {idx}")
+            raise InvariantError(f"the solved unit does not fix target {idx}")
     return unit
 
 
@@ -109,7 +103,7 @@ def _first_failing_target(split, targets):
         matrix, rhs = _unit_system(split, targets[:end])
         if isinstance(solve(matrix, rhs), Unsolvable):
             return targets[end - 1]
-    raise UnitInvariantError("full system unsolvable but every prefix solvable")
+    raise InvariantError("full system unsolvable but every prefix solvable")
 
 
 @dataclass(frozen=True)

@@ -1,13 +1,13 @@
 """Pin of every boundary matrix, in the order its entries were stored.
 
-`tests/test_chains.py::test_boundary_matrices_match_the_dense_oracle`
-compares the matrices with a dense oracle as dicts, which ignores the order
-of `entries`; elimination, the ∂∂ = 0 check and the logs iterate it, so
-this script pins that order too.  For the corpus, `ut3`, the dual-number
-split and the six rebased splits (offsets 1 and 2), each on a fresh split,
-it hashes `boundary_matrix` for hh/hc/bar × I/relative/A at degrees 1-4
-(`ut3` 1-3): the shape, the column and row bases, and the entries in
-insertion order with the type name of each value.  Every split is hashed
+`tests/cross_check_oracles.py` compares the matrices with a dense oracle
+as dicts, which ignores the order of `entries`; elimination, the ∂∂ = 0
+check and the logs iterate it, so this script pins that order too.  For
+the corpus, `ut3`, the dual-number split and the six rebased splits
+(offsets 1 and 2), each on a fresh split, it hashes `boundary_matrix` for
+hh/hc/bar × I/relative/A at degrees 1-4 (`ut3` 1-3): the shape, the column
+and row bases, and the entries in insertion order with the type name of
+each value.  Every split is hashed
 twice, once requesting the spaces in the order I, relative, A and once
 A, relative, I, so a complex built from another one is pinned whichever
 is asked for first.

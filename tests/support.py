@@ -5,7 +5,7 @@ witness found by a linear solve."""
 from fractions import Fraction
 from itertools import product as iter_product
 
-from excisionlab.algebra import Algebra, Ideal, make_split_basis
+from excisionlab.algebra import Algebra, Ideal, SplitBasis, make_split_basis
 from excisionlab.chains import (
     Chain, Variant, basis_tuples, boundary_b, boundary_matrix,
     canonicalize_cyclic, tuple_boundary_terms,
@@ -192,6 +192,20 @@ def upper_triangular_split():
     }
     algebra = Algebra(6, [f"E{a}{b}" for a, b in units], constants)
     return make_split_basis(Ideal(algebra, [algebra.basis_vector(i) for i in range(3)]))
+
+
+def fresh_split(demo):
+    """A new split of `demo` with its ordered basis: nothing memoised yet."""
+    return SplitBasis(demo.ideal, demo.split.ordered_basis, demo.split.ideal_count)
+
+
+def halved_ideal_split(demo):
+    """`demo` with its ideal basis scaled by 1/2: an idempotent e of the ideal
+    becomes e/2 with (e/2)(e/2) = (1/2)(e/2), so some constants are 1/2."""
+    count = demo.split.ideal_count
+    basis = [v.scaled(Fraction(1, 2)) if i < count else v
+             for i, v in enumerate(demo.split.ordered_basis)]
+    return SplitBasis(demo.ideal, basis, count)
 
 
 def rebased_split(demo, offset):

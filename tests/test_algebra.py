@@ -17,12 +17,16 @@ from excisionlab.algebra import (
     validate_ideal,
 )
 from excisionlab import chains
-from excisionlab.chains import VARIANT_SPACES, Chain, Variant, homology
-from excisionlab.excision import isomorphism_witness
+from excisionlab.chains import (
+    VARIANT_SPACES, Chain, Variant, boundary_matrix, homology, pure_tensor,
+)
+from excisionlab.excision import (
+    descent_output, descent_step, inverse_excision_class, isomorphism_witness,
+)
 from excisionlab.fileio import (
     ParseError, algebra_from_doc, algebra_to_doc, demo_corpus,
 )
-from excisionlab.linalg import SparseMatrix, SparseVector, invert
+from excisionlab.linalg import IncrementalSpan, SparseMatrix, SparseVector, invert
 from excisionlab.units import NoLocalUnit, build_unit_schedule, find_local_left_unit
 
 from support import (
@@ -137,6 +141,45 @@ def test_the_first_row_ideal_is_refused_before_any_assembly(monkeypatch):
 def test_a_float_integer_argument_is_refused(t2, build):
     # int() would truncate it: SparseVector(3, {1.5: 2}) stored {1: 2}
     with pytest.raises(TypeError):
+        build(t2)
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda t2: Algebra(2, ["e"], {}), "one label per basis element"),
+    (lambda t2: Algebra(1, ["e"], {(0, 1): SparseVector(1, {0: 1})}),
+     r"product index \(0, 1\) out of range"),
+    (lambda t2: Algebra(1, ["e"], {(0, 0): SparseVector(2, {0: 1})}),
+     r"product \(0, 0\) has wrong dimension"),
+    (lambda t2: Ideal(t2.algebra, [SparseVector(2)]), "differs from the parent"),
+    (lambda t2: Chain(-1, t2.split), "degree must be non-negative"),
+    (lambda t2: pure_tensor(t2.split, (0,)) + pure_tensor(
+        SplitBasis(t2.ideal, t2.split.ordered_basis, 1), (0,)), "different split bases"),
+    (lambda t2: pure_tensor(t2.split, (0,)) + pure_tensor(t2.split, (0, 0)),
+     "different degrees"),
+    (lambda t2: Variant("cc", "A"), "unknown op 'cc'"),
+    (lambda t2: Variant("hc", "B"), "unknown space 'B'"),
+    (lambda t2: boundary_matrix(t2.split, Variant("hc", "A"), 0), "needs degree >= 1"),
+    (lambda t2: SparseVector(2) + SparseVector(3), "dimension mismatch"),
+    (lambda t2: SparseMatrix(1, 1, {(1, 0): 1}), r"entry \(1, 0\) out of range"),
+    (lambda t2: SparseMatrix.from_columns([SparseVector(2)], rows=3),
+     "dimension mismatch among columns"),
+    (lambda t2: SparseMatrix(2, 2).matvec(SparseVector(3)), "dimension mismatch"),
+    (lambda t2: invert(SparseMatrix(1, 2)), "only square matrices"),
+    (lambda t2: IncrementalSpan(2).add(SparseVector(3)), "dimension mismatch"),
+    (lambda t2: descent_output(pure_tensor(t2.split, (0,)), SparseVector(3, {0: 1})),
+     "descent needs degree >= 1"),
+    (lambda t2: descent_step(pure_tensor(t2.split, (0,)), SparseVector(3, {0: 1})),
+     "descent needs degree >= 1"),
+    (lambda t2: inverse_excision_class([pure_tensor(t2.split, (0, 2)),
+                                        pure_tensor(t2.split, (0, 0, 0))]),
+     "classes must share degree and split basis"),
+], ids=["algebra labels", "product index", "product dimension", "ideal dimension",
+        "chain degree", "chains over two splits", "chains of two degrees",
+        "variant op", "variant space", "boundary matrix degree", "vector sum",
+        "matrix entry", "matrix columns", "matvec", "invert", "span",
+        "descent output degree", "descent step degree", "classes of two degrees"])
+def test_an_argument_out_of_range_is_refused(t2, build, message):
+    with pytest.raises(ValueError, match=message):
         build(t2)
 
 

@@ -12,7 +12,6 @@ from excisionlab.chains import (
     VARIANT_OPS,
     VARIANT_SPACES,
     Chain,
-    ComplexInvariantError,
     DegreeLimitError,
     Variant,
     _signed_rotations,
@@ -32,14 +31,14 @@ from excisionlab.chains import (
 )
 from excisionlab.excision import _invert_by_solve, isomorphism_witness
 from excisionlab.fileio import certificate_to_doc, demo_by_name
-from excisionlab.linalg import IncrementalSpan, SparseVector, Unsolvable, solve
-
-from dense_oracle import (
-    _dense_boundary, image_columns, incremental_span_homology, split_products,
+from excisionlab.linalg import (
+    IncrementalSpan, InvariantError, SparseVector, Unsolvable, solve,
 )
+
+from dense_oracle import image_columns
 from support import (
-    mixed_boundary, random_chain, rebased_split, split_vectors, stored_exactly,
-    upper_triangular_split,
+    fresh_split, halved_ideal_split, mixed_boundary, random_chain, split_vectors,
+    stored_exactly,
 )
 
 
@@ -334,56 +333,8 @@ def test_necklace_bases_drop_sign_obstructed_words():
         assert word in basis_tuples(split, hc, len(word) - 1)
 
 
-def _halved_ideal_split(demo):
-    """`demo` with its ideal basis scaled by 1/2: an idempotent e of the ideal
-    becomes e/2 with (e/2)(e/2) = (1/2)(e/2), so some constants are 1/2."""
-    count = demo.split.ideal_count
-    basis = [v.scaled(Fraction(1, 2)) if i < count else v
-             for i, v in enumerate(demo.split.ordered_basis)]
-    return SplitBasis(demo.ideal, basis, count)
-
-
-def test_boundary_matrices_match_the_dense_oracle(corpus, t2):
-    cases = [(demo.name, demo.split, 4, ("A", "I", "relative")) for demo in corpus]
-    cases.append(("t2-corner, ideal basis halved", _halved_ideal_split(t2), 3,
-                  ("A", "I", "relative")))
-    # the relative complex copies its all-ideal columns from ∂^I: request it
-    # first on fresh splits, and on rebased splits, whose products gain
-    # terms, so that the copy meets a non-trivial row re-indexing
-    cases += [(f"{demo.name}, relative first", _fresh_split(demo), 4,
-               ("relative", "I", "A")) for demo in corpus]
-    cases += [(f"{demo.name} rebased {offset}", rebased_split(demo, offset), 3,
-               ("relative", "I", "A")) for demo in corpus for offset in (1, 2)]
-    non_integral = set()
-    for name, split, top, spaces in cases:
-        mult = split_products(split)
-        for op in ("hh", "hc", "bar"):
-            for space in spaces:
-                for degree in range(1, top + 1):
-                    variant = Variant(op, space)
-                    matrix, cols, rows = boundary_matrix(split, variant, degree)
-                    dense, ncols = _dense_boundary(
-                        mult, split.dimension, split.ideal_count, space, op, degree
-                    )
-                    expected = {
-                        (r, c): v
-                        for r, row in enumerate(dense)
-                        for c, v in enumerate(row)
-                        if v
-                    }
-                    assert (matrix.rows, matrix.cols) == (len(dense), ncols)
-                    assert matrix.entries == expected, (name, op, space, degree)
-                    assert cols == basis_tuples(split, variant, degree)
-                    assert rows == basis_tuples(split, variant, degree - 1)
-                    # every entry is `int` exactly where integral
-                    assert stored_exactly(matrix.entries.values())
-                    if any(type(v) is Fraction for v in matrix.entries.values()):
-                        non_integral.add(name)
-    assert non_integral == {"t2-corner, ideal basis halved"}
-
-
 def test_boundary_terms_are_exact_ints_or_fractions(corpus, t2):
-    halved = _halved_ideal_split(t2)
+    halved = halved_ideal_split(t2)
     for split in [demo.split for demo in corpus] + [halved]:
         for tup in iter_product(range(split.dimension), repeat=3):
             for wrap in (True, False):
@@ -414,7 +365,7 @@ def test_boundary_b_sums_the_tuple_boundaries(corpus, t2):
     assert boundary_b(cancelling).is_zero()
     assert boundary_b(cancelling, wrap=False) == Chain(0, t2.split, {(2,): 1})
     rng = random.Random(25)
-    halved = _halved_ideal_split(t2)
+    halved = halved_ideal_split(t2)
     cases = [cancelling]
     for split in [demo.split for demo in corpus] + [halved]:
         for degree in (1, 2, 3):
@@ -435,12 +386,8 @@ def test_boundary_leaving_the_space_raises_a_typed_error(t2):
     # span{E11} is not an ideal: b(E11 ⊗ E12) = E12 has no ideal slot
     fake = SplitBasis(t2.ideal, t2.split.ordered_basis, 1)
     for op in ("hh", "hc", "bar"):
-        with pytest.raises(ComplexInvariantError):
+        with pytest.raises(InvariantError, match="lies outside the"):
             boundary_matrix(fake, Variant(op, "relative"), 1)
-
-
-def _fresh_split(demo):
-    return SplitBasis(demo.ideal, demo.split.ordered_basis, demo.split.ideal_count)
 
 
 def test_isomorphism_witness_never_builds_the_fraction_matrices(t2):
@@ -448,7 +395,7 @@ def test_isomorphism_witness_never_builds_the_fraction_matrices(t2):
     integer algebra every boundary matrix that `isomorphism_witness` leaves
     in the split's cache holds only `int`s, so no `Fraction` enters the
     assembly, the elimination or the solves."""
-    split = _fresh_split(t2)
+    split = fresh_split(t2)
     report = isomorphism_witness(split, 2)
     assert report.dimensions_match and report.onto
     cached = [value[0] for key, value in split.chain_cache.items()
@@ -460,7 +407,7 @@ def test_isomorphism_witness_never_builds_the_fraction_matrices(t2):
 
 def test_repeated_isomorphism_witness_is_identical(t2, direct_sum):
     for demo, degree in ((t2, 2), (direct_sum, 2)):
-        split = _fresh_split(demo)
+        split = fresh_split(demo)
         first = isomorphism_witness(split, degree)
         second = isomorphism_witness(split, degree)
         assert first == second
@@ -470,7 +417,7 @@ def test_repeated_isomorphism_witness_is_identical(t2, direct_sum):
 
 
 def test_cached_complexes_are_not_mutated(t2):
-    split = _fresh_split(t2)
+    split = fresh_split(t2)
     degree = 2
     keys = [(Variant("hc", space), n) for space in ("I", "relative")
             for n in (degree, degree + 1)]
@@ -521,32 +468,6 @@ def test_chain_keeps_fraction_coefficients_and_checks_slots(t2):
         Chain(1, t2.split, {(0,): half})
 
 
-def _homology_splits(corpus):
-    splits = [(demo.name, demo.split, 3) for demo in corpus]
-    splits.append(("ut3", upper_triangular_split(), 2))
-    for demo in corpus:
-        for offset in (1, 2):
-            splits.append((f"{demo.name} rebased {offset}", rebased_split(demo, offset), 3))
-    return splits
-
-
-def test_homology_matches_the_incremental_span_reference(corpus):
-    cases = 0
-    for name, split, top in _homology_splits(corpus):
-        for op in VARIANT_OPS:
-            for space in VARIANT_SPACES:
-                variant = Variant(op, space)
-                for degree in range(top + 1):
-                    report = homology(split, variant, degree)
-                    dimension, representatives = incremental_span_homology(
-                        split, variant, degree)
-                    assert report.dimension == dimension == len(representatives)
-                    assert [r.terms for r in report.representatives] == representatives, (
-                        name, op, space, degree)
-                    cases += 1
-    assert cases == 351
-
-
 def _add_one(matrix, r, c):
     """Add 1 to entry (r, c) of `matrix` in place, storing a new entry
     after the others of column c, so that each column stays together."""
@@ -567,7 +488,7 @@ def test_homology_rejects_a_complex_whose_square_is_not_zero(t2, op, space, degr
     # column after the loop over the entries: perturb an entry that meets ∂,
     # the first stored column and the last
     for where in ("meets ∂", 0, -1):
-        split = _fresh_split(t2)
+        split = fresh_split(t2)
         variant = Variant(op, space)
         down = boundary_matrix(split, variant, degree)[0]
         up = boundary_matrix(split, variant, degree + 1)[0]
@@ -579,7 +500,7 @@ def test_homology_rejects_a_complex_whose_square_is_not_zero(t2, op, space, degr
             r, c = min(used), stored[where][1]
         # moving up[r, c] by 1 moves column c of ∂∂ by column r of ∂, not zero
         _add_one(up, r, c)
-        with pytest.raises(ComplexInvariantError, match="not zero"):
+        with pytest.raises(InvariantError, match="not zero"):
             homology(split, variant, degree)
 
 
@@ -622,7 +543,7 @@ def _count_eliminations(monkeypatch):
 def test_each_system_is_eliminated_once(corpus, monkeypatch):
     degree = 2
     for demo in corpus:
-        split = _fresh_split(demo)
+        split = fresh_split(demo)
         counts = _count_eliminations(monkeypatch)
         first = isomorphism_witness(split, degree)
         solved = [r.input for r in first.onto] + [r.input for r, _ in first.back]

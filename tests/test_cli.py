@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from excisionlab.algebra import Ideal, make_split_basis
-from excisionlab.chains import pure_tensor
+from excisionlab.chains import boundary_b, canonicalize_cyclic, pure_tensor
 from excisionlab.cli import (
     EXIT_ERROR,
     EXIT_MISMATCH,
@@ -14,8 +14,10 @@ from excisionlab.cli import (
     build_parser,
     main,
 )
-from excisionlab.fileio import demo_by_name, save_algebra, save_chain
+from excisionlab.excision import inverse_excision, rotate_to_ideal_initial
+from excisionlab.fileio import certificate_to_doc, demo_by_name, save_algebra, save_chain
 from excisionlab.linalg import SparseVector
+from excisionlab.units import build_unit_schedule
 
 
 @pytest.fixture()
@@ -57,7 +59,7 @@ def test_excise_inverse_and_verify(t2_files, capsys):
     cert = str(tmp_path / "cert.json")
     code = main(
         ["excise-inverse", "--algebra", algebra, "--chain", chain,
-         "--degree", "1", "--emit-certificate", cert]
+         "--emit-certificate", cert]
     )
     assert code == EXIT_OK
     assert "ok" in capsys.readouterr().out
@@ -98,7 +100,7 @@ def test_one_parser_serves_successive_calls(t2_files, capsys):
     _, algebra, chain, tmp_path = t2_files
     cert = str(tmp_path / "cert.json")
     main(["excise-inverse", "--algebra", algebra, "--chain", chain,
-          "--degree", "1", "--emit-certificate", cert])
+          "--emit-certificate", cert])
     capsys.readouterr()
     assert build_parser() is build_parser()
     assert main(["verify", "--certificate", cert, "--format", "structured"]) == EXIT_OK
@@ -121,13 +123,41 @@ def test_a_usage_error_exits_with_the_error_code(capsys):
     assert capsys.readouterr().out.startswith("usage: excisionlab verify")
 
 
-def test_degree_mismatch_is_an_error(t2_files, capsys):
+def test_excise_inverse_takes_the_degree_of_its_chain(t2_files, capsys):
     _, algebra, chain, _ = t2_files
-    code = main(
-        ["excise-inverse", "--algebra", algebra, "--chain", chain, "--degree", "2"]
-    )
-    assert code == EXIT_ERROR
-    assert "error" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as info:
+        main(["excise-inverse", "--help"])
+    assert info.value.code == EXIT_OK
+    assert "--degree" not in capsys.readouterr().out
+    assert main(["excise-inverse", "--algebra", algebra, "--chain", chain]) == EXIT_OK
+    assert "command: excise-inverse degree 1\n" in capsys.readouterr().out
+
+
+def test_excise_inverse_inverts_the_chain_as_read(corpus, tmp_path, capsys):
+    """Every strict top-filtration cycle of degree 2 on the corpus gets the
+    document of `inverse_excision` under the schedule of its own tuples:
+    the closed formula and its descent witness, also for the 38 whose
+    canonical form, rotated into the top filtration, is not strict."""
+    from support import filtered_cycle_basis
+
+    chain, cert = tmp_path / "chain.json", tmp_path / "cert.json"
+    count = not_strict = 0
+    for demo in corpus:
+        split = demo.split
+        algebra = tmp_path / f"{demo.name}.json"
+        save_algebra(algebra, demo.algebra, demo.ideal, split)
+        for cycle in filtered_cycle_basis(split, 2, 2):
+            save_chain(chain, cycle)
+            assert main(["excise-inverse", "--algebra", str(algebra), "--chain", str(chain),
+                         "--emit-certificate", str(cert)]) == EXIT_OK
+            capsys.readouterr()
+            schedule = build_unit_schedule(sorted(cycle.terms), split, 2)
+            expected = certificate_to_doc(inverse_excision(cycle, schedule), split)
+            assert json.loads(cert.read_text()) == json.loads(json.dumps(expected))
+            canonical = rotate_to_ideal_initial(canonicalize_cyclic(cycle))
+            not_strict += not boundary_b(canonical).is_zero()
+            count += 1
+    assert (count, not_strict) == (147, 38)
 
 
 def test_verify_refuses_an_inverse_claimed_in_another_space(t2_files, capsys):
@@ -138,7 +168,7 @@ def test_verify_refuses_an_inverse_claimed_in_another_space(t2_files, capsys):
     save_chain(chain, pure_tensor(demo.split, (0, 0, 0)))  # E11⊗E11⊗E11
     cert = str(tmp_path / "cert.json")
     assert main(["excise-inverse", "--algebra", algebra, "--chain", chain,
-                 "--degree", "2", "--emit-certificate", cert]) == EXIT_OK
+                 "--emit-certificate", cert]) == EXIT_OK
     doc = json.loads(Path(cert).read_text())
     e22 = ["0", "0", "1"]
     doc["certificate"]["witness"]["terms"].append(
@@ -234,7 +264,7 @@ def test_every_missing_unit_prints_the_same_structured_document(line_files, caps
     runs = {
         "local-unit": ["--targets", targets],
         "descend": ["--chain", chain, "--unit", "auto"],
-        "excise-inverse": ["--chain", chain, "--degree", "1"],
+        "excise-inverse": ["--chain", chain],
     }
     for command, extra in runs.items():
         argv = [command, "--algebra", algebra_path, *extra]
@@ -264,8 +294,6 @@ def test_demo_command(capsys):
 
 @pytest.mark.parametrize("command, error", [
     ("homology --algebra {algebra} --space I", "degree must be non-negative"),
-    ("excise-inverse --algebra {algebra} --chain {chain}",
-     "chain has degree 1, expected -1"),
     ("demo --name t2-corner", "degree must be non-negative"),
 ])
 def test_a_negative_degree_is_an_error(t2_files, capsys, command, error):
@@ -333,7 +361,7 @@ def test_descend_names_a_non_ideal_initial_slot_before_any_unit_search(t2_files,
 
 # sha256 over the structured reports (`elapsed_seconds` dropped) and the
 # emitted certificate of `test_commands_on_a_rebased_split`, in run order
-REBASED_CLI_SHA256 = "755263429628da438a93c90bb43093ad40482cf7603ccd9e3de4b73e152d4519"
+REBASED_CLI_SHA256 = "399fab4930a224f53f8ceeaa9823a33929e4f8b873cf22100406c3f9fb407079"
 
 
 def test_commands_on_a_rebased_split(tmp_path, capsys):
@@ -362,7 +390,7 @@ def test_commands_on_a_rebased_split(tmp_path, capsys):
         ["local-unit", "--targets", targets],
         ["descend", "--chain", chain],
         ["descend", "--chain", chain, "--unit", unit],
-        ["excise-inverse", "--chain", chain, "--degree", "2", "--emit-certificate", cert],
+        ["excise-inverse", "--chain", chain, "--emit-certificate", cert],
     ]
     texts, digest = [], hashlib.sha256()
     for extra in runs:
@@ -383,10 +411,11 @@ def test_commands_on_a_rebased_split(tmp_path, capsys):
         ["command: descend", "unit: [0, 1, -1, 1, 0]",
          "output: (-2)·f2⊗f1⊗f1 + (1)·f2⊗f1⊗f2 + (2)·f3⊗f1⊗f1 + (-1)·f3⊗f1⊗f2",
          "certificate descent homotopy identity: ok", "all certificates verified"],
+        # the chain as read is a strict cycle: the closed formula maps it to 0
         ["command: excise-inverse degree 2",
-         "input: (-1)·f1⊗f1⊗f1 + (1)·f1⊗f1⊗f3",
-         "output: (-1)·f1⊗f1⊗f1 + (1)·f1⊗f1⊗f3",
-         "output_strict_boundary: (-2)·f1⊗f1 + (1)·f1⊗f3 + (1)·f3⊗f1",
+         "input: (-1)·f1⊗f1⊗f1 + (-1)·f1⊗f1⊗f2 + (1)·f1⊗f1⊗f3 + (1)·f1⊗f2⊗f1",
+         "output: 0",
+         "output_strict_boundary: 0",
          "certificate inverse image with rho(psi) ≡ phi witness: ok",
          "all certificates verified"],
     ]

@@ -19,12 +19,12 @@ from excisionlab.chains import (
     is_ideal_chain,
     pure_tensor,
     tensor_prepend,
+    tuple_boundary_terms,
 )
 from excisionlab.excision import (
     BoundaryCertificate,
     CertificateSearchError,
     DescentCertificate,
-    InverseInvariantError,
     InverseResult,
     Mismatch,
     UnitActionError,
@@ -40,7 +40,7 @@ from excisionlab.excision import (
     verify_certificate,
 )
 from excisionlab.fileio import RunReport, demo_by_name
-from excisionlab.linalg import SparseVector
+from excisionlab.linalg import InvariantError, SparseVector
 from excisionlab.units import (
     ScheduleMismatchError, UnitSchedule, build_unit_schedule, check_schedule,
     find_local_left_unit,
@@ -330,7 +330,7 @@ def test_closed_formula_equals_iterated_descent(corpus, monkeypatch):
                 assert verify_certificate(result) is None
                 with monkeypatch.context() as patch:
                     patch.setattr(excision_module, "closed_formula", off_by_one)
-                    with pytest.raises(InverseInvariantError,
+                    with pytest.raises(InvariantError,
                                        match="differs from the chained descent"):
                         inverse_excision(cycle, schedule)
                 inner = result.verification
@@ -434,22 +434,42 @@ def test_inverse_excision_class_already_in_the_ideal(t2):
         assert verify_certificate(cert) is None
 
 
-@pytest.mark.parametrize("fault", ["leaves the ideal", "differs from descent"])
+@pytest.mark.parametrize("fault", [
+    "leaves the ideal", "differs from descent", "not a cycle", "unit fails a step",
+])
 def test_inverse_invariant_failures_raise_a_typed_error(t2, monkeypatch, fault):
     import excisionlab.excision as excision_module
 
-    phi = pure_tensor(t2.split, (0, 2))
-    schedule = UnitSchedule((SparseVector.from_list([1, 0, 0]),))
+    split = t2.split
+    phi = pure_tensor(split, (0, 2))
+    e11, e12 = SparseVector.from_list([1, 0, 0]), SparseVector.from_list([0, 1, 0])
     formula = excision_module.closed_formula
-    if fault == "leaves the ideal":
-        def broken(chain, schedule):
-            return chain  # E22 sits outside the corner ideal
-    else:
-        def broken(chain, schedule):
-            return formula(chain, schedule) + pure_tensor(t2.split, (0, 0))
-    monkeypatch.setattr(excision_module, "closed_formula", broken)
-    with pytest.raises(InverseInvariantError) as info:
-        inverse_excision(phi, schedule)
+
+    def zero_witness(chain, schedule, output):
+        return Chain(chain.degree + 1, split)
+
+    # fault -> (replaced names of `excision`, the unit, the error message)
+    faults = {
+        # E22 sits outside the corner ideal
+        "leaves the ideal": ({"closed_formula": lambda chain, schedule: chain,
+                              "_descent_witness": zero_witness},
+                             e11, "escaped the ideal's tensor space"),
+        "differs from descent": ({"closed_formula": lambda chain, schedule: (
+            formula(chain, schedule) + pure_tensor(split, (0, 0)))},
+            e11, "differs from the chained descent steps"),
+        # b(E11⊗E12) = E12 is not zero modulo the rotation
+        "not a cycle": ({"closed_formula": lambda chain, schedule: pure_tensor(split, (0, 1)),
+                         "_descent_witness": zero_witness},
+                        e11, "not a cyclic cycle over the ideal"),
+        # E12 fixes no initial slot E11, but the schedule check is skipped
+        "unit fails a step": ({"check_schedule": lambda chain, schedule: None},
+                              e12, "a validated unit schedule failed a descent step"),
+    }
+    replaced, unit, message = faults[fault]
+    for name, value in replaced.items():
+        monkeypatch.setattr(excision_module, name, value)
+    with pytest.raises(InvariantError, match=message) as info:
+        inverse_excision(phi, UnitSchedule((unit,)))
     assert info.value.chain is not None and not info.value.chain.is_zero()
 
 
@@ -739,11 +759,31 @@ def test_the_solve_refuses_a_degree_above_the_cap(
     monkeypatch.setenv("EXCISIONLAB_MAX_DEGREE", "1")
     with pytest.raises(DegreeLimitError, match="EXCISIONLAB_MAX_DEGREE"):
         inverse_excision_class([Chain(2, fresh, chain.terms)])
-    assert main(["excise-inverse", "--algebra", algebra, "--chain", path,
-                 "--degree", "2"]) == EXIT_ERROR
+    assert main(["excise-inverse", "--algebra", algebra, "--chain", path]) == EXIT_ERROR
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "EXCISIONLAB_MAX_DEGREE" in captured.err
+
+
+def test_an_inconsistent_solve_exits_with_the_no_witness_code(
+        t2, direct_sum, tmp_path, monkeypatch, capsys):
+    import excisionlab.excision as excision_module
+    from excisionlab.cli import EXIT_NO_WITNESS, main
+    from excisionlab.fileio import save_algebra, save_chain
+    from excisionlab.linalg import Unsolvable
+
+    # φ + b(η) on t2-corner at degree 2 takes the solve, made inconsistent
+    _, chain = next(solve_fallback_inputs(t2, direct_sum))
+    algebra, path = str(tmp_path / "t2.json"), str(tmp_path / "chain.json")
+    save_algebra(algebra, t2.algebra, t2.ideal, t2.split)
+    save_chain(path, chain)
+    monkeypatch.setattr(excision_module, "solve", lambda matrix, rhs: Unsolvable(0))
+    assert main(["excise-inverse", "--algebra", algebra, "--chain", path]) == EXIT_NO_WITNESS
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: no inverse image exists for the degree-2 class: the ")
+    assert "(echelon row 0)" in captured.err
 
 
 def test_dual_number_extension_meets_nonzero_strict_classes(monkeypatch):
@@ -843,6 +883,61 @@ def test_verify_rejects_witness_outside_the_space(t2):
         space="relative",
     )
     assert isinstance(verify_certificate(cert), Mismatch)
+
+
+def test_strict_witnesses_verify_as_hh_claims(direct_sum):
+    """The descent homotopies of a strict inverse telescope exactly, not
+    only modulo the rotation: each strict inverse of direct-sum at degrees
+    1–3, its claim restated as `hh`, still verifies, and fails once one
+    witness coefficient with a nonzero boundary is changed."""
+    split = direct_sum.split
+    count = 0
+    for degree in (1, 2, 3):
+        for cycle in filtered_cycle_basis(split, degree, degree):
+            schedule = build_unit_schedule(sorted(cycle.terms), split, degree)
+            claim = dataclasses.replace(
+                inverse_excision(cycle, schedule).verification, op="hh")
+            assert verify_certificate(claim) is None
+            witness = claim.witness
+            key = next(t for t in sorted(witness.terms)
+                       if tuple_boundary_terms(split, t))
+            tampered = dataclasses.replace(
+                claim, witness=witness + Chain(degree + 1, split, {key: 1}))
+            mismatch = verify_certificate(tampered)
+            assert isinstance(mismatch, Mismatch)
+            assert mismatch.reason == "boundary identity fails"
+            count += 1
+    assert count == 517
+
+
+def test_hh_compares_strictly_and_hc_modulo_rotation(t2, tmp_path, capsys):
+    from excisionlab.cli import EXIT_MISMATCH, EXIT_OK, main
+    from excisionlab.fileio import certificate_to_doc
+
+    # E11⊗E22 and t(E11⊗E22) = −E22⊗E11 are one cyclic class, not one chain
+    lhs = pure_tensor(t2.split, (0, 2))
+    claims = {op: BoundaryCertificate(lhs=lhs, rhs=cyclic_t(lhs),
+                                      witness=Chain(2, t2.split), op=op,
+                                      space="relative")
+              for op in ("hc", "hh")}
+    assert verify_certificate(claims["hc"]) is None
+    mismatch = verify_certificate(claims["hh"])
+    assert isinstance(mismatch, Mismatch)
+    assert mismatch.reason == "boundary identity fails"
+    assert mismatch.residual == cyclic_t(lhs) - lhs
+    # an `hh` boundary document through the command line
+    [result] = inverse_excision_class([lhs])
+    sound = dataclasses.replace(result.verification, op="hh")
+    doc = certificate_to_doc(sound, t2.split)
+    assert doc["kind"] == "boundary"
+    path = tmp_path / "hh.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--certificate", str(path)]) == EXIT_OK
+    assert capsys.readouterr().out == "ok\n"
+    doc["witness"]["terms"][0]["coeff"] = "17"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", "--certificate", str(path)]) == EXIT_MISMATCH
+    assert capsys.readouterr().out.startswith("MISMATCH: boundary identity fails\n")
 
 
 def test_descent_of_zero_chain_is_zero(t2):

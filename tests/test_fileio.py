@@ -139,6 +139,27 @@ def test_a_second_record_for_a_product_is_rejected(first, second):
     assert info.value.message == "duplicate product record for (0, 0)"
 
 
+@pytest.mark.parametrize("read, doc, location, message", [
+    (algebra_from_doc, {
+        "field": "rational", "dimension": 1, "basis": ["e"], "ideal": {"basis_vectors": []},
+        "products": [{"left": 0, "right": 0, "result": [{"index": 1, "coeff": "1"}]}],
+    }, "products[0].result[0]", "result index 1 out of range"),
+    (lambda doc: chain_from_doc(doc, demo_by_name("t2-corner").split),
+     {"degree": -1, "terms": []}, "degree", "the degree must be non-negative"),
+], ids=["product result index", "chain degree"])
+def test_a_field_out_of_range_names_its_path(read, doc, location, message):
+    with pytest.raises(ParseError) as info:
+        read(doc)
+    assert (info.value.location, info.value.message) == (location, message)
+
+
+def test_a_non_certificate_is_refused(t2):
+    with pytest.raises(TypeError, match="not a certificate"):
+        certificate_to_doc(t2.ideal, t2.split)
+    with pytest.raises(TypeError, match="not a certificate"):
+        verify_certificate(t2.ideal)
+
+
 def test_chain_round_trip(t2):
     chain = pure_tensor(t2.split, (0, 2)).scaled(3) - pure_tensor(t2.split, (1, 1))
     doc = chain_to_doc(chain)

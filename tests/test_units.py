@@ -7,12 +7,11 @@ from excisionlab.algebra import Ideal, SplitBasis, make_split_basis
 from excisionlab import units
 from excisionlab.chains import Chain, boundary_b
 from excisionlab.excision import inverse_excision, verify_certificate
-from excisionlab.linalg import SparseVector, Unsolvable
+from excisionlab.linalg import InvariantError, SparseVector, Unsolvable
 from excisionlab.units import (
     NoLocalUnit,
     NoLocalUnitError,
     ScheduleMismatchError,
-    UnitInvariantError,
     UnitSchedule,
     build_unit_schedule,
     check_schedule,
@@ -206,12 +205,12 @@ def test_solver_contradictions_raise_a_typed_error(t2, monkeypatch):
 
     # a "solution" e = E12 that fixes no target is caught by re-verification
     forge(lambda m, rhs: SparseVector(m.cols, {1: 1}))
-    with pytest.raises(UnitInvariantError):
+    with pytest.raises(InvariantError, match="does not fix target 0"):
         find_local_left_unit(t2.split, _ideal(t2.split))
     # an unsolvable full system whose every prefix is solvable
     answers = iter([Unsolvable(row=0)])
     forge(lambda m, rhs: next(answers, SparseVector(m.cols)))
-    with pytest.raises(UnitInvariantError):
+    with pytest.raises(InvariantError, match="every prefix solvable"):
         find_local_left_unit(t2.split, _ideal(t2.split))
 
 

@@ -24,16 +24,36 @@ goes through `linalg._accumulate`.  Coefficients are stored
 as `linalg` stores every scalar, an `int` where integral and a `Fraction`
 otherwise, and the signs are the ints ±1, so on an integer algebra every
 chain, table row and boundary matrix is summed in `int` arithmetic.
-`boundary_matrix` assembles each differential once per space of tuples;
-the ∂∂ = 0 check, homology and the inverse solve of `excision` all read
-that one matrix.  When the ideal is the whole algebra, the spaces I,
-relative and A coincide and share one memoised complex (`_memoised`);
-otherwise the relative complex takes its all-ideal columns from ∂^I, the
-differential of its subcomplex C(I).
+`boundary_matrix` assembles each differential once per space of tuples,
+and the inverse solve of `excision` reads it; homology assembles, checks
+(∂∂ = 0) and eliminates only the weight-0 block, below.  When the ideal is
+the whole algebra, the spaces I, relative and A coincide and share one
+memoised complex (`_memoised`); otherwise the relative complex takes its
+all-ideal columns from ∂^I, the differential of its subcomplex C(I).
+
+A grading element is an ideal basis element x with x·f_i − f_i·x = w_i f_i
+for every i (`_gradings`).  ad x is a derivation, so f_i·f_j has weight
+w_i + w_j, a complement element weighs 0 (w_i f_i = [x, f_i] lies in I),
+and b, b' and t keep a tuple's weight, the sum over its slots: a complex
+is the direct sum of its blocks of one weight under every x.  A block on
+which some x weighs w ≠ 0 is acyclic:
+  - hh: h(a0⊗…⊗an) = Σ_i (-1)^(i+1) a0⊗…⊗ai⊗x⊗a(i+1)⊗…⊗an keeps each
+    space and bh + hb = w·id, with no unit (the Cartan homotopy of ad x;
+    Loday, Cyclic Homology, §4.1; Goodwillie, Topology 24 (1985)).
+  - hc over B = I or A: on the unitalization B₊ = B ⊕ Q·1, 1 of weight 0,
+    h gives HH_w = 0, so Connes' SBI sequence of the unital B₊, which
+    keeps weight, gives HC_w(B₊) = 0 degree by degree.  Over Q the
+    inclusion C^λ(B) ⊂ C^λ(B₊) keeps weight and is injective in homology,
+    onto HC(B) in HC(B₊) = HC(Q) ⊕ HC(B) (Loday, §1.4 and §2.2).  A
+    relative tuple of weight w ≠ 0 has an ideal slot: that block is A's.
+b' has no such h, so `bar` is never restricted.  Each matrix is block
+diagonal up to order, so its unique RREF is that of each block, and the
+weight-0 block alone gives the full dimensions and representatives.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 from dataclasses import dataclass
@@ -43,6 +63,7 @@ from itertools import product as iter_product
 from .linalg import (
     InvariantError,
     SparseMatrix,
+    SparseVector,
     _Sparse,
     _accumulate,
     _exact,
@@ -93,19 +114,21 @@ def _memoised(build):
     One value per space of tuples: when the ideal is the whole algebra, the
     spaces I, relative and A have the same tuples, so a `Variant` of any of
     them is looked up or built under its I key and stored under both keys.
-    A hit costs one lookup as before."""
+    A hit costs one dictionary lookup."""
     @wraps(build)
     def memo(context, *args):
         key = (build.__name__, *args)
         cache = context.chain_cache
-        if key not in cache:
-            variant = args[0]
+        value = cache.get(key)  # no memoised value is None
+        if value is None:
+            variant = args[0] if args else None
             if (type(variant) is Variant and variant.space != "I"
                     and context.ideal_count == context.dimension):
-                cache[key] = memo(context, Variant(variant.op, "I"), *args[1:])
+                value = memo(context, Variant(variant.op, "I"), *args[1:])
             else:
-                cache[key] = build(context, *args)
-        return cache[key]
+                value = build(context, *args)
+            cache[key] = value
+        return value
     return memo
 
 
@@ -390,32 +413,72 @@ def _necklaces(letters, length):
             word.pop()
 
 
-@_memoised
-def basis_tuples(context, variant, degree):
-    """Deterministic (lexicographic) basis of the requested chain group,
-    memoised: do not mutate the returned list."""
+def _chain_tuples(context, variant, degree):
+    """Yield the basis tuples of the requested chain group in lexicographic
+    order."""
     width = operator.index(degree) + 1
     ideal_count = context.ideal_count
     letters = ideal_count if variant.space == "I" else context.dimension
     relative = variant.space == "relative"
-    if variant.op == "hc":
-        # The canonical tuples are the necklaces.  A necklace equals its
-        # rotations by multiples of its period p, with sign (-1)^(degree·p),
-        # so its class dies over Q exactly when degree and p are odd (then
-        # p < degree + 1, which is even).  A necklace starts with its least
-        # letter, so the relative ones come first.
-        tuples = []
-        for word, period in _necklaces(letters, width):
-            if relative and word[0] >= ideal_count:
-                break
-            if degree % 2 and period % 2:
-                continue
-            tuples.append(word)
-    else:
-        tuples = list(iter_product(range(letters), repeat=width))
-        if relative:
-            tuples = [t for t in tuples if any(i < ideal_count for i in t)]
-    return tuples
+    if variant.op != "hc":
+        for t in iter_product(range(letters), repeat=width):
+            if not relative or min(t) < ideal_count:
+                yield t
+        return
+    # The canonical tuples are the necklaces.  A necklace equals its
+    # rotations by multiples of its period p, with sign (-1)^(degree·p), so
+    # its class dies over Q exactly when degree and p are odd (then
+    # p < degree + 1, which is even).  A necklace starts with its least
+    # letter, so the relative ones come first.
+    for word, period in _necklaces(letters, width):
+        if relative and word[0] >= ideal_count:
+            return
+        if not (degree % 2 and period % 2):
+            yield word
+
+
+@_memoised
+def basis_tuples(context, variant, degree):
+    """Deterministic (lexicographic) basis of the requested chain group,
+    memoised: do not mutate the returned list."""
+    return list(_chain_tuples(context, variant, degree))
+
+
+@_memoised
+def _gradings(context):
+    """The weights [w_0, …] of the split basis under each grading element,
+    memoised: the ideal basis elements f_e, not central, with
+    f_e·f_i − f_i·f_e = w_i f_i for every i (module docstring)."""
+    basis = [SparseVector.unit(context.dimension, i) for i in range(context.dimension)]
+    gradings = []
+    for x in basis[:context.ideal_count]:
+        brackets = [(context.mul(x, f) - context.mul(f, x)).entries for f in basis]
+        if all(b.keys() <= {i} for i, b in enumerate(brackets)):
+            weights = [b.get(i, 0) for i, b in enumerate(brackets)]
+            if any(weights):
+                gradings.append(weights)
+    return gradings
+
+
+@_memoised
+def _weight_zero_tuples(context, variant, degree):
+    """The tuples of `basis_tuples` of weight 0 under every grading element
+    (the sum of their slots' weights), in the same order; all of them for
+    `bar` (module docstring)."""
+    if variant.op == "bar" or not _gradings(context):
+        return basis_tuples(context, variant, degree)
+    # One integer key per letter, a digit per grading: its weights scaled to
+    # integers, in a base over twice what a tuple's weights can sum to, so
+    # a tuple's keys sum to 0 exactly when every digit does.
+    width, key = operator.index(degree) + 1, [0] * context.dimension
+    for weights in _gradings(context):
+        scale = math.lcm(*(w.denominator for w in weights))
+        digits = [int(w * scale) for w in weights]
+        base = 2 * width * max(map(abs, digits)) + 1
+        key = [k * base + d for k, d in zip(key, digits)]
+    weight = key.__getitem__
+    return [t for t in _chain_tuples(context, variant, degree)
+            if not sum(map(weight, t))]
 
 
 def _rotation_index(rows):
@@ -444,10 +507,26 @@ def boundary_matrix(context, variant, degree):
     memoised on the split basis `context` and shared by every caller: do
     not mutate the matrix or the lists.
     """
+    return _assemble(context, variant, degree, basis_tuples, boundary_matrix)
+
+
+@_memoised
+def _weight_zero_matrix(context, variant, degree):
+    """`boundary_matrix` on the weight-0 tuples (`_weight_zero_tuples`),
+    memoised apart from it; the full triple itself where nothing is
+    restricted."""
+    if variant.op == "bar" or not _gradings(context):
+        return boundary_matrix(context, variant, degree)
+    return _assemble(context, variant, degree, _weight_zero_tuples, _weight_zero_matrix)
+
+
+def _assemble(context, variant, degree, tuples, matrix):
+    """(matrix, columns, rows) of ∂_degree on the bases `tuples` gives, with
+    the relative all-ideal columns copied from `matrix` of the I space."""
     if operator.index(degree) < 1:
         raise ValueError("the boundary matrix needs degree >= 1")
-    cols = basis_tuples(context, variant, degree)
-    rows = basis_tuples(context, variant, degree - 1)
+    cols = tuples(context, variant, degree)
+    rows = tuples(context, variant, degree - 1)
     if variant.op == "hc":
         row_index = _rotation_index(rows)
     else:
@@ -456,7 +535,8 @@ def boundary_matrix(context, variant, degree):
     ideal_count = context.ideal_count
     ideal_columns = None
     if variant.space == "relative" and 0 < ideal_count < context.dimension:
-        ideal_columns = _ideal_columns(context, variant.op, degree, row_index)
+        ideal_columns = _ideal_columns(
+            matrix(context, Variant(variant.op, "I"), degree), row_index)
     entries = {}
     for c, tup in enumerate(cols):
         if ideal_columns is not None and max(tup) < ideal_count:
@@ -470,17 +550,17 @@ def boundary_matrix(context, variant, degree):
     return SparseMatrix._assembled(len(rows), len(cols), entries), cols, rows
 
 
-def _ideal_columns(context, op, degree, row_index):
-    """The columns of ∂^I (`boundary_matrix` of the I space) in order, each
-    a list of (relative row, value) in its stored order, for the all-ideal
-    columns of the relative complex.
+def _ideal_columns(ideal_complex, row_index):
+    """The columns of ∂^I, the triple `ideal_complex`, in order, each a list
+    of (relative row, value) in its stored order, for the all-ideal columns
+    of the relative complex.
 
     Those columns are the I basis in the same lexicographic order, and ∂
     maps an all-ideal tuple onto all-ideal rows: every I row is a row of
     the relative complex (for `hc` a canonical necklace, which the rotation
     index maps to itself with sign 1).  Their boundary terms were checked
     against the I space when ∂^I was assembled."""
-    matrix, cols, rows = boundary_matrix(context, Variant(op, "I"), degree)
+    matrix, cols, rows = ideal_complex
     lift = [row_index[t][0] for t in rows]
     columns = [[] for _ in cols]
     for (r, c), v in matrix.entries.items():
@@ -507,19 +587,19 @@ class HomologyReport:
 
 @_memoised
 def _homology_basis(context, variant, degree):
-    """The kernel vectors ({column: value}) of ∂_degree that represent its
-    homology, once ∂_degree ∘ ∂_(degree+1) = 0 is checked on the assembled
-    matrices, one column of ∂_(degree+1) at a time (`boundary_matrix` stores
-    each column's entries together).  The kernel vector v_f is 1 at free
-    column f and 0 at the other free columns; it is kept unless some
-    boundary, projected onto the free columns, has its last nonzero entry
-    at f.  Those last entries are the pivot columns of the projected
+    """The kernel vectors ({tuple: value}) of ∂_degree on the weight-0
+    tuples that represent its homology, once ∂_degree ∘ ∂_(degree+1) = 0
+    is checked on the assembled matrices, one column of ∂_(degree+1) at a
+    time (`_assemble` stores each column's entries together).  The kernel
+    vector v_f is 1 at free column f and 0 at the other free columns; it is
+    kept unless some boundary, projected onto the free columns, has its
+    last nonzero entry at f.  Those last entries are the pivot columns of the projected
     boundaries with the free columns in reversed order, and only they are
     computed (`_pivot_columns`), not the reduced rows."""
-    up = boundary_matrix(context, variant, degree + 1)[0]
+    up, _, tuples = _weight_zero_matrix(context, variant, degree + 1)
     free = list(range(up.rows))
     if degree > 0:
-        down = boundary_matrix(context, variant, degree)[0]
+        down = _weight_zero_matrix(context, variant, degree)[0]
         record = echelon(down)
         free = record.free_columns()
         down_cols = {}
@@ -548,8 +628,9 @@ def _homology_basis(context, variant, degree):
     boundary = {free[last - k] for k in _pivot_columns(rows, len(free))}
     chosen = [f for f in free if f not in boundary]
     if degree == 0:
-        return [{f: 1} for f in chosen]
-    return [v.entries for v in kernel_basis(record, chosen)]
+        return [{tuples[f]: 1} for f in chosen]
+    return [{tuples[i]: v for i, v in vector.entries.items()}
+            for vector in kernel_basis(record, chosen)]
 
 
 def homology(context, variant, degree, max_degree=None):
@@ -557,19 +638,17 @@ def homology(context, variant, degree, max_degree=None):
 
     Representatives are chosen deterministically: the kernel basis vectors
     of ∂_degree, in order, that are independent modulo the boundaries and
-    the vectors kept before them (`_homology_basis`, memoised).  A complex
-    with ∂∂ ≠ 0 raises InvariantError.
+    the vectors kept before them (`_homology_basis`, memoised, on the
+    weight-0 block).  A complex with ∂∂ ≠ 0 there raises InvariantError;
+    `space_dimension` counts every tuple.
     """
     _check_degree(degree, max_degree)
-    tuples = basis_tuples(context, variant, degree)
-    representatives = [
-        Chain(degree, context, {tuples[i]: v for i, v in cycle.items()})
-        for cycle in _homology_basis(context, variant, degree)
-    ]
+    representatives = [Chain(degree, context, cycle)
+                       for cycle in _homology_basis(context, variant, degree)]
     return HomologyReport(
         variant=variant,
         degree=degree,
         dimension=len(representatives),
-        space_dimension=len(tuples),
+        space_dimension=len(basis_tuples(context, variant, degree)),
         representatives=representatives,
     )

@@ -302,8 +302,8 @@ def _invert_by_solve(chain):
     solution, free variables zero, of  ∂η = −φ  on the mixed rows of the
     memoised relative differential, eliminated once with its right-hand
     side; such an η exists because the excision map is onto in homology.
-    Like `homology`, which builds the same complex, the solve refuses a
-    degree above the cap before it assembles anything.
+    Like `homology`, the solve refuses a degree above the cap before it
+    assembles anything.
     """
     context = chain.context
     n = chain.degree

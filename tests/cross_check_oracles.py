@@ -9,8 +9,12 @@ test oracles of `dense_oracle.py`, too slow for the tier-1 suite.
    Each entry is stored as an `int` exactly where it is integral (405
    matrices).
 2. Every homology group, dimension and representatives, equals that of the
-   incremental-span reference: the corpus at degrees 0-3, `ut3` at 0-2 and
-   the six rebased splits at 0-3, for every op and space (351 cases).
+   incremental-span reference on the full complex, while homology reads
+   only the weight-0 block of a graded split: the corpus at degrees 0-4,
+   `ut3` at 0-2, the six rebased splits, the dual-number split, t2-corner
+   with its ideal basis halved (weights 1/2) and demo 04's split (no local
+   units, no grading) at 0-3, for every op and space (486 cases).
+   `tests/test_weights.py` runs a subset of these in tier-1.
 
 Not collected by pytest; run it as
 
@@ -27,20 +31,22 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
+from excisionlab.algebra import Ideal, make_split_basis  # noqa: E402
 from excisionlab.chains import (  # noqa: E402
     VARIANT_OPS, VARIANT_SPACES, Variant, basis_tuples, boundary_matrix, homology,
 )
 from excisionlab.fileio import demo_by_name, demo_corpus  # noqa: E402
+from excisionlab.linalg import SparseVector  # noqa: E402
 from dense_oracle import (  # noqa: E402
     _dense_boundary, incremental_span_homology, split_products,
 )
 from support import (  # noqa: E402
-    fresh_split, halved_ideal_split, rebased_split, stored_exactly,
-    upper_triangular_split,
+    dual_number_split, fresh_split, halved_ideal_split, rebased_split,
+    stored_exactly, upper_triangular_split,
 )
 
 BOUNDARY_MATRICES = 405
-HOMOLOGY_CASES = 351
+HOMOLOGY_CASES = 486
 
 
 def expect(holds, case):
@@ -96,11 +102,16 @@ def check_boundary_matrices(corpus):
 
 def check_homology(corpus):
     """The count of homology groups compared with the reference."""
-    splits = [(demo.name, demo.split, 3) for demo in corpus]
+    splits = [(demo.name, demo.split, 4) for demo in corpus]
     splits.append(("ut3", upper_triangular_split(), 2))
     for demo in corpus:
         for offset in (1, 2):
             splits.append((f"{demo.name} rebased {offset}", rebased_split(demo, offset), 3))
+    t2 = demo_by_name("t2-corner")
+    line = Ideal(t2.algebra, [SparseVector.from_list([0, 1, 0])])
+    splits += [("dual-number", dual_number_split(), 3),
+               ("t2-corner, ideal basis halved", halved_ideal_split(t2), 3),
+               ("demo 04, span{E12} in t2-corner", make_split_basis(line), 3)]
     count = 0
     for name, split, top in splits:
         for op in VARIANT_OPS:

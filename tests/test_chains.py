@@ -15,6 +15,7 @@ from excisionlab.chains import (
     DegreeLimitError,
     Variant,
     _signed_rotations,
+    _weight_zero_matrix,
     basis_tuples,
     boundary_b,
     boundary_matrix,
@@ -37,8 +38,8 @@ from excisionlab.linalg import (
 
 from dense_oracle import image_columns
 from support import (
-    fresh_split, halved_ideal_split, mixed_boundary, random_chain, split_vectors,
-    stored_exactly,
+    fresh_split, halved_ideal_split, mixed_boundary, random_chain, rebased_split,
+    split_vectors, stored_exactly,
 )
 
 
@@ -399,7 +400,7 @@ def test_isomorphism_witness_never_builds_the_fraction_matrices(t2):
     report = isomorphism_witness(split, 2)
     assert report.dimensions_match and report.onto
     cached = [value[0] for key, value in split.chain_cache.items()
-              if key[0] == "boundary_matrix"]
+              if key[0] in ("boundary_matrix", "_weight_zero_matrix")]
     assert len(cached) >= 4 and any(matrix.entries for matrix in cached)
     for matrix in cached:
         assert all(type(v) is int for v in matrix.entries.values())
@@ -482,16 +483,23 @@ def _add_one(matrix, r, c):
     entries.update(items)
 
 
-@pytest.mark.parametrize("op, space, degree", [("hh", "A", 1), ("hc", "relative", 2)])
-def test_homology_rejects_a_complex_whose_square_is_not_zero(t2, op, space, degree):
+@pytest.mark.parametrize("graded, op, space, degree", [
+    (False, "hh", "A", 1), (False, "hc", "relative", 2),
+    (True, "hh", "A", 2), (True, "hc", "relative", 2),
+])
+def test_homology_rejects_a_complex_whose_square_is_not_zero(t2, graded, op, space, degree):
     # ∂∂ is checked one stored column of ∂_(degree+1) at a time, the last
     # column after the loop over the entries: perturb an entry that meets ∂,
-    # the first stored column and the last
+    # the first stored column and the last, of the matrices homology reads:
+    # the full ones on t2-corner rebased by offset 1, which has no grading
+    # element, and the weight-0 ones on t2-corner (its ∂_1 is zero there;
+    # test_full_matrices_square_to_zero checks the full matrices)
     for where in ("meets ∂", 0, -1):
-        split = fresh_split(t2)
+        split = fresh_split(t2) if graded else rebased_split(t2, 1)
+        assemble = _weight_zero_matrix if graded else boundary_matrix
         variant = Variant(op, space)
-        down = boundary_matrix(split, variant, degree)[0]
-        up = boundary_matrix(split, variant, degree + 1)[0]
+        down = assemble(split, variant, degree)[0]
+        up = assemble(split, variant, degree + 1)[0]
         used = {k for (_, k) in down.entries}
         stored = list(up.entries)
         if where == "meets ∂":

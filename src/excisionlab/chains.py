@@ -49,6 +49,14 @@ which some x weighs w ≠ 0 is acyclic:
 b' has no such h, so `bar` is never restricted.  Each matrix is block
 diagonal up to order, so its unique RREF is that of each block, and the
 weight-0 block alone gives the full dimensions and representatives.
+
+The weight-0 tuples are walked, not filtered (`_walk`): each letter gets
+one integer key that packs its weights, and the lexicographic walk (a
+product walk for hh, the Ruskey–Savage–Wang necklace generator for hc)
+enters a prefix only when the letters still to come can bring its key sum
+to 0.  With every key 0 the same walk lists a whole chain group
+(`basis_tuples`).  `HomologyReport.space_dimension` counts the whole group
+in closed form (`_tuple_count`), so homology lists only the weight-0 block.
 """
 
 from __future__ import annotations
@@ -56,9 +64,9 @@ from __future__ import annotations
 import math
 import operator
 import os
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import wraps
-from itertools import product as iter_product
 
 from .linalg import (
     InvariantError,
@@ -377,71 +385,133 @@ VARIANT_OPS = ("hh", "hc", "bar")
 VARIANT_SPACES = tuple(SPACES)
 
 
-@dataclass(frozen=True)
-class Variant:
-    """Which complex: Hochschild b, cyclic b on coinvariants, or bar b'."""
+class Variant(namedtuple("Variant", "op space")):
+    """Which complex: Hochschild b, cyclic b on coinvariants, or bar b'.
 
-    op: str
-    space: str
+    A pair (op, space), so a memo key holding one hashes and compares it in
+    C."""
 
-    def __post_init__(self):
-        if self.op not in VARIANT_OPS:
-            raise ValueError(f"unknown op {self.op!r}")
-        if self.space not in VARIANT_SPACES:
-            raise ValueError(f"unknown space {self.space!r}")
+    __slots__ = ()
+
+    def __new__(cls, op, space):
+        if op not in VARIANT_OPS:
+            raise ValueError(f"unknown op {op!r}")
+        if space not in VARIANT_SPACES:
+            raise ValueError(f"unknown space {space!r}")
+        return tuple.__new__(cls, (op, space))
 
 
-def _necklaces(letters, length):
-    """Canonical necklaces over range(letters) in lexicographic order, each
-    with its period (Fredricksen–Kessler–Maiorana, in Duval's form).
+def _walk(context, variant, degree, key):
+    """The basis tuples of `variant`'s chain group in `degree` whose letters'
+    integer keys sum to 0, in lexicographic order: a depth-first walk that
+    enters a prefix only when the letters still to come can bring its sum
+    to 0, so nothing is filtered afterwards.  With every key 0 it is the
+    whole chain group.
 
-    Every prenecklace is visited once, in lexicographic order; it is a
-    necklace exactly when the length of its Lyndon prefix `w` divides
-    `length`, and then it is `w` repeated and has period len(w).
+    `hh` and `bar` walk every word.  `hc` walks the necklaces, the least
+    rotations, by the recursive lexicographic generator of Ruskey, Savage
+    and Wang ("Generating necklaces", J. Algorithms 13 (1992) 414-430):
+    `gen(t, p)` extends a prenecklace of length t and period p by a letter
+    equal to the one p back (the period stays p) or larger (it becomes
+    t + 1), and a full prenecklace is a necklace exactly when p divides its
+    length.  A necklace equals its rotations by multiples of p, with sign
+    (-1)^(degree·p), so its class dies over Q exactly when degree and p
+    are odd; such words are dropped.
     """
-    if letters == 0:
-        return
-    word = [-1]
-    while word:
-        word[-1] += 1
-        period = len(word)
-        if length % period == 0:
-            yield tuple(word * (length // period)), period
-        while len(word) < length:
-            word.append(word[-period])
-        while word and word[-1] == letters - 1:
-            word.pop()
-
-
-def _chain_tuples(context, variant, degree):
-    """Yield the basis tuples of the requested chain group in lexicographic
-    order."""
     width = operator.index(degree) + 1
     ideal_count = context.ideal_count
     letters = ideal_count if variant.space == "I" else context.dimension
     relative = variant.space == "relative"
-    if variant.op != "hc":
-        for t in iter_product(range(letters), repeat=width):
-            if not relative or min(t) < ideal_count:
-                yield t
-        return
-    # The canonical tuples are the necklaces.  A necklace equals its
-    # rotations by multiples of its period p, with sign (-1)^(degree·p), so
-    # its class dies over Q exactly when degree and p are odd (then
-    # p < degree + 1, which is even).  A necklace starts with its least
-    # letter, so the relative ones come first.
-    for word, period in _necklaces(letters, width):
-        if relative and word[0] >= ideal_count:
+    # need[r]: the prefix sums that r more letters can bring to 0
+    need, distinct = [{0}], set(key[:letters])
+    for _ in range(width - 1):
+        need.append({s - k for s in need[-1] for k in distinct})
+    # ends[s]: the letters that close a word summing to s, in order
+    ends = {}
+    for j in range(letters):
+        ends.setdefault(-key[j], []).append(j)
+    out, word = [], [0] * width
+    last = width - 1
+    odd = degree % 2
+
+    def words(t, s, ideal):
+        # word[:t] sums to s; `ideal` when it has an ideal letter (or
+        # none is needed)
+        if t == last:
+            prefix = tuple(word[:t])
+            out.extend([prefix + (j,) for j in ends.get(s, ())
+                        if ideal or j < ideal_count])
             return
-        if not (degree % 2 and period % 2):
-            yield word
+        rest = need[last - t]
+        for j in range(letters):
+            if s + key[j] in rest:
+                word[t] = j
+                words(t + 1, s + key[j], ideal or j < ideal_count)
+
+    def necklaces(t, p, s):
+        # word[:t] is a prenecklace of period p summing to s
+        j = word[t - p]
+        if t == last:
+            prefix = tuple(word[:t])
+            keep = width % p == 0 and not (odd and p % 2)
+            out.extend([prefix + (k,) for k in ends.get(s, ())
+                        if k > j or k == j and keep])
+            return
+        rest = need[last - t]
+        if s + key[j] in rest:
+            word[t] = j
+            necklaces(t + 1, p, s + key[j])
+        for j in range(j + 1, letters):
+            if s + key[j] in rest:
+                word[t] = j
+                necklaces(t + 1, t + 1, s + key[j])
+
+    if variant.op != "hc":
+        words(0, 0, not relative)
+        return out
+    # a necklace starts with its least letter: relative ones with an ideal one
+    for j in range(ideal_count if relative else letters):
+        if key[j] in need[last]:
+            word[0] = j
+            if width == 1:
+                out.append((j,))
+            else:
+                necklaces(1, 1, key[j])
+    return out
 
 
 @_memoised
 def basis_tuples(context, variant, degree):
     """Deterministic (lexicographic) basis of the requested chain group,
     memoised: do not mutate the returned list."""
-    return list(_chain_tuples(context, variant, degree))
+    return _walk(context, variant, degree, [0] * context.dimension)
+
+
+@_memoised
+def _tuple_count(context, variant, degree):
+    """len(basis_tuples(context, variant, degree)) in closed form, memoised.
+
+    `hh` and `bar` have letters^width words, less the complement-only ones
+    for `relative`.  `hc` has one necklace per Lyndon word of each length p
+    dividing the width (the word repeated), less the sign-obstructed ones of
+    odd p at odd degree, and less the complement-only ones for `relative`.
+    There are L(k, p) Lyndon words of length p over k letters, by Möbius
+    inversion of k^p = Σ_(d | p) d·L(k, d)."""
+    width = operator.index(degree) + 1
+    ideal_count = context.ideal_count
+    letters = ideal_count if variant.space == "I" else context.dimension
+    complement = context.dimension - ideal_count if variant.space == "relative" else 0
+    if variant.op != "hc":
+        return letters ** width - complement ** width
+    count = 0
+    for k, sign in ((letters, 1), (complement, -1)):
+        lyndon = {}
+        for p in range(1, width + 1):
+            if width % p == 0:
+                lyndon[p] = (k ** p - sum(d * lyndon[d] for d in lyndon if p % d == 0)) // p
+                if not (degree % 2 and p % 2):
+                    count += sign * lyndon[p]
+    return count
 
 
 @_memoised
@@ -464,21 +534,19 @@ def _gradings(context):
 def _weight_zero_tuples(context, variant, degree):
     """The tuples of `basis_tuples` of weight 0 under every grading element
     (the sum of their slots' weights), in the same order; all of them for
-    `bar` (module docstring)."""
+    `bar` (module docstring).  `_walk` finds them without visiting the
+    others, on one integer key per letter: a digit per grading, its weights
+    scaled to integers, in a base over twice what a tuple's weights can
+    sum to, so a tuple's keys sum to 0 exactly when every digit does."""
     if variant.op == "bar" or not _gradings(context):
         return basis_tuples(context, variant, degree)
-    # One integer key per letter, a digit per grading: its weights scaled to
-    # integers, in a base over twice what a tuple's weights can sum to, so
-    # a tuple's keys sum to 0 exactly when every digit does.
     width, key = operator.index(degree) + 1, [0] * context.dimension
     for weights in _gradings(context):
         scale = math.lcm(*(w.denominator for w in weights))
         digits = [int(w * scale) for w in weights]
         base = 2 * width * max(map(abs, digits)) + 1
         key = [k * base + d for k, d in zip(key, digits)]
-    weight = key.__getitem__
-    return [t for t in _chain_tuples(context, variant, degree)
-            if not sum(map(weight, t))]
+    return _walk(context, variant, degree, key)
 
 
 def _rotation_index(rows):
@@ -639,8 +707,10 @@ def homology(context, variant, degree, max_degree=None):
     Representatives are chosen deterministically: the kernel basis vectors
     of ∂_degree, in order, that are independent modulo the boundaries and
     the vectors kept before them (`_homology_basis`, memoised, on the
-    weight-0 block).  A complex with ∂∂ ≠ 0 there raises InvariantError;
-    `space_dimension` counts every tuple.
+    weight-0 block).  A complex with ∂∂ ≠ 0 there raises InvariantError.
+    `space_dimension` is the dimension of the whole chain group, every
+    weight included, counted in closed form (`_tuple_count`, memoised)
+    without listing its tuples.
     """
     _check_degree(degree, max_degree)
     representatives = [Chain(degree, context, cycle)
@@ -649,6 +719,6 @@ def homology(context, variant, degree, max_degree=None):
         variant=variant,
         degree=degree,
         dimension=len(representatives),
-        space_dimension=len(basis_tuples(context, variant, degree)),
+        space_dimension=_tuple_count(context, variant, degree),
         representatives=representatives,
     )

@@ -15,6 +15,14 @@ test oracles of `dense_oracle.py`, too slow for the tier-1 suite.
    with its ideal basis halved (weights 1/2) and demo 04's split (no local
    units, no grading) at 0-3, for every op and space (486 cases).
    `tests/test_weights.py` runs a subset of these in tier-1.
+3. At the frontier sizes tier-1 skips, the pruned walk lists the weight-0
+   tuples that filtering the whole chain group keeps (`filtered_tuples`),
+   and the closed-form count of each chain group equals the length of its
+   basis list: the full 3×3 matrices (ideal = whole) in hc at degree 6 and
+   hh at degree 5, direct-sum relative at degree 7 and ut3 (the first-row
+   ideal of the upper-triangular 3×3) relative at degree 6, in hh and hc;
+   where the lists are small enough, the whole basis list equals the
+   filter's too (18 cases).
 
 Not collected by pytest; run it as
 
@@ -33,20 +41,22 @@ sys.path[:0] = [str(HERE.parent / "src"), str(HERE)]
 
 from excisionlab.algebra import Ideal, make_split_basis  # noqa: E402
 from excisionlab.chains import (  # noqa: E402
-    VARIANT_OPS, VARIANT_SPACES, Variant, basis_tuples, boundary_matrix, homology,
+    VARIANT_OPS, VARIANT_SPACES, Variant, _tuple_count, _weight_zero_tuples,
+    basis_tuples, boundary_matrix, homology,
 )
 from excisionlab.fileio import demo_by_name, demo_corpus  # noqa: E402
 from excisionlab.linalg import SparseVector  # noqa: E402
 from dense_oracle import (  # noqa: E402
-    _dense_boundary, incremental_span_homology, split_products,
+    _dense_boundary, filtered_tuples, incremental_span_homology, split_products,
 )
 from support import (  # noqa: E402
-    dual_number_split, fresh_split, halved_ideal_split, rebased_split,
-    stored_exactly, upper_triangular_split,
+    dual_number_split, fresh_split, full_matrix_split, halved_ideal_split,
+    rebased_split, stored_exactly, upper_triangular_split,
 )
 
 BOUNDARY_MATRICES = 405
 HOMOLOGY_CASES = 486
+FRONTIER_CASES = 18
 
 
 def expect(holds, case):
@@ -129,11 +139,44 @@ def check_homology(corpus):
     return count
 
 
+def check_frontier(_corpus):
+    """The count of walk, count and basis checks at the frontier sizes.
+    Each split is built afresh and dropped after its cases, so that its
+    memoised lists are freed."""
+    cases = [
+        # (name, split, op, spaces, degree, whole list compared too)
+        ("full 3×3", full_matrix_split, "hc", ("I", "relative"), 6, False),
+        ("full 3×3", full_matrix_split, "hh", ("I",), 5, False),
+        ("direct-sum", lambda: demo_by_name("direct-sum").split, "hc", ("relative",), 7, True),
+        ("direct-sum", lambda: demo_by_name("direct-sum").split, "hh", ("relative",), 7, True),
+        ("ut3", upper_triangular_split, "hc", ("relative",), 6, True),
+        ("ut3", upper_triangular_split, "hh", ("relative",), 6, True),
+    ]
+    count = 0
+    for name, make, op, spaces, degree, whole in cases:
+        split = make()
+        for space in spaces:
+            variant = Variant(op, space)
+            case = (name, op, space, degree)
+            expect(_weight_zero_tuples(split, variant, degree)
+                   == filtered_tuples(split, variant, degree), ("walk",) + case)
+            expect(_tuple_count(split, variant, degree)
+                   == len(basis_tuples(split, variant, degree)), ("count",) + case)
+            count += 2
+            if whole:
+                expect(basis_tuples(split, variant, degree) == filtered_tuples(
+                    split, variant, degree, weighted=False), ("basis",) + case)
+                count += 1
+        del split
+    return count
+
+
 def main():
     corpus = demo_corpus()
     for label, check, expected in (
         ("boundary matrices", check_boundary_matrices, BOUNDARY_MATRICES),
         ("homology", check_homology, HOMOLOGY_CASES),
+        ("frontier walks and counts", check_frontier, FRONTIER_CASES),
     ):
         count = check(corpus)
         print(f"{label}: {count} cases match the oracle")

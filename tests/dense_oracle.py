@@ -16,7 +16,12 @@ it reads the library's matrices and kernels, but grows its span by its own
 sparse integer reduction (`_enlarges`), not the library's; and
 `stacked_inverse`, the library's former inverse solve, kept as the reference
 for the mixed-row solve that replaced it: it reads the library's matrices
-and `solve`, but poses the whole stacked system.
+and `solve`, but poses the whole stacked system; and `filtered_tuples`,
+the library's former enumeration of the chain groups and their weight-0
+tuples, kept as the reference for the pruned walk that replaced it: it
+reads the library's grading weights, each checked against a brute-force
+search elsewhere, but lists the necklaces by its own iterative walk and
+weighs every tuple in exact arithmetic.
 """
 
 from fractions import Fraction
@@ -393,3 +398,46 @@ def stacked_inverse(chain):
     psi = {cols_ideal[c]: v for c, v in solution.entries.items() if c < offset}
     eta = {cols_up[c - offset]: v for c, v in solution.entries.items() if c >= offset}
     return Chain(n, split, psi), Chain(n + 1, split, eta)
+
+
+def _necklaces(letters, length):
+    """Canonical necklaces over range(letters) in lexicographic order, each
+    with its period (Fredricksen–Kessler–Maiorana, in Duval's form): every
+    prenecklace is visited once, and it is a necklace exactly when the
+    length of its Lyndon prefix `w` divides `length`; then it is `w`
+    repeated and has period len(w)."""
+    if letters == 0:
+        return
+    word = [-1]
+    while word:
+        word[-1] += 1
+        period = len(word)
+        if length % period == 0:
+            yield tuple(word * (length // period)), period
+        while len(word) < length:
+            word.append(word[-period])
+        while word and word[-1] == letters - 1:
+            word.pop()
+
+
+def filtered_tuples(split, variant, degree, weighted=True):
+    """The basis tuples of a chain group in lexicographic order, listed
+    whole and then filtered: the relative tuples with an ideal slot, the
+    `hc` necklaces without the sign-obstructed ones (odd degree and odd
+    period), and with `weighted`, for `hh` and `hc`, the tuples of weight 0
+    under every grading of `chains._gradings`."""
+    from excisionlab.chains import _gradings
+
+    width = degree + 1
+    ideal_count = split.ideal_count
+    letters = ideal_count if variant.space == "I" else split.dimension
+    if variant.op == "hc":
+        words = (word for word, period in _necklaces(letters, width)
+                 if not (degree % 2 and period % 2))
+    else:
+        words = iter_product(range(letters), repeat=width)
+    relative = variant.space == "relative"
+    gradings = _gradings(split) if weighted and variant.op != "bar" else []
+    return [t for t in words
+            if (not relative or min(t) < ideal_count)
+            and all(sum(weights[i] for i in t) == 0 for weights in gradings)]

@@ -231,6 +231,21 @@ def rebased_split(demo, offset):
     return make_split_basis(Ideal(algebra, mixed))
 
 
+def full_matrix_split():
+    """The full 3x3 matrices over the nine matrix units, split by the whole
+    algebra: the only two-sided ideals of a matrix algebra are 0 and all."""
+    units = [(a, b) for a in (1, 2, 3) for b in (1, 2, 3)]
+    index = {u: i for i, u in enumerate(units)}
+    constants = {
+        (i, j): SparseVector(9, {index[(a, d)]: 1})
+        for i, (a, b) in enumerate(units)
+        for j, (c, d) in enumerate(units)
+        if b == c
+    }
+    algebra = Algebra(9, [f"E{a}{b}" for a, b in units], constants)
+    return make_split_basis(Ideal(algebra, [algebra.basis_vector(i) for i in range(9)]))
+
+
 def dual_number_split():
     """Upper-triangular 2x2 matrices over the dual numbers Q[x]/(x²), on the
     basis E11, E11x, E12, E12x, E22, E22x, split by the first-row ideal

@@ -15,6 +15,7 @@ from excisionlab.chains import (
     DegreeLimitError,
     Variant,
     _signed_rotations,
+    _tuple_count,
     _weight_zero_matrix,
     basis_tuples,
     boundary_b,
@@ -38,8 +39,8 @@ from excisionlab.linalg import (
 
 from dense_oracle import image_columns
 from support import (
-    fresh_split, halved_ideal_split, mixed_boundary, random_chain, rebased_split,
-    split_vectors, stored_exactly,
+    dual_number_split, fresh_split, halved_ideal_split, mixed_boundary, random_chain,
+    rebased_split, split_vectors, stored_exactly, upper_triangular_split,
 )
 
 
@@ -332,6 +333,65 @@ def test_necklace_bases_drop_sign_obstructed_words():
     for word in [(0, 1), (0, 1, 0, 1), (0, 0, 0), (0, 0, 0, 0, 0)]:
         assert canonical_rotation(word) == (word, 1)
         assert word in basis_tuples(split, hc, len(word) - 1)
+
+
+COUNTED_SPLITS = {
+    **{name: lambda name=name: demo_by_name(name).split
+       for name in ("t2-corner", "matrix2", "direct-sum")},
+    "ut3": upper_triangular_split,
+    "dual-number": dual_number_split,
+    **{f"{name} rebased {offset}": lambda name=name, offset=offset: rebased_split(
+        demo_by_name(name), offset)
+       for name in ("t2-corner", "matrix2", "direct-sum") for offset in (1, 2)},
+}
+
+
+@pytest.mark.parametrize("name", COUNTED_SPLITS)
+def test_the_closed_form_count_is_the_length_of_the_basis(name):
+    """Every op and space at degrees 0-5; on matrix2 the ideal is the whole
+    algebra, so the relative space has no complement-only tuple to drop."""
+    split = COUNTED_SPLITS[name]()
+    for op in VARIANT_OPS:
+        for space in VARIANT_SPACES:
+            variant = Variant(op, space)
+            for degree in range(6):
+                assert _tuple_count(split, variant, degree) == len(
+                    basis_tuples(split, variant, degree)), (op, space, degree)
+
+
+@pytest.mark.parametrize("name", ["direct-sum", "direct-sum rebased 1"])
+def test_a_second_homology_call_adds_nothing_to_the_cache(name, monkeypatch):
+    """The count of the chain space is memoised like every chain-space
+    result, so a second call is all memo hits.  On a graded split, homology
+    walks only the weight-0 tuples of hh and hc: no walk with every key 0
+    (a whole chain group) runs for them."""
+    split = COUNTED_SPLITS[name]()
+    walked = []
+    walk = chains._walk
+    monkeypatch.setattr(chains, "_walk", lambda context, variant, degree, key: (
+        walked.append((variant, any(key))) or walk(context, variant, degree, key)))
+    for op in VARIANT_OPS:
+        for space in VARIANT_SPACES:
+            variant = Variant(op, space)
+            for degree in range(4):
+                walked.clear()
+                first = homology(split, variant, degree)
+                if chains._gradings(split) and op != "bar":
+                    assert walked and all(keyed for _, keyed in walked), (op, space)
+                cached = list(split.chain_cache)
+                walked.clear()
+                assert homology(split, variant, degree) == first
+                assert walked == [] and list(split.chain_cache) == cached, (op, space)
+
+
+def test_variants_built_apart_are_equal_with_equal_hashes():
+    # a memo key holds a Variant built afresh by each caller; its refusal of
+    # unknown names is tested with the other input errors
+    assert Variant("hc", "I") == Variant(op="hc", space="I")
+    assert hash(Variant("hc", "I")) == hash(Variant("hc", "I"))
+    assert Variant("hc", "I") != Variant("hc", "relative")
+    assert (Variant("hh", "A").op, Variant("hh", "A").space) == ("hh", "A")
+    assert repr(Variant("bar", "relative")) == "Variant(op='bar', space='relative')"
 
 
 def test_boundary_terms_are_exact_ints_or_fractions(corpus, t2):

@@ -7,9 +7,10 @@ complexes, which homology no longer reads on a graded split: the library
 finds exactly the grading elements a brute-force search finds, every
 stored entry of every full differential joins a row and a column of equal
 weight, ∂∂ = 0 holds on every full matrix, and the Cartan homotopy h_x
-gives b h_x + h_x b = w·id on every tuple of nonzero weight.  Then which
-splits are restricted, and that homology on the weight-0 block equals the
-incremental-span reference on the full complex.
+gives b h_x + h_x b = w·id on every tuple of nonzero weight.  Then that
+the pruned walk lists exactly the weight-0 tuples that filtering the whole
+chain group keeps, which splits are restricted, and that homology on the
+weight-0 block equals the incremental-span reference on the full complex.
 """
 
 from fractions import Fraction
@@ -26,7 +27,7 @@ from excisionlab.chains import (
 from excisionlab.fileio import demo_corpus
 from excisionlab.linalg import SparseVector
 
-from dense_oracle import incremental_span_homology
+from dense_oracle import filtered_tuples, incremental_span_homology
 from support import (
     dual_number_split, halved_ideal_split, rebased_split, upper_triangular_split,
 )
@@ -140,6 +141,24 @@ def _h(x, chain):
         for i in range(len(tup)):
             _add(out, tup[:i + 1] + (x,) + tup[i + 1:], (-1) ** (i + 1) * coeff)
     return out
+
+
+@pytest.mark.parametrize("name", sorted(GRADED))
+def test_the_pruned_walk_lists_what_the_filter_keeps(name):
+    """The walk that enters only prefixes able to reach weight 0 lists the
+    tuples that filtering the whole chain group by weight keeps, in the same
+    order, and with nothing pruned the whole group: every op and space,
+    degrees 0-5."""
+    split = SPLITS[name]()
+    for op in VARIANT_OPS:
+        for space in VARIANT_SPACES:
+            variant = Variant(op, space)
+            for degree in range(6):
+                case = (op, space, degree)
+                assert _weight_zero_tuples(split, variant, degree) == filtered_tuples(
+                    split, variant, degree), case
+                assert basis_tuples(split, variant, degree) == filtered_tuples(
+                    split, variant, degree, weighted=False), case
 
 
 @pytest.mark.parametrize("name", sorted(GRADED))

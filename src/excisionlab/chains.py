@@ -177,7 +177,14 @@ class Chain(_Sparse):
         return self.terms
 
     def _like(self, terms):
-        return Chain(self.degree, self.context, terms)
+        # the terms of sums, multiples and signed rotations of chains in this
+        # space, whose tuples are checked already: only the exact form is
+        # restored
+        chain = Chain.__new__(Chain)
+        chain.degree, chain.context = self.degree, self.context
+        chain.terms = {tup: c if type(c) is int else _exact(c)
+                       for tup, c in terms.items() if c}
+        return chain
 
     def _require_same_space(self, other):
         if self.context is not other.context and self.context != other.context:
@@ -296,7 +303,7 @@ def cyclic_t(chain):
         # t is the rotation by one slot, modulo the n + 1 slots
         rotated, sign = _signed_rotations(tup)[1 % len(tup)]
         _accumulate(out, rotated, sign * coeff)
-    return Chain(chain.degree, chain.context, out)
+    return chain._like(out)
 
 
 def canonical_rotation(tup):
@@ -325,7 +332,7 @@ def canonicalize_cyclic(chain):
             continue
         best, sign = rotated
         _accumulate(out, best, sign * coeff)
-    return Chain(chain.degree, chain.context, out)
+    return chain._like(out)
 
 
 def tensor_prepend(vector, chain):

@@ -138,7 +138,7 @@ def rho(chain):
     algebra.  On the standard tensor basis this is the identity on tuples."""
     if not is_ideal_chain(chain):
         raise ValueError("rho needs every slot inside the ideal")
-    return Chain(chain.degree, chain.context, dict(chain.terms))
+    return chain._like(chain.terms)
 
 
 def rotate_to_ideal_initial(chain):
@@ -160,7 +160,7 @@ def rotate_to_ideal_initial(chain):
         # rotating by -position slots brings that slot to the front
         rotated, sign = _signed_rotations(tup)[-position]
         _accumulate(out, rotated, sign * coeff)
-    return Chain(chain.degree, context, out)
+    return chain._like(out)
 
 
 def require_top_filtration(chain):
@@ -379,7 +379,6 @@ def inverse_excision(chain, schedule):
     and both outputs must lie over the ideal and be cyclic cycles; a failed
     internal identity raises InvariantError.
     """
-    context = chain.context
     n = chain.degree
     require_top_filtration(chain)
     strict = n == 0 or (boundary := boundary_b(chain)).is_zero()
@@ -400,7 +399,7 @@ def inverse_excision(chain, schedule):
             "inverse image is not a cyclic cycle over the ideal", output
         )
     certificate = BoundaryCertificate(
-        lhs=Chain(n, context, dict(output.terms)),
+        lhs=output._like(output.terms),
         rhs=chain,
         witness=witness,
         op="hc",

@@ -6,12 +6,26 @@ like "2" or "-3/2"; floats are rejected at parse time.  The reader converts
 every vector to split coordinates, and the writer back.  A parse error
 names its field by the path from the root; JSON syntax errors carry
 line/column.
+
+Every certificate document embeds its algebra block, and one process often
+reads many documents over a few algebras.  So `certificate_from_doc` keeps
+the validated split of each distinct block it has read, keyed by the
+block's JSON text (`json.dumps` of the block as read), for the last
+`_SPLIT_MEMO_SIZE` distinct blocks, least recently used dropped first.  A
+hit still has to equal the stored block as a JSON value, so a list built
+in code as a tuple, which the reader refuses, never hits.  A block that
+fails is never stored, so it fails again with the same path.  Within one
+document, each distinct slot text is read once for all of its chains.
+`load_algebra` keeps no memo: a split loaded to compute homology fills its
+`chain_cache` with boundary complexes (about 200 MB at the largest degrees
+that run), and a memo would keep them alive.
 """
 
 from __future__ import annotations
 
 import json
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -233,14 +247,18 @@ def chain_from_doc(doc, context):
     """Expand the term list of a chain document onto the standard tensor
     basis of the split.  A term that would expand to more tuples than the
     tensor space at the degree cap, dimension^(cap+1), is refused first."""
+    return _chain_from_doc(doc, context, {})
+
+
+def _chain_from_doc(doc, context, slot_memo):
+    """`chain_from_doc`, with `slot_memo` holding the sorted split
+    coordinates per slot text already read: a document repeats few distinct
+    slots, across all of its chains."""
     _typed(doc, dict, "")
     degree = _get(doc, "degree", int)
     if degree < 0:
         raise ParseError("the degree must be non-negative", "degree")
     dimension = context.dimension
-    # the sorted split coordinates per slot text: a document repeats few
-    # distinct slots
-    slot_memo = {}
     terms = {}
     for spot, record in _each(doc, "terms", dict):
         coeff = _scalar(record.get("coeff"), f"{spot}.coeff")
@@ -313,14 +331,14 @@ def _boundary_to_doc(certificate):
     }
 
 
-def _boundary_from_doc(doc, split):
+def _boundary_from_doc(doc, split, slot_memo):
     claim = {}
     for key, known in (("op", BOUNDARY_OPS), ("space", SPACES)):
         claim[key] = _get(doc, key, str)
         if claim[key] not in known:
             raise ParseError(f"unknown {key} {claim[key]!r}", key)
     return BoundaryCertificate(
-        **{key: _nested(doc, key, chain_from_doc, split)
+        **{key: _nested(doc, key, _chain_from_doc, split, slot_memo)
            for key in ("lhs", "rhs", "witness")},
         **claim,
     )
@@ -357,30 +375,72 @@ def certificate_to_doc(certificate, context):
     raise TypeError(f"not a certificate: {certificate!r}")
 
 
+# the most distinct algebra blocks whose splits `certificate_from_doc` keeps
+_SPLIT_MEMO_SIZE = 8
+# JSON text of a block -> (the block as a JSON value, its validated split)
+_split_memo = OrderedDict()
+
+
+def _split_from_doc(doc):
+    """The split of a certificate's algebra block: the memoised one when
+    the block is one of the last `_SPLIT_MEMO_SIZE` distinct blocks read,
+    else `algebra_from_doc`'s, stored when it validates.  A block that is
+    not plain JSON (one `json.dumps` refuses) is read and not stored."""
+    try:
+        key = json.dumps(doc)
+        known, split = _split_memo.get(key, (None, None))
+        # json.dumps writes a tuple as a list, which the reader tells apart
+        if known == doc:
+            _split_memo.move_to_end(key)
+            return split
+        known = json.loads(key)
+    except (TypeError, ValueError, RecursionError):
+        key = None
+    _, _, split = algebra_from_doc(doc)
+    if key is not None:
+        _split_memo[key] = known, split
+        if len(_split_memo) > _SPLIT_MEMO_SIZE:
+            _split_memo.popitem(last=False)
+    return split
+
+
 def certificate_from_doc(doc):
     """(certificate object, split basis) reconstructed from a document,
     whose `degree` must be that of its input (its lhs, for a boundary).
     A field the reader does not read is ignored, so a document that still
     carries a derived field (a descent's `homotopy`, a schedule's `degree`
-    or `targets`) reads as the document without it."""
+    or `targets`) reads as the document without it.
+
+    The split is validated once per distinct algebra block in a process:
+    keyed by the block's `json.dumps` text, the last `_SPLIT_MEMO_SIZE` (8)
+    distinct blocks keep their split, least recently used dropped first,
+    and documents with equal blocks share one split object.  A block that
+    fails validation is never stored.  Every claim of the certificate is
+    still checked against the split by `verify_certificate`.  `load_algebra`
+    has no such memo on purpose: homology on a loaded split fills its
+    `chain_cache` with boundary complexes, up to about 200 MB at the
+    largest degrees, which a memo would keep alive."""
     _typed(doc, dict, "")
     kind = doc.get("kind")
-    _, _, split = _nested(doc, "algebra", algebra_from_doc)
+    split = _nested(doc, "algebra", _split_from_doc)
+    # one slot memo for every chain of this document, and no other
+    slots = {}
     if kind == "descent":
         certificate = DescentCertificate(
-            **{key: _nested(doc, key, chain_from_doc, split)
+            **{key: _nested(doc, key, _chain_from_doc, split, slots)
                for key in ("input", "output")},
             unit=split.to_split(
                 _vector_from_list(_get(doc, "unit", list), split.dimension, "unit")),
         )
     elif kind == "boundary":
-        certificate = _boundary_from_doc(doc, split)
+        certificate = _boundary_from_doc(doc, split, slots)
     elif kind == "inverse":
         certificate = InverseResult(
-            input=_nested(doc, "input", chain_from_doc, split),
+            input=_nested(doc, "input", _chain_from_doc, split, slots),
             schedule=_nested(doc, "schedule", schedule_from_doc, split),
-            output=_nested(doc, "output", chain_from_doc, split),
-            verification=_nested(doc, "certificate", _boundary_from_doc, split),
+            output=_nested(doc, "output", _chain_from_doc, split, slots),
+            verification=_nested(doc, "certificate", _boundary_from_doc, split,
+                                 slots),
         )
     else:
         raise ParseError(f"unknown certificate kind {kind!r}", "kind")

@@ -24,6 +24,7 @@ from .linalg import (
     SparseMatrix,
     SparseVector,
     _accumulate,
+    _exact,
     invert,
 )
 
@@ -110,11 +111,14 @@ def validate_algebra(algebra):
         for j in range(d):
             ij = table.get((i, j), ())
             for k in range(d):
+                jk = table.get((j, k), ())
+                if not (ij or jk):
+                    continue  # both sides are zero
                 left, right = {}, {}
                 for m, c in ij:
                     for n, c2 in table.get((m, k), ()):
                         _accumulate(left, n, c * c2)
-                for m, c in table.get((j, k), ()):
+                for m, c in jk:
                     for n, c2 in table.get((i, m), ()):
                         _accumulate(right, n, c * c2)
                 if left != right:
@@ -205,15 +209,30 @@ class SplitBasis:
         # split -> parent coordinates and back; a wrong length is not square
         self._matrix = SparseMatrix.from_columns(self.ordered_basis, rows=self.dimension)
         self._inverse = invert(self._matrix)
-        basis, mul = self.ordered_basis, self.parent.mul
-        self.product_table = {
-            (i, j): tuple(self.to_split(mul(f_i, f_j)).entries.items())
-            for i, f_i in enumerate(basis) for j, f_j in enumerate(basis)
-        }
+        self.product_table = self._products()
         # basis tuples, boundary matrices and homology bases, memoised by
         # `chains`, and the local left units by target set, memoised by
         # `units`; they live as long as this split
         self.chain_cache = {}
+
+    def _products(self):
+        """`product_table`: `to_split(parent.mul(f_i, f_j))` for every pair,
+        with the parent product and the coordinate change summed in place,
+        in the order `matvec` sums them."""
+        table, inverse = self.parent.structure_table, self._inverse.entries.items()
+        basis = [f.entries.items() for f in self.ordered_basis]
+        products = {}
+        for i, f_i in enumerate(basis):
+            for j, f_j in enumerate(basis):
+                product, out = _product(table, f_i, f_j), {}
+                if product:
+                    for (r, c), v in inverse:
+                        x = product.get(c)
+                        if x:
+                            _accumulate(out, r, v * x)
+                products[(i, j)] = tuple(
+                    (k, c if type(c) is int else _exact(c)) for k, c in out.items())
+        return products
 
     def is_ideal_index(self, i):
         return i < self.ideal_count

@@ -168,7 +168,8 @@ class Chain(_Sparse):
                 for index in tup:
                     if not 0 <= index < dim:
                         raise ValueError(f"slot index {index} out of range")
-                coeff = _exact(coeff)
+                if type(coeff) is not int:
+                    coeff = _exact(coeff)
                 if coeff:
                     clean[tuple(tup)] = coeff
         self.terms = clean
@@ -177,14 +178,7 @@ class Chain(_Sparse):
         return self.terms
 
     def _like(self, terms):
-        # the terms of sums, multiples and signed rotations of chains in this
-        # space, whose tuples are checked already: only the exact form is
-        # restored
-        chain = Chain.__new__(Chain)
-        chain.degree, chain.context = self.degree, self.context
-        chain.terms = {tup: c if type(c) is int else _exact(c)
-                       for tup, c in terms.items() if c}
-        return chain
+        return Chain(self.degree, self.context, terms)
 
     def _require_same_space(self, other):
         if self.context is not other.context and self.context != other.context:
@@ -303,7 +297,7 @@ def cyclic_t(chain):
         # t is the rotation by one slot, modulo the n + 1 slots
         rotated, sign = _signed_rotations(tup)[1 % len(tup)]
         _accumulate(out, rotated, sign * coeff)
-    return chain._like(out)
+    return Chain(chain.degree, chain.context, out)
 
 
 def canonical_rotation(tup):
@@ -332,7 +326,7 @@ def canonicalize_cyclic(chain):
             continue
         best, sign = rotated
         _accumulate(out, best, sign * coeff)
-    return chain._like(out)
+    return Chain(chain.degree, chain.context, out)
 
 
 def tensor_prepend(vector, chain):

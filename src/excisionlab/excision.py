@@ -138,7 +138,7 @@ def rho(chain):
     algebra.  On the standard tensor basis this is the identity on tuples."""
     if not is_ideal_chain(chain):
         raise ValueError("rho needs every slot inside the ideal")
-    return chain._like(chain.terms)
+    return chain
 
 
 def rotate_to_ideal_initial(chain):
@@ -160,7 +160,7 @@ def rotate_to_ideal_initial(chain):
         # rotating by -position slots brings that slot to the front
         rotated, sign = _signed_rotations(tup)[-position]
         _accumulate(out, rotated, sign * coeff)
-    return chain._like(out)
+    return Chain(chain.degree, context, out)
 
 
 def require_top_filtration(chain):
@@ -399,7 +399,7 @@ def inverse_excision(chain, schedule):
             "inverse image is not a cyclic cycle over the ideal", output
         )
     certificate = BoundaryCertificate(
-        lhs=output._like(output.terms),
+        lhs=output,
         rhs=chain,
         witness=witness,
         op="hc",

@@ -5,27 +5,14 @@ Every vector in a document is a parent-coordinate list of rational strings
 like "2" or "-3/2"; floats are rejected at parse time.  The reader converts
 every vector to split coordinates, and the writer back.  A parse error
 names its field by the path from the root; JSON syntax errors carry
-line/column.
-
-Every certificate document embeds its algebra block, and one process often
-reads many documents over a few algebras.  So `certificate_from_doc` keeps
-the validated split of each distinct block it has read, keyed by the
-block's JSON text (`json.dumps` of the block as read), for the last
-`_SPLIT_MEMO_SIZE` distinct blocks, least recently used dropped first.  A
-hit still has to equal the stored block as a JSON value, so a list built
-in code as a tuple, which the reader refuses, never hits.  A block that
-fails is never stored, so it fails again with the same path.  Within one
-document, each distinct slot text is read once for all of its chains.
-`load_algebra` keeps no memo: a split loaded to compute homology fills its
-`chain_cache` with boundary complexes (about 200 MB at the largest degrees
-that run), and a memo would keep them alive.
+line/column.  Within one document, each distinct slot text is read once
+for all of its chains.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 
@@ -290,6 +277,14 @@ def _chain_from_doc(doc, context, slot_memo):
                 f"the slots expand to {size} tensor basis tuples, more than "
                 f"{dimension}^{cap + 1} at the degree cap {cap} "
                 f"(set by {MAX_DEGREE_ENV})", f"{spot}.slots")
+        if size == 1:
+            # one tuple, as in every term that `chain_to_doc` writes
+            c, tup = coeff, []
+            for ((i, v),) in factors:
+                c *= v
+                tup.append(i)
+            _accumulate(terms, tuple(tup), c)
+            continue
         # coeff · (factors[0] ⊗ factors[1] ⊗ ...) on the tensor basis
         for combo in iter_product(*factors):
             c = coeff
@@ -375,55 +370,17 @@ def certificate_to_doc(certificate, context):
     raise TypeError(f"not a certificate: {certificate!r}")
 
 
-# the most distinct algebra blocks whose splits `certificate_from_doc` keeps
-_SPLIT_MEMO_SIZE = 8
-# JSON text of a block -> (the block as a JSON value, its validated split)
-_split_memo = OrderedDict()
-
-
-def _split_from_doc(doc):
-    """The split of a certificate's algebra block: the memoised one when
-    the block is one of the last `_SPLIT_MEMO_SIZE` distinct blocks read,
-    else `algebra_from_doc`'s, stored when it validates.  A block that is
-    not plain JSON (one `json.dumps` refuses) is read and not stored."""
-    try:
-        key = json.dumps(doc)
-        known, split = _split_memo.get(key, (None, None))
-        # json.dumps writes a tuple as a list, which the reader tells apart
-        if known == doc:
-            _split_memo.move_to_end(key)
-            return split
-        known = json.loads(key)
-    except (TypeError, ValueError, RecursionError):
-        key = None
-    _, _, split = algebra_from_doc(doc)
-    if key is not None:
-        _split_memo[key] = known, split
-        if len(_split_memo) > _SPLIT_MEMO_SIZE:
-            _split_memo.popitem(last=False)
-    return split
-
-
 def certificate_from_doc(doc):
     """(certificate object, split basis) reconstructed from a document,
     whose `degree` must be that of its input (its lhs, for a boundary).
     A field the reader does not read is ignored, so a document that still
     carries a derived field (a descent's `homotopy`, a schedule's `degree`
-    or `targets`) reads as the document without it.
-
-    The split is validated once per distinct algebra block in a process:
-    keyed by the block's `json.dumps` text, the last `_SPLIT_MEMO_SIZE` (8)
-    distinct blocks keep their split, least recently used dropped first,
-    and documents with equal blocks share one split object.  A block that
-    fails validation is never stored.  Every claim of the certificate is
-    still checked against the split by `verify_certificate`.  `load_algebra`
-    has no such memo on purpose: homology on a loaded split fills its
-    `chain_cache` with boundary complexes, up to about 200 MB at the
-    largest degrees, which a memo would keep alive."""
+    or `targets`) reads as the document without it.  The chains of the
+    document share one slot memo; nothing read is kept across documents,
+    since `excisionlab verify` reads one document per process."""
     _typed(doc, dict, "")
     kind = doc.get("kind")
-    split = _nested(doc, "algebra", _split_from_doc)
-    # one slot memo for every chain of this document, and no other
+    _, _, split = _nested(doc, "algebra", algebra_from_doc)
     slots = {}
     if kind == "descent":
         certificate = DescentCertificate(

@@ -53,6 +53,11 @@ def parse_scalar(text):
     newlines, "_" separators, other digits) is rejected, so a file containing
     "1.5" fails loudly instead of being silently coerced.
     """
+    if type(text) is str:
+        # an integer literal, most of a document's scalars, without the regex
+        digits = text[1:] if text[:1] == "-" else text
+        if digits.isdigit() and digits.isascii():
+            return int(text)
     match = _SCALAR_RE.fullmatch(text) if isinstance(text, str) else None
     if match is None:
         raise ValueError(f"not an exact rational literal: {text!r}")
@@ -148,12 +153,15 @@ class SparseVector(_Sparse):
         clean = {}
         if entries:
             for index, value in entries.items():
-                index = operator.index(index)
+                # an `int` is already in both normal forms
+                if type(index) is not int:
+                    index = operator.index(index)
                 if not 0 <= index < self.dimension:
                     raise ValueError(
                         f"index {index} out of range for dimension {self.dimension}"
                     )
-                value = _exact(value)
+                if type(value) is not int:
+                    value = _exact(value)
                 if value:
                     clean[index] = value
         self.entries = clean

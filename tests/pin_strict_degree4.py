@@ -39,10 +39,12 @@ REBASED_DOCUMENTS = 1880
 REBASED_DIGEST = "c059082ccdd617bc17206f9c612c1e2500116146e3495912a60f1d25fac48b45"
 
 
-def strict_documents(degrees, splits=None):
-    """The inverse and the descent certificate document of each strict
-    cycle of each of `degrees`, by split (the corpus splits when `splits`
+def strict_documents_digest(degrees, splits=None):
+    """(document count, sha256 hex digest) over the documents of the strict
+    cycles of each of `degrees`, by split (the corpus splits when `splits`
     is None), then degree, then basis order."""
+    digest = hashlib.sha256()
+    count = 0
     if splits is None:
         splits = [demo.split for demo in demo_corpus()]
     for split in splits:
@@ -53,16 +55,9 @@ def strict_documents(degrees, splits=None):
                     inverse_excision(cycle, schedule),
                     descent_step(cycle, schedule.units[-1]),
                 ):
-                    yield certificate_to_doc(cert, split)
-
-
-def strict_documents_digest(degrees, splits=None):
-    """(document count, sha256 hex digest) over `strict_documents`."""
-    digest = hashlib.sha256()
-    count = 0
-    for doc in strict_documents(degrees, splits):
-        digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
-        count += 1
+                    doc = certificate_to_doc(cert, split)
+                    digest.update(json.dumps(doc, sort_keys=True).encode() + b"\n")
+                    count += 1
     return count, digest.hexdigest()
 
 

@@ -1,7 +1,5 @@
-import copy
 import hashlib
 import json
-import random
 from fractions import Fraction
 
 import pytest
@@ -16,7 +14,6 @@ from excisionlab.excision import (
     verify_certificate,
 )
 from excisionlab import algebra, fileio
-from excisionlab.cli import EXIT_MISMATCH, EXIT_OK, main
 from excisionlab.algebra import Algebra, Ideal, SplitBasis, make_split_basis
 from excisionlab.fileio import (
     DemoExtension,
@@ -38,9 +35,8 @@ from excisionlab.fileio import (
 from excisionlab.linalg import SparseVector
 from excisionlab.units import build_unit_schedule
 
-from pin_strict_degree4 import strict_documents, strict_documents_digest
-from support import filtered_cycle_basis, rebased_split
-from test_malformed_documents import doc_at, documents, mutate, mutations
+from pin_strict_degree4 import strict_documents_digest
+from support import filtered_cycle_basis
 
 
 def test_algebra_round_trip(t2, tmp_path):
@@ -424,185 +420,3 @@ def test_strict_certificate_documents_are_pinned():
     """The closed formula and the descent output run only on strict cycles,
     which the end-to-end pin above never reaches."""
     assert strict_documents_digest((1, 2, 3)) == (1690, STRICT_CERTIFICATE_DOCS_SHA256)
-
-
-# The reader's memo of validated splits, by algebra block.
-
-
-@pytest.fixture
-def split_memo():
-    """The reader's split memo, empty at the start and the end of a test."""
-    fileio._split_memo.clear()
-    yield fileio._split_memo
-    fileio._split_memo.clear()
-
-
-def _counted_builds(monkeypatch):
-    """The list to which each split the reader builds appends its ideal."""
-    builds = []
-
-    def counted(ideal, hint=None, inner=fileio.make_split_basis):
-        builds.append(ideal)
-        return inner(ideal, hint)
-
-    monkeypatch.setattr(fileio, "make_split_basis", counted)
-    return builds
-
-
-def test_a_memoised_split_reads_the_strict_documents_alike(split_memo):
-    """The pinned degree 1-3 strict documents, mixed with the degree 1-2
-    ones of t2-corner and matrix2 rebased, and with those of t2-corner with
-    one label, one ideal coefficient or the complement changed: eight
-    distinct blocks, the memo's bound, five of them of dimension 3.  They
-    are read three times, the third time with the memo cleared.  Each split
-    equals the one its block gives when read afresh, and every reading gets
-    the same certificates and verdicts."""
-    docs = [json.loads(json.dumps(doc)) for doc in strict_documents((1, 2, 3))]
-    rebased = [rebased_split(demo_by_name(name), offset) for name, offset in
-               (("t2-corner", 1), ("matrix2", 1))]
-    docs += [json.loads(json.dumps(doc)) for doc in strict_documents((1, 2), rebased)]
-    for path, value in ((("basis", 0), "X"),
-                        (("ideal", "basis_vectors", 0, 0), "2"),
-                        (("complement", 0), ["1", "0", "1"])):
-        for doc in strict_documents((1, 2), [demo_by_name("t2-corner").split]):
-            doc = json.loads(json.dumps(doc))
-            doc_at(doc["algebra"], path[:-1])[path[-1]] = value
-            docs.append(doc)
-    random.Random(0).shuffle(docs)
-    readings = []
-    for clear in (False, False, True):
-        if clear:
-            split_memo.clear()
-        readings.append([certificate_from_doc(doc) for doc in docs])
-    first = readings[0]
-    fresh = {}
-    for doc in docs:
-        key = json.dumps(doc["algebra"])
-        if key not in fresh:
-            fresh[key] = algebra_from_doc(doc["algebra"])[2]
-    assert len(fresh) == len(split_memo) == fileio._SPLIT_MEMO_SIZE == 8
-    assert all(split == fresh[json.dumps(doc["algebra"])]
-               for doc, (_, split) in zip(docs, first))
-    for reading in readings:
-        assert [(c, verify_certificate(c)) for c, _ in reading] == [
-            (c, None) for c, _ in first]
-    # the second reading shares the first's splits; the third builds new ones
-    assert all(s2 is s1 for (_, s1), (_, s2) in zip(first, readings[1]))
-    assert all(s3 is not s1 and s3 == s1
-               for (_, s1), (_, s3) in zip(first, readings[2]))
-
-
-def test_a_block_that_differs_in_one_field_misses_the_memo(split_memo, monkeypatch):
-    sound = documents()["inverse"]  # over t2-corner
-    builds = _counted_builds(monkeypatch)
-    _, split = certificate_from_doc(sound)
-    assert certificate_from_doc(copy.deepcopy(sound))[1] is split
-    assert len(builds) == 1
-
-    def read(change):
-        doc = copy.deepcopy(sound)
-        change(doc["algebra"])
-        return certificate_from_doc(doc)[1]
-
-    # one ideal coefficient: 2·E11 spans the same ideal
-    doubled = read(lambda block: block["ideal"]["basis_vectors"][0].__setitem__(0, "2"))
-    assert doubled.ordered_basis[0] == SparseVector(3, {0: 2})
-    # one label
-    relabelled = read(lambda block: block["basis"].__setitem__(0, "X"))
-    assert relabelled.parent.basis_labels[0] == "X"
-    # one complement vector: E11 + E22 completes the ideal as well
-    moved = read(lambda block: block["complement"].__setitem__(0, ["1", "0", "1"]))
-    assert moved.ordered_basis[2] == SparseVector(3, {0: 1, 2: 1})
-    assert len(builds) == 4
-    # one structure constant, E11·E11 = 2·E11: not associative, and refused
-    # where it always was
-    with pytest.raises(ParseError) as info:
-        read(lambda block: block["products"][0]["result"][0].__setitem__("coeff", "2"))
-    assert info.value.location == "algebra.products"
-    assert "not associative" in info.value.message
-    # json.dumps writes a tuple as the list it was read from, but the
-    # reader refuses a tuple
-    with pytest.raises(ParseError) as info:
-        read(lambda block: block.__setitem__("basis", tuple(block["basis"])))
-    assert (info.value.location, info.value.message) == ("algebra.basis", "expected a list")
-    assert len(split_memo) == 4
-    assert certificate_from_doc(sound)[1] is split
-
-
-def test_a_tampered_chain_over_a_memoised_algebra_is_a_mismatch(
-        split_memo, tmp_path, capsys):
-    doc = copy.deepcopy(documents()["inverse"])
-    sound, tampered = tmp_path / "sound.json", tmp_path / "tampered.json"
-    sound.write_text(json.dumps(doc))
-    doc["output"]["terms"].append({"coeff": "1", "slots": [["1", "0", "0"]] * 2})
-    tampered.write_text(json.dumps(doc))
-    assert main(["verify", "--certificate", str(sound)]) == EXIT_OK
-    assert capsys.readouterr().out == "ok\n"
-    [(_, split)] = split_memo.values()
-    assert main(["verify", "--certificate", str(tampered)]) == EXIT_MISMATCH
-    assert capsys.readouterr().out.startswith("MISMATCH")
-    assert [s for _, s in split_memo.values()] == [split]
-
-
-def test_the_memo_keeps_at_most_its_bound_of_blocks(split_memo, monkeypatch):
-    """Blocks that differ only in the scale of the first ideal vector: past
-    the bound, the least recently used block is dropped first."""
-    sound = documents()["inverse"]
-    builds = _counted_builds(monkeypatch)
-    bound = fileio._SPLIT_MEMO_SIZE
-
-    def read(scale):
-        doc = copy.deepcopy(sound)
-        doc["algebra"]["ideal"]["basis_vectors"][0][0] = str(scale)
-        certificate_from_doc(doc)
-        return len(builds)
-
-    for scale in range(1, bound + 3):
-        assert read(scale) == scale
-        assert len(split_memo) == min(scale, bound)
-    # scales 3 .. bound + 2 are held; 1 and 2 were dropped
-    assert read(3) == bound + 2
-    assert read(1) == bound + 3  # a miss, which drops 4, not 3
-    assert read(3) == bound + 3
-    assert read(4) == bound + 4
-    assert len(split_memo) == bound
-
-
-def _outcome(doc):
-    """(location, message) of the ParseError reading `doc`, or the
-    certificate with its verdict."""
-    try:
-        certificate, _ = certificate_from_doc(doc)
-    except ParseError as exc:
-        return exc.location, exc.message
-    return certificate, verify_certificate(certificate)
-
-
-def _memoised_alike(doc):
-    """`doc` reads the same with an empty memo and with the sound blocks
-    and its own block memoised."""
-    fileio._split_memo.clear()
-    fresh = _outcome(doc)
-    for sound in documents().values():
-        certificate_from_doc(sound)
-    assert _outcome(doc) == fresh
-    return fresh
-
-
-def test_a_malformed_document_is_refused_alike_with_its_block_memoised(split_memo):
-    for param in mutations():
-        kind, path, value = param.values
-        assert isinstance(_memoised_alike(mutate(kind, path, value))[0], str), param.id
-
-
-def test_a_fuzzed_document_reads_alike_with_its_block_memoised(split_memo):
-    hypothesis = pytest.importorskip("hypothesis")
-    fuzz = pytest.importorskip("test_fuzz_documents")
-
-    @hypothesis.settings(max_examples=200, deadline=None, derandomize=True,
-                         database=None)
-    @hypothesis.given(fuzz.fuzzed_documents())
-    def check(doc):
-        _memoised_alike(doc)
-
-    check()

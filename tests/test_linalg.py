@@ -30,6 +30,9 @@ def test_parse_scalar_accepts_exact_rationals():
     assert parse_scalar("-3/2") == Fraction(-3, 2)
     assert parse_scalar("7") == 7
     assert parse_scalar("0") == 0
+    # integer literals as `int`, leading zeros and a negative zero included
+    for text, value in (("-12", -12), ("007", 7), ("-007", -7), ("-0", 0)):
+        assert parse_scalar(text) == value and type(parse_scalar(text)) is int
 
 
 @pytest.mark.parametrize("bad", [
@@ -37,6 +40,8 @@ def test_parse_scalar_accepts_exact_rationals():
     # `$` matches before a final newline, `\d` any Unicode digit, and `int`
     # takes spaces and "_" separators: the literal must be plain ASCII
     "5\n", "1/2\n", "5 ", "\u0663", "1/\u0663", "1_0", "1/1_0",
+    # a sign is one leading "-"
+    "-", "--1", "+1", "- 1", "-\u0663", "-1_0",
 ])
 def test_parse_scalar_rejects_non_rationals(bad):
     with pytest.raises(ValueError):
